@@ -8,9 +8,9 @@ in its two driver modes on the bench-smoke shape:
   runs Step 2 (the PR-2 behavior);
 * **pipelined** — ``pipeline=True, preaggregate=True``: one pool runs
   both steps, the parent merger finalizes partitions onto the ready
-  queue while workers are still partitioning/hashing, and duplicate
-  observations are collapsed into counted inserts before touching the
-  shared tables.
+  queue while workers are still partitioning/hashing, and each
+  partition's kmer instances are grouped into one counter row per
+  vertex before touching the shared tables.
 
 Both graphs are verified bit-identical to a serial build, and the
 report is written as ``BENCH_pipeline.json`` (CI uploads it as an

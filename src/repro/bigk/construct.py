@@ -17,114 +17,75 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.estimator import SizingPolicy
-from ..core.hashtable import HashStats, TableFullError
+from ..core.hashtable import HashStats
+from ..core.subgraph import (
+    build_subgraph,
+    instance_slots,
+    observation_pairs,
+    vertex_rows,
+)
 from ..dna.reads import ReadBatch
-from ..graph.dbg import MULT_SLOT, N_SLOTS, slot_for_predecessor, slot_for_successor
 from ..msp.partitioner import partition_reads
-from ..msp.records import SuperkmerBlock
+from ..msp.records import SuperkmerBlock, pack_windows
 from .kmer2w import LO_BASES, canonical2w_with_flip, check_2w_k, hi_bases
 from .store import BigDeBruijnGraph, graph_from_plane_pairs
-from .table import TwoWordHashTable
 
 
 def flat_kmers_2w(block: SuperkmerBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All two-word kmers of a block with their flat base positions.
 
-    Two-plane k-tap evaluation over the flat base array (the big-K twin
-    of :meth:`SuperkmerBlock.flat_kmers`).
+    The big-K twin of :meth:`SuperkmerBlock.flat_kmers`: the high plane
+    packs the ``k - 32`` leading bases of each kmer and the low plane
+    the 32 trailing ones, both by :func:`pack_windows` doubling.
     """
     k = block.k
-    check_2w_k(k)
+    hb = hi_bases(k)
     if block.n_superkmers == 0:
         empty = np.zeros(0, dtype=np.uint64)
         return empty, empty.copy(), np.zeros(0, dtype=np.int64)
-    per_sk = block.kmers_per_superkmer
-    total = int(per_sk.sum())
-    starts = np.repeat(block.offsets[:-1], per_sk)
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(per_sk)[:-1])), per_sk
-    )
-    positions = starts + ramp
-    t = block.bases.size
-    flat = block.bases.astype(np.uint64)
-    hb = hi_bases(k)
-    hi = np.zeros(t - k + 1, dtype=np.uint64)
-    lo = np.zeros(t - k + 1, dtype=np.uint64)
-    for j in range(hb):
-        hi |= flat[j : t - k + 1 + j] << np.uint64(2 * (hb - 1 - j))
-    for j in range(LO_BASES):
-        lo |= flat[hb + j : t - k + 1 + hb + j] << np.uint64(2 * (LO_BASES - 1 - j))
-    return hi[positions], lo[positions], positions
+    positions = block.kmer_positions()
+    hi = pack_windows(block.bases, hb)[positions]
+    lo = pack_windows(block.bases[hb:], LO_BASES)[positions]
+    return hi, lo, positions
 
 
 def block_observations_2w(
     block: SuperkmerBlock,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(hi, lo, slot)`` observations of a block (big-K Step 2 input)."""
-    k = block.k
+    """``(hi, lo, slots)`` per kmer instance (big-K Step 2 input).
+
+    The two-word twin of :func:`repro.core.subgraph.block_observations`:
+    canonical key planes plus the ``(3, n)`` counter slots of
+    :func:`repro.core.subgraph.instance_slots`.
+    """
     if block.n_superkmers == 0:
         empty = np.zeros(0, dtype=np.uint64)
-        return empty, empty.copy(), np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), np.zeros((3, 0), dtype=np.int8)
     hi, lo, positions = flat_kmers_2w(block)
-    can_hi, can_lo, flip = canonical2w_with_flip(hi, lo, k)
-
-    per_sk = block.kmers_per_superkmer
-    total = int(per_sk.sum())
-    sk_ids = np.repeat(np.arange(block.n_superkmers, dtype=np.int64), per_sk)
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(per_sk)[:-1])), per_sk
-    )
-    is_first = ramp == 0
-    is_last = ramp == (per_sk[sk_ids] - 1)
-
-    bases = block.bases
-    t = bases.size
-    next_base = bases[np.minimum(positions + k, t - 1)].astype(np.int16)
-    next_base[is_last] = block.right_ext[sk_ids[is_last]].astype(np.int16)
-    prev_base = bases[np.maximum(positions - 1, 0)].astype(np.int16)
-    prev_base[is_first] = block.left_ext[sk_ids[is_first]].astype(np.int16)
-
-    mult_slots = np.full(total, MULT_SLOT, dtype=np.int64)
-    has_succ = next_base >= 0
-    has_pred = prev_base >= 0
-    succ_slots = slot_for_successor(flip[has_succ], next_base[has_succ]).astype(np.int64)
-    pred_slots = slot_for_predecessor(flip[has_pred], prev_base[has_pred]).astype(np.int64)
-
-    out_hi = np.concatenate([can_hi, can_hi[has_succ], can_hi[has_pred]])
-    out_lo = np.concatenate([can_lo, can_lo[has_succ], can_lo[has_pred]])
-    out_slots = np.concatenate([mult_slots, succ_slots, pred_slots])
-    return out_hi, out_lo, out_slots
+    can_hi, can_lo, flip = canonical2w_with_flip(hi, lo, block.k)
+    return can_hi, can_lo, instance_slots(block, positions, flip)
 
 
 def preaggregate_observations_2w(
     hi: np.ndarray, lo: np.ndarray, slots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse duplicate ``(hi, lo, slot)`` triples into counted triples.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group two-word observations into one counter row per vertex.
 
     The two-word twin of
-    :func:`repro.core.subgraph.preaggregate_observations`: lexsort by
-    ``(hi, lo, slot)`` and run-length-encode the boundaries, so each
-    distinct (vertex, slot) pair pays a single probe walk in
-    :meth:`TwoWordHashTable.insert_batch` regardless of its
-    multiplicity.  Returns ``(hi, lo, slots, counts)``.
+    :func:`repro.core.subgraph.preaggregate_observations`: a two-key
+    lexsort over the instances' ``(hi, lo)`` planes groups them by
+    vertex, so each distinct vertex pays a single probe walk in
+    :meth:`TwoWordHashTable.insert_batch`.  Returns ``(hi, lo, rows)``
+    in ascending key order.
     """
-    hi = np.ascontiguousarray(hi, dtype=np.uint64).ravel()
-    lo = np.ascontiguousarray(lo, dtype=np.uint64).ravel()
-    slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-    if not (hi.shape == lo.shape == slots.shape):
-        raise ValueError("hi, lo and slots must be parallel arrays")
-    if hi.size == 0:
-        return hi, lo, slots, np.zeros(0, dtype=np.int64)
-    order = np.lexsort((slots, lo, hi))
-    shi, slo, ss = hi[order], lo[order], slots[order]
-    boundary = np.ones(shi.size, dtype=bool)
-    boundary[1:] = (
-        (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1]) | (ss[1:] != ss[:-1])
-    )
-    starts = np.nonzero(boundary)[0]
-    ends = np.concatenate([starts[1:], [shi.size]])
-    counts = (ends - starts).astype(np.int64)
-    return shi[starts], slo[starts], ss[starts], counts
+    order = np.lexsort((lo, hi))
+    shi, slo = hi[order], lo[order]
+    new = np.ones(shi.size, dtype=bool)
+    new[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
+    inverse = np.empty(shi.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    firsts = np.nonzero(new)[0]
+    return shi[firsts], slo[firsts], vertex_rows(inverse, firsts.size, slots)
 
 
 @dataclass
@@ -132,6 +93,7 @@ class BigKSubgraphResult:
     graph: BigDeBruijnGraph
     stats: HashStats
     capacity: int
+    n_regrows: int = 0
 
 
 def build_subgraph_2w(
@@ -142,43 +104,24 @@ def build_subgraph_2w(
 ) -> BigKSubgraphResult:
     """One subgraph through the two-word concurrent hash table.
 
-    ``protocol``/``table_layout``/``n_shards`` select the insert
-    protocol and table layout exactly like
+    ``preaggregate``, ``allow_regrow`` and
+    ``protocol``/``table_layout``/``n_shards`` behave exactly as in
     :func:`repro.core.subgraph.build_subgraph`; every combination
     produces the identical graph.
     """
-    policy = policy or SizingPolicy()
-    n_kmers = block.total_kmers()
-    capacity = policy.capacity_for(max(1, n_kmers))
-    hi, lo, slots = block_observations_2w(block)
-    counts = None
-    if preaggregate:
-        hi, lo, slots, counts = preaggregate_observations_2w(hi, lo, slots)
-    n_regrow_cap = policy.capacity_for(max(1, n_kmers)) * 64
-    while True:
-        if table_layout == "sharded":
-            from ..parallel.sharded import ShardedTwoWordHashTable
-
-            table = ShardedTwoWordHashTable(capacity, block.k,
-                                            n_shards=n_shards,
-                                            protocol=protocol)
-        else:
-            table = TwoWordHashTable(capacity, block.k, protocol=protocol)
-        try:
-            table.insert_batch(hi, lo, slots, counts=counts)
-            break
-        except TableFullError:
-            if not allow_regrow or capacity > n_regrow_cap:
-                raise
-            capacity *= 2
-    return BigKSubgraphResult(graph=table.to_graph(), stats=table.stats,
-                              capacity=table.capacity)
+    check_2w_k(block.k)
+    result = build_subgraph(block, policy=policy, allow_regrow=allow_regrow,
+                            preaggregate=preaggregate, protocol=protocol,
+                            table_layout=table_layout, n_shards=n_shards)
+    return BigKSubgraphResult(graph=result.graph, stats=result.stats,
+                              capacity=result.capacity,
+                              n_regrows=result.n_regrows)
 
 
 def build_subgraph_2w_sortmerge(block: SuperkmerBlock) -> BigDeBruijnGraph:
     """Sort-merge oracle for the two-word hash path."""
-    hi, lo, slots = block_observations_2w(block)
-    return graph_from_plane_pairs(block.k, hi, lo, slots)
+    return graph_from_plane_pairs(
+        block.k, *observation_pairs(*block_observations_2w(block)))
 
 
 def merge_bigk_disjoint(

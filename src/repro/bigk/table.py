@@ -24,7 +24,14 @@ from ..concurrentsub.hashfunc import mix64, mix64_int
 from ..core import hashtable as _ht
 from ..core.hashtable import PROTOCOLS, SPIN_LIMIT, _mon_event, _trace
 from ..core.estimator import next_power_of_two
-from ..core.hashtable import EMPTY, LOCKED, OCCUPIED, HashStats, TableFullError
+from ..core.hashtable import (
+    EMPTY,
+    LOCKED,
+    OCCUPIED,
+    HashStats,
+    TableFullError,
+    batch_insert,
+)
 from ..graph.dbg import N_SLOTS
 from .kmer2w import check_2w_k, split_int
 from .store import BigDeBruijnGraph
@@ -149,57 +156,27 @@ class TwoWordHashTable:
 
     # -- vectorized batch path -------------------------------------------------
 
-    def insert_batch(self, hi: np.ndarray, lo: np.ndarray, slots: np.ndarray,
-                     counts: np.ndarray | None = None,
+    def insert_batch(self, hi: np.ndarray, lo: np.ndarray, values: np.ndarray,
                      chunk: int = 1 << 20,
                      on_full: str = "raise") -> np.ndarray | None:
-        """Apply ``(hi, lo, slot)`` observations, vectorized.
+        """Apply ``(hi, lo, slot)`` observations or vertex rows, vectorized.
 
-        With ``counts`` given (the pre-aggregation path of
-        :func:`repro.bigk.construct.preaggregate_observations_2w`) each
-        ``(hi, lo, slot)`` triple carries a multiplicity: the counter is
-        bumped by ``counts[i]`` in one touch while the stats are metered
-        for the individual observations the un-aggregated concurrent
-        protocol would have executed, exactly as the one-word
-        :meth:`repro.core.hashtable.ConcurrentHashTable.insert_batch`
-        does — ``HashStats.lock_reduction`` is unchanged by aggregation.
-
-        ``on_full="return"`` mirrors the one-word table: instead of
-        raising on a full table, the unplaced observation indices are
-        returned with their upfront metering rolled back (the sharded
-        layout's neighbor-fallback path).
+        The two-word twin of
+        :meth:`repro.core.hashtable.ConcurrentHashTable.insert_batch`:
+        ``values`` holds one counter slot per key or ``(n, 9)`` counter
+        rows of distinct keys (the rows of
+        :func:`repro.bigk.construct.preaggregate_observations_2w`), with
+        the same metering and ``on_full`` contract
+        (:func:`repro.core.hashtable.batch_insert`).
         """
-        if on_full not in ("raise", "return"):
-            raise ValueError(f"on_full must be 'raise' or 'return', got {on_full!r}")
-        hi = np.ascontiguousarray(hi, dtype=np.uint64).ravel()
-        lo = np.ascontiguousarray(lo, dtype=np.uint64).ravel()
-        slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-        if not (hi.shape == lo.shape == slots.shape):
-            raise ValueError("hi, lo and slots must be parallel arrays")
-        if counts is not None:
-            counts = np.ascontiguousarray(counts, dtype=np.int64).ravel()
-            if counts.shape != hi.shape:
-                raise ValueError("counts must parallel hi, lo and slots")
-            if counts.size and int(counts.min()) < 1:
-                raise ValueError("every aggregated count must be >= 1")
-        leftovers: list[np.ndarray] = []
-        for start in range(0, hi.size, chunk):
-            left = self._insert_chunk(
-                hi[start:start + chunk], lo[start:start + chunk],
-                slots[start:start + chunk],
-                None if counts is None else counts[start:start + chunk],
-                on_full=on_full,
-            )
-            if left is not None and left.size:
-                leftovers.append(left + start)
-        if self._atomic_state is not None:
-            # Keep threaded-mode flags in sync when a quiescent table
-            # mixes batch and threaded insertions.
-            self._resync_atomic()
-        if on_full == "return":
-            return (np.concatenate(leftovers) if leftovers
-                    else np.empty(0, dtype=np.int64))
-        return None
+        return batch_insert(self, (hi, lo), values, chunk, on_full)
+
+    def _key_planes(self) -> tuple[np.ndarray, ...]:
+        return (self.keys_hi, self.keys_lo)  # checks: allow[R1] plane references for the single-owner batch path
+
+    @staticmethod
+    def _hash(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+        return hash_planes(*keys)
 
     def _resync_atomic(self) -> None:
         """Rebuild the atomic plane from the mirror (quiescent tables only).
@@ -217,88 +194,6 @@ class TwoWordHashTable:
                         | np.uint64(_CLAIM_BIT | _PUB_BIT)).astype(np.int64)
         else:
             raw[:] = self.state  # checks: allow[R1] single-threaded resync
-
-    def _insert_chunk(self, hi, lo, slots, weights=None,
-                      on_full: str = "raise") -> np.ndarray | None:
-        stats = self.stats
-        n = hi.size
-        n_ops = n if weights is None else int(weights.sum())
-        stats.ops += n_ops  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-        stats.count_increments += n_ops  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-        home = hash_planes(hi, lo) & self._mask
-        pending = np.arange(n, dtype=np.int64)
-        offset = np.zeros(n, dtype=np.uint64)
-        rounds = 0
-        while pending.size:
-            rounds += 1
-            if rounds > self.capacity + 2:
-                if on_full == "return":
-                    n_left = (pending.size if weights is None
-                              else int(weights[pending].sum()))
-                    stats.ops -= n_left  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-                    stats.count_increments -= n_left  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-                    return pending.copy()
-                raise TableFullError(
-                    f"probe wrapped a table of capacity {self.capacity}"
-                )
-            pos = (home[pending] + offset[pending]) & self._mask
-            st = self.state[pos]  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-            is_occ = st == OCCUPIED
-            match = is_occ & (self.keys_hi[pos] == hi[pending]) & (  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-                self.keys_lo[pos] == lo[pending]  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-            )
-            if match.any():
-                rows = pos[match].astype(np.int64)
-                cols = slots[pending[match]]
-                if weights is None:
-                    np.add.at(self.counts, (rows, cols), 1)  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-                    stats.updates += int(match.sum())  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-                else:
-                    w = weights[pending[match]]
-                    np.add.at(self.counts, (rows, cols), w)  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-                    stats.updates += int(w.sum())  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-            mismatch = is_occ & ~match
-            empty = st == EMPTY
-            winners = np.zeros(pending.size, dtype=bool)
-            if empty.any():
-                empty_idx = np.nonzero(empty)[0]
-                _, first = np.unique(pos[empty_idx], return_index=True)
-                win = empty_idx[first]
-                winners[win] = True
-                wpos = pos[win].astype(np.int64)
-                wops = pending[win]
-                self.state[wpos] = OCCUPIED  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-                self.keys_hi[wpos] = hi[wops]  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-                self.keys_lo[wpos] = lo[wops]  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-                if weights is None:
-                    np.add.at(self.counts, (wpos, slots[wops]), 1)  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-                    lost = int(empty.sum()) - wpos.size
-                else:
-                    w = weights[wops]
-                    np.add.at(self.counts, (wpos, slots[wops]), w)  # checks: allow[R1] single-owner batch path: each partition's table is filled by exactly one process/thread
-                    # Un-aggregated, the duplicates behind each winning
-                    # triple lose the CAS once and then update; triples
-                    # that lost to a different key lose once per
-                    # observation (same accounting as the one-word path).
-                    stats.updates += int(w.sum()) - wpos.size  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-                    lost = int(w.sum()) - wpos.size
-                    losers = empty & ~winners
-                    if losers.any():
-                        lost += int(weights[pending[losers]].sum())
-                self.n_occupied += wpos.size  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-                stats.inserts += wpos.size  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-                if self.protocol == "locked":
-                    stats.key_locks += wpos.size  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-                stats.cas_failures += lost  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-            if weights is None:
-                stats.probes += int(mismatch.sum())  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-            else:
-                stats.probes += int(weights[pending[mismatch]].sum())  # checks: allow[R2] single-owner batch path: each partition's table is filled by exactly one process/thread
-            keep = (~match) & (~winners)
-            advance = mismatch[keep].astype(np.uint64)
-            pending = pending[keep]
-            if pending.size:
-                offset[pending] += advance
 
     # -- real-thread path --------------------------------------------------------
 

@@ -80,11 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="barrier between the steps (processes backend)")
     p.add_argument("--preaggregate", dest="preaggregate",
                    action="store_true", default=True,
-                   help="collapse duplicate observations into counted "
-                        "inserts before hashing (default)")
+                   help="group kmer instances by vertex and insert one "
+                        "9-counter row per vertex (default)")
     p.add_argument("--no-preaggregate", dest="preaggregate",
                    action="store_false",
-                   help="insert every observation individually")
+                   help="insert every (vertex, slot) observation "
+                        "individually, as in the paper")
     p.add_argument("--calibrate", action="store_true",
                    help="measure this host's kernel rates and size claim "
                         "weights from the fitted device model "

@@ -34,8 +34,9 @@ class ParaHashConfig:
     ----------
     k:
         Kmer length (vertex size).  The paper uses 27 for both datasets.
-        ``k <= 31`` packs into one word; ``31 < k <= 63`` uses the
-        split-key two-word substrate (:mod:`repro.bigk`).
+        ``k <= 31`` packs into one word; ``33 <= k <= 63`` uses the
+        split-key two-word substrate (:mod:`repro.bigk`), whose high
+        plane needs at least one base, so ``k = 32`` is rejected.
     p:
         Minimizer length; larger P balances partitions better but
         fragments superkmers (Fig 6).  Must satisfy ``1 <= p <= k``,
@@ -68,9 +69,10 @@ class ParaHashConfig:
         partitioning (§III-E overlap), instead of barriering between
         the steps.
     preaggregate:
-        Collapse duplicate ``(vertex, slot)`` observations into counted
-        inserts before touching a hash table (one probe walk per
-        distinct pair; stats stay protocol-equivalent).
+        Group each partition's kmer instances by vertex and insert one
+        9-counter row per distinct vertex (one probe walk per vertex;
+        stats stay protocol-equivalent) instead of every ``(vertex,
+        slot)`` observation on its own.
     calibrate:
         ``processes`` backend only: run a short warm-up measurement
         pass, fit the :mod:`repro.hetsim.device` model to this host,
@@ -109,8 +111,11 @@ class ParaHashConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.k > 63:
-            raise ValueError("k must be <= 63 (two-word packed kmers)")
+        if self.k > 63 or self.k == 32:
+            raise ValueError(
+                f"k must be in 1..31 (one-word keys) or 33..63 "
+                f"(two-word keys), got {self.k}"
+            )
         if not 1 <= self.p <= self.k:
             raise ValueError(f"need 1 <= p <= k, got p={self.p}, k={self.k}")
         if self.p > 31:

@@ -210,6 +210,162 @@ def _check_protocol(protocol: str, k: int) -> None:
         raise ValueError("lockfree protocol needs 2k <= 62 (one-word keys)")
 
 
+def batch_insert(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
+                 chunk: int = 1 << 20,
+                 on_full: str = "raise") -> np.ndarray | None:
+    """The vectorized batch insert of both key widths.
+
+    ``keys`` are the batch's key planes (one, or ``(hi, lo)``) and
+    ``values`` their counter slots (1-D) or ``(n, 9)`` counter rows;
+    rows need distinct keys within one call.  ``table`` supplies its
+    planes through ``_key_planes()`` and its probe hash through
+    ``_hash(keys)``.
+
+    The outcome is identical to running the concurrent protocol, and
+    stats are metered as if it had run every observation one by one: a
+    row counts as its sum of observations -- one op and one atomic
+    increment each, one key lock per distinct vertex, every observation
+    beyond the inserting one an update.  ``HashStats.lock_reduction``
+    is therefore the same for both forms; with rows the table pays one
+    probe walk per distinct vertex instead of one per observation.
+
+    ``on_full="raise"`` raises :class:`TableFullError` when probing
+    wraps a full table.  ``on_full="return"`` instead returns the
+    indices (into the batch) of the observations or rows that could not
+    be applied, with their upfront op/increment metering rolled back --
+    the sharded layout's neighbor-fallback path, which re-tries them on
+    the next shard.  Probes and CAS failures paid before the wrap stay
+    metered: they really happened.
+    """
+    if on_full not in ("raise", "return"):
+        raise ValueError(f"on_full must be 'raise' or 'return', got {on_full!r}")
+    keys = tuple(np.ascontiguousarray(p, dtype=np.uint64).ravel() for p in keys)
+    values = np.asarray(values)
+    values = values.astype(np.int64 if values.ndim == 1 else np.uint64,
+                           copy=False)
+    n = keys[0].size
+    if any(p.size != n for p in keys) or values.shape[:1] != (n,) \
+            or values.shape[1:] not in ((), (N_SLOTS,)):
+        raise ValueError(
+            f"keys and values must be parallel: {n} keys need {n} slots "
+            f"or an ({n}, {N_SLOTS}) array of rows, got {values.shape}"
+        )
+    leftovers: list[np.ndarray] = []
+    for lo in range(0, n, chunk):
+        left = _insert_chunk(table, tuple(p[lo : lo + chunk] for p in keys),
+                             values[lo : lo + chunk], on_full)
+        if left.size:
+            leftovers.append(left + lo)
+    if table._atomic_state is not None:
+        # Keep the authoritative threaded-mode flags in sync when a
+        # quiescent table mixes batch and threaded insertions.
+        table._resync_atomic()
+    if on_full == "return":
+        return (np.concatenate(leftovers) if leftovers
+                else np.empty(0, dtype=np.int64))
+    return None
+
+
+def _insert_chunk(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
+                  on_full: str) -> np.ndarray:
+    """One chunk of :func:`batch_insert`: synchronous probe rounds.
+
+    Returns the indices of the items the full table could not take
+    (only ever non-empty with ``on_full="return"``).
+    """
+    stats = table.stats
+    planes = table._key_planes()
+    rows = values if values.ndim == 2 else None
+    # Observations per item: 1 for a slot, the row sum for a row.
+    weights = None if rows is None else rows.sum(axis=1, dtype=np.int64)
+
+    def weight(items: np.ndarray) -> int:
+        return items.size if weights is None else int(weights[items].sum())
+
+    def add_counts(pos: np.ndarray, items: np.ndarray) -> None:
+        if rows is None:
+            np.add.at(table.counts, (pos, values[items]), 1)
+        else:
+            # Distinct keys sit in distinct slots: no index repeats.
+            table.counts[pos] += rows[items]
+
+    n = keys[0].size
+    n_ops = n if weights is None else int(weights.sum())
+    stats.ops += n_ops
+    stats.count_increments += n_ops
+    home = table._hash(keys) & table._mask
+    pending = np.arange(n, dtype=np.int64)
+    offset = np.zeros(n, dtype=np.uint64)
+    leftovers: list[np.ndarray] = []
+    while pending.size:
+        pos = ((home[pending] + offset[pending]) & table._mask).astype(np.int64)
+        st = table.state[pos]
+        is_occ = st == OCCUPIED
+        match = is_occ
+        for plane, key in zip(planes, keys):
+            match = match & (plane[pos] == key[pending])
+        if match.any():
+            items = pending[match]
+            add_counts(pos[match], items)
+            stats.updates += weight(items)
+        mismatch = is_occ & ~match
+        empty = st == EMPTY
+        # Claim empty slots: the first pending item targeting each
+        # distinct empty position wins the CAS; others retry.
+        winners = np.zeros(pending.size, dtype=bool)
+        if empty.any():
+            empty_idx = np.nonzero(empty)[0]
+            _, first = np.unique(pos[empty_idx], return_index=True)
+            win_idx = empty_idx[first]
+            winners[win_idx] = True
+            wpos = pos[win_idx]
+            items = pending[win_idx]
+            table.state[wpos] = OCCUPIED
+            for plane, key in zip(planes, keys):
+                plane[wpos] = key[items]
+            add_counts(wpos, items)
+            # One observation per winner inserts.  Run one by one, the
+            # rest of a winning row lose the CAS once and then update;
+            # items that lost to a different key lose once per
+            # observation.
+            extra = weight(items) - wpos.size
+            stats.updates += extra
+            stats.cas_failures += extra + weight(pending[empty & ~winners])
+            table.n_occupied += wpos.size
+            stats.inserts += wpos.size
+            if table.protocol == "locked":
+                # Lock-free publishes with the claim CAS itself: no key
+                # critical section is ever taken.
+                stats.key_locks += wpos.size
+        # Advance mismatches; retry CAS losers at the same offset (they
+        # will match or mismatch the freshly written key).
+        stats.probes += weight(pending[mismatch])
+        keep = ~match & ~winners
+        advance = mismatch[keep].astype(np.uint64)
+        pending = pending[keep]
+        offset[pending] += advance
+        # An item whose walk visited every slot without meeting its key
+        # or an empty slot finds the table full.  The observations of
+        # one key walk in lockstep, so they wrap together.
+        wrapped = offset[pending] >= table.capacity
+        if wrapped.any():
+            if on_full == "raise":
+                raise TableFullError(
+                    f"probe wrapped a table of capacity {table.capacity} "
+                    f"(occupied {table.n_occupied})"
+                )
+            # Roll back the upfront metering for the unplaced items so
+            # the caller's retry on a neighbor shard re-meters them
+            # exactly once.
+            n_left = weight(pending[wrapped])
+            stats.ops -= n_left
+            stats.count_increments -= n_left
+            leftovers.append(pending[wrapped])
+            pending = pending[~wrapped]
+    return (np.sort(np.concatenate(leftovers)) if leftovers
+            else np.empty(0, dtype=np.int64))
+
+
 class ConcurrentHashTable:
     """Fixed-capacity open-addressing table with selectable protocol.
 
@@ -309,161 +465,30 @@ class ConcurrentHashTable:
 
     # -- vectorized single-threaded path ---------------------------------------
 
-    def insert_batch(self, kmers: np.ndarray, slots: np.ndarray,
-                     counts: np.ndarray | None = None,
+    def insert_batch(self, kmers: np.ndarray, values: np.ndarray,
                      chunk: int = 1 << 20,
                      on_full: str = "raise") -> np.ndarray | None:
-        """Apply ``(kmer, counter-slot)`` observations, vectorized.
+        """Apply ``(kmer, slot)`` observations or vertex rows, vectorized.
 
-        Each observation increments ``counts[entry(kmer), slot]``,
-        inserting the entry on first sight.  The outcome is identical
-        to running the concurrent protocol, and stats are metered as if
-        the protocol had run (one key lock per insertion, one atomic
-        increment per observation).
-
-        With ``counts`` given (the pre-aggregation path of
-        :func:`repro.core.subgraph.preaggregate_observations`), each
-        ``(kmer, slot)`` pair carries a multiplicity: the counter is
-        bumped by ``counts[i]`` in one touch, while the stats are
-        metered for the ``counts[i]`` individual observations the
-        un-aggregated concurrent protocol would have executed — one op
-        and one atomic increment per observation, one key lock per
-        *distinct* vertex, every duplicate beyond the inserting one an
-        update.  ``HashStats.lock_reduction`` is therefore unchanged by
-        aggregation; what the table actually pays shrinks to one probe
-        walk and one counter write per distinct pair.
+        ``values`` holds either one counter slot per kmer -- each
+        observation increments ``counts[entry(kmer), slot]`` -- or an
+        ``(n, 9)`` array of counter rows, one per *distinct* kmer (the
+        rows of :func:`repro.core.subgraph.preaggregate_observations`),
+        each added to its entry in one touch.  Entries are inserted on
+        first sight.  See :func:`batch_insert` for the metering and
+        ``on_full``.
 
         Single-threaded only: this path writes the numpy mirror
         directly and must never overlap :meth:`insert_threaded`.
-
-        ``on_full="raise"`` (default) raises :class:`TableFullError`
-        when probing wraps a full table.  ``on_full="return"`` instead
-        returns the indices (into ``kmers``) of the observations that
-        could not be applied, with their upfront op/increment metering
-        rolled back — the sharded layout's neighbor-fallback path, which
-        re-tries them on the next shard.  Probes and CAS failures paid
-        before the wrap stay metered: they really happened.
         """
-        if on_full not in ("raise", "return"):
-            raise ValueError(f"on_full must be 'raise' or 'return', got {on_full!r}")
-        kmers = np.ascontiguousarray(kmers, dtype=np.uint64).ravel()
-        slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-        if kmers.shape != slots.shape:
-            raise ValueError("kmers and slots must be parallel arrays")
-        if counts is not None:
-            counts = np.ascontiguousarray(counts, dtype=np.int64).ravel()
-            if counts.shape != kmers.shape:
-                raise ValueError("counts must parallel kmers and slots")
-            if counts.size and int(counts.min()) < 1:
-                raise ValueError("every aggregated count must be >= 1")
-        leftovers: list[np.ndarray] = []
-        for lo in range(0, kmers.size, chunk):
-            left = self._insert_chunk(
-                kmers[lo : lo + chunk], slots[lo : lo + chunk],
-                None if counts is None else counts[lo : lo + chunk],
-                on_full=on_full,
-            )
-            if left is not None and left.size:
-                leftovers.append(left + lo)
-        if self._atomic_state is not None:
-            # Keep the authoritative threaded-mode flags in sync when a
-            # quiescent table mixes batch and threaded insertions.
-            self._resync_atomic()
-        if on_full == "return":
-            return (np.concatenate(leftovers) if leftovers
-                    else np.empty(0, dtype=np.int64))
-        return None
+        return batch_insert(self, (kmers,), values, chunk, on_full)
 
-    def _insert_chunk(self, kmers: np.ndarray, slots: np.ndarray,
-                      weights: np.ndarray | None = None,
-                      on_full: str = "raise") -> np.ndarray | None:
-        stats = self.stats
-        n = kmers.size
-        n_ops = n if weights is None else int(weights.sum())
-        stats.ops += n_ops
-        stats.count_increments += n_ops
-        home = mix64(kmers) & self._mask
-        pending = np.arange(n, dtype=np.int64)
-        offset = np.zeros(n, dtype=np.uint64)
-        rounds = 0
-        while pending.size:
-            rounds += 1
-            if rounds > self.capacity + 2:
-                if on_full == "return":
-                    # Roll back the upfront metering for the unplaced
-                    # observations so the caller's retry on a neighbor
-                    # shard re-meters them exactly once.
-                    n_left = (pending.size if weights is None
-                              else int(weights[pending].sum()))
-                    stats.ops -= n_left
-                    stats.count_increments -= n_left
-                    return pending.copy()
-                raise TableFullError(
-                    f"probe wrapped a table of capacity {self.capacity} "
-                    f"(occupied {self.n_occupied})"
-                )
-            pos = (home[pending] + offset[pending]) & self._mask
-            st = self.state[pos]
-            key_here = self.keys[pos]
-            is_occ = st == OCCUPIED
-            match = is_occ & (key_here == kmers[pending])
-            if match.any():
-                rows = pos[match].astype(np.int64)
-                cols = slots[pending[match]]
-                if weights is None:
-                    np.add.at(self.counts, (rows, cols), 1)
-                    stats.updates += int(match.sum())
-                else:
-                    w = weights[pending[match]]
-                    np.add.at(self.counts, (rows, cols), w)
-                    stats.updates += int(w.sum())
-            mismatch = is_occ & ~match
-            empty = st == EMPTY
-            # Claim empty slots: the first pending op targeting each
-            # distinct empty position wins the CAS; others retry.
-            winners = np.zeros(pending.size, dtype=bool)
-            if empty.any():
-                empty_idx = np.nonzero(empty)[0]
-                _, first = np.unique(pos[empty_idx], return_index=True)
-                win_idx = empty_idx[first]
-                winners[win_idx] = True
-                wpos = pos[win_idx].astype(np.int64)
-                wops = pending[win_idx]
-                self.state[wpos] = OCCUPIED
-                self.keys[wpos] = kmers[wops]
-                if weights is None:
-                    np.add.at(self.counts, (wpos, slots[wops]), 1)
-                    lost = int(empty.sum()) - wpos.size
-                else:
-                    w = weights[wops]
-                    np.add.at(self.counts, (wpos, slots[wops]), w)
-                    # Un-aggregated, the duplicates behind each winning
-                    # pair lose the CAS once and then update; pairs that
-                    # lost to a different key lose once per observation.
-                    stats.updates += int(w.sum()) - wpos.size
-                    lost = int(w.sum()) - wpos.size
-                    losers = empty & ~winners
-                    if losers.any():
-                        lost += int(weights[pending[losers]].sum())
-                self.n_occupied += wpos.size
-                stats.inserts += wpos.size
-                if self.protocol == "locked":
-                    # Lock-free publishes with the claim CAS itself: no
-                    # key critical section is ever taken.
-                    stats.key_locks += wpos.size
-                stats.cas_failures += lost
-            # Advance mismatches; retry CAS losers at the same offset
-            # (they will match or mismatch the freshly written key).
-            advance = mismatch
-            if weights is None:
-                stats.probes += int(advance.sum())
-            else:
-                stats.probes += int(weights[pending[advance]].sum())
-            keep = (~match) & (~winners)
-            offset_add = advance[keep].astype(np.uint64)
-            pending = pending[keep]
-            if pending.size:
-                offset[pending] += offset_add
+    def _key_planes(self) -> tuple[np.ndarray, ...]:
+        return (self.keys,)
+
+    @staticmethod
+    def _hash(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+        return mix64(keys[0])
 
     # -- threaded path ----------------------------------------------------------
 

@@ -27,6 +27,7 @@ import numpy as np
 from ..dna.kmer import canonical_with_flip
 from ..graph.dbg import (
     MULT_SLOT,
+    N_SLOTS,
     DeBruijnGraph,
     graph_from_pairs,
     slot_for_predecessor,
@@ -37,98 +38,139 @@ from .estimator import SizingPolicy, next_power_of_two
 from .hashtable import ConcurrentHashTable, HashStats, TableFullError
 
 
-def block_observations(block: SuperkmerBlock) -> tuple[np.ndarray, np.ndarray]:
-    """All ``(canonical vertex, counter slot)`` observations of a block.
+def instance_slots(block: SuperkmerBlock, positions: np.ndarray,
+                   flip: np.ndarray) -> np.ndarray:
+    """The ``(3, n)`` counter slots each kmer instance of a block observes.
 
-    Vectorized end to end; returns parallel arrays ready for
-    :meth:`ConcurrentHashTable.insert_batch` (or, for the sort-merge
-    baselines, :func:`repro.graph.dbg.graph_from_pairs`).
+    Row 0 is the multiplicity slot, row 1 the successor edge and row 2
+    the predecessor edge: the next (previous) base inside the
+    superkmer, or the partition's extension base at a superkmer end.
+    An edge slot is -1 where the instance touches a read boundary.
+    ``positions`` and ``flip`` are the instances' flat base positions
+    and canonical-flip flags, in block order.
     """
     k = block.k
-    if block.n_superkmers == 0:
-        empty = np.zeros(0, dtype=np.uint64)
-        return empty, empty.copy()
-    kmers, positions = block.flat_kmers()
-    can, flip = canonical_with_flip(kmers, k)
-
-    per_sk = block.kmers_per_superkmer
-    total = int(per_sk.sum())
-    sk_ids = np.repeat(np.arange(block.n_superkmers, dtype=np.int64), per_sk)
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(per_sk)[:-1])), per_sk
-    )
-    is_first = ramp == 0
-    is_last = ramp == (per_sk[sk_ids] - 1)
-
     bases = block.bases
     t = bases.size
-    # Successor base: the base after the kmer inside the superkmer, or
-    # the right extension for the superkmer's last kmer.
-    succ_pos = np.minimum(positions + k, t - 1)
-    next_base = bases[succ_pos].astype(np.int16)
-    next_base[is_last] = block.right_ext[sk_ids[is_last]].astype(np.int16)
-    # Predecessor base: the base before the kmer, or the left extension.
-    pred_pos = np.maximum(positions - 1, 0)
-    prev_base = bases[pred_pos].astype(np.int16)
-    prev_base[is_first] = block.left_ext[sk_ids[is_first]].astype(np.int16)
+    per_sk = block.kmers_per_superkmer
+    last = np.cumsum(per_sk) - 1
+    first = last - per_sk + 1
+    next_base = bases[np.minimum(positions + k, t - 1)].astype(np.int8)
+    next_base[last] = block.right_ext
+    prev_base = bases[np.maximum(positions - 1, 0)].astype(np.int8)
+    prev_base[first] = block.left_ext
+    slots = np.empty((3, positions.size), dtype=np.int8)
+    slots[0] = MULT_SLOT
+    slots[1] = np.where(next_base < 0, -1, slot_for_successor(flip, next_base))
+    slots[2] = np.where(prev_base < 0, -1, slot_for_predecessor(flip, prev_base))
+    return slots
 
-    mult_v = can
-    mult_s = np.full(total, MULT_SLOT, dtype=np.int64)
 
-    has_succ = next_base >= 0
-    succ_v = can[has_succ]
-    succ_s = slot_for_successor(flip[has_succ], next_base[has_succ]).astype(np.int64)
+def block_observations(block: SuperkmerBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Every kmer instance of a block with the observations it makes.
 
-    has_pred = prev_base >= 0
-    pred_v = can[has_pred]
-    pred_s = slot_for_predecessor(flip[has_pred], prev_base[has_pred]).astype(np.int64)
+    Returns ``(vertices, slots)``: the instances' canonical vertices
+    (uint64, block order) and their ``(3, n)`` counter slots from
+    :func:`instance_slots`.  Each non-negative slot is one ``(vertex,
+    slot)`` observation; :func:`preaggregate_observations` groups them
+    into vertex rows and :func:`observation_pairs` flattens them into
+    the per-observation stream.
+    """
+    if block.n_superkmers == 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros((3, 0), dtype=np.int8)
+    kmers, positions = block.flat_kmers()
+    can, flip = canonical_with_flip(kmers, block.k)
+    return can, instance_slots(block, positions, flip)
 
-    vertex_ids = np.concatenate([mult_v, succ_v, pred_v])
-    slots = np.concatenate([mult_s, succ_s, pred_s])
-    return vertex_ids, slots
+
+def observation_pairs(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Flatten per-instance observations into parallel observation arrays.
+
+    Takes what :func:`block_observations` (or its two-word twin)
+    returns -- the key planes, then the ``(3, n)`` slots -- and returns
+    the planes and the int64 slot of every single observation: all
+    multiplicity observations first, then the successor edges, then
+    the predecessor edges.  This is the paper's per-observation insert
+    stream and the input of the sort-merge oracles.
+    """
+    *planes, slots = arrays
+    flat = slots.ravel()
+    keep = flat >= 0
+    return (*(np.tile(plane, 3)[keep] for plane in planes),
+            flat[keep].astype(np.int64))
+
+
+def vertex_rows(inverse: np.ndarray, n_vertices: int,
+                slots: np.ndarray) -> np.ndarray:
+    """``(n_vertices, 9)`` counter rows of grouped kmer instances.
+
+    Instance ``i`` belongs to vertex ``inverse[i]`` and adds one count
+    to each of its non-negative ``slots[:, i]``; a single ``bincount``
+    over ``vertex * 9 + slot`` builds every row at once.
+    """
+    spill = n_vertices * N_SLOTS  # bin for the -1 slots, dropped below
+    bins = np.where(slots < 0, spill, inverse * N_SLOTS + slots)
+    counts = np.bincount(bins.ravel(), minlength=spill + 1)[:-1]
+    return counts.reshape(n_vertices, N_SLOTS).view(np.uint64)
 
 
 def preaggregate_observations(
-    vertex_ids: np.ndarray, slots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse duplicate ``(vertex, slot)`` observations into counts.
+    vertices: np.ndarray, slots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group a block's observations into one counter row per vertex.
 
-    The paper's inputs carry a ~4-6x kmer duplication ratio (§III-C):
-    most observations re-touch a pair the table has already seen.
-    Sorting and run-length encoding the observation arrays up front
-    means each distinct pair pays exactly one probe walk and one
-    counter write in :meth:`ConcurrentHashTable.insert_batch`, instead
-    of one per duplicate.
+    The paper's hash entry is ``<vertex, list of edge multiplicities>``
+    and its inputs carry a ~4-6x kmer duplication ratio (§III-C), so
+    the instances are grouped by canonical vertex first and each
+    distinct vertex pays a single probe walk in
+    :meth:`ConcurrentHashTable.insert_batch`, instead of one per
+    observation.
 
-    Returns parallel ``(vertices, slots, counts)`` arrays with
-    ``counts >= 1``, ordered by ``(vertex, slot)``.  Feeding them to
-    ``insert_batch(..., counts=...)`` produces a table byte-identical
-    to the un-aggregated insert, with ``HashStats`` still metered for
-    the individual observations (lock-reduction numbers stay honest).
+    Takes :func:`block_observations` output; returns ``(keys, rows)``:
+    the distinct vertices in ascending order and their ``(u, 9)``
+    uint64 counter rows.  Inserting the rows produces a table
+    byte-identical to the per-observation insert, with ``HashStats``
+    metered from the row sums for the individual observations.
     """
-    vertex_ids = np.ascontiguousarray(vertex_ids, dtype=np.uint64).ravel()
-    slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-    if vertex_ids.shape != slots.shape:
-        raise ValueError("vertex_ids and slots must be parallel arrays")
-    if vertex_ids.size == 0:
-        return vertex_ids, slots, np.zeros(0, dtype=np.int64)
-    order = np.lexsort((slots, vertex_ids))
-    sv = vertex_ids[order]
-    ss = slots[order]
-    boundary = np.empty(sv.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (sv[1:] != sv[:-1]) | (ss[1:] != ss[:-1])
-    starts = np.nonzero(boundary)[0]
-    ends = np.concatenate([starts[1:], [sv.size]])
-    counts = (ends - starts).astype(np.int64)
-    return sv[starts], ss[starts], counts
+    keys, inverse = np.unique(vertices, return_inverse=True)
+    return keys, vertex_rows(inverse, keys.size, slots)
+
+
+def insert_arrays(block: SuperkmerBlock, preaggregate: bool) -> tuple[np.ndarray, ...]:
+    """The arrays one ``insert_batch`` call takes for ``block``.
+
+    Vertex rows with ``preaggregate``, else the per-observation stream;
+    key planes for the block's width (two for ``k > 31``).
+    """
+    if block.k > 31:
+        from ..bigk.construct import block_observations_2w as expand
+        from ..bigk.construct import preaggregate_observations_2w as group
+    else:
+        expand, group = block_observations, preaggregate_observations
+    observations = expand(block)
+    return group(*observations) if preaggregate else observation_pairs(*observations)
+
+
+def _new_table(capacity: int, k: int, protocol: str, table_layout: str,
+               n_shards: int):
+    """An empty table of the layout and key width ``k`` asks for."""
+    if table_layout == "sharded":
+        from ..parallel.sharded import ShardedHashTable, ShardedTwoWordHashTable
+
+        cls = ShardedTwoWordHashTable if k > 31 else ShardedHashTable
+        return cls(capacity, k, n_shards=n_shards, protocol=protocol)
+    if k > 31:
+        from ..bigk.table import TwoWordHashTable
+
+        return TwoWordHashTable(capacity, k, protocol=protocol)
+    return ConcurrentHashTable(capacity, k, protocol=protocol)
 
 
 @dataclass
 class SubgraphResult:
     """One constructed subgraph plus its construction telemetry."""
 
-    graph: DeBruijnGraph
+    graph: DeBruijnGraph  # BigDeBruijnGraph for k > 31
     stats: HashStats
     capacity: int
     n_kmers: int
@@ -148,15 +190,17 @@ def build_subgraph(
 ) -> SubgraphResult:
     """Construct one subgraph with the concurrent hash table.
 
-    ``n_threads == 1`` uses the vectorized batch path; more threads run
-    the real per-operation state machine concurrently (slow; meant for
-    correctness validation, not throughput).
+    ``n_threads == 1`` uses the vectorized batch path, on either key
+    width (``k > 31`` takes the two-word table and returns a
+    :class:`repro.bigk.store.BigDeBruijnGraph`); more threads run the
+    real per-operation state machine concurrently on one-word keys
+    (slow; meant for correctness validation, not throughput).
 
-    ``preaggregate`` (batch path only) collapses duplicate
-    ``(vertex, slot)`` observations via
-    :func:`preaggregate_observations` before touching the table; the
-    resulting graph and the metered ``HashStats.lock_reduction`` are
-    identical, only the table-touching work shrinks.
+    ``preaggregate`` (batch path only) groups the block's instances by
+    vertex via :func:`preaggregate_observations` and inserts one counter
+    row per distinct vertex; the resulting graph and the metered
+    ``HashStats.lock_reduction`` are identical, only the table-touching
+    work shrinks.
 
     The table is sized once from Property 1 and, on genomic data, never
     resizes — that is the paper's design.  Inputs that violate the
@@ -175,32 +219,28 @@ def build_subgraph(
     """
     policy = policy or SizingPolicy()
     n_kmers = block.total_kmers()
+    if n_threads == 1:
+        arrays = insert_arrays(block, preaggregate)
+    elif block.k > 31:
+        raise ValueError("the threaded path needs one-word keys (k <= 31)")
+    else:
+        arrays = observation_pairs(*block_observations(block))
+
     capacity = policy.capacity_for(max(1, n_kmers))
-    vertex_ids, slots = block_observations(block)
-    counts = None
-    if preaggregate and n_threads == 1:
-        vertex_ids, slots, counts = preaggregate_observations(vertex_ids, slots)
+    # Hard upper bound: there cannot be more distinct vertices than
+    # kmer instances, so capacity n_kmers/alpha always fits.
+    bound = next_power_of_two(max(2, int(n_kmers / policy.alpha) + 1))
     n_regrows = 0
     while True:
-        if table_layout == "sharded":
-            from ..parallel.sharded import ShardedHashTable
-
-            table = ShardedHashTable(capacity, block.k, n_shards=n_shards,
-                                     protocol=protocol)
-        else:
-            table = ConcurrentHashTable(capacity, block.k, protocol=protocol)
+        table = _new_table(capacity, block.k, protocol, table_layout, n_shards)
         try:
             if n_threads == 1:
-                table.insert_batch(vertex_ids, slots, counts=counts)
+                table.insert_batch(*arrays)
             else:
-                table.insert_threaded(vertex_ids, slots, n_threads)
+                table.insert_threaded(*arrays, n_threads)
             break
         except TableFullError:
-            if not allow_regrow:
-                raise
-            # Hard upper bound: there cannot be more distinct vertices
-            # than kmer instances, so capacity n_kmers/alpha always fits.
-            if capacity >= next_power_of_two(max(2, int(n_kmers / policy.alpha) + 1)):
+            if not allow_regrow or capacity >= bound:
                 raise
             capacity *= 2
             n_regrows += 1
@@ -219,5 +259,4 @@ def build_subgraph_sortmerge(block: SuperkmerBlock) -> DeBruijnGraph:
 
     Used by baselines and as an independent oracle for the hash path.
     """
-    vertex_ids, slots = block_observations(block)
-    return graph_from_pairs(block.k, vertex_ids, slots)
+    return graph_from_pairs(block.k, *observation_pairs(*block_observations(block)))

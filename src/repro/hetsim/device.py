@@ -252,11 +252,15 @@ def measure_host_rates(reads, k: int, p: int, n_partitions: int,
 
     The sample is the leading ``max_reads`` reads — enough work to
     amortize interpreter overhead, small enough that calibration stays
-    a fraction of a real build.  Rates are floored at 1.0 so a
-    degenerate sample can never produce a zero-division downstream.
+    a fraction of a real build.  The hashing kernel is the one Step-2
+    workers run: vertex rows (:func:`repro.core.subgraph.insert_arrays`)
+    into a table, timed from the partition block on; its rate is in
+    metered observations (plus probes) per second.  Rates are floored
+    at 1.0 so a degenerate sample can never produce a zero-division
+    downstream.
     """
     from ..core.hashtable import ConcurrentHashTable
-    from ..core.subgraph import block_observations
+    from ..core.subgraph import insert_arrays
     from ..dna.reads import ReadBatch
     from ..msp.partitioner import partition_reads
 
@@ -272,14 +276,10 @@ def measure_host_rates(reads, k: int, p: int, n_partitions: int,
     for block in result.blocks:
         if not block.n_superkmers:
             continue
-        vertex_ids, slots = block_observations(block)
-        if not vertex_ids.size:
-            continue
-        capacity = 1
-        while capacity < 2 * vertex_ids.size:
-            capacity *= 2
-        table = ConcurrentHashTable(capacity, k)
-        table.insert_batch(vertex_ids, slots)
+        # Sized for every instance distinct: a read sample has too
+        # little coverage for the Property-1 estimate to hold.
+        table = ConcurrentHashTable(2 * block.total_kmers(), k)
+        table.insert_batch(*insert_arrays(block, preaggregate=True))
         sample_ops += table.stats.ops + table.stats.probes
     hash_elapsed = time.perf_counter() - t1
 

@@ -25,6 +25,33 @@ from ..dna.kmer import kmer_mask
 NO_EXT = -1
 
 
+def pack_windows(bases: np.ndarray, k: int) -> np.ndarray:
+    """Every ``k``-base window of ``bases``, packed 2 bits per base.
+
+    ``out[i]`` packs ``bases[i : i + k]`` with the first base in the
+    high bits, for ``1 <= k <= 32``.  Built by doubling: windows of 1,
+    2, 4, 8, 16 and 32 bases, each two copies of the previous size side
+    by side, with the sizes that make up ``k``'s set bits OR-ed into
+    place -- about ``2 log2 k`` vector passes instead of ``k``.
+    """
+    if not 1 <= k <= 32:
+        raise ValueError(f"pack_windows needs 1 <= k <= 32, got {k}")
+    n = bases.size - k + 1
+    out = np.zeros(max(n, 0), dtype=np.uint64)
+    if n <= 0:
+        return out
+    window = bases.astype(np.uint64)
+    size, start = 1, 0
+    while True:
+        if k & size:
+            out |= window[start : start + n] << np.uint64(2 * (k - start - size))
+            start += size
+        if 2 * size > k:
+            return out
+        window = (window[:-size] << np.uint64(2 * size)) | window[size:]
+        size *= 2
+
+
 @dataclass(frozen=True)
 class SuperkmerRecord:
     """One superkmer with its adjacency extensions (row form, for tests)."""
@@ -125,34 +152,33 @@ class SuperkmerBlock:
 
     # -- kmer generation --------------------------------------------------------
 
+    def kmer_positions(self) -> np.ndarray:
+        """Flat base position of every kmer start, grouped by superkmer.
+
+        Kmers never span superkmer boundaries: superkmer ``i`` starts
+        ``kmers_per_superkmer[i]`` kmers at ``offsets[i]``, one base
+        apart.
+        """
+        per_sk = self.kmers_per_superkmer
+        firsts = np.cumsum(per_sk) - per_sk  # instance index of each first kmer
+        return np.arange(int(per_sk.sum()), dtype=np.int64) + np.repeat(
+            self.offsets[:-1] - firsts, per_sk
+        )
+
     def flat_kmers(self) -> tuple[np.ndarray, np.ndarray]:
         """All kmers of the block with their flat base positions.
 
         Returns ``(kmers, positions)`` where ``kmers[i]`` is the packed
         uint64 kmer starting at ``bases[positions[i]]``.  Kmers never
-        span superkmer boundaries.  Vectorized as a k-tap shifted-add
-        over the flat base array (no per-superkmer Python loop).
+        span superkmer boundaries.  Vectorized with
+        :func:`pack_windows` over the flat base array (no
+        per-superkmer Python loop).
         """
-        k = self.k
         if self.n_superkmers == 0:
             empty = np.zeros(0, dtype=np.uint64)
             return empty, np.zeros(0, dtype=np.int64)
-        per_sk = self.kmers_per_superkmer
-        total = int(per_sk.sum())
-        # positions of every valid kmer start, grouped by superkmer
-        starts = np.repeat(self.offsets[:-1], per_sk)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(per_sk)[:-1])), per_sk
-        )
-        positions = starts + ramp
-        # k-tap evaluation over the flat array: kmer[i] = sum b[i+j] << 2(k-1-j)
-        t = self.bases.size
-        flat = self.bases.astype(np.uint64)
-        values = np.zeros(t - k + 1, dtype=np.uint64)
-        for j in range(k):
-            shift = np.uint64(2 * (k - 1 - j))
-            values |= flat[j : t - k + 1 + j] << shift
-        return values[positions], positions
+        positions = self.kmer_positions()
+        return pack_windows(self.bases, self.k)[positions], positions
 
     def packed_mask(self) -> int:
         return kmer_mask(self.k)

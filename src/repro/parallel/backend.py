@@ -159,18 +159,14 @@ def _process_step2_job(job: _Step2Job, sizing, preaggregate: bool) -> dict:
     """Fill one partition's shared table in place; returns its payload.
 
     Width-agnostic: ``table_over_segment`` hands back the one- or
-    two-word table per ``job.k``, and the observation kernels are
-    selected to match — the payload protocol (stats + optional
-    fallback graph) is identical either way.
+    two-word table per ``job.k`` and :func:`insert_arrays` the matching
+    vertex rows (or, without ``preaggregate``, observations) -- the
+    payload protocol (stats + optional fallback graph) is identical
+    either way.
     """
-    from ..core.subgraph import (
-        block_observations,
-        build_subgraph,
-        preaggregate_observations,
-    )
+    from ..bigk.construct import build_subgraph_2w
+    from ..core.subgraph import build_subgraph, insert_arrays
 
-    if job.k > 31:
-        return _process_step2_job_2w(job, sizing, preaggregate)
     block = load_partition_group([Path(s) for s in job.group], job.k)
     payload: dict = {"partition": job.partition,
                      "n_kmers": block.total_kmers()}
@@ -178,70 +174,17 @@ def _process_step2_job(job: _Step2Job, sizing, preaggregate: bool) -> dict:
     table = table_over_segment(seg, job.k, fresh=True, layout=job.layout,
                                n_shards=job.n_shards, protocol=job.protocol)
     try:
-        vertex_ids, slots = block_observations(block)
-        counts = None
-        if preaggregate:
-            vertex_ids, slots, counts = preaggregate_observations(
-                vertex_ids, slots
-            )
-        table.insert_batch(vertex_ids, slots, counts=counts)
+        table.insert_batch(*insert_arrays(block, preaggregate))
         seg["header"][HEADER_N_OCCUPIED] = table.n_occupied
         payload["stats"] = table.stats
         payload["fallback"] = None
     except TableFullError:
         # Property-1 estimate breached: regrow locally and ship
         # the (rare) oversized result through the queue instead.
-        result = build_subgraph(block, policy=sizing, n_threads=1,
-                                preaggregate=preaggregate,
-                                protocol=job.protocol,
-                                table_layout=job.layout,
-                                n_shards=max(1, job.n_shards))
-        payload["stats"] = result.stats
-        payload["fallback"] = result.graph
-    finally:
-        table.detach_views()
-        seg.close()
-    return payload
-
-
-def _process_step2_job_2w(job: _Step2Job, sizing, preaggregate: bool) -> dict:
-    """Big-k (k > 31) twin of :func:`_process_step2_job`.
-
-    Same shared-table-in-place protocol, with the split-key kernels:
-    observations come from :func:`block_observations_2w`, duplicates
-    pre-aggregate over ``(hi, lo, slot)`` triples, and the
-    ``TableFullError`` fallback regrows through
-    :func:`build_subgraph_2w` locally.
-    """
-    from ..bigk.construct import (
-        block_observations_2w,
-        build_subgraph_2w,
-        preaggregate_observations_2w,
-    )
-
-    block = load_partition_group([Path(s) for s in job.group], job.k)
-    payload: dict = {"partition": job.partition,
-                     "n_kmers": block.total_kmers()}
-    seg = attach_segment(job.table_spec)
-    table = table_over_segment(seg, job.k, fresh=True, layout=job.layout,
-                               n_shards=job.n_shards, protocol=job.protocol)
-    try:
-        hi, lo, slots = block_observations_2w(block)
-        counts = None
-        if preaggregate:
-            hi, lo, slots, counts = preaggregate_observations_2w(
-                hi, lo, slots
-            )
-        table.insert_batch(hi, lo, slots, counts=counts)
-        seg["header"][HEADER_N_OCCUPIED] = table.n_occupied
-        payload["stats"] = table.stats
-        payload["fallback"] = None
-    except TableFullError:
-        result = build_subgraph_2w(block, policy=sizing,
-                                   preaggregate=preaggregate,
-                                   protocol=job.protocol,
-                                   table_layout=job.layout,
-                                   n_shards=max(1, job.n_shards))
+        build = build_subgraph_2w if job.k > 31 else build_subgraph
+        result = build(block, policy=sizing, preaggregate=preaggregate,
+                       protocol=job.protocol, table_layout=job.layout,
+                       n_shards=max(1, job.n_shards))
         payload["stats"] = result.stats
         payload["fallback"] = result.graph
     finally:

@@ -134,6 +134,58 @@ class _ShardedTable:
     def _home_shard(self, kmer: int) -> int:
         raise NotImplementedError
 
+    # -- vectorized batch path -------------------------------------------------
+
+    def insert_batch(self, *arrays: np.ndarray, chunk: int = 1 << 20,
+                     on_full: str = "raise") -> np.ndarray | None:
+        """Shard-route a batch, retrying leftovers on neighbor shards.
+
+        ``arrays`` are what the inner tables' ``insert_batch`` takes:
+        the key plane(s) -- ``kmers`` or ``hi, lo`` -- then per-key
+        counter slots or ``(n, 9)`` vertex rows.  Each item goes to its
+        key's home shard.  Round ``r`` offers every still-pending item
+        to shard ``home + r``; the inner tables run with
+        ``on_full="return"`` so a full shard hands its leftovers back
+        instead of raising, and ``TableFullError`` fires only once all
+        ``n_shards`` rounds ran dry.  With ``on_full="return"`` the
+        surviving leftovers' batch-relative indices come back instead.
+        """
+        if on_full not in ("raise", "return"):
+            raise ValueError(
+                f"on_full must be 'raise' or 'return', got {on_full!r}"
+            )
+        *keys, values = arrays
+        keys = [np.ascontiguousarray(p, dtype=np.uint64).ravel() for p in keys]
+        values = np.asarray(values)
+        n = keys[0].size
+        if any(p.size != n for p in keys) or len(values) != n:
+            raise ValueError("keys and values must have the same length")
+        target = self._home_shards(*keys)
+        idx = np.arange(n, dtype=np.int64)
+        for _round in range(self.n_shards):
+            if idx.size == 0:
+                break
+            carry = []
+            for s in range(self.n_shards):
+                sel = idx[target[idx] == s]
+                if sel.size == 0:
+                    continue
+                left = self.shards[s].insert_batch(
+                    *(p[sel] for p in keys), values[sel],
+                    chunk=chunk, on_full="return")
+                if left.size:
+                    carry.append(sel[left])
+            idx = np.concatenate(carry) if carry else idx[:0]
+            target[idx] = (target[idx] + 1) % self.n_shards
+        if idx.size == 0:
+            return np.empty(0, dtype=np.int64) if on_full == "return" else None
+        if on_full == "return":
+            return np.sort(idx)
+        raise TableFullError(
+            f"all {self.n_shards} shards exhausted "
+            f"({self.n_occupied}/{self.capacity} occupied)"
+        )
+
     # -- per-operation (real-thread) path -------------------------------------
 
     def insert_one_threadsafe(self, kmer: int, slot: int,
@@ -280,63 +332,6 @@ class ShardedHashTable(_ShardedTable):
         shift = np.uint64(64 - self._shard_bits)
         return (mix64(kmers) >> shift).astype(np.int64)
 
-    # -- vectorized batch path -------------------------------------------------
-
-    def insert_batch(self, kmers: np.ndarray, slots: np.ndarray,
-                     counts: np.ndarray | None = None,
-                     chunk: int = 1 << 20,
-                     on_full: str = "raise") -> np.ndarray | None:
-        """Shard-route the batch, retrying leftovers on neighbor shards.
-
-        Round ``r`` offers every still-pending observation to shard
-        ``home + r``; the inner tables run with ``on_full="return"`` so
-        a full shard hands its leftovers back instead of raising, and
-        ``TableFullError`` fires only once all ``n_shards`` rounds ran
-        dry.  With ``on_full="return"`` the surviving leftovers'
-        batch-relative indices come back instead.
-        """
-        if on_full not in ("raise", "return"):
-            raise ValueError(
-                f"on_full must be 'raise' or 'return', got {on_full!r}"
-            )
-        kmers = np.ascontiguousarray(kmers, dtype=np.uint64).ravel()
-        slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-        if kmers.shape != slots.shape:
-            raise ValueError("kmers and slots must have the same length")
-        if counts is not None:
-            counts = np.ascontiguousarray(counts, dtype=np.int64).ravel()
-        if kmers.size == 0:
-            return np.empty(0, dtype=np.int64) if on_full == "return" else None
-        target = self._home_shards(kmers)
-        idx = np.arange(kmers.size, dtype=np.int64)
-        for _round in range(self.n_shards):
-            if idx.size == 0:
-                break
-            carry = []
-            for s in range(self.n_shards):
-                sel = idx[target[idx] == s]
-                if sel.size == 0:
-                    continue
-                left = self.shards[s].insert_batch(
-                    kmers[sel], slots[sel],
-                    None if counts is None else counts[sel],
-                    chunk=chunk, on_full="return")
-                if left is not None and left.size:
-                    carry.append(sel[left])
-            if not carry:
-                idx = idx[:0]
-                break
-            idx = np.concatenate(carry)
-            target[idx] = (target[idx] + 1) % self.n_shards
-        if idx.size == 0:
-            return np.empty(0, dtype=np.int64) if on_full == "return" else None
-        if on_full == "return":
-            return np.sort(idx)
-        raise TableFullError(
-            f"all {self.n_shards} shards exhausted "
-            f"({self.n_occupied}/{self.capacity} occupied)"
-        )
-
     def insert_ops_threadsafe(self, kmers: np.ndarray, slots: np.ndarray,
                               local: HashStats | None = None) -> None:
         """Per-op protocol over an observation span, routing vectorized.
@@ -441,56 +436,6 @@ class ShardedTwoWordHashTable(_ShardedTable):
             return np.zeros(hi.size, dtype=np.int64)
         shift = np.uint64(64 - self._shard_bits)
         return (hash_planes(hi, lo) >> shift).astype(np.int64)
-
-    # -- vectorized batch path -------------------------------------------------
-
-    def insert_batch(self, hi: np.ndarray, lo: np.ndarray, slots: np.ndarray,
-                     counts: np.ndarray | None = None,
-                     chunk: int = 1 << 20,
-                     on_full: str = "raise") -> np.ndarray | None:
-        """Shard-route ``(hi, lo, slot)`` observations with fallback rounds."""
-        if on_full not in ("raise", "return"):
-            raise ValueError(
-                f"on_full must be 'raise' or 'return', got {on_full!r}"
-            )
-        hi = np.ascontiguousarray(hi, dtype=np.uint64).ravel()
-        lo = np.ascontiguousarray(lo, dtype=np.uint64).ravel()
-        slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-        if not (hi.shape == lo.shape == slots.shape):
-            raise ValueError("hi, lo and slots must have the same length")
-        if counts is not None:
-            counts = np.ascontiguousarray(counts, dtype=np.int64).ravel()
-        if hi.size == 0:
-            return np.empty(0, dtype=np.int64) if on_full == "return" else None
-        target = self._home_shards(hi, lo)
-        idx = np.arange(hi.size, dtype=np.int64)
-        for _round in range(self.n_shards):
-            if idx.size == 0:
-                break
-            carry = []
-            for s in range(self.n_shards):
-                sel = idx[target[idx] == s]
-                if sel.size == 0:
-                    continue
-                left = self.shards[s].insert_batch(
-                    hi[sel], lo[sel], slots[sel],
-                    None if counts is None else counts[sel],
-                    chunk=chunk, on_full="return")
-                if left is not None and left.size:
-                    carry.append(sel[left])
-            if not carry:
-                idx = idx[:0]
-                break
-            idx = np.concatenate(carry)
-            target[idx] = (target[idx] + 1) % self.n_shards
-        if idx.size == 0:
-            return np.empty(0, dtype=np.int64) if on_full == "return" else None
-        if on_full == "return":
-            return np.sort(idx)
-        raise TableFullError(
-            f"all {self.n_shards} shards exhausted "
-            f"({self.n_occupied}/{self.capacity} occupied)"
-        )
 
     def insert_ops_threadsafe(self, hi: np.ndarray, lo: np.ndarray,
                               slots: np.ndarray,

@@ -221,7 +221,8 @@ class TestBigKConstruction:
         hi, lo, slots = block_observations_2w(res.blocks[0])
         n_kmers = small_batch.n_kmers(k)
         pairs = small_batch.n_reads * (small_batch.read_length - k)
-        assert hi.size == n_kmers + 2 * pairs
+        assert hi.size == lo.size == n_kmers  # one entry per kmer instance
+        assert int((slots >= 0).sum()) == n_kmers + 2 * pairs
 
     def test_invalid_params(self, genomic_batch):
         with pytest.raises(ValueError):
@@ -237,23 +238,23 @@ class TestBigKPreaggregate:
         res = partition_reads(genomic_batch, 45, 15, 4)
         block = max(res.blocks, key=lambda b: b.n_superkmers)
         hi, lo, slots = block_observations_2w(block)
-        ahi, alo, aslots, counts = preaggregate_observations_2w(hi, lo, slots)
-        assert ahi.size == alo.size == aslots.size == counts.size
-        assert ahi.size < hi.size  # a covered genome repeats observations
-        assert int(counts.sum()) == hi.size
-        assert (counts >= 1).all()
-        # Aggregated triples are unique.
-        triples = set(zip(ahi.tolist(), alo.tolist(), aslots.tolist()))
-        assert len(triples) == ahi.size
+        ahi, alo, rows = preaggregate_observations_2w(hi, lo, slots)
+        assert ahi.size == alo.size == rows.shape[0]
+        assert rows.shape[1] == 9
+        assert ahi.size < hi.size  # a covered genome repeats vertices
+        assert int(rows.sum()) == int((slots >= 0).sum())
+        assert (rows[:, 8] >= 1).all()  # every vertex was seen
+        # Vertex keys are unique.
+        assert len(set(zip(ahi.tolist(), alo.tolist()))) == ahi.size
 
     def test_preaggregate_empty(self):
         from repro.bigk.construct import preaggregate_observations_2w
 
         e = np.zeros(0, dtype=np.uint64)
-        ahi, alo, aslots, counts = preaggregate_observations_2w(
-            e, e, np.zeros(0, dtype=np.int64)
+        ahi, alo, rows = preaggregate_observations_2w(
+            e, e, np.zeros((3, 0), dtype=np.int8)
         )
-        assert ahi.size == alo.size == aslots.size == counts.size == 0
+        assert ahi.size == alo.size == 0 and rows.shape == (0, 9)
 
     @pytest.mark.parametrize("k", [33, 45])
     def test_preaggregated_build_equals_plain(self, genomic_batch, k):
@@ -266,33 +267,66 @@ class TestBigKPreaggregate:
         assert agg.equals(plain)
 
     def test_counted_insert_stats_order_independent(self, genomic_batch):
-        """Counted inserts meter ops/updates as if replayed one by one."""
-        res = partition_reads(genomic_batch, 45, 15, 1)
-        hi, lo, slots = block_observations_2w(res.blocks[0])
+        """Row inserts meter ops/updates as if replayed one by one."""
         from repro.bigk.construct import preaggregate_observations_2w
+        from repro.core.subgraph import observation_pairs
 
-        ahi, alo, aslots, counts = preaggregate_observations_2w(hi, lo, slots)
+        res = partition_reads(genomic_batch, 45, 15, 1)
+        observations = block_observations_2w(res.blocks[0])
 
         plain = TwoWordHashTable(1 << 14, 45)
-        plain.insert_batch(hi, lo, slots)
+        plain.insert_batch(*observation_pairs(*observations))
         agg = TwoWordHashTable(1 << 14, 45)
-        agg.insert_batch(ahi, alo, aslots, counts=counts)
+        agg.insert_batch(*preaggregate_observations_2w(*observations))
 
         assert agg.to_graph().equals(plain.to_graph())
         for field in ("ops", "inserts", "updates", "count_increments"):
             assert getattr(agg.stats, field) == getattr(plain.stats, field)
-        # Fewer physical probe rounds is the whole point of pre-aggregation.
         assert agg.stats.key_locks == plain.stats.key_locks
 
     def test_insert_batch_rejects_bad_counts(self):
         t = TwoWordHashTable(64, 45)
         one = np.ones(2, dtype=np.uint64)
-        slots = np.zeros(2, dtype=np.int64)
-        with pytest.raises(ValueError):
-            t.insert_batch(one, one, slots, counts=np.ones(3, dtype=np.int64))
-        with pytest.raises(ValueError):
-            t.insert_batch(one, one, slots,
-                           counts=np.array([1, 0], dtype=np.int64))
+        with pytest.raises(ValueError):  # three rows for two keys
+            t.insert_batch(one, one, np.ones((3, 9), dtype=np.uint64))
+        with pytest.raises(ValueError):  # rows must have 9 counters
+            t.insert_batch(one, one, np.ones((2, 3), dtype=np.uint64))
+
+
+class TestBigKRegrow:
+    def test_regrows_counted_and_bounded(self, rng):
+        # Coverage < 1 random reads: nearly every kmer is distinct, which
+        # breaks the Property-1 estimate and forces regrowth.
+        from repro.core.estimator import SizingPolicy, next_power_of_two
+        from repro.dna.reads import ReadBatch
+
+        batch = ReadBatch(codes=rng.integers(0, 4, size=(200, 70),
+                                             dtype=np.uint8))
+        block = partition_reads(batch, 41, 13, 1).blocks[0]
+        policy = SizingPolicy(lam=0.5, alpha=0.9)
+        result = build_subgraph_2w(block, policy=policy, preaggregate=True)
+        assert result.n_regrows > 0
+        assert result.graph.equals(build_subgraph_2w_sortmerge(block))
+        # Never past the hard bound: one slot per instance at alpha.
+        n_kmers = block.total_kmers()
+        assert result.capacity <= next_power_of_two(int(n_kmers / policy.alpha) + 1)
+
+    def test_regrow_disabled_raises(self, rng):
+        from repro.core.estimator import SizingPolicy
+        from repro.core.hashtable import TableFullError
+        from repro.dna.reads import ReadBatch
+
+        batch = ReadBatch(codes=rng.integers(0, 4, size=(200, 70),
+                                             dtype=np.uint8))
+        block = partition_reads(batch, 41, 13, 1).blocks[0]
+        with pytest.raises(TableFullError):
+            build_subgraph_2w(block, policy=SizingPolicy(lam=0.5, alpha=0.9),
+                              allow_regrow=False)
+
+    def test_covered_genome_never_regrows(self, genomic_batch):
+        for block in partition_reads(genomic_batch, 41, 13, 4).blocks:
+            if block.n_superkmers:
+                assert build_subgraph_2w(block).n_regrows == 0
 
 
 class TestBigKPartitionCodec:

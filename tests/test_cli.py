@@ -259,6 +259,12 @@ class TestBigKCli:
         assert rc == 0
         assert load_big_graph(proc_out).equals(load_big_graph(serial_out))
 
+    def test_k32_rejected(self, reads_file, tmp_path):
+        with pytest.raises(ValueError, match=r"33\.\.63"):
+            main(["build", "--input", str(reads_file), "--k", "32",
+                  "--output", str(tmp_path / "g.phdbg")])
+        assert not (tmp_path / "g.phdbg").exists()
+
     def test_bigk_preaggregate_flag_threaded_through(
         self, reads_file, tmp_path, monkeypatch
     ):

@@ -31,6 +31,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ParaHashConfig(n_threads=0)
 
+    def test_k32_rejected_naming_supported_ranges(self):
+        # One word holds k <= 31 here; two words need a high-plane base.
+        with pytest.raises(ValueError, match=r"1\.\.31.*33\.\.63"):
+            ParaHashConfig(k=32)
+        assert ParaHashConfig(k=31).k == 31
+        assert ParaHashConfig(k=33).k == 33
+
     def test_with_(self):
         cfg = ParaHashConfig().with_(p=13, n_partitions=64)
         assert cfg.p == 13 and cfg.n_partitions == 64

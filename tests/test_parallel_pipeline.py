@@ -163,31 +163,35 @@ def test_explicit_step2_weights(clean_batch):
 
 
 def test_preaggregate_observations_counts(rng):
-    v = np.array([7, 3, 7, 7, 3, 9], dtype=np.uint64)
-    s = np.array([0, 1, 0, 2, 1, 0], dtype=np.int64)
-    pv, ps, pc = preaggregate_observations(v, s)
-    assert pv.tolist() == [3, 7, 7, 9]
-    assert ps.tolist() == [1, 0, 2, 0]
-    assert pc.tolist() == [2, 2, 1, 1]
-    assert int(pc.sum()) == v.size
+    # Three instances of vertex 7 and one of 3: each contributes its
+    # multiplicity slot (8) and whichever edge slots are not -1.
+    v = np.array([7, 3, 7, 7], dtype=np.uint64)
+    s = np.array([[8, 8, 8, 8],
+                  [0, -1, 0, 5],
+                  [-1, 4, 2, -1]], dtype=np.int8)
+    keys, rows = preaggregate_observations(v, s)
+    assert keys.tolist() == [3, 7]
+    assert rows.shape == (2, 9)
+    assert rows[0].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert rows[1].tolist() == [2, 0, 1, 0, 0, 1, 0, 0, 3]
+    assert int(rows.sum()) == int((s >= 0).sum())
 
 
 def test_preaggregate_observations_empty():
     empty_v = np.zeros(0, dtype=np.uint64)
-    empty_s = np.zeros(0, dtype=np.int64)
-    pv, ps, pc = preaggregate_observations(empty_v, empty_s)
-    assert pv.size == ps.size == pc.size == 0
+    empty_s = np.zeros((3, 0), dtype=np.int8)
+    keys, rows = preaggregate_observations(empty_v, empty_s)
+    assert keys.size == 0 and rows.shape == (0, 9)
 
 
 def test_counted_insert_batch_validation():
     table = ConcurrentHashTable(capacity=16, k=21)
     kmers = np.array([1, 2], dtype=np.uint64)
-    slots = np.array([0, 0], dtype=np.int64)
-    with pytest.raises(ValueError):
-        table.insert_batch(kmers, slots, counts=np.array([1], dtype=np.int64))
-    with pytest.raises(ValueError):
-        table.insert_batch(kmers, slots,
-                           counts=np.array([1, 0], dtype=np.int64))
+    with pytest.raises(ValueError):  # one row for two keys
+        table.insert_batch(kmers, np.ones((1, 9), dtype=np.uint64))
+    with pytest.raises(ValueError):  # rows must have 9 counters
+        table.insert_batch(kmers, np.ones((2, 8), dtype=np.uint64))
+    assert table.stats.ops == 0 and table.n_occupied == 0
 
 
 def test_lock_reduction_unchanged_by_preaggregation(genomic_batch):
@@ -221,9 +225,9 @@ def test_preaggregation_shrinks_table_touches(genomic_batch):
     parts = partition_reads(genomic_batch, CFG.k, CFG.p, CFG.n_partitions)
     block = max(parts.blocks, key=lambda b: b.total_kmers())
     v, s = block_observations(block)
-    pv, ps, pc = preaggregate_observations(v, s)
-    assert pv.size < v.size  # genomic coverage implies duplicates
-    assert int(pc.sum()) == v.size
+    keys, rows = preaggregate_observations(v, s)
+    assert keys.size < v.size  # genomic coverage implies duplicates
+    assert int(rows.sum()) == int((s >= 0).sum())
 
 
 # -- crash containment ------------------------------------------------------------
@@ -276,6 +280,25 @@ def test_failing_merger_tears_down_pool(genomic_batch, monkeypatch):
 
 
 # -- calibration model ------------------------------------------------------------
+
+
+def test_measure_host_rates_times_the_row_kernel(genomic_batch, monkeypatch):
+    """Calibration runs what Step-2 workers run: vertex-row inserts."""
+    import repro.core.subgraph as subgraph_mod
+    from repro.hetsim.device import measure_host_rates
+
+    seen = {"rows": 0}
+    real = subgraph_mod.preaggregate_observations
+
+    def counting(*args):
+        keys, rows = real(*args)
+        seen["rows"] += keys.size
+        return keys, rows
+
+    monkeypatch.setattr(subgraph_mod, "preaggregate_observations", counting)
+    cal = measure_host_rates(genomic_batch, CFG.k, CFG.p, CFG.n_partitions)
+    assert seen["rows"] > 0
+    assert cal.sample_ops > seen["rows"]  # ops stay metered per observation
 
 
 def test_measure_host_rates_and_fit(genomic_batch):

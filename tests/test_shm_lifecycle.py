@@ -134,8 +134,7 @@ def test_failed_bigk_pipelined_run_leaves_no_segments(
     """Two-word (k > 31) segments obey the same ownership discipline:
     a worker failure mid-pipeline unlinks the batch segment and every
     two-word table segment (header/state/keys_hi/keys_lo/counts)."""
-    monkeypatch.setattr(backend_mod, "_process_step2_job_2w",
-                        _exploding_step2)
+    monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
     before = _segments()
     with pytest.raises(WorkerFailed):
         ParaHash(
@@ -148,8 +147,7 @@ def test_failed_bigk_pipelined_run_leaves_no_segments(
 @needs_fork
 def test_failed_bigk_barrier_run_leaves_no_segments(
         genomic_batch, monkeypatch):
-    monkeypatch.setattr(backend_mod, "_process_step2_job_2w",
-                        _exploding_step2)
+    monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
     before = _segments()
     with pytest.raises(WorkerFailed):
         ParaHash(

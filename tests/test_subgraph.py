@@ -8,6 +8,7 @@ from repro.core.subgraph import (
     block_observations,
     build_subgraph,
     build_subgraph_sortmerge,
+    observation_pairs,
 )
 from repro.graph.build import build_reference_graph
 from repro.graph.merge import merge_disjoint
@@ -34,8 +35,11 @@ class TestBlockObservations:
         v, s = block_observations(block)
         n_kmers = small_batch.n_kmers(k)
         pairs = small_batch.n_reads * (small_batch.read_length - k)
-        assert v.size == n_kmers + 2 * pairs
-        assert s.size == v.size
+        assert v.size == n_kmers  # one entry per kmer instance
+        assert s.shape == (3, n_kmers)
+        assert int((s >= 0).sum()) == n_kmers + 2 * pairs
+        flat_v, flat_s = observation_pairs(v, s)
+        assert flat_v.size == flat_s.size == n_kmers + 2 * pairs
 
     def test_empty_block(self):
         v, s = block_observations(empty_block(11))
