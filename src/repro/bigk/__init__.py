@@ -9,7 +9,6 @@ MSP + hashing pipeline for K up to 63.
 
 from .compact import compact_unitigs_bigk
 from .construct import (
-    BigKSubgraphResult,
     block_observations_2w,
     build_debruijn_graph_bigk,
     build_subgraph_2w,
@@ -45,7 +44,6 @@ from .table import TwoWordHashTable, hash_planes, hash_planes_int
 
 __all__ = [
     "BigDeBruijnGraph",
-    "BigKSubgraphResult",
     "LO_BASES",
     "MAX_2W_K",
     "TwoWordHashTable",

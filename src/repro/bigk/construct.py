@@ -1,9 +1,9 @@
-"""End-to-end big-K construction: MSP + two-word concurrent hashing.
+"""End-to-end big-K construction: MSP + two-word subgraph kernels.
 
 The MSP step is K-agnostic as long as the minimizer length P fits one
 word (P <= 31): superkmer decomposition and partition routing only look
 at P-length substrings.  What changes for K > 31 is kmer generation
-from the partition blocks and the hash table's key width — both
+from the partition blocks and the key width — both
 provided here over the two-word substrate.
 
 The union of all subgraphs is validated (in the test suite) against the
@@ -12,12 +12,8 @@ pure-Python big-K reference builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..core.estimator import SizingPolicy
-from ..core.hashtable import HashStats
 from ..core.subgraph import (
     build_subgraph,
     instance_slots,
@@ -25,7 +21,6 @@ from ..core.subgraph import (
     vertex_rows,
 )
 from ..dna.reads import ReadBatch
-from ..msp.partitioner import partition_reads
 from ..msp.records import SuperkmerBlock, pack_windows
 from .kmer2w import LO_BASES, canonical2w_with_flip, check_2w_k, hi_bases
 from .store import BigDeBruijnGraph, graph_from_plane_pairs
@@ -74,9 +69,7 @@ def preaggregate_observations_2w(
     The two-word twin of
     :func:`repro.core.subgraph.preaggregate_observations`: a two-key
     lexsort over the instances' ``(hi, lo)`` planes groups them by
-    vertex, so each distinct vertex pays a single probe walk in
-    :meth:`TwoWordHashTable.insert_batch`.  Returns ``(hi, lo, rows)``
-    in ascending key order.
+    vertex.  Returns ``(hi, lo, rows)`` in ascending key order.
     """
     order = np.lexsort((lo, hi))
     shi, slo = hi[order], lo[order]
@@ -88,34 +81,8 @@ def preaggregate_observations_2w(
     return shi[firsts], slo[firsts], vertex_rows(inverse, firsts.size, slots)
 
 
-@dataclass
-class BigKSubgraphResult:
-    graph: BigDeBruijnGraph
-    stats: HashStats
-    capacity: int
-    n_regrows: int = 0
-
-
-def build_subgraph_2w(
-    block: SuperkmerBlock, policy: SizingPolicy | None = None,
-    allow_regrow: bool = True, preaggregate: bool = False,
-    protocol: str = "locked", table_layout: str = "flat",
-    n_shards: int = 8,
-) -> BigKSubgraphResult:
-    """One subgraph through the two-word concurrent hash table.
-
-    ``preaggregate``, ``allow_regrow`` and
-    ``protocol``/``table_layout``/``n_shards`` behave exactly as in
-    :func:`repro.core.subgraph.build_subgraph`; every combination
-    produces the identical graph.
-    """
-    check_2w_k(block.k)
-    result = build_subgraph(block, policy=policy, allow_regrow=allow_regrow,
-                            preaggregate=preaggregate, protocol=protocol,
-                            table_layout=table_layout, n_shards=n_shards)
-    return BigKSubgraphResult(graph=result.graph, stats=result.stats,
-                              capacity=result.capacity,
-                              n_regrows=result.n_regrows)
+#: The owner builder handles both key widths; kept under its two-word name.
+build_subgraph_2w = build_subgraph
 
 
 def build_subgraph_2w_sortmerge(block: SuperkmerBlock) -> BigDeBruijnGraph:
@@ -154,37 +121,18 @@ def merge_bigk_disjoint(
 
 def build_debruijn_graph_bigk(
     reads: ReadBatch, k: int, p: int = 15, n_partitions: int = 16,
-    policy: SizingPolicy | None = None, n_threads: int = 1,
-    preaggregate: bool = False,
+    n_threads: int = 1,
 ) -> BigDeBruijnGraph:
-    """Full big-K pipeline: MSP partitioning + two-word hashing + merge.
+    """One-call big-K API: the ParaHash driver at a two-word ``k``.
 
-    ``n_threads > 1`` co-processes the partition blocks through the
-    §III-E work-stealing queue (the ``threads`` backend's big-k path);
-    the merged graph is identical to the sequential run.
+    ``n_threads > 1`` co-processes both steps through the §III-E
+    work-stealing queue; the merged graph is identical to the
+    sequential run.
     """
-    check_2w_k(k)
-    if not 1 <= p <= 31:
-        raise ValueError("minimizer length p must be in [1, 31]")
-    if n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
-    result = partition_reads(reads, k, p, n_partitions)
-    nonempty = [block for block in result.blocks if block.n_superkmers]
-    if n_threads > 1 and len(nonempty) > 1:
-        from ..concurrentsub.workqueue import run_coprocessed
+    from ..core.config import ParaHashConfig
+    from ..core.parahash import ParaHash
 
-        workers = {
-            f"cpu{t}": (lambda block: build_subgraph_2w(
-                block, policy=policy, preaggregate=preaggregate).graph)
-            for t in range(n_threads)
-        }
-        subgraphs, _ = run_coprocessed(
-            nonempty, workers, size_of=lambda b: b.total_kmers()
-        )
-    else:
-        subgraphs = [
-            build_subgraph_2w(block, policy=policy,
-                              preaggregate=preaggregate).graph
-            for block in nonempty
-        ]
-    return merge_bigk_disjoint(subgraphs, k=k)
+    check_2w_k(k)
+    config = ParaHashConfig(k=k, p=p, n_partitions=n_partitions,
+                            n_threads=n_threads)
+    return ParaHash(config).build_graph(reads).graph

@@ -72,36 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = all cores)")
     p.add_argument("--workdir",
                    help="directory for encoded partition files (disk-backed run)")
-    p.add_argument("--pipeline", dest="pipeline", action="store_true",
-                   default=True,
-                   help="stream Step 2 while Step 1 runs "
-                        "(processes backend; default)")
-    p.add_argument("--no-pipeline", dest="pipeline", action="store_false",
-                   help="barrier between the steps (processes backend)")
-    p.add_argument("--preaggregate", dest="preaggregate",
-                   action="store_true", default=True,
-                   help="group kmer instances by vertex and insert one "
-                        "9-counter row per vertex (default)")
-    p.add_argument("--no-preaggregate", dest="preaggregate",
-                   action="store_false",
-                   help="insert every (vertex, slot) observation "
-                        "individually, as in the paper")
     p.add_argument("--calibrate", action="store_true",
                    help="measure this host's kernel rates and size claim "
                         "weights from the fitted device model "
                         "(processes backend)")
-    p.add_argument("--table-layout", choices=["flat", "sharded"],
-                   default="flat",
-                   help="hash-table layout: one flat table per partition, "
-                        "or hash-prefix shards with private lock regions")
-    p.add_argument("--insert-protocol", choices=["locked", "lockfree"],
-                   default="locked",
-                   help="per-slot insert protocol: the paper's "
-                        "EMPTY->LOCKED->OCCUPIED state transfer, or the "
-                        "single-CAS lock-free publish")
-    p.add_argument("--shards", type=int, default=8,
-                   help="shard count for --table-layout sharded "
-                        "(power of two)")
     p.add_argument("--output", required=True, help="graph file (.phdbg)")
     p.add_argument("--tsv", help="also export adjacency lists as TSV")
     p.add_argument("--min-multiplicity", type=int, default=1,
@@ -200,9 +174,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     config = ParaHashConfig(
         k=args.k, p=args.p, n_partitions=args.partitions,
         n_threads=args.threads, backend=args.backend, n_workers=args.workers,
-        pipeline=args.pipeline, preaggregate=args.preaggregate,
-        calibrate=args.calibrate, table_layout=args.table_layout,
-        insert_protocol=args.insert_protocol, n_shards=args.shards,
+        calibrate=args.calibrate,
     )
     result = ParaHash(config).build_graph(
         reads, workdir=Path(args.workdir) if args.workdir else None
@@ -239,9 +211,7 @@ def _build_bigk(args: argparse.Namespace, reads) -> int:
     config = ParaHashConfig(
         k=args.k, p=min(args.p, 31), n_partitions=args.partitions,
         n_threads=args.threads, backend=args.backend, n_workers=args.workers,
-        pipeline=args.pipeline, preaggregate=args.preaggregate,
-        calibrate=args.calibrate, table_layout=args.table_layout,
-        insert_protocol=args.insert_protocol, n_shards=args.shards,
+        calibrate=args.calibrate,
     )
     result = ParaHash(config).build_graph(
         reads, workdir=Path(args.workdir) if args.workdir else None

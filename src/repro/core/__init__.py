@@ -33,6 +33,7 @@ from .subgraph import (
     block_observations,
     build_subgraph,
     build_subgraph_sortmerge,
+    build_subgraph_table,
 )
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "build_debruijn_graph",
     "build_subgraph",
     "build_subgraph_sortmerge",
+    "build_subgraph_table",
     "expected_distinct_vertices",
     "expected_erroneous_kmers_per_error",
     "expected_erroneous_kmers_per_read",

@@ -16,15 +16,6 @@ from .estimator import SizingPolicy
 #: Execution backends of :meth:`repro.core.parahash.ParaHash.build_graph`.
 BACKENDS = ("serial", "threads", "processes")
 
-#: Hash-table layouts: one flat table per partition, or the partition's
-#: segment sliced by hash prefix into shards with private lock regions
-#: (:mod:`repro.parallel.sharded`).
-TABLE_LAYOUTS = ("flat", "sharded")
-
-#: Insert protocols: the paper's EMPTY->LOCKED->OCCUPIED state transfer,
-#: or the lock-free single-CAS publish (no LOCKED intermediate state).
-INSERT_PROTOCOLS = ("locked", "lockfree")
-
 
 @dataclass(frozen=True)
 class ParaHashConfig:
@@ -50,10 +41,14 @@ class ParaHashConfig:
         How many equal pieces Step 1 splits the input into (pipeline
         granularity).
     sizing:
-        Hash-table sizing policy (Property 1 parameters λ and α).
+        Hash-table sizing policy (Property 1 parameters λ and α) of the
+        paper's shared table (:func:`repro.core.subgraph.build_subgraph_table`),
+        which the measured :mod:`repro.hetsim` workloads run.  The build
+        paths give each partition a single owner and need no table.
     n_threads:
-        Worker threads for Step 2's real-thread path; 1 selects the
-        vectorized batch path.
+        Co-processing threads of the in-process drivers; with more than
+        one, the serial backend runs both steps through the §III-E
+        work-stealing queue.
     backend:
         Execution backend for the end-to-end driver: ``"serial"`` (one
         process, vectorized kernels), ``"threads"`` (the §III-E
@@ -63,34 +58,10 @@ class ParaHashConfig:
     n_workers:
         Worker count for the ``threads``/``processes`` backends;
         0 means auto (the machine's CPU count).
-    pipeline:
-        ``processes`` backend only: stream Step-2 partition claims
-        through the cross-process ready queue while Step 1 is still
-        partitioning (§III-E overlap), instead of barriering between
-        the steps.
-    preaggregate:
-        Group each partition's kmer instances by vertex and insert one
-        9-counter row per distinct vertex (one probe walk per vertex;
-        stats stay protocol-equivalent) instead of every ``(vertex,
-        slot)`` observation on its own.
     calibrate:
         ``processes`` backend only: run a short warm-up measurement
         pass, fit the :mod:`repro.hetsim.device` model to this host,
         and size per-worker chunk/partition claim weights from it.
-    table_layout:
-        ``"flat"`` keeps one table per partition; ``"sharded"`` slices
-        each partition's table by hash prefix into ``n_shards`` shards,
-        each with a private state plane and lock-stripe region, so
-        concurrent inserts mostly stay inside their own shard (see
-        :mod:`repro.parallel.sharded`).
-    insert_protocol:
-        ``"locked"`` runs the paper's EMPTY->LOCKED->OCCUPIED state
-        transfer; ``"lockfree"`` claims the slot by CASing the key/tag
-        word directly — publication *is* the claim, there is no LOCKED
-        intermediate state (counts stay atomic fetch-adds).
-    n_shards:
-        Shard count for ``table_layout="sharded"``; must be a power of
-        two.  Ignored by the flat layout.
     """
 
     k: int = 27
@@ -101,12 +72,7 @@ class ParaHashConfig:
     n_threads: int = 1
     backend: str = "serial"
     n_workers: int = 0
-    pipeline: bool = True
-    preaggregate: bool = True
     calibrate: bool = False
-    table_layout: str = "flat"
-    insert_protocol: str = "locked"
-    n_shards: int = 8
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -132,20 +98,6 @@ class ParaHashConfig:
             )
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0 (0 = auto)")
-        if self.table_layout not in TABLE_LAYOUTS:
-            raise ValueError(
-                f"table_layout must be one of {TABLE_LAYOUTS}, "
-                f"got {self.table_layout!r}"
-            )
-        if self.insert_protocol not in INSERT_PROTOCOLS:
-            raise ValueError(
-                f"insert_protocol must be one of {INSERT_PROTOCOLS}, "
-                f"got {self.insert_protocol!r}"
-            )
-        if self.n_shards < 1 or self.n_shards & (self.n_shards - 1):
-            raise ValueError(
-                f"n_shards must be a positive power of two, got {self.n_shards}"
-            )
 
     def workers(self) -> int:
         """Resolved worker count for the parallel backends (>= 1)."""

@@ -19,7 +19,6 @@ from ..dna.kmer import canonical_int, canonical_u64, kmers_from_reads
 from ..dna.reads import ReadBatch
 from ..graph.dbg import MULT_SLOT
 from ..msp.partitioner import partition_reads
-from .estimator import SizingPolicy
 
 
 
@@ -76,12 +75,11 @@ def count_kmers(reads: ReadBatch, k: int) -> KmerCountTable:
 
 def count_kmers_partitioned(
     reads: ReadBatch, k: int, p: int = 11, n_partitions: int = 16,
-    policy: SizingPolicy | None = None,
 ) -> KmerCountTable:
-    """MSP + hashing counting (the ParaHash way, memory-bounded).
+    """MSP + per-partition counting (the ParaHash way, memory-bounded).
 
     Identical results to :func:`count_kmers`, but the working set is one
-    partition's table at a time — the counting analogue of the paper's
+    partition at a time — the counting analogue of the paper's
     construction pipeline (what MSP [2] was originally built for).
     """
     from .subgraph import build_subgraph
@@ -91,7 +89,7 @@ def count_kmers_partitioned(
     for block in result.blocks:
         if block.n_superkmers == 0:
             continue
-        sub = build_subgraph(block, policy=policy)
+        sub = build_subgraph(block)
         pieces.append((sub.graph.vertices, sub.graph.counts[:, MULT_SLOT]))
     if not pieces:
         return KmerCountTable(k=k, kmers=np.zeros(0, dtype=np.uint64),

@@ -85,8 +85,9 @@ _KNOWN_BUGS = frozenset(
 )
 _SEEDED_BUGS: frozenset = frozenset()
 
-#: Insert protocols selectable per table (mirrors
-#: :data:`repro.core.config.INSERT_PROTOCOLS`).
+#: Insert protocols selectable per table: the paper's
+#: EMPTY->LOCKED->OCCUPIED state transfer, or the lock-free single-CAS
+#: publish (no LOCKED intermediate state).
 PROTOCOLS = ("locked", "lockfree")
 
 

@@ -1,10 +1,11 @@
 """The end-to-end ParaHash driver.
 
 Runs the two-step workflow of Fig 3: **MSP** (graph partitioning into
-superkmer partitions) then **Hashing** (one subgraph per partition with
-the concurrent hash table), either fully in memory or through encoded
-partition files on disk.  Partitions can be processed by one worker or
-co-processed by several workers through the §III-E work-stealing queue.
+superkmer partitions) then **Hashing** (one subgraph per partition,
+built by the partition's single owner), either fully in memory or
+through encoded partition files on disk.  Partitions can be processed
+by one worker or co-processed by several workers through the §III-E
+work-stealing queue.
 
 The driver reports wall-clock stage timings plus the merged hashing
 telemetry, which the benchmark harness feeds to the performance model.
@@ -128,20 +129,16 @@ class ParaHash:
     def construct_subgraphs(
         self, blocks: list[SuperkmerBlock]
     ) -> tuple[list[SubgraphResult], dict[str, WorkerRecord]]:
-        """Build one subgraph per partition, optionally co-processed."""
+        """Build one subgraph per partition, optionally co-processed.
+
+        Each partition is claimed whole by one worker, which builds it
+        alone (:func:`repro.core.subgraph.build_subgraph`).
+        """
         cfg = self.config
         nonempty = [b for b in blocks if b.n_superkmers]
-
-        def process(block: SuperkmerBlock) -> SubgraphResult:
-            return build_subgraph(block, policy=cfg.sizing, n_threads=1,
-                                  preaggregate=cfg.preaggregate,
-                                  protocol=cfg.insert_protocol,
-                                  table_layout=cfg.table_layout,
-                                  n_shards=cfg.n_shards)
-
         if cfg.n_threads == 1 or len(nonempty) <= 1:
-            return [process(b) for b in nonempty], {}
-        workers = {f"cpu{t}": process for t in range(cfg.n_threads)}
+            return [build_subgraph(b) for b in nonempty], {}
+        workers = {f"cpu{t}": build_subgraph for t in range(cfg.n_threads)}
         results, records = run_coprocessed(
             nonempty, workers, size_of=lambda b: b.total_kmers()
         )
@@ -182,80 +179,6 @@ class ParaHash:
             threaded = ParaHash(cfg.with_(n_threads=cfg.workers()))
             return threaded.build_graph(reads, workdir=workdir,
                                         output_dir=output_dir)
-        if cfg.k > 31:
-            return self._build_graph_bigk(reads, workdir=workdir,
-                                          output_dir=output_dir)
-        t0 = time.perf_counter()
-        io_seconds = 0.0
-        partition_bytes = 0
-        if workdir is None:
-            blocks = self.partition(reads)
-            n_superkmers = sum(b.n_superkmers for b in blocks)
-            n_kmers = sum(b.total_kmers() for b in blocks)
-            partition_bytes = sum(b.byte_size_encoded() for b in blocks)
-        else:
-            report = partition_to_files(
-                reads, cfg.k, cfg.p, cfg.n_partitions, workdir,
-                n_input_pieces=cfg.n_input_pieces,
-            )
-            t_io = time.perf_counter()
-            blocks = load_partitions(report.paths)
-            io_seconds += time.perf_counter() - t_io
-            n_superkmers = report.n_superkmers
-            n_kmers = report.n_kmers
-            partition_bytes = report.bytes_written
-        t1 = time.perf_counter()
-
-        subgraph_results, records = self.construct_subgraphs(blocks)
-        t2 = time.perf_counter()
-
-        subgraphs = [r.graph for r in subgraph_results]
-        if output_dir is not None and subgraphs:
-            from ..graph.serialize import save_subgraphs
-
-            t_io = time.perf_counter()
-            save_subgraphs(output_dir, subgraphs)
-            io_seconds += time.perf_counter() - t_io
-        graph = merge_disjoint(subgraphs) if subgraphs else empty_graph(cfg.k)
-        stats = HashStats()
-        for r in subgraph_results:
-            stats = stats.merged_with(r.stats)
-        return ParaHashResult(
-            graph=graph,
-            subgraphs=subgraphs,
-            hash_stats=stats,
-            timings=StageTimings(
-                msp_seconds=(t1 - t0) - io_seconds,
-                hashing_seconds=t2 - t1,
-                io_seconds=io_seconds,
-            ),
-            n_superkmers=n_superkmers,
-            n_kmers=n_kmers,
-            partition_bytes=partition_bytes,
-            config=cfg,
-            worker_records=records,
-        )
-
-
-    def _build_graph_bigk(
-        self,
-        reads: ReadBatch,
-        workdir: str | Path | None = None,
-        output_dir: str | Path | None = None,
-    ) -> ParaHashResult:
-        """Big-k (k > 31) twin of :meth:`build_graph` for serial/threads.
-
-        Step 1 is unchanged — MSP only looks at one-word P-length
-        minimizers — so partitioning (in memory or through PHSK files)
-        is shared with the one-word path.  Step 2 runs the two-word
-        table (:func:`repro.bigk.construct.build_subgraph_2w`),
-        co-processed through the §III-E queue when ``n_threads > 1``.
-        The ``processes`` backend never reaches here: its driver
-        dispatches on k per partition itself.
-        """
-        from ..bigk.construct import build_subgraph_2w, merge_bigk_disjoint
-
-        cfg = self.config
         t0 = time.perf_counter()
         io_seconds = 0.0
         if workdir is None:
@@ -276,50 +199,14 @@ class ParaHash:
             partition_bytes = report.bytes_written
         t1 = time.perf_counter()
 
-        nonempty = [b for b in blocks if b.n_superkmers]
-
-        def process(block: SuperkmerBlock):
-            return build_subgraph_2w(block, policy=cfg.sizing,
-                                     preaggregate=cfg.preaggregate,
-                                     protocol=cfg.insert_protocol,
-                                     table_layout=cfg.table_layout,
-                                     n_shards=cfg.n_shards)
-
-        records: dict[str, WorkerRecord] = {}
-        if cfg.n_threads > 1 and len(nonempty) > 1:
-            workers = {f"cpu{t}": process for t in range(cfg.n_threads)}
-            subgraph_results, records = run_coprocessed(
-                nonempty, workers, size_of=lambda b: b.total_kmers()
-            )
-        else:
-            subgraph_results = [process(b) for b in nonempty]
+        results, records = self.construct_subgraphs(blocks)
         t2 = time.perf_counter()
-
-        subgraphs = [r.graph for r in subgraph_results]
-        if output_dir is not None and subgraphs:
-            from ..bigk.serialize import save_big_subgraphs
-
-            t_io = time.perf_counter()
-            save_big_subgraphs(output_dir, subgraphs)
-            io_seconds += time.perf_counter() - t_io
-        graph = merge_bigk_disjoint(subgraphs, k=cfg.k)
-        stats = HashStats()
-        for r in subgraph_results:
-            stats = stats.merged_with(r.stats)
-        return ParaHashResult(
-            graph=graph,
-            subgraphs=subgraphs,
-            hash_stats=stats,
-            timings=StageTimings(
-                msp_seconds=(t1 - t0) - io_seconds,
-                hashing_seconds=t2 - t1,
-                io_seconds=io_seconds,
-            ),
-            n_superkmers=n_superkmers,
-            n_kmers=n_kmers,
-            partition_bytes=partition_bytes,
-            config=cfg,
-            worker_records=records,
+        return finish_build(
+            cfg, results,
+            StageTimings(msp_seconds=(t1 - t0) - io_seconds,
+                         hashing_seconds=t2 - t1, io_seconds=io_seconds),
+            output_dir, n_superkmers=n_superkmers, n_kmers=n_kmers,
+            partition_bytes=partition_bytes, worker_records=records,
         )
 
     def build_graph_from_files(
@@ -366,28 +253,75 @@ class ParaHash:
         t1 = time.perf_counter()
 
         blocks = load_partitions(paths)
-        subgraph_results, records = self.construct_subgraphs(blocks)
-        subgraphs = [r.graph for r in subgraph_results]
-        if output_dir is not None and subgraphs:
-            from ..graph.serialize import save_subgraphs
-
-            save_subgraphs(output_dir, subgraphs)
-        graph = merge_disjoint(subgraphs) if subgraphs else empty_graph(cfg.k)
+        results, records = self.construct_subgraphs(blocks)
         t2 = time.perf_counter()
-        stats = HashStats()
-        for r in subgraph_results:
-            stats = stats.merged_with(r.stats)
-        return ParaHashResult(
-            graph=graph,
-            subgraphs=subgraphs,
-            hash_stats=stats,
-            timings=StageTimings(msp_seconds=t1 - t0, hashing_seconds=t2 - t1),
-            n_superkmers=n_superkmers,
-            n_kmers=n_kmers,
-            partition_bytes=partition_bytes,
-            config=cfg,
-            worker_records=records,
+        return finish_build(
+            cfg, results,
+            StageTimings(msp_seconds=t1 - t0, hashing_seconds=t2 - t1),
+            output_dir, n_superkmers=n_superkmers, n_kmers=n_kmers,
+            partition_bytes=partition_bytes, worker_records=records,
         )
+
+
+def _merge_partition_subgraphs(subgraphs: list, k: int):
+    """Union the per-partition subgraphs, one- or two-word per ``k``."""
+    if k > 31:
+        from ..bigk.construct import merge_bigk_disjoint
+
+        return merge_bigk_disjoint(subgraphs, k=k)
+    nonempty = [g for g in subgraphs if g.n_vertices]
+    return merge_disjoint(nonempty) if nonempty else empty_graph(k)
+
+
+def _save_partition_subgraphs(output_dir: str | Path, subgraphs: list,
+                             k: int) -> None:
+    """Write subgraph files in the format matching the key width."""
+    if k > 31:
+        from ..bigk.serialize import save_big_subgraphs
+
+        save_big_subgraphs(output_dir, subgraphs)
+    else:
+        from ..graph.serialize import save_subgraphs
+
+        save_subgraphs(output_dir, subgraphs)
+
+
+def finish_build(
+    cfg: ParaHashConfig,
+    results: list[SubgraphResult],
+    timings: StageTimings,
+    output_dir: str | Path | None,
+    *,
+    n_superkmers: int,
+    n_kmers: int,
+    partition_bytes: int,
+    worker_records: dict[str, WorkerRecord],
+) -> ParaHashResult:
+    """The Step-2 tail every driver shares, for either key width.
+
+    Saves the subgraphs to ``output_dir`` (timed as I/O), merges them
+    into the full graph and totals their hashing telemetry.  ``results``
+    are in partition order.
+    """
+    subgraphs = [r.graph for r in results]
+    if output_dir is not None and subgraphs:
+        t_io = time.perf_counter()
+        _save_partition_subgraphs(output_dir, subgraphs, cfg.k)
+        timings.io_seconds += time.perf_counter() - t_io
+    stats = HashStats()
+    for r in results:
+        stats = stats.merged_with(r.stats)
+    return ParaHashResult(
+        graph=_merge_partition_subgraphs(subgraphs, cfg.k),
+        subgraphs=subgraphs,
+        hash_stats=stats,
+        timings=timings,
+        n_superkmers=n_superkmers,
+        n_kmers=n_kmers,
+        partition_bytes=partition_bytes,
+        config=cfg,
+        worker_records=worker_records,
+    )
 
 
 def build_debruijn_graph(

@@ -16,6 +16,12 @@ kmer, counter slot)`` observation:
 Because MSP routes all duplicates of a kmer to one partition, the union
 of all subgraphs is exactly the reference graph — the test suite checks
 this equality bit-for-bit.
+
+A partition has exactly one owner on every build path, so
+:func:`build_subgraph` groups its observations by vertex and takes the
+sorted rows as the subgraph; :func:`build_subgraph_table` keeps the
+paper's shared concurrent hash table for the experiments that measure
+it.
 """
 
 from __future__ import annotations
@@ -120,15 +126,13 @@ def preaggregate_observations(
     """Group a block's observations into one counter row per vertex.
 
     The paper's hash entry is ``<vertex, list of edge multiplicities>``
-    and its inputs carry a ~4-6x kmer duplication ratio (§III-C), so
-    the instances are grouped by canonical vertex first and each
-    distinct vertex pays a single probe walk in
-    :meth:`ConcurrentHashTable.insert_batch`, instead of one per
-    observation.
+    and its inputs carry a ~4-6x kmer duplication ratio (§III-C); one
+    row per distinct vertex is exactly that entry.
 
     Takes :func:`block_observations` output; returns ``(keys, rows)``:
     the distinct vertices in ascending order and their ``(u, 9)``
-    uint64 counter rows.  Inserting the rows produces a table
+    uint64 counter rows -- the subgraph itself.  Inserting the rows
+    into :class:`ConcurrentHashTable` instead produces a table
     byte-identical to the per-observation insert, with ``HashStats``
     metered from the row sums for the individual observations.
     """
@@ -136,103 +140,115 @@ def preaggregate_observations(
     return keys, vertex_rows(inverse, keys.size, slots)
 
 
-def insert_arrays(block: SuperkmerBlock, preaggregate: bool) -> tuple[np.ndarray, ...]:
-    """The arrays one ``insert_batch`` call takes for ``block``.
-
-    Vertex rows with ``preaggregate``, else the per-observation stream;
-    key planes for the block's width (two for ``k > 31``).
-    """
-    if block.k > 31:
-        from ..bigk.construct import block_observations_2w as expand
-        from ..bigk.construct import preaggregate_observations_2w as group
-    else:
-        expand, group = block_observations, preaggregate_observations
-    observations = expand(block)
-    return group(*observations) if preaggregate else observation_pairs(*observations)
-
-
-def _new_table(capacity: int, k: int, protocol: str, table_layout: str,
-               n_shards: int):
-    """An empty table of the layout and key width ``k`` asks for."""
-    if table_layout == "sharded":
-        from ..parallel.sharded import ShardedHashTable, ShardedTwoWordHashTable
-
-        cls = ShardedTwoWordHashTable if k > 31 else ShardedHashTable
-        return cls(capacity, k, n_shards=n_shards, protocol=protocol)
+def _kernels(k: int):
+    """The expand and group kernels of key width ``k`` (two words past 31)."""
     if k > 31:
-        from ..bigk.table import TwoWordHashTable
+        from ..bigk.construct import block_observations_2w, preaggregate_observations_2w
 
-        return TwoWordHashTable(capacity, k, protocol=protocol)
-    return ConcurrentHashTable(capacity, k, protocol=protocol)
+        return block_observations_2w, preaggregate_observations_2w
+    return block_observations, preaggregate_observations
+
+
+def row_stats(rows: np.ndarray) -> HashStats:
+    """``HashStats`` the paper's locked insert meters for distinct-vertex rows.
+
+    Inserting the observations one by one into a fresh table takes one
+    op and one atomic increment per observation, one key lock and one
+    insert per distinct vertex, and makes every other observation an
+    update -- so ``lock_reduction`` is exact without running a table.
+    Probes, blocked reads and CAS failures are properties of a shared
+    table and stay 0.
+    """
+    ops = int(rows.sum())
+    n = rows.shape[0]
+    return HashStats(ops=ops, inserts=n, updates=ops - n, key_locks=n,
+                     count_increments=ops)
 
 
 @dataclass
 class SubgraphResult:
-    """One constructed subgraph plus its construction telemetry."""
+    """One constructed subgraph plus its construction telemetry.
+
+    ``capacity``, ``table_bytes`` and ``n_regrows`` describe the hash
+    table of :func:`build_subgraph_table`; :func:`build_subgraph` uses
+    none and leaves them 0.
+    """
 
     graph: DeBruijnGraph  # BigDeBruijnGraph for k > 31
     stats: HashStats
-    capacity: int
     n_kmers: int
-    table_bytes: int
+    capacity: int = 0
+    table_bytes: int = 0
     n_regrows: int = 0
 
 
-def build_subgraph(
+def build_subgraph(block: SuperkmerBlock) -> SubgraphResult:
+    """Construct one partition's subgraph as its single owner.
+
+    Every build path gives a partition to exactly one worker, so there
+    is nothing to share a table with: the block's instances grouped by
+    canonical vertex (:func:`preaggregate_observations`, or its
+    two-word twin for ``k > 31``) already are the sorted vertices and
+    ``(u, 9)`` counter rows of the subgraph.  The graph is identical to
+    the one :func:`build_subgraph_table` reads out of its table, and the
+    stats are metered by :func:`row_stats`.  Returns a
+    :class:`repro.bigk.store.BigDeBruijnGraph` for ``k > 31``.
+    """
+    expand, group = _kernels(block.k)
+    *keys, rows = group(*expand(block))
+    if block.k > 31:
+        from ..bigk.store import BigDeBruijnGraph
+
+        graph = BigDeBruijnGraph(k=block.k, vertices_hi=keys[0],
+                                 vertices_lo=keys[1], counts=rows)
+    else:
+        graph = DeBruijnGraph(k=block.k, vertices=keys[0], counts=rows)
+    return SubgraphResult(graph=graph, stats=row_stats(rows),
+                          n_kmers=block.total_kmers())
+
+
+def build_subgraph_table(
     block: SuperkmerBlock,
     policy: SizingPolicy | None = None,
     n_threads: int = 1,
     allow_regrow: bool = True,
-    preaggregate: bool = False,
-    protocol: str = "locked",
-    table_layout: str = "flat",
-    n_shards: int = 8,
 ) -> SubgraphResult:
-    """Construct one subgraph with the concurrent hash table.
+    """Construct one subgraph with the paper's concurrent hash table.
 
-    ``n_threads == 1`` uses the vectorized batch path, on either key
-    width (``k > 31`` takes the two-word table and returns a
-    :class:`repro.bigk.store.BigDeBruijnGraph`); more threads run the
-    real per-operation state machine concurrently on one-word keys
-    (slow; meant for correctness validation, not throughput).
-
-    ``preaggregate`` (batch path only) groups the block's instances by
-    vertex via :func:`preaggregate_observations` and inserts one counter
-    row per distinct vertex; the resulting graph and the metered
-    ``HashStats.lock_reduction`` are identical, only the table-touching
-    work shrinks.
+    Every ``(vertex, slot)`` observation is inserted on its own, as in
+    §III-C2: ``n_threads == 1`` runs the vectorized batch insert on
+    either key width (``k > 31`` takes the two-word table); more threads
+    run the real per-operation state machine concurrently on one-word
+    keys (slow; meant for the protocol's claims, not throughput).  This
+    is the table that the hashing figures, Table II and the simulator's
+    measured workloads meter; the build paths use :func:`build_subgraph`.
 
     The table is sized once from Property 1 and, on genomic data, never
-    resizes — that is the paper's design.  Inputs that violate the
+    resizes -- that is the paper's design.  Inputs that violate the
     estimate (e.g. coverage < 1, where nearly every kmer is distinct)
     would overflow the fixed table; with ``allow_regrow`` the build
-    retries with doubled capacity and reports ``n_regrows > 0`` so
-    callers can see the estimate was breached.  With
+    retries with doubled capacity and reports ``n_regrows > 0``.  With
     ``allow_regrow=False`` the overflow raises
     :class:`repro.core.hashtable.TableFullError` instead.
-
-    ``protocol`` selects the per-slot insert protocol (``locked`` state
-    transfer or ``lockfree`` CAS-publish) and ``table_layout`` the
-    table layout (``flat`` or the hash-prefix ``sharded`` wrapper with
-    ``n_shards`` shards); every combination produces the identical
-    graph.
     """
     policy = policy or SizingPolicy()
-    n_kmers = block.total_kmers()
-    if n_threads == 1:
-        arrays = insert_arrays(block, preaggregate)
-    elif block.k > 31:
+    if n_threads > 1 and block.k > 31:
         raise ValueError("the threaded path needs one-word keys (k <= 31)")
-    else:
-        arrays = observation_pairs(*block_observations(block))
+    table_cls = ConcurrentHashTable
+    if block.k > 31:
+        from ..bigk.table import TwoWordHashTable
 
+        table_cls = TwoWordHashTable
+    expand, _ = _kernels(block.k)
+    arrays = observation_pairs(*expand(block))
+    n_kmers = block.total_kmers()
     capacity = policy.capacity_for(max(1, n_kmers))
     # Hard upper bound: there cannot be more distinct vertices than
     # kmer instances, so capacity n_kmers/alpha always fits.
     bound = next_power_of_two(max(2, int(n_kmers / policy.alpha) + 1))
     n_regrows = 0
     while True:
-        table = _new_table(capacity, block.k, protocol, table_layout, n_shards)
+        table = table_cls(capacity, block.k)
         try:
             if n_threads == 1:
                 table.insert_batch(*arrays)
@@ -247,8 +263,8 @@ def build_subgraph(
     return SubgraphResult(
         graph=table.to_graph(),
         stats=table.stats,
-        capacity=table.capacity,
         n_kmers=n_kmers,
+        capacity=table.capacity,
         table_bytes=table.memory_bytes(),
         n_regrows=n_regrows,
     )

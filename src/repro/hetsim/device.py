@@ -253,14 +253,13 @@ def measure_host_rates(reads, k: int, p: int, n_partitions: int,
     The sample is the leading ``max_reads`` reads — enough work to
     amortize interpreter overhead, small enough that calibration stays
     a fraction of a real build.  The hashing kernel is the one Step-2
-    workers run: vertex rows (:func:`repro.core.subgraph.insert_arrays`)
-    into a table, timed from the partition block on; its rate is in
-    metered observations (plus probes) per second.  Rates are floored
-    at 1.0 so a degenerate sample can never produce a zero-division
-    downstream.
+    workers run: a partition's rows straight into its subgraph
+    (:func:`repro.core.subgraph.build_subgraph`), timed from the
+    partition block on; its rate is in metered observations per second.
+    Rates are floored at 1.0 so a degenerate sample can never produce a
+    zero-division downstream.
     """
-    from ..core.hashtable import ConcurrentHashTable
-    from ..core.subgraph import insert_arrays
+    from ..core.subgraph import build_subgraph
     from ..dna.reads import ReadBatch
     from ..msp.partitioner import partition_reads
 
@@ -274,13 +273,8 @@ def measure_host_rates(reads, k: int, p: int, n_partitions: int,
     sample_ops = 0
     t1 = time.perf_counter()
     for block in result.blocks:
-        if not block.n_superkmers:
-            continue
-        # Sized for every instance distinct: a read sample has too
-        # little coverage for the Property-1 estimate to hold.
-        table = ConcurrentHashTable(2 * block.total_kmers(), k)
-        table.insert_batch(*insert_arrays(block, preaggregate=True))
-        sample_ops += table.stats.ops + table.stats.probes
+        if block.n_superkmers:
+            sample_ops += build_subgraph(block).stats.ops
     hash_elapsed = time.perf_counter() - t1
 
     return HostCalibration(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.config import ParaHashConfig
-from ..core.subgraph import SubgraphResult, build_subgraph
+from ..core.subgraph import SubgraphResult, build_subgraph_table
 from ..dna.reads import ReadBatch
 from ..graph.dbg import DeBruijnGraph
 from ..graph.merge import merge_disjoint
@@ -78,13 +78,13 @@ def measure_step1(reads: ReadBatch, config: ParaHashConfig) -> Step1Workload:
 
 
 def measure_step2(blocks: list[SuperkmerBlock], config: ParaHashConfig) -> Step2Workload:
-    """Build every subgraph for real and meter the hashing work."""
+    """Build every subgraph through the paper's table and meter the work."""
     works: list[HashWork] = []
     results: list[SubgraphResult] = []
     for block in blocks:
         if block.n_superkmers == 0:
             continue
-        result = build_subgraph(block, policy=config.sizing)
+        result = build_subgraph_table(block, policy=config.sizing)
         results.append(result)
         works.append(
             HashWork.from_stats(

@@ -3,7 +3,8 @@
 Public surface:
 
 * :func:`build_graph_processes` — the end-to-end driver (Step 1 chunk
-  fan-out + Step 2 shared-memory tables across worker processes);
+  fan-out over shared read memory, then one owner process per Step-2
+  partition, streamed in one pool);
 * :func:`concurrent_insert_processes` — several processes running the
   state-transfer protocol against *one* shared table (protocol
   validation on genuinely concurrent memory), with

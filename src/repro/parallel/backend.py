@@ -1,7 +1,8 @@
 """The process-parallel execution backend (``backend="processes"``).
 
 Runs both ParaHash steps across worker *processes* so the pipeline
-scales with cores instead of being serialized by the GIL:
+scales with cores instead of being serialized by the GIL, as the
+§III-E streaming pipeline in ONE worker pool:
 
 * **Step 1** — the read matrix is copied once into shared memory and
   split into chunks; workers claim chunks from a
@@ -9,42 +10,28 @@ scales with cores instead of being serialized by the GIL:
   paper's ``cns`` work stealing, with weighted dispatch) and append
   each chunk's superkmer blocks to their own spill files.  Grouping
   the spill files by partition id — the minimizer-hash class — is the
-  merge.
-* **Step 2** — the parent pre-creates one shared-memory hash-table
-  segment per non-empty partition (sized by Property 1 from the exact
-  per-partition kmer counts Step 1 reported); workers claim partitions,
-  read their spill group, and run the vectorized insert kernel directly
-  into the shared buffers.  The parent then reads each finished table
-  *in place* — result transfer is zero-copy, nothing big is pickled.
+  merge.  Each worker announces its spill manifest to the parent
+  through the pool's event channel when its share is done.
+* **Step 2** — once every manifest has landed, the parent's merger
+  publishes the partitions (heaviest first) on a
+  :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue`, so workers
+  that finished Step 1 early start while slower peers still spill.  A
+  worker claims a whole partition, reads its spill group, builds the
+  subgraph alone (:func:`repro.core.subgraph.build_subgraph`) and ships
+  it back through the event channel as soon as it is built.  No table
+  and no shared segment is involved: a partition's owner is its only
+  writer.
 
-With ``config.pipeline`` (the default) the two steps run in ONE worker
-pool as the §III-E streaming pipeline instead of two pools split by a
-global barrier: each worker finishes its share of Step 1, announces its
-spill manifest to the parent through the pool's event channel, and
-falls through to claiming Step-2 partitions from a
-:class:`~repro.concurrentsub.workqueue.ProcessWorkQueue`.  The parent's
-merger reacts to the manifests inline with the result-poll loop —
-finalizing partitions one at a time (merge spills, create the shared
-table segment, publish the work order) so early partitions are being
-hashed by some workers while the parent is still finalizing later ones
-and slower workers are still partitioning reads.  ``config.calibrate``
-sizes both claim weights from a measured
+``config.calibrate`` sizes both claim weights from a measured
 :mod:`repro.hetsim.device` fit of this host.
-
-A table whose Property-1 estimate is breached (``TableFullError``)
-falls back to a worker-local regrown table whose graph is returned
-through the result queue.
 
 :func:`concurrent_insert_processes` additionally exercises the
 §III-C3 state machine itself across processes — several workers CAS
 the *same* table's occupancy flags through
 :class:`~repro.parallel.atomics_mp.ProcessAtomicInt64Array` — which is
 what validates that the state-transfer protocol is sound on genuinely
-concurrent memory, not merely under the GIL.
-
-Both drivers and the CAS validation path run at any ``k <= 63``: for
-``k > 31`` the table segments carry the split-key two-word planes
-(``keys_hi``/``keys_lo``), Step 2 runs the :mod:`repro.bigk` kernels,
+concurrent memory, not merely under the GIL.  For ``k > 31`` the table
+segment carries the split-key two-word planes (``keys_hi``/``keys_lo``)
 and :func:`concurrent_insert_processes_2w` exercises the multi-word
 publish (both key words written inside the LOCKED window) across
 processes.
@@ -66,10 +53,10 @@ from ..concurrentsub.workqueue import (
     WorkerRecord,
 )
 from ..core.estimator import next_power_of_two
-from ..core.hashtable import HashStats, TableFullError
+from ..core.hashtable import HashStats
+from ..core.subgraph import SubgraphResult, build_subgraph
 from ..dna.reads import ReadBatch
-from ..graph.dbg import DeBruijnGraph, empty_graph
-from ..graph.merge import merge_disjoint
+from ..graph.dbg import DeBruijnGraph
 from ..msp.partitioner import (
     SpillWriterSet,
     load_partition_group,
@@ -80,7 +67,6 @@ from ..msp.partitioner import (
 from .atomics_mp import ProcessAtomicInt64Array, create_lock_bundle
 from .pool import default_context, run_workers
 from .shm import (
-    HEADER_N_OCCUPIED,
     SegmentSpec,
     attach_read_batch,
     attach_segment,
@@ -93,15 +79,11 @@ from .shm import (
 
 @dataclass(frozen=True)
 class _Step2Job:
-    """One partition's work order, addressable by ticket index."""
+    """One partition's work order: its id and spill (or partition) files."""
 
     partition: int
     k: int
-    table_spec: SegmentSpec
     group: tuple[str, ...]
-    layout: str = "flat"
-    protocol: str = "locked"
-    n_shards: int = 1
 
 
 # -- worker entry points (top-level: picklable under spawn) ----------------------
@@ -155,57 +137,10 @@ def _step1_worker(worker_id: int, batch_spec: SegmentSpec,
     return report
 
 
-def _process_step2_job(job: _Step2Job, sizing, preaggregate: bool) -> dict:
-    """Fill one partition's shared table in place; returns its payload.
-
-    Width-agnostic: ``table_over_segment`` hands back the one- or
-    two-word table per ``job.k`` and :func:`insert_arrays` the matching
-    vertex rows (or, without ``preaggregate``, observations) -- the
-    payload protocol (stats + optional fallback graph) is identical
-    either way.
-    """
-    from ..bigk.construct import build_subgraph_2w
-    from ..core.subgraph import build_subgraph, insert_arrays
-
+def _process_step2_job(job: _Step2Job) -> SubgraphResult:
+    """Build one partition's subgraph from its files (either key width)."""
     block = load_partition_group([Path(s) for s in job.group], job.k)
-    payload: dict = {"partition": job.partition,
-                     "n_kmers": block.total_kmers()}
-    seg = attach_segment(job.table_spec)
-    table = table_over_segment(seg, job.k, fresh=True, layout=job.layout,
-                               n_shards=job.n_shards, protocol=job.protocol)
-    try:
-        table.insert_batch(*insert_arrays(block, preaggregate))
-        seg["header"][HEADER_N_OCCUPIED] = table.n_occupied
-        payload["stats"] = table.stats
-        payload["fallback"] = None
-    except TableFullError:
-        # Property-1 estimate breached: regrow locally and ship
-        # the (rare) oversized result through the queue instead.
-        build = build_subgraph_2w if job.k > 31 else build_subgraph
-        result = build(block, policy=sizing, preaggregate=preaggregate,
-                       protocol=job.protocol, table_layout=job.layout,
-                       n_shards=max(1, job.n_shards))
-        payload["stats"] = result.stats
-        payload["fallback"] = result.graph
-    finally:
-        table.detach_views()
-        seg.close()
-    return payload
-
-
-def _step2_worker(worker_id: int, jobs: list[_Step2Job],
-                  tickets: ProcessTicketQueue, weights: list[int],
-                  sizing, preaggregate: bool) -> list[dict]:
-    """Claim partitions and fill their shared tables in place."""
-    weight = weights[worker_id]
-    out: list[dict] = []
-    while True:
-        ids = tickets.claim(weight)
-        if not ids:
-            break
-        for ticket in ids:
-            out.append(_process_step2_job(jobs[ticket], sizing, preaggregate))
-    return out
+    return build_subgraph(block)
 
 
 def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
@@ -213,80 +148,51 @@ def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
                      tickets: ProcessTicketQueue, weights: list[int],
                      step2_weights: list[int], ready: ProcessWorkQueue,
                      k: int, p: int, n_partitions: int, spill_dir: str,
-                     sizing, preaggregate: bool, *, emit) -> dict:
-    """Both steps in one process: partition, announce, then hash.
+                     *, emit) -> list[tuple[int, int]]:
+    """Both steps in one process: partition, announce, then build.
 
-    The worker drains Step-1 chunk tickets exactly like
-    :func:`_step1_worker`, emits its spill manifest through the pool's
-    event channel (the parent's merger is listening), and immediately
-    starts claiming ready partitions — which the merger publishes as
-    soon as *every* worker's manifest has landed, i.e. while this
-    worker's slower peers may still be spilling.
+    The worker drains Step-1 chunk tickets with :func:`_step1_worker`,
+    emits its spill manifest through the pool's event channel (the
+    parent's merger is listening), and immediately starts claiming
+    ready partitions — which the merger publishes as soon as *every*
+    worker's manifest has landed, i.e. while this worker's slower peers
+    may still be spilling.  Each subgraph is emitted the moment it is
+    built, so a worker never holds more than one.  Returns the
+    ``(partition, n_kmers)`` of every partition it built.
     """
     report = _step1_worker(worker_id, batch_spec, chunk_bounds, tickets,
                            weights, k, p, n_partitions, spill_dir)
     emit(("spills", report))
     weight = step2_weights[worker_id]
-    out: list[dict] = []
+    built: list[tuple[int, int]] = []
     while True:
         jobs = ready.claim(weight)
         if not jobs:
             break
         for job in jobs:
-            out.append(_process_step2_job(job, sizing, preaggregate))
-    return {"step2": out}
-
-
-def _table_axes(cfg) -> tuple[str, str, int]:
-    """The config's (layout, protocol, n_shards) with flat-layout folding.
-
-    The flat layout ignores ``n_shards``; folding it to 1 here keeps
-    the job orders canonical and the segment layout untouched.
-    """
-    layout = getattr(cfg, "table_layout", "flat")
-    protocol = getattr(cfg, "insert_protocol", "locked")
-    n_shards = getattr(cfg, "n_shards", 1) if layout == "sharded" else 1
-    return layout, protocol, n_shards
-
-
-def _merge_partition_subgraphs(subgraphs, k: int):
-    """Union the per-partition subgraphs, one- or two-word per ``k``."""
-    if k > 31:
-        from ..bigk.construct import merge_bigk_disjoint
-
-        return merge_bigk_disjoint(subgraphs, k=k)
-    nonempty = [g for g in subgraphs if g.n_vertices]
-    return merge_disjoint(nonempty) if nonempty else empty_graph(k)
-
-
-def _save_partition_subgraphs(output_dir, subgraphs, k: int) -> None:
-    """Write subgraph files in the format matching the key width."""
-    if k > 31:
-        from ..bigk.serialize import save_big_subgraphs
-
-        save_big_subgraphs(output_dir, subgraphs)
-    else:
-        from ..graph.serialize import save_subgraphs
-
-        save_subgraphs(output_dir, subgraphs)
+            result = _process_step2_job(job)
+            emit(("subgraph", job.partition, result))
+            built.append((job.partition, result.n_kmers))
+    return built
 
 
 # -- the driver ------------------------------------------------------------------
 
 
 class _PipelineMerger:
-    """Parent-side Step-1→Step-2 handoff for the pipelined backend.
+    """Parent-side Step-1→Step-2 handoff and subgraph collection.
 
     Collects every worker's spill manifest (delivered through the
     pool's event channel, so this runs inline with the parent's result
     poll — single-threaded, no locks needed despite feeding a
     cross-process queue).  Once the last manifest lands, partitions are
-    finalized ONE AT A TIME — merge the partition's spill group,
-    create its shared table segment, publish its work order — so
-    workers hash early partitions while later ones are still being
-    finalized.  The ready queue is closed after the last publication;
-    a merger failure propagates out of ``run_workers`` and tears the
-    pool down, so workers can never hang on an unclosed queue.
+    finalized ONE AT A TIME — merge the partition's spill group when
+    the run is disk-backed, publish its work order — so workers build
+    early partitions while later ones are still being finalized.  The
+    ready queue is closed after the last publication; a merger failure
+    propagates out of ``run_workers`` and tears the pool down, so
+    workers can never hang on an unclosed queue.  Built subgraphs
+    arrive through the same channel and are kept by partition id.
     """
 
     def __init__(self, cfg, n_workers: int, ready: ProcessWorkQueue,
@@ -296,7 +202,7 @@ class _PipelineMerger:
         self.ready = ready
         self.workdir = workdir
         self.reports: dict[int, dict] = {}
-        self.segments: dict[int, object] = {}
+        self.results: dict[int, SubgraphResult] = {}
         self.kmers_per_partition = np.zeros(cfg.n_partitions, dtype=np.int64)
         self.live: list[int] = []
         self.n_superkmers = 0
@@ -305,12 +211,16 @@ class _PipelineMerger:
         self.spills_done_at: float | None = None
 
     def on_event(self, worker_id: int, payload) -> None:
-        kind, report = payload
-        if kind != "spills":  # pragma: no cover - protocol guard
+        kind = payload[0]
+        if kind == "subgraph":
+            _, partition, result = payload
+            self.results[partition] = result
+        elif kind == "spills":
+            self.reports[worker_id] = payload[1]
+            if len(self.reports) == self.n_workers:
+                self._finalize_all()
+        else:  # pragma: no cover - protocol guard
             raise RuntimeError(f"unexpected pipeline event {kind!r}")
-        self.reports[worker_id] = report
-        if len(self.reports) == self.n_workers:
-            self._finalize_all()
 
     def _finalize_all(self) -> None:
         from ..msp.binio import concat_partition_files
@@ -349,24 +259,18 @@ class _PipelineMerger:
                     self.io_seconds += time.perf_counter() - t_io  # checks: allow[R2] merger state touched only by the parent's event thread
                     sources = [dest]
                     merged_bytes += os.path.getsize(dest)
-                capacity = next_power_of_two(max(2, cfg.sizing.capacity_for(
-                    max(1, int(self.kmers_per_partition[part]))
-                )))
-                layout, protocol, n_shards = _table_axes(cfg)
-                seg = create_table_segment(capacity, cfg.k, n_shards=n_shards)  # checks: allow[R6] ownership moves to self.segments; unlink_segments() runs in the pipeline teardown
-                self.segments[part] = seg
                 self.ready.publish(_Step2Job(
-                    partition=part, k=cfg.k, table_spec=seg.spec,
+                    partition=part, k=cfg.k,
                     group=tuple(str(p) for p in sources),
-                    layout=layout, protocol=protocol, n_shards=n_shards,
                 ))
             if self.workdir is not None:
                 # Serial disk-backed runs leave one canonical file per
                 # partition, empty partitions included — match that
                 # layout file-for-file.
                 t_io = time.perf_counter()
+                published = set(self.live)
                 for part in range(cfg.n_partitions):
-                    if part in self.segments:
+                    if part in published:
                         continue
                     dest = Path(self.workdir) / f"partition_{part:04d}.phsk"
                     concat_partition_files(dest, groups[part], k=cfg.k)
@@ -375,11 +279,6 @@ class _PipelineMerger:
                 self.partition_bytes = merged_bytes
         finally:
             self.ready.close()
-
-    def unlink_segments(self) -> None:
-        for seg in self.segments.values():
-            seg.unlink()
-        self.segments.clear()
 
 
 def _calibrated_weights(reads: ReadBatch, cfg, n_workers: int,
@@ -394,11 +293,7 @@ def _calibrated_weights(reads: ReadBatch, cfg, n_workers: int,
         measure_host_rates,
     )
 
-    # The measurement pass runs the one-word kernels; for big-k runs
-    # clamp the sample's k to one word — throughput per base is what
-    # the fit extracts, and that is width-insensitive to first order.
-    calibration = measure_host_rates(reads, min(cfg.k, 31), cfg.p,
-                                     cfg.n_partitions)
+    calibration = measure_host_rates(reads, cfg.k, cfg.p, cfg.n_partitions)
     device = fitted_cpu(calibration, n_threads=1)
     reads_per_chunk = max(1, reads.n_reads // max(1, n_chunks))
     chunk_bases = reads_per_chunk * reads.read_length
@@ -408,17 +303,15 @@ def _calibrated_weights(reads: ReadBatch, cfg, n_workers: int,
     )
     # Per-partition Step-2 work, estimated from the input shape: every
     # kmer instance yields one multiplicity observation and up to two
-    # edge observations (~3 ops), with the sample's measured rate
-    # already folding in probe cost.
+    # edge observations (~3 ops), grouped into at most one row each;
+    # the row kernel probes nothing.
     kmers_per_read = max(1, reads.read_length - cfg.k + 1)
     est_kmers = max(
         1, reads.n_reads * kmers_per_read // max(1, cfg.n_partitions)
     )
-    est_ops = 3 * est_kmers
-    capacity = cfg.sizing.capacity_for(est_kmers)
     hash_work = HashWork(
-        n_kmers=est_kmers, ops=est_ops, probes=est_ops // 4,
-        inserts=max(1, est_kmers // 4), table_bytes=capacity * ENTRY_BYTES,
+        n_kmers=est_kmers, ops=3 * est_kmers, probes=0,
+        inserts=max(1, est_kmers // 4), table_bytes=est_kmers * ENTRY_BYTES,
         in_bytes=est_kmers, out_bytes=0,
     )
     step1 = [claim_weight(device, msp_work)] * n_workers
@@ -437,20 +330,16 @@ def build_graph_processes(
     """Run the two-step workflow across worker processes.
 
     Mirrors :meth:`repro.core.parahash.ParaHash.build_graph` (same
-    result type, graph bit-for-bit identical to the serial backend) but
-    executes Step 1 and Step 2 on ``config.workers()`` processes.
-    ``weights`` / ``step2_weights`` optionally skew the ticket dispatch
-    (one entry per worker; a weight-``w`` worker claims ``w`` chunks —
-    or ready partitions — per visit, the CPU/GPU-style dispatch knob).
-    With ``config.calibrate`` and no explicit weights, both are sized
-    from a warm-up measurement fit of :mod:`repro.hetsim.device`.
-
-    ``config.pipeline`` selects the streaming driver (one pool, both
-    steps, no barrier); without it the two steps run as separate pools
-    with a global barrier between them.  Both produce the identical
-    graph and on-disk artifacts.
+    result type, graph bit-for-bit identical to the serial backend, and
+    the same on-disk artifacts) but executes Step 1 and Step 2 on
+    ``config.workers()`` processes in one streaming pool.  ``weights`` /
+    ``step2_weights`` optionally skew the ticket dispatch (one entry
+    per worker; a weight-``w`` worker claims ``w`` chunks — or ready
+    partitions — per visit, the CPU/GPU-style dispatch knob).  With
+    ``config.calibrate`` and no explicit weights, both are sized from a
+    warm-up measurement fit of :mod:`repro.hetsim.device`.
     """
-    from ..core.parahash import ParaHashResult, StageTimings
+    from ..core.parahash import StageTimings, finish_build
 
     cfg = config
     n_workers = cfg.workers()
@@ -470,7 +359,20 @@ def build_graph_processes(
         raise ValueError(
             "step2_weights must give every worker a weight >= 1"
         )
-    ctx = default_context()
+    bounds_arr = np.linspace(0, reads.n_reads, n_chunks + 1).astype(int)
+    chunk_bounds = [
+        (int(bounds_arr[i]), int(bounds_arr[i + 1]))
+        for i in range(n_chunks)
+        if bounds_arr[i + 1] > bounds_arr[i]
+    ]
+    if not chunk_bounds:
+        # No reads: nothing to start workers for.
+        if workdir is not None:
+            merge_spill_files([[] for _ in range(cfg.n_partitions)],
+                              workdir, cfg.k)
+        return finish_build(cfg, [], StageTimings(), output_dir,
+                            n_superkmers=0, n_kmers=0, partition_bytes=0,
+                            worker_records={})
 
     tmp: tempfile.TemporaryDirectory | None = None
     if workdir is None:
@@ -479,165 +381,19 @@ def build_graph_processes(
     else:
         spill_dir = Path(workdir) / "spill"
         spill_dir.mkdir(parents=True, exist_ok=True)
-
+    ctx = default_context()
     t0 = time.perf_counter()
-    io_seconds = 0.0
     try:
-        # ---- Step 1: chunked fan-out over shared read memory --------------
-        bounds_arr = np.linspace(0, reads.n_reads, n_chunks + 1).astype(int)
-        chunk_bounds = [
-            (int(bounds_arr[i]), int(bounds_arr[i + 1]))
-            for i in range(n_chunks)
-            if bounds_arr[i + 1] > bounds_arr[i]
-        ]
-        if cfg.pipeline and chunk_bounds:
-            return _build_pipelined(
-                reads, cfg, chunk_bounds, weights, step2_weights,
-                spill_dir, workdir, output_dir, ctx, t0,
-            )
-        reports: list[dict] = []
-        if chunk_bounds:
-            tickets1 = ProcessTicketQueue(len(chunk_bounds), ctx)
-            batch_seg = share_read_batch(reads)
-            try:
-                reports = run_workers(
-                    _step1_worker, n_workers, ctx=ctx,
-                    args=(batch_seg.spec, chunk_bounds, tickets1, weights,
-                          cfg.k, cfg.p, cfg.n_partitions, str(spill_dir)),
-                )
-            finally:
-                batch_seg.unlink()
-
-        n_superkmers = sum(r["n_superkmers"] for r in reports)
-        kmers_per_partition = np.zeros(cfg.n_partitions, dtype=np.int64)
-        for r in reports:
-            kmers_per_partition += np.asarray(r["kmers_per_partition"],
-                                              dtype=np.int64)
-        groups = spill_groups([r["spills"] for r in reports],
-                              cfg.n_partitions)
-        partition_bytes = sum(
-            os.path.getsize(path) for group in groups for path in group
-        )
-        if workdir is not None:
-            # Persist canonical partition files next to the spills so the
-            # on-disk layout matches a serial disk-backed run.
-            t_io = time.perf_counter()
-            merged = merge_spill_files(groups, workdir, cfg.k)
-            io_seconds += time.perf_counter() - t_io
-            groups = [[path] for path in merged]
-            partition_bytes = sum(os.path.getsize(path) for path in merged)
-        t1 = time.perf_counter()
-
-        # ---- Step 2: one shared table per non-empty partition -------------
-        live = [
-            part for part in range(cfg.n_partitions)
-            if kmers_per_partition[part] > 0
-        ]
-        segments = {}
-        payload_lists: list[list[dict]] = []
-        subgraphs: list[DeBruijnGraph] = []
-        stats = HashStats()
+        tickets = ProcessTicketQueue(len(chunk_bounds), ctx)
+        ready = ProcessWorkQueue(cfg.n_partitions, ctx=ctx, claim_timeout=600.0)
+        merger = _PipelineMerger(cfg, n_workers, ready, workdir)
+        batch_seg = share_read_batch(reads)
         try:
-            jobs: list[_Step2Job] = []
-            layout, protocol, n_shards = _table_axes(cfg)
-            for part in live:
-                capacity = next_power_of_two(max(2, cfg.sizing.capacity_for(
-                    max(1, int(kmers_per_partition[part]))
-                )))
-                seg = create_table_segment(capacity, cfg.k, n_shards=n_shards)
-                segments[part] = seg
-                jobs.append(_Step2Job(
-                    partition=part, k=cfg.k, table_spec=seg.spec,
-                    group=tuple(str(p) for p in groups[part]),
-                    layout=layout, protocol=protocol, n_shards=n_shards,
-                ))
-            if jobs:
-                step2_workers = max(1, min(n_workers, len(jobs)))
-                tickets2 = ProcessTicketQueue(len(jobs), ctx)
-                payload_lists = run_workers(
-                    _step2_worker, step2_workers, ctx=ctx,
-                    args=(jobs, tickets2, step2_weights, cfg.sizing,
-                          cfg.preaggregate),
-                )
-            by_partition = {
-                payload["partition"]: payload
-                for payloads in payload_lists for payload in payloads
-            }
-            for part in live:
-                payload = by_partition[part]
-                stats = stats.merged_with(payload["stats"])
-                if payload["fallback"] is not None:
-                    subgraphs.append(payload["fallback"])
-                    continue
-                seg = segments[part]
-                table = table_over_segment(seg, cfg.k, fresh=False,
-                                           layout=layout, n_shards=n_shards,
-                                           protocol=protocol)
-                table.n_occupied = int(seg["header"][HEADER_N_OCCUPIED])
-                subgraphs.append(table.to_graph())
-                table.detach_views()
-        finally:
-            for seg in segments.values():
-                seg.unlink()
-        t2 = time.perf_counter()
-
-        if output_dir is not None and subgraphs:
-            t_io = time.perf_counter()
-            _save_partition_subgraphs(output_dir, subgraphs, cfg.k)
-            io_seconds += time.perf_counter() - t_io
-
-        graph = _merge_partition_subgraphs(subgraphs, cfg.k)
-        return ParaHashResult(
-            graph=graph,
-            subgraphs=subgraphs,
-            hash_stats=stats,
-            timings=StageTimings(
-                msp_seconds=(t1 - t0) - io_seconds,
-                hashing_seconds=t2 - t1,
-                io_seconds=io_seconds,
-            ),
-            n_superkmers=n_superkmers,
-            n_kmers=int(kmers_per_partition.sum()),
-            partition_bytes=partition_bytes,
-            config=cfg,
-            worker_records=_worker_records(reports, payload_lists),
-        )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-
-
-def _build_pipelined(
-    reads: ReadBatch,
-    cfg,
-    chunk_bounds: list[tuple[int, int]],
-    weights: list[int],
-    step2_weights: list[int],
-    spill_dir: Path,
-    workdir: str | Path | None,
-    output_dir: str | Path | None,
-    ctx,
-    t0: float,
-):
-    """The streaming driver: one pool runs both steps, no barrier.
-
-    Called from :func:`build_graph_processes` (which owns spill-dir
-    setup/teardown); returns the same :class:`ParaHashResult`.
-    """
-    from ..core.parahash import ParaHashResult, StageTimings
-
-    n_workers = cfg.workers()
-    tickets1 = ProcessTicketQueue(len(chunk_bounds), ctx)
-    ready = ProcessWorkQueue(cfg.n_partitions, ctx=ctx, claim_timeout=600.0)
-    merger = _PipelineMerger(cfg, n_workers, ready, workdir)
-    batch_seg = share_read_batch(reads)
-    try:
-        try:
-            results = run_workers(
+            built = run_workers(
                 _pipeline_worker, n_workers, ctx=ctx,
-                args=(batch_seg.spec, chunk_bounds, tickets1, weights,
+                args=(batch_seg.spec, chunk_bounds, tickets, weights,
                       step2_weights, ready, cfg.k, cfg.p, cfg.n_partitions,
-                      str(spill_dir), cfg.sizing, cfg.preaggregate),
+                      str(spill_dir)),
                 on_event=merger.on_event,
             )
         finally:
@@ -646,80 +402,38 @@ def _build_pipelined(
             # between a reservation and its item pickup; aborting makes
             # any racing claim return instead of wait out its timeout.
             ready.abort()
-
-        by_partition: dict[int, dict] = {}
-        for result in results:
-            for payload in result["step2"]:
-                by_partition[payload["partition"]] = payload
-        missing = [p for p in merger.live if p not in by_partition]
+        missing = [p for p in merger.live if p not in merger.results]
         if missing:  # pragma: no cover - queue drain guarantees coverage
             raise RuntimeError(
-                f"partitions {missing} were published but never hashed"
+                f"partitions {missing} were published but never built"
             )
-        subgraphs: list[DeBruijnGraph] = []
-        stats = HashStats()
-        for part in merger.live:
-            payload = by_partition[part]
-            stats = stats.merged_with(payload["stats"])
-            if payload["fallback"] is not None:
-                subgraphs.append(payload["fallback"])
-                continue
-            seg = merger.segments[part]
-            layout, protocol, n_shards = _table_axes(cfg)
-            table = table_over_segment(seg, cfg.k, fresh=False,
-                                       layout=layout, n_shards=n_shards,
-                                       protocol=protocol)
-            table.n_occupied = int(seg["header"][HEADER_N_OCCUPIED])
-            subgraphs.append(table.to_graph())
-            table.detach_views()
+        t2 = time.perf_counter()
     finally:
-        merger.unlink_segments()
-    t2 = time.perf_counter()
-
-    io_seconds = merger.io_seconds
-    if output_dir is not None and subgraphs:
-        t_io = time.perf_counter()
-        _save_partition_subgraphs(output_dir, subgraphs, cfg.k)
-        io_seconds += time.perf_counter() - t_io
+        if tmp is not None:
+            tmp.cleanup()
 
     spills_done = merger.spills_done_at or t2
-    graph = _merge_partition_subgraphs(subgraphs, cfg.k)
-    step1_reports = [merger.reports[w] for w in sorted(merger.reports)]
-    return ParaHashResult(
-        graph=graph,
-        subgraphs=subgraphs,
-        hash_stats=stats,
-        timings=StageTimings(
+    records: dict[str, WorkerRecord] = {}
+    for w in range(n_workers):
+        record = WorkerRecord(name=f"proc{w}",
+                              items_processed=merger.reports[w]["n_reads"])
+        for partition, n_kmers in built[w]:
+            record.partitions.append(partition)
+            record.items_processed += n_kmers
+        records[record.name] = record
+    return finish_build(
+        cfg, [merger.results[part] for part in merger.live],
+        StageTimings(
             msp_seconds=spills_done - t0,
             hashing_seconds=max(0.0, (t2 - spills_done) - merger.io_seconds),
-            io_seconds=io_seconds,
+            io_seconds=merger.io_seconds,
         ),
+        output_dir,
         n_superkmers=merger.n_superkmers,
         n_kmers=int(merger.kmers_per_partition.sum()),
         partition_bytes=merger.partition_bytes,
-        config=cfg,
-        worker_records=_worker_records(
-            step1_reports, [r["step2"] for r in results]
-        ),
+        worker_records=records,
     )
-
-
-def _worker_records(step1_reports: list[dict],
-                    step2_payloads: list[list[dict]]) -> dict[str, WorkerRecord]:
-    """Fold both steps' reports into §III-E-style worker records."""
-    records: dict[str, WorkerRecord] = {}
-    for w, report in enumerate(step1_reports):
-        records[f"proc{w}"] = WorkerRecord(
-            name=f"proc{w}",
-            partitions=[],
-            items_processed=report["n_reads"],
-        )
-    for w, payloads in enumerate(step2_payloads):
-        record = records.setdefault(f"proc{w}", WorkerRecord(name=f"proc{w}"))
-        for payload in payloads:
-            record.partitions.append(payload["partition"])
-            record.items_processed += payload["n_kmers"]
-    return records
 
 
 # -- cross-process CAS validation path -------------------------------------------

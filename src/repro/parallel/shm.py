@@ -1,16 +1,14 @@
 """Shared-memory segments for the process backend.
 
-The process backend (:mod:`repro.parallel.backend`) moves the big
-arrays of a ParaHash run — the read-code matrix and the hash-table
-arrays (``state``, ``keys``, ``counts``; for k > 31 the split-key
-planes ``keys_hi``/``keys_lo``) — into
-:mod:`multiprocessing.shared_memory` segments so that
-
-* worker processes operate on the *same* physical memory the parent
-  reads results from (no pickling of multi-megabyte arrays), and
-* the state-transfer protocol's occupancy flags live in genuinely
-  concurrent memory when several processes insert into one table
-  (see :mod:`repro.parallel.atomics_mp`).
+The process backend (:mod:`repro.parallel.backend`) moves the read-code
+matrix of a ParaHash run into a :mod:`multiprocessing.shared_memory`
+segment, so every Step-1 worker reads the *same* physical memory (no
+pickling of a multi-megabyte array).  Its cross-process CAS path keeps
+one hash table's arrays (``state``, ``keys``, ``counts``; for k > 31
+the split-key planes ``keys_hi``/``keys_lo``) in a segment too, so the
+state-transfer protocol's occupancy flags live in genuinely concurrent
+memory when several processes insert into that table (see
+:mod:`repro.parallel.atomics_mp`).
 
 Lifetime rules
 --------------
@@ -197,18 +195,11 @@ def attach_read_batch(spec: SegmentSpec):
 
 # -- hash tables ----------------------------------------------------------------
 
-#: Header slots of a table segment (int64): occupied-entry count,
-#: patched by the process that filled the table.
-HEADER_N_OCCUPIED = 0
-_HEADER_LEN = 2
-
-
 def create_table_segment(capacity: int, k: int,
                          n_shards: int = 1) -> SharedSegment:
     """Zero-filled backing store for one hash table (one- or two-word).
 
-    Layout matches the table's arrays plus a small int64 header the
-    filling worker patches (``n_occupied``).  ``capacity`` must already
+    Layout matches the table's arrays.  ``capacity`` must already
     be the table's true (power-of-two) capacity for the flat layout;
     with ``n_shards > 1`` it is rounded so each of the ``n_shards``
     contiguous slices is itself a power of two (the sharded layout of
@@ -234,14 +225,12 @@ def create_table_segment(capacity: int, k: int,
 
         check_2w_k(k)
         return create_segment([
-            ("header", (_HEADER_LEN,), "int64"),
             ("state", (capacity,), "int8"),
             ("keys_hi", (capacity,), "uint64"),
             ("keys_lo", (capacity,), "uint64"),
             ("counts", (capacity, N_SLOTS), "uint32"),
         ])
     return create_segment([
-        ("header", (_HEADER_LEN,), "int64"),
         ("state", (capacity,), "int8"),
         ("keys", (capacity,), "uint64"),
         ("counts", (capacity, N_SLOTS), "uint32"),

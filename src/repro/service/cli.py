@@ -18,9 +18,8 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from ..util.bytesize import bytes2human
 from ..util.tables import render_table
-from .jobstore import JobError, JobSpec, JobStore
+from .jobstore import JobError, JobStore
 from .pool import ServicePool
 from .runner import JobFailed, run_job
 from .server import ServiceApp, serve_in_thread
@@ -49,15 +48,6 @@ def add_service_commands(sub) -> None:
     p.add_argument("--step1-tasks", type=int, default=2)
     p.add_argument("--weight", type=int, default=1,
                    help="claim weight (relative share of the pool)")
-    p.add_argument("--max-memory", default="0",
-                   help="memory budget, human units ok (e.g. 4G)")
-    p.add_argument("--table-layout", choices=["flat", "sharded"],
-                   default="flat", help="hash-table layout for the build")
-    p.add_argument("--insert-protocol", choices=["locked", "lockfree"],
-                   default="locked", help="per-slot insert protocol")
-    p.add_argument("--shards", type=int, default=8,
-                   help="shard count for --table-layout sharded "
-                        "(power of two)")
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("jobs", help="list jobs (from a daemon or from disk)")
@@ -116,10 +106,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "n_partitions": args.partitions,
         "n_step1_tasks": args.step1_tasks,
         "claim_weight": args.weight,
-        "max_memory": args.max_memory,
-        "table_layout": args.table_layout,
-        "insert_protocol": args.insert_protocol,
-        "n_shards": args.shards,
     }
     reply = _http(f"{args.url.rstrip('/')}/jobs", "POST", spec)
     print(reply["id"])
@@ -137,8 +123,6 @@ def _job_rows(docs: list[dict]) -> list[list[str]]:
             str(spec.get("n_partitions", "?")),
             str(doc.get("claim_weight", spec.get("claim_weight", "?"))),
             doc.get("stage", "-") or "-",
-            bytes2human(int(spec["max_memory"]))
-            if spec.get("max_memory") else "-",
         ])
     return rows
 
@@ -156,7 +140,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         print("no jobs")
         return 0
     print(render_table(
-        ["job", "status", "k", "parts", "weight", "stage", "mem"],
+        ["job", "status", "k", "parts", "weight", "stage"],
         _job_rows(docs),
     ))
     return 0

@@ -29,7 +29,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from ..util.bytesize import human2bytes
 from .manifest import read_json, write_json_atomic
 
 #: Job lifecycle states.  ``queued -> running -> done|failed|cancelled``;
@@ -63,19 +62,15 @@ class JobSpec:
     p: int = 4
     n_partitions: int = 8
     n_step1_tasks: int = 2
-    preaggregate: bool = False
     claim_weight: int = 1
-    max_memory: int = 0  # bytes; 0 = unlimited
     step2_delay: float = 0.0
-    lam: float = 2.0
-    alpha: float = 0.7
-    table_layout: str = "flat"
-    insert_protocol: str = "locked"
-    n_shards: int = 8
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_K_2W:
-            raise JobError(f"need 1 <= k <= {MAX_K_2W}, got k={self.k}")
+        if not 1 <= self.k <= MAX_K_2W or self.k == 32:
+            raise JobError(
+                f"k must be in 1..31 (one-word keys) or 33..{MAX_K_2W} "
+                f"(two-word keys), got k={self.k}"
+            )
         if not 1 <= self.p <= self.k:
             raise JobError(f"need 1 <= p <= k, got p={self.p}, k={self.k}")
         if self.n_partitions < 1:
@@ -86,24 +81,6 @@ class JobSpec:
             raise JobError("claim_weight must be >= 1")
         if self.step2_delay < 0:
             raise JobError("step2_delay must be >= 0")
-        if self.max_memory < 0:
-            raise JobError("max_memory must be >= 0")
-        from ..core.config import INSERT_PROTOCOLS, TABLE_LAYOUTS
-
-        if self.table_layout not in TABLE_LAYOUTS:
-            raise JobError(
-                f"table_layout must be one of {TABLE_LAYOUTS}, "
-                f"got {self.table_layout!r}"
-            )
-        if self.insert_protocol not in INSERT_PROTOCOLS:
-            raise JobError(
-                f"insert_protocol must be one of {INSERT_PROTOCOLS}, "
-                f"got {self.insert_protocol!r}"
-            )
-        if self.n_shards < 1 or self.n_shards & (self.n_shards - 1):
-            raise JobError(
-                f"n_shards must be a positive power of two, got {self.n_shards}"
-            )
 
     @property
     def big_k(self) -> bool:
@@ -115,8 +92,7 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
-        """Build a spec from submitted JSON, tolerating human-readable
-        sizes (``"max_memory": "4G"``) and unknown keys (rejected)."""
+        """Build a spec from submitted JSON; unknown keys are rejected."""
         if not isinstance(d, dict):
             raise JobError(f"job spec must be an object, got {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
@@ -125,14 +101,8 @@ class JobSpec:
             raise JobError(f"unknown job spec fields: {', '.join(unknown)}")
         if "input" not in d:
             raise JobError("job spec requires 'input'")
-        kwargs = dict(d)
-        if "max_memory" in kwargs:
-            try:
-                kwargs["max_memory"] = human2bytes(kwargs["max_memory"])
-            except (ValueError, TypeError) as exc:
-                raise JobError(f"bad max_memory: {exc}") from exc
         try:
-            return cls(**kwargs)
+            return cls(**d)
         except TypeError as exc:
             raise JobError(f"bad job spec: {exc}") from exc
 

@@ -169,13 +169,7 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
         # -- Step 2: one subgraph per partition, checkpointed each ---------------
         record.write_status(stage="step2", step2_done=0,
                             step2_total=len(partition_files))
-        step2_params = {
-            "k": spec.k, "lam": spec.lam, "alpha": spec.alpha,
-            "preaggregate": spec.preaggregate,
-            "table_layout": spec.table_layout,
-            "insert_protocol": spec.insert_protocol,
-            "n_shards": spec.n_shards,
-        }
+        step2_params = {"k": spec.k}
         partition_digests = {
             part: file_digest(path)
             for part, path in enumerate(partition_files)
@@ -196,12 +190,7 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
                 "partition_file": str(path),
                 "out_path": str(record.subgraph_dir
                                 / f"subgraph_{part:04d}.phdbg"),
-                "k": spec.k, "lam": spec.lam, "alpha": spec.alpha,
-                "preaggregate": spec.preaggregate,
-                "table_layout": spec.table_layout,
-                "insert_protocol": spec.insert_protocol,
-                "n_shards": spec.n_shards,
-                "delay": spec.step2_delay,
+                "k": spec.k, "delay": spec.step2_delay,
             })
 
         def step2_done(_task_id, result) -> None:

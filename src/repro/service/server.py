@@ -95,16 +95,19 @@ class ServiceApp:
     def resume(self, job_id: str) -> None:
         record = self.store.load(job_id)  # raises JobError if unknown
         with self._lock:
-            if job_id in self._active:
-                raise JobError(f"job {job_id} is already active")
+            active = self._active.get(job_id)
+        if active is not None and record.status in ("cancelled", "failed"):
+            # The job's thread has stamped its final state and is only
+            # returning its lane; a resume waits for it, not refuses.
+            # (A launch stamps ``queued`` before it registers, so a
+            # final state here never belongs to a thread still to run.)
+            active.thread.join()
         if record.status == "done":
             raise JobError(f"job {job_id} already completed")
-        self._launch(record)
+        self._launch(record, requeue=True)
 
-    def _launch(self, record) -> None:
+    def _launch(self, record, requeue: bool = False) -> None:
         active = _ActiveJob(record.job_id)
-        with self._lock:
-            self._active[record.job_id] = active
 
         def drive() -> None:
             session = None
@@ -132,6 +135,12 @@ class ServiceApp:
         active.thread = threading.Thread(
             target=drive, name=f"job-{record.job_id}", daemon=True
         )
+        with self._lock:
+            if record.job_id in self._active:
+                raise JobError(f"job {record.job_id} is already active")
+            if requeue:
+                record.set_state("queued")
+            self._active[record.job_id] = active
         active.thread.start()
 
     def cancel(self, job_id: str) -> dict:

@@ -20,8 +20,8 @@ Task kinds
            partial spills.
 
 ``step2``  one merged partition file -> one subgraph ``.phdbg`` file.
-           Builds the partition's hash table (one- or two-word by k)
-           and saves the subgraph atomically.  ``delay`` sleeps first —
+           Builds the partition's subgraph (one- or two-word by k) as
+           its single owner and saves it atomically.  ``delay`` sleeps first —
            the fault-injection window tests SIGKILL into.
 
 The merge between the two (spills -> canonical partition files) and the
@@ -35,7 +35,6 @@ import os
 import time
 from pathlib import Path
 
-from ..core.estimator import SizingPolicy
 from ..core.subgraph import build_subgraph
 from ..dna.io import load_read_batch
 from ..msp.partitioner import SpillWriterSet, load_partition_group, partition_reads
@@ -95,29 +94,16 @@ def _run_step2(task: dict) -> dict:
     k = int(task["k"])
     partition = int(task["partition"])
     block = load_partition_group([Path(task["partition_file"])], k)
-    policy = SizingPolicy(lam=float(task.get("lam", 2.0)),
-                          alpha=float(task.get("alpha", 0.7)))
-    preaggregate = bool(task.get("preaggregate", False))
-    table_layout = str(task.get("table_layout", "flat"))
-    insert_protocol = str(task.get("insert_protocol", "locked"))
-    n_shards = int(task.get("n_shards", 8))
+    built = build_subgraph(block)
     out_path = Path(task["out_path"])
+    tmp = out_path.with_name(out_path.name + ".tmp")
     if k > 31:
-        from ..bigk import build_subgraph_2w
         from ..bigk.serialize import save_big_graph
-        built = build_subgraph_2w(block, policy, preaggregate=preaggregate,
-                                  protocol=insert_protocol,
-                                  table_layout=table_layout,
-                                  n_shards=n_shards)
-        tmp = out_path.with_name(out_path.name + ".tmp")
+
         n_bytes = save_big_graph(tmp, built.graph)
     else:
         from ..graph.serialize import save_graph
-        built = build_subgraph(block, policy, preaggregate=preaggregate,
-                               protocol=insert_protocol,
-                               table_layout=table_layout,
-                               n_shards=n_shards)
-        tmp = out_path.with_name(out_path.name + ".tmp")
+
         n_bytes = save_graph(tmp, built.graph)
     atomic_replace(tmp, out_path)
     return {

@@ -29,6 +29,7 @@ from repro.bigk.store import (
 from repro.bigk.table import TwoWordHashTable, hash_planes, hash_planes_int
 from repro.dna.kmer import canonical_int, iter_kmers, revcomp_int
 from repro.msp.partitioner import partition_reads
+from repro.core.subgraph import build_subgraph_table
 
 BIG_KS = [33, 41, 48, 63]
 
@@ -258,13 +259,13 @@ class TestBigKPreaggregate:
 
     @pytest.mark.parametrize("k", [33, 45])
     def test_preaggregated_build_equals_plain(self, genomic_batch, k):
-        plain = build_debruijn_graph_bigk(
-            genomic_batch, k, p=13, n_partitions=8, preaggregate=False
-        )
-        agg = build_debruijn_graph_bigk(
-            genomic_batch, k, p=13, n_partitions=8, preaggregate=True
-        )
-        assert agg.equals(plain)
+        """Row-built subgraphs equal the per-observation table's."""
+        for block in partition_reads(genomic_batch, k, 13, 8).blocks:
+            if block.n_superkmers:
+                agg = build_subgraph_2w(block)
+                plain = build_subgraph_table(block)
+                assert agg.graph.equals(plain.graph)
+                assert agg.stats.lock_reduction == plain.stats.lock_reduction
 
     def test_counted_insert_stats_order_independent(self, genomic_batch):
         """Row inserts meter ops/updates as if replayed one by one."""
@@ -304,7 +305,7 @@ class TestBigKRegrow:
                                              dtype=np.uint8))
         block = partition_reads(batch, 41, 13, 1).blocks[0]
         policy = SizingPolicy(lam=0.5, alpha=0.9)
-        result = build_subgraph_2w(block, policy=policy, preaggregate=True)
+        result = build_subgraph_table(block, policy=policy)
         assert result.n_regrows > 0
         assert result.graph.equals(build_subgraph_2w_sortmerge(block))
         # Never past the hard bound: one slot per instance at alpha.
@@ -320,13 +321,13 @@ class TestBigKRegrow:
                                              dtype=np.uint8))
         block = partition_reads(batch, 41, 13, 1).blocks[0]
         with pytest.raises(TableFullError):
-            build_subgraph_2w(block, policy=SizingPolicy(lam=0.5, alpha=0.9),
-                              allow_regrow=False)
+            build_subgraph_table(block, policy=SizingPolicy(lam=0.5, alpha=0.9),
+                                 allow_regrow=False)
 
     def test_covered_genome_never_regrows(self, genomic_batch):
         for block in partition_reads(genomic_batch, 41, 13, 4).blocks:
             if block.n_superkmers:
-                assert build_subgraph_2w(block).n_regrows == 0
+                assert build_subgraph_table(block).n_regrows == 0
 
 
 class TestBigKPartitionCodec:

@@ -254,7 +254,7 @@ class TestBigKCli:
         assert rc == 0
         rc = main(["build", "--input", str(reads_file), "--k", "41",
                    "--p", "15", "--partitions", "4",
-                   "--backend", "processes", "--workers", "2", "--pipeline",
+                   "--backend", "processes", "--workers", "2",
                    "--output", str(proc_out)])
         assert rc == 0
         assert load_big_graph(proc_out).equals(load_big_graph(serial_out))
@@ -264,39 +264,6 @@ class TestBigKCli:
             main(["build", "--input", str(reads_file), "--k", "32",
                   "--output", str(tmp_path / "g.phdbg")])
         assert not (tmp_path / "g.phdbg").exists()
-
-    def test_bigk_preaggregate_flag_threaded_through(
-        self, reads_file, tmp_path, monkeypatch
-    ):
-        # Regression: the big-k serial path used to drop --preaggregate
-        # entirely.  Count calls into the 2w pre-aggregation kernel.
-        import repro.bigk.construct as construct_mod
-
-        calls = {"n": 0}
-        real = construct_mod.preaggregate_observations_2w
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(construct_mod,
-                            "preaggregate_observations_2w", counting)
-        base = ["build", "--input", str(reads_file), "--k", "41",
-                "--p", "15", "--partitions", "4"]
-        rc = main(base + ["--output", str(tmp_path / "a.phdbg")])
-        assert rc == 0
-        assert calls["n"] > 0
-        calls["n"] = 0
-        rc = main(base + ["--no-preaggregate",
-                          "--output", str(tmp_path / "b.phdbg")])
-        assert rc == 0
-        assert calls["n"] == 0
-        # Flag or not, the graph is identical.
-        from repro.bigk import load_big_graph
-
-        assert load_big_graph(tmp_path / "a.phdbg").equals(
-            load_big_graph(tmp_path / "b.phdbg")
-        )
 
     def test_threads_backend_builds_large_k(self, reads_file, tmp_path):
         from repro.bigk import load_big_graph

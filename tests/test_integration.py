@@ -104,7 +104,7 @@ class TestAllPathsAgree:
         slow = build_reference_bigk_slow(reads, k)
         cfg = ParaHashConfig(
             k=k, p=15, n_partitions=NP, backend="processes",
-            n_workers=2, pipeline=True,
+            n_workers=2,
         )
         result = ParaHash(cfg).build_graph(reads)
         assert result.graph.equals(slow)

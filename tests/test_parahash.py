@@ -140,6 +140,18 @@ class TestEndToEnd:
         assert_graphs_equal(result.graph, ref, "from-files")
         assert result.n_kmers == genomic_batch.n_kmers(15)
 
+        # Two-word keys take the same Step-2 tail, subgraph files included.
+        from repro.bigk import build_reference_bigk_slow, load_big_graph
+
+        big = ParaHash(cfg.with_(k=45, p=13)).build_graph_from_files(
+            shards, workdir=tmp_path / "work45", output_dir=tmp_path / "out45"
+        )
+        assert big.graph.equals(build_reference_bigk_slow(genomic_batch, 45))
+        assert big.n_kmers == genomic_batch.n_kmers(45)
+        files = sorted((tmp_path / "out45").iterdir())
+        assert len(files) == len(big.subgraphs)
+        assert load_big_graph(files[0]).equals(big.subgraphs[0])
+
     def test_build_from_files_requires_input(self, tmp_path):
         with pytest.raises(ValueError):
             ParaHash(ParaHashConfig(k=15, p=7)).build_graph_from_files(

@@ -152,7 +152,7 @@ def test_cross_process_cas_matches_serial_insert(genomic_batch, rng):
     assert sum(s.ops for s in stats) == kmers.size
 
 
-# -- big-k (k > 31): two-word shm tables end-to-end -------------------------------
+# -- big-k (k > 31): two-word keys end-to-end ------------------------------------
 
 BIGK_CFG = ParaHashConfig(k=45, p=15, n_partitions=16, n_input_pieces=4)
 
@@ -160,17 +160,9 @@ BIGK_CFG = ParaHashConfig(k=45, p=15, n_partitions=16, n_input_pieces=4)
 def test_bigk_processes_matches_serial_pipelined(genomic_batch):
     serial = ParaHash(BIGK_CFG).build_graph(genomic_batch)
     procs = ParaHash(
-        BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        BIGK_CFG.with_(backend="processes", n_workers=2)
     ).build_graph(genomic_batch)
     assert serial.graph.n_vertices > 0
-    assert serial.graph.equals(procs.graph)
-
-
-def test_bigk_processes_matches_serial_barrier(clean_batch):
-    serial = ParaHash(BIGK_CFG).build_graph(clean_batch)
-    procs = ParaHash(
-        BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=False)
-    ).build_graph(clean_batch)
     assert serial.graph.equals(procs.graph)
 
 
@@ -200,7 +192,8 @@ def test_bigk_processes_disk_artifacts_match_serial(clean_batch, tmp_path):
 
 
 def test_bigk_processes_fallback_on_undersized_tables(clean_batch):
-    """A breached Property-1 estimate regrows locally, graph unchanged."""
+    """An undersized Property-1 estimate cannot change the graph: a
+    partition's owner builds from its rows and sizes no table."""
     from repro.core.estimator import SizingPolicy
 
     class Undersized(SizingPolicy):
@@ -208,12 +201,10 @@ def test_bigk_processes_fallback_on_undersized_tables(clean_batch):
             return 32
 
     serial = ParaHash(BIGK_CFG).build_graph(clean_batch)
-    for pipeline in (True, False):
-        procs = ParaHash(BIGK_CFG.with_(
-            backend="processes", n_workers=2, pipeline=pipeline,
-            sizing=Undersized(),
-        )).build_graph(clean_batch)
-        assert serial.graph.equals(procs.graph)
+    procs = ParaHash(BIGK_CFG.with_(
+        backend="processes", n_workers=2, sizing=Undersized(),
+    )).build_graph(clean_batch)
+    assert serial.graph.equals(procs.graph)
 
 
 def test_cross_process_cas_2w_matches_serial_insert(genomic_batch, rng):
@@ -250,29 +241,18 @@ def test_cross_process_cas_2w_rejects_small_k():
         )
 
 
-# -- CI backend x k x layout x protocol matrix leg --------------------------------
+# -- CI backend x k matrix leg ----------------------------------------------------
 #
 # In CI the `matrix` suite runs this module with REPRO_MATRIX_K and
 # REPRO_MATRIX_BACKEND set (k in {21, 45} x backend in {serial,
-# threads, processes}), and the table-axes legs add REPRO_MATRIX_LAYOUT
-# x REPRO_MATRIX_PROTOCOL ({flat, sharded} x {locked, lockfree});
-# locally the acceptance-criterion cell (k=45 on the pipelined
-# processes backend with the sharded layout and lock-free protocol)
-# runs by default.
+# threads, processes}); locally the k=45 processes cell runs by default.
 
 MATRIX_K = int(os.environ.get("REPRO_MATRIX_K", "45"))
 MATRIX_BACKEND = os.environ.get("REPRO_MATRIX_BACKEND", "processes")
-MATRIX_LAYOUT = os.environ.get("REPRO_MATRIX_LAYOUT", "sharded")
-MATRIX_PROTOCOL = os.environ.get("REPRO_MATRIX_PROTOCOL", "lockfree")
 
 
 def test_matrix_cell_cli_build_matches_serial(genomic_batch, tmp_path):
-    """`repro build` at the (k, backend, layout, protocol) cell equals serial.
-
-    The serial reference always builds flat/locked; the cell build uses
-    the matrix layout and protocol, so every leg also asserts the
-    cross-axes graph identity the sharded/lock-free refactor promises.
-    """
+    """`repro build` at the (k, backend) cell equals the serial build."""
     from repro.cli import main as cli_main
     from repro.dna.io import save_read_batch
     from repro.graph.compare import compare_graphs
@@ -287,12 +267,8 @@ def test_matrix_cell_cli_build_matches_serial(genomic_batch, tmp_path):
     assert cli_main(base + ["--backend", "serial",
                             "--output", str(serial_out)]) == 0
     cell_out = tmp_path / "cell.phdbg"
-    argv = base + ["--backend", backend, "--output", str(cell_out),
-                   "--table-layout", MATRIX_LAYOUT,
-                   "--insert-protocol", MATRIX_PROTOCOL]
-    if backend == "processes":
-        argv += ["--workers", "2", "--pipeline"]
-    elif backend == "threads":
+    argv = base + ["--backend", backend, "--output", str(cell_out)]
+    if backend != "serial":
         argv += ["--workers", "2"]
     assert cli_main(argv) == 0
 

@@ -1,11 +1,11 @@
 """Pipelined process-backend tests (Step-1→Step-2 streaming).
 
-The contract: the streaming driver — one pool, spill manifests over the
-event channel, ready-queue partition claims — must produce graphs and
-on-disk artifacts byte-identical to both the barrier driver and the
-serial backend, keep crash containment (a dying Step-2 worker surfaces
-as :class:`WorkerCrashed`, never a ready-queue hang), and pre-aggregation
-must leave ``HashStats.lock_reduction`` untouched.
+The contract: the streaming driver — one pool, spill manifests and
+built subgraphs over the event channel, ready-queue partition claims —
+must produce graphs and on-disk artifacts byte-identical to the serial
+backend, keep crash containment (a dying Step-2 worker surfaces as
+:class:`WorkerCrashed`, never a ready-queue hang), and building from
+vertex rows must leave ``HashStats.lock_reduction`` untouched.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.core.parahash import ParaHash
 from repro.core.subgraph import (
     block_observations,
     build_subgraph,
+    build_subgraph_table,
     preaggregate_observations,
 )
 from repro.core.hashtable import ConcurrentHashTable
@@ -46,37 +47,25 @@ def assert_graphs_identical(a, b):
 # -- equivalence ------------------------------------------------------------------
 
 
-def test_pipelined_matches_serial_and_barrier(genomic_batch):
-    serial = ParaHash(CFG.with_(pipeline=False)).build_graph(genomic_batch)
-    barrier = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=False)
-    ).build_graph(genomic_batch)
+def test_pipelined_matches_serial(genomic_batch):
+    serial = ParaHash(CFG).build_graph(genomic_batch)
     pipelined = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        CFG.with_(backend="processes", n_workers=2)
     ).build_graph(genomic_batch)
     assert serial.graph.n_vertices > 0
-    assert_graphs_identical(serial.graph, barrier.graph)
     assert_graphs_identical(serial.graph, pipelined.graph)
     assert pipelined.n_kmers == serial.n_kmers
     assert pipelined.n_superkmers == serial.n_superkmers
+    assert pipelined.hash_stats == serial.hash_stats
 
 
 def test_pipelined_matches_across_worker_counts(clean_batch):
     serial = ParaHash(CFG).build_graph(clean_batch)
     for w in (1, 3):
         result = ParaHash(
-            CFG.with_(backend="processes", n_workers=w, pipeline=True)
+            CFG.with_(backend="processes", n_workers=w)
         ).build_graph(clean_batch)
         assert_graphs_identical(serial.graph, result.graph)
-
-
-def test_pipelined_without_preaggregation_matches(clean_batch):
-    serial = ParaHash(CFG).build_graph(clean_batch)
-    result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True,
-                  preaggregate=False)
-    ).build_graph(clean_batch)
-    assert_graphs_identical(serial.graph, result.graph)
 
 
 def test_pipelined_disk_artifacts_match_serial(clean_batch, tmp_path):
@@ -84,8 +73,7 @@ def test_pipelined_disk_artifacts_match_serial(clean_batch, tmp_path):
     outs = {}
     for label, cfg in (
         ("serial", CFG),
-        ("pipelined", CFG.with_(backend="processes", n_workers=2,
-                                pipeline=True)),
+        ("pipelined", CFG.with_(backend="processes", n_workers=2)),
     ):
         work = tmp_path / label / "work"
         out = tmp_path / label / "out"
@@ -113,7 +101,7 @@ def test_pipelined_disk_artifacts_match_serial(clean_batch, tmp_path):
 
 def test_pipelined_worker_records_cover_both_steps(genomic_batch):
     result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        CFG.with_(backend="processes", n_workers=2)
     ).build_graph(genomic_batch)
     records = result.worker_records
     assert set(records) == {"proc0", "proc1"}
@@ -126,7 +114,7 @@ def test_pipelined_empty_input(tmp_path):
         codes=np.zeros((0, 50), dtype=np.uint8)
     )
     result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        CFG.with_(backend="processes", n_workers=2)
     ).build_graph(empty)
     assert result.graph.n_vertices == 0
 
@@ -134,8 +122,7 @@ def test_pipelined_empty_input(tmp_path):
 def test_calibrated_dispatch_matches_serial(clean_batch):
     serial = ParaHash(CFG).build_graph(clean_batch)
     result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True,
-                  calibrate=True)
+        CFG.with_(backend="processes", n_workers=2, calibrate=True)
     ).build_graph(clean_batch)
     assert_graphs_identical(serial.graph, result.graph)
 
@@ -199,16 +186,16 @@ def test_lock_reduction_unchanged_by_preaggregation(genomic_batch):
 
     The metered protocol stats — ops, inserts, key locks, updates,
     count increments, and therefore ``lock_reduction`` exactly — must
-    be identical whether observations hit the table one by one or
-    pre-aggregated with counts.
+    be identical whether observations hit the paper's table one by one
+    or the partition's rows become its subgraph directly.
     """
     parts = partition_reads(genomic_batch, CFG.k, CFG.p, CFG.n_partitions)
     checked = 0
     for block in parts.blocks:
         if not block.n_superkmers:
             continue
-        plain = build_subgraph(block, preaggregate=False)
-        agg = build_subgraph(block, preaggregate=True)
+        plain = build_subgraph_table(block)
+        agg = build_subgraph(block)
         assert_graphs_identical(plain.graph, agg.graph)
         assert agg.stats.ops == plain.stats.ops
         assert agg.stats.inserts == plain.stats.inserts
@@ -233,11 +220,11 @@ def test_preaggregation_shrinks_table_touches(genomic_batch):
 # -- crash containment ------------------------------------------------------------
 
 
-def _exploding_step2(job, sizing, preaggregate):
+def _exploding_step2(job):
     raise RuntimeError(f"step2 exploded on partition {job.partition}")
 
 
-def _vanishing_step2(job, sizing, preaggregate):
+def _vanishing_step2(job):
     os._exit(23)  # simulate a segfault: no traceback, no result
 
 
@@ -248,7 +235,7 @@ def test_dying_step2_worker_surfaces_workercrashed(genomic_batch, monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(WorkerCrashed):
         ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=True)
+            CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert time.perf_counter() - t0 < 60.0
 
@@ -258,7 +245,7 @@ def test_raising_step2_worker_surfaces_workerfailed(genomic_batch, monkeypatch):
     monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
     with pytest.raises(WorkerFailed) as excinfo:
         ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=True)
+            CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert "step2 exploded" in str(excinfo.value)
 
@@ -274,7 +261,7 @@ def test_failing_merger_tears_down_pool(genomic_batch, monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="merger failed"):
         ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=True)
+            CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert time.perf_counter() - t0 < 60.0
 

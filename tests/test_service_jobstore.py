@@ -23,23 +23,24 @@ class TestJobSpec:
     @pytest.mark.parametrize("bad", [
         dict(k=0), dict(k=64), dict(p=0), dict(p=16),  # p > k=15
         dict(n_partitions=0), dict(n_step1_tasks=0),
-        dict(claim_weight=0), dict(step2_delay=-1.0), dict(max_memory=-1),
+        dict(claim_weight=0), dict(step2_delay=-1.0), dict(k=32),
     ])
     def test_validation(self, bad):
         with pytest.raises(JobError):
             spec(**bad)
 
     def test_round_trip(self):
-        s = spec(claim_weight=3, preaggregate=True)
+        s = spec(claim_weight=3, step2_delay=0.5)
         assert JobSpec.from_dict(s.to_dict()) == s
-
-    def test_from_dict_human_memory(self):
-        s = JobSpec.from_dict({"input": "/r.fa", "max_memory": "2K"})
-        assert s.max_memory == 2048
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(JobError, match="unknown"):
             JobSpec.from_dict({"input": "/r.fa", "kmer": 15})
+        # A job.json written before a field was retired is refused too.
+        for retired in ("max_memory", "lam", "alpha", "preaggregate",
+                        "table_layout", "insert_protocol", "n_shards"):
+            with pytest.raises(JobError, match=f"unknown.*{retired}"):
+                JobSpec.from_dict({"input": "/r.fa", retired: 1})
 
     def test_from_dict_requires_input(self):
         with pytest.raises(JobError, match="input"):

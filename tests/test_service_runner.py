@@ -126,9 +126,9 @@ class TestInvalidation:
         record = store.create(make_spec(reads_file))
         run_job(record)
         before = stamps(record)
-        # same directory, new spec: a resubmit with different lam
+        # same store, new spec: a resubmit with a different partitioning
         record2 = store.create(
-            make_spec(reads_file, lam=3.0)
+            make_spec(reads_file, n_partitions=5)
         )
         run_job(record2)
         assert record2.status == "done"

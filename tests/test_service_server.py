@@ -1,6 +1,7 @@
 """End-to-end tests for the asyncio HTTP front end (repro serve)."""
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -134,6 +135,46 @@ class TestEndpoints:
         assert "already active" in reply["error"]
         http("POST", f"{url}/jobs/{job_id}/cancel")
         wait_status(url, job_id, ("cancelled", "done"))
+
+
+def test_resume_waits_for_cancelled_job_to_leave(tmp_path, reads_file,
+                                                 monkeypatch):
+    """A resume landing after the job thread stamped ``cancelled`` but
+    before it left the active set waits for it instead of answering
+    "already active".  The job thread is held in that window (inside
+    its lane release) until the resume is under way."""
+    from repro.service import JobSpec
+
+    pool = ServicePool(n_workers=2, n_lanes=2).start()
+    app = ServiceApp(JobStore(tmp_path / "jobs"), pool,
+                     lane_timeout=120.0, stall_timeout=120.0)
+    in_window = threading.Event()
+    gate = threading.Event()
+    real_release = pool.release
+
+    def held_release(session):
+        in_window.set()
+        assert gate.wait(60.0)
+        real_release(session)
+
+    monkeypatch.setattr(pool, "release", held_release)
+    try:
+        job_id = app.submit(JobSpec.from_dict(
+            spec_doc(reads_file, step2_delay=2.0)))
+        app.cancel(job_id)
+        assert in_window.wait(60.0)
+        record = app.store.load(job_id)
+        assert record.status == "cancelled"
+        assert app.describe_job(job_id)["active"]
+        threading.Timer(0.2, gate.set).start()
+        app.resume(job_id)
+        deadline = time.monotonic() + 120.0
+        while record.status != "done" and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert record.status == "done"
+    finally:
+        gate.set()
+        pool.close()
 
 
 class TestMultiTenancy:

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.bigk.construct import build_subgraph_2w
+from repro.bigk.construct import block_observations_2w, build_subgraph_2w
 from repro.bigk.kmer2w import join_planes, split_int
 from repro.bigk.table import TwoWordHashTable, hash_planes_int
 from repro.concurrentsub.hashfunc import mix64_int
@@ -25,7 +25,11 @@ from repro.core.hashtable import (
     HashStats,
     TableFullError,
 )
-from repro.core.subgraph import build_subgraph
+from repro.core.subgraph import (
+    block_observations,
+    build_subgraph,
+    observation_pairs,
+)
 from repro.graph.compare import compare_graphs
 from repro.msp.partitioner import partition_reads
 from repro.parallel.sharded import (
@@ -134,14 +138,29 @@ def test_combo_matches_flat_locked_two_word(rng, layout, protocol):
     assert_identical(reference.to_graph(), table.to_graph())
 
 
+def _table_graph(block, layout, protocol, two_word):
+    """Every observation of ``block`` through one table of the combo."""
+    if two_word:
+        arrays = observation_pairs(*block_observations_2w(block))
+        flat, sharded = TwoWordHashTable, ShardedTwoWordHashTable
+    else:
+        arrays = observation_pairs(*block_observations(block))
+        flat, sharded = ConcurrentHashTable, ShardedHashTable
+    capacity = 4 * block.total_kmers()
+    if layout == "sharded":
+        table = sharded(capacity, block.k, n_shards=4, protocol=protocol)
+    else:
+        table = flat(capacity, block.k, protocol=protocol)
+    table.insert_batch(*arrays)
+    return table.to_graph()
+
+
 @pytest.mark.parametrize("layout,protocol", COMBOS)
 def test_build_subgraph_combo_equivalence(clean_batch, layout, protocol):
     blocks = partition_reads(clean_batch, k=21, p=9, n_partitions=4).blocks
     block = max(blocks, key=lambda b: b.n_superkmers)
     reference = build_subgraph(block).graph
-    built = build_subgraph(block, protocol=protocol, table_layout=layout,
-                           n_shards=4).graph
-    assert_identical(reference, built)
+    assert_identical(reference, _table_graph(block, layout, protocol, False))
 
 
 @pytest.mark.parametrize("layout,protocol", COMBOS)
@@ -149,9 +168,7 @@ def test_build_subgraph_2w_combo_equivalence(clean_batch, layout, protocol):
     blocks = partition_reads(clean_batch, k=45, p=15, n_partitions=4).blocks
     block = max(blocks, key=lambda b: b.n_superkmers)
     reference = build_subgraph_2w(block).graph
-    built = build_subgraph_2w(block, protocol=protocol, table_layout=layout,
-                              n_shards=4).graph
-    assert_identical(reference, built)
+    assert_identical(reference, _table_graph(block, layout, protocol, True))
 
 
 @pytest.mark.parametrize("protocol", ["locked", "lockfree"])
@@ -365,31 +382,7 @@ def test_cross_process_combo_matches_serial(rng, layout, protocol):
         assert sum(s.key_locks for s in worker_stats) == 0
 
 
-# -- configuration and service plumbing -------------------------------------------
-
-
-def test_config_rejects_bad_table_axes():
-    from repro.core.config import ParaHashConfig
-
-    with pytest.raises(ValueError):
-        ParaHashConfig(k=21, p=9, table_layout="banana")
-    with pytest.raises(ValueError):
-        ParaHashConfig(k=21, p=9, insert_protocol="optimistic")
-    with pytest.raises(ValueError):
-        ParaHashConfig(k=21, p=9, table_layout="sharded", n_shards=3)
-
-
-def test_jobspec_rejects_bad_table_axes():
-    from repro.service.jobstore import JobError, JobSpec
-
-    JobSpec(input="reads.fq", table_layout="sharded",
-            insert_protocol="lockfree", n_shards=4)
-    with pytest.raises(JobError):
-        JobSpec(input="reads.fq", table_layout="banana")
-    with pytest.raises(JobError):
-        JobSpec(input="reads.fq", insert_protocol="optimistic")
-    with pytest.raises(JobError):
-        JobSpec(input="reads.fq", n_shards=6)
+# -- shared-memory plumbing -------------------------------------------------------
 
 
 def test_table_over_segment_sharded_roundtrip(rng):

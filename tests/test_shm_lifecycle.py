@@ -59,31 +59,19 @@ def _segments() -> set[str]:
     }
 
 
-def _exploding_step2(job, sizing, preaggregate):
+def _exploding_step2(job):
     raise RuntimeError(f"step2 exploded on partition {job.partition}")
 
 
 @needs_dev_shm
 @needs_fork
 def test_failed_pipelined_run_leaves_no_segments(genomic_batch, monkeypatch):
-    """Worker failure mid-pipeline: batch + table segments all unlinked."""
+    """Worker failure mid-pipeline: the read-batch segment is unlinked."""
     monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
     before = _segments()
     with pytest.raises(WorkerFailed):
         ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=True)
-        ).build_graph(genomic_batch)
-    assert _segments() - before == set()
-
-
-@needs_dev_shm
-@needs_fork
-def test_failed_barrier_run_leaves_no_segments(genomic_batch, monkeypatch):
-    monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
-    before = _segments()
-    with pytest.raises(WorkerFailed):
-        ParaHash(
-            CFG.with_(backend="processes", n_workers=2, pipeline=False)
+            CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert _segments() - before == set()
 
@@ -131,27 +119,13 @@ BIGK_CFG = ParaHashConfig(k=45, p=15, n_partitions=16, n_input_pieces=4)
 @needs_fork
 def test_failed_bigk_pipelined_run_leaves_no_segments(
         genomic_batch, monkeypatch):
-    """Two-word (k > 31) segments obey the same ownership discipline:
-    a worker failure mid-pipeline unlinks the batch segment and every
-    two-word table segment (header/state/keys_hi/keys_lo/counts)."""
+    """Two-word (k > 31) runs obey the same ownership discipline: a
+    worker failure mid-pipeline unlinks the batch segment."""
     monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
     before = _segments()
     with pytest.raises(WorkerFailed):
         ParaHash(
-            BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=True)
-        ).build_graph(genomic_batch)
-    assert _segments() - before == set()
-
-
-@needs_dev_shm
-@needs_fork
-def test_failed_bigk_barrier_run_leaves_no_segments(
-        genomic_batch, monkeypatch):
-    monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
-    before = _segments()
-    with pytest.raises(WorkerFailed):
-        ParaHash(
-            BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=False)
+            BIGK_CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert _segments() - before == set()
 
@@ -160,7 +134,7 @@ def test_failed_bigk_barrier_run_leaves_no_segments(
 def test_successful_bigk_run_leaves_no_segments(clean_batch):
     before = _segments()
     result = ParaHash(
-        BIGK_CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        BIGK_CFG.with_(backend="processes", n_workers=2)
     ).build_graph(clean_batch)
     assert result.graph.n_vertices > 0
     assert _segments() - before == set()
@@ -175,7 +149,7 @@ from repro.parallel import backend as backend_mod
 
 marker = sys.argv[1]
 
-def _parked_step2(job, sizing, preaggregate):
+def _parked_step2(job):
     open(marker, "w").write("started")
     time.sleep(120)
     raise RuntimeError("unreachable")
@@ -184,8 +158,7 @@ backend_mod._process_step2_job = _parked_step2
 reads = simulate_reads(random_genome(3000, seed=11), n_reads=500,
                        read_length=80, mean_errors=1.0, seed=12)
 cfg = ParaHashConfig(k=21, p=9, n_partitions=16, n_input_pieces=4)
-ParaHash(cfg.with_(backend="processes", n_workers=2,
-                   pipeline=True)).build_graph(reads)
+ParaHash(cfg.with_(backend="processes", n_workers=2)).build_graph(reads)
 """
 
 
@@ -226,7 +199,7 @@ def test_signal_mid_run_leaves_no_segments(tmp_path, signo):
 def test_successful_run_leaves_no_segments(clean_batch):
     before = _segments()
     result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, pipeline=True)
+        CFG.with_(backend="processes", n_workers=2)
     ).build_graph(clean_batch)
     assert result.graph.n_vertices > 0
     assert _segments() - before == set()

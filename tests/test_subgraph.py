@@ -7,6 +7,7 @@ from repro.core.estimator import SizingPolicy
 from repro.core.subgraph import (
     block_observations,
     build_subgraph,
+    build_subgraph_table,
     build_subgraph_sortmerge,
     observation_pairs,
 )
@@ -64,26 +65,33 @@ class TestBuildSubgraph:
         for block in res.blocks:
             if block.n_superkmers == 0:
                 continue
-            hashed = build_subgraph(block).graph
             sorted_ = build_subgraph_sortmerge(block)
-            assert hashed.equals(sorted_)
+            assert build_subgraph(block).graph.equals(sorted_)
+            assert build_subgraph_table(block).graph.equals(sorted_)
 
     def test_threaded_equals_serial(self, genomic_batch):
         k = 15
         res = partition_reads(genomic_batch, k=k, p=7, n_partitions=2)
         block = next(b for b in res.blocks if b.n_superkmers)
-        serial = build_subgraph(block, n_threads=1)
-        threaded = build_subgraph(block, n_threads=4)
+        serial = build_subgraph(block)
+        threaded = build_subgraph_table(block, n_threads=4)
         assert threaded.graph.equals(serial.graph)
+        for field in ("ops", "inserts", "updates", "key_locks",
+                      "count_increments"):
+            assert getattr(threaded.stats, field) == getattr(serial.stats, field)
 
     def test_result_telemetry(self, genomic_batch):
         res = partition_reads(genomic_batch, k=15, p=7, n_partitions=2)
         block = next(b for b in res.blocks if b.n_superkmers)
-        result = build_subgraph(block)
+        result = build_subgraph_table(block)
         assert result.n_kmers == block.total_kmers()
         assert result.stats.ops > 0
         assert result.capacity >= result.graph.n_vertices
         assert result.table_bytes > 0
+        rows = build_subgraph(block)  # the owner build uses no table
+        assert rows.n_kmers == result.n_kmers
+        assert rows.capacity == rows.table_bytes == rows.n_regrows == 0
+        assert rows.stats.probes == rows.stats.cas_failures == 0
 
     def test_regrow_on_estimate_violation(self, rng):
         # Coverage < 1 random reads: nearly all kmers distinct, which
@@ -93,7 +101,7 @@ class TestBuildSubgraph:
         batch = ReadBatch(codes=rng.integers(0, 4, size=(300, 60), dtype=np.uint8))
         res = partition_reads(batch, k=15, p=7, n_partitions=1)
         policy = SizingPolicy(lam=0.5, alpha=0.9)
-        result = build_subgraph(res.blocks[0], policy=policy)
+        result = build_subgraph_table(res.blocks[0], policy=policy)
         assert result.n_regrows > 0
         ref = build_reference_graph(batch, 15)
         assert_graphs_equal(result.graph, ref, "after-regrow")
@@ -105,8 +113,9 @@ class TestBuildSubgraph:
         batch = ReadBatch(codes=rng.integers(0, 4, size=(300, 60), dtype=np.uint8))
         res = partition_reads(batch, k=15, p=7, n_partitions=1)
         with pytest.raises(TableFullError):
-            build_subgraph(res.blocks[0], policy=SizingPolicy(lam=0.5, alpha=0.9),
-                           allow_regrow=False)
+            build_subgraph_table(res.blocks[0],
+                                 policy=SizingPolicy(lam=0.5, alpha=0.9),
+                                 allow_regrow=False)
 
     def test_genomic_data_never_regrows(self, genomic_batch):
         # On real coverage data the paper's sizing avoids resizing.
@@ -114,5 +123,5 @@ class TestBuildSubgraph:
         for block in res.blocks:
             if block.n_superkmers == 0:
                 continue
-            result = build_subgraph(block)  # default lam=2 policy
+            result = build_subgraph_table(block)  # default lam=2 policy
             assert result.n_regrows == 0
