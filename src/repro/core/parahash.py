@@ -217,13 +217,15 @@ class ParaHash:
     ) -> ParaHashResult:
         """Construct from multiple read files without loading them at once.
 
-        The on-disk analogue of the paper's Step 1 input loop: each file
-        is one input piece — loaded, partitioned, appended to the
-        partition files, and released before the next file is touched.
-        Step 2 then proceeds from the accumulated partitions.  All files
+        The on-disk analogue of the paper's Step 1 input loop: each
+        FASTQ scanner chunk (:func:`repro.dna.io.iter_read_batches`) is
+        one input piece — parsed, partitioned, appended to the partition
+        files, and released before the next chunk is read, so Step 1
+        holds O(chunk) of input per file.  A FASTA file is one piece.
+        Step 2 then proceeds from the accumulated partitions.  Each file
         must contain reads of one common length.
         """
-        from ..dna.io import load_read_batch
+        from ..dna.io import iter_read_batches
         from ..msp.binio import PartitionWriter
 
         if not input_paths:
@@ -236,16 +238,14 @@ class ParaHash:
         t0 = time.perf_counter()
         n_superkmers = 0
         n_kmers = 0
-        n_reads = 0
         try:
             for input_path in input_paths:
-                piece = load_read_batch(input_path)
-                n_reads += piece.n_reads
-                result = partition_reads(piece, cfg.k, cfg.p, cfg.n_partitions)
-                for writer, block in zip(writers, result.blocks):
-                    writer.write_block(block)
-                n_superkmers += len(result.superkmers)
-                n_kmers += result.total_kmers()
+                for piece in iter_read_batches(input_path):
+                    result = partition_reads(piece, cfg.k, cfg.p, cfg.n_partitions)
+                    for writer, block in zip(writers, result.blocks):
+                        writer.write_block(block)
+                    n_superkmers += len(result.superkmers)
+                    n_kmers += result.total_kmers()
         finally:
             for writer in writers:
                 writer.close()

@@ -26,13 +26,11 @@ from .encoding import int_to_codes
 #: Largest K supported by the vectorized uint64 representation.
 MAX_U64_K = 31
 
-# Lookup table: byte value -> byte with its four 2-bit fields reversed.
-# Used to reverse the base order of a packed uint64 kmer.
-_PAIR_REVERSE = np.empty(256, dtype=np.uint8)
-for _b in range(256):
-    _PAIR_REVERSE[_b] = (
-        ((_b & 0x03) << 6) | ((_b & 0x0C) << 2) | ((_b & 0x30) >> 2) | ((_b & 0xC0) >> 6)
-    )
+# (shift, mask) pairs that swap adjacent 2-bit fields, then nibbles.
+_SWAPS = (
+    (np.uint64(2), np.uint64(0x3333333333333333)),
+    (np.uint64(4), np.uint64(0x0F0F0F0F0F0F0F0F)),
+)
 
 
 def kmer_mask(k: int) -> int:
@@ -96,9 +94,10 @@ def kmers_from_reads(codes: np.ndarray, k: int) -> np.ndarray:
 def revcomp_u64(kmers: np.ndarray, k: int) -> np.ndarray:
     """Reverse complement of packed uint64 kmers, vectorized.
 
-    Complementing a 2-bit code is ``code ^ 3``; reversing the base order
-    of the packed word is done byte-wise with a pair-reversal lookup
-    table followed by a shift to drop the padding.
+    Complementing a 2-bit code is ``code ^ 3``, so the whole word is
+    inverted; the base order is then reversed by swapping adjacent
+    2-bit pairs, then nibbles, then bytes, and a shift drops the
+    (complemented) padding.
 
     Accepts ``k`` up to 32 (a full word): the two-word big-K substrate
     reverse-complements its 32-base low plane through this function.
@@ -106,16 +105,17 @@ def revcomp_u64(kmers: np.ndarray, k: int) -> np.ndarray:
     _check_k(k)
     if k > 32:
         raise ValueError(f"revcomp_u64 requires k <= 32, got {k}")
-    kmers = np.ascontiguousarray(kmers, dtype=np.uint64)
-    shape = kmers.shape
-    flat = kmers.reshape(-1)
-    mask = np.uint64(kmer_mask(k) & 0xFFFFFFFFFFFFFFFF)
-    comp = (flat ^ mask) & mask
-    as_bytes = comp.view(np.uint8).reshape(-1, 8)
-    reversed_bytes = _PAIR_REVERSE[as_bytes[:, ::-1]]
-    full = np.ascontiguousarray(reversed_bytes).view(np.uint64).reshape(-1)
-    shift = np.uint64(64 - 2 * k)
-    return (full >> shift).reshape(shape)
+    x = np.invert(np.ascontiguousarray(kmers, dtype=np.uint64))
+    t = np.empty_like(x)
+    for shift, mask in _SWAPS:
+        np.right_shift(x, shift, out=t)
+        t &= mask
+        x &= mask
+        x <<= shift
+        x |= t
+    x.byteswap(inplace=True)
+    x >>= np.uint64(64 - 2 * k)
+    return x
 
 
 def canonical_u64(kmers: np.ndarray, k: int) -> np.ndarray:

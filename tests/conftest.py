@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.dna.reads import ReadBatch
 from repro.dna.simulate import DatasetProfile, random_genome, simulate_reads
+
+# Tier-1 runs hypothesis's default profile; the nightly job selects
+# ``deep`` with HYPOTHESIS_PROFILE=deep.
+settings.register_profile("deep", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_addoption(parser):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import gzip
+
 import pytest
 
 from repro.cli import main
@@ -91,6 +93,15 @@ class TestBuild:
               "--workdir", str(workdir)])
         assert list(workdir.glob("partition_*.phsk"))
         assert load_graph(out).n_vertices > 0
+
+    def test_gzipped_input(self, reads_file, tmp_path):
+        packed = tmp_path / "reads.fastq.gz"
+        packed.write_bytes(gzip.compress(reads_file.read_bytes()))
+        base = ["build", "--k", "21", "--p", "9", "--partitions", "8"]
+        plain_out, packed_out = tmp_path / "plain.phdbg", tmp_path / "packed.phdbg"
+        assert main(base + ["--input", str(reads_file), "--output", str(plain_out)]) == 0
+        assert main(base + ["--input", str(packed), "--output", str(packed_out)]) == 0
+        assert packed_out.read_bytes() == plain_out.read_bytes()
 
 
 class TestStatsAndUnitigs:

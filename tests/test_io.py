@@ -1,5 +1,7 @@
 """Tests for repro.dna.io (FASTA/FASTQ parsing and writing)."""
 
+import gzip
+
 import pytest
 
 from repro.dna.io import (
@@ -98,6 +100,46 @@ class TestFastq:
         path.write_text("@q\nACGT\n+\n")
         with pytest.raises(FormatError):
             read_fastq(path)
+
+
+class TestFastqBatchErrors:
+    """``load_read_batch`` twins of the ``read_fastq`` format-error cases."""
+
+    def test_quality_length_mismatch_read(self, tmp_path):
+        path = tmp_path / "t.fastq"
+        path.write_text("@q\nACGT\n+\nII\n")
+        with pytest.raises(FormatError, match="record 0: quality length 2 != sequence length 4"):
+            load_read_batch(path)
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "t.fastq"
+        path.write_text("@q\nACGT\n+\nIIII\nq\nACGT\n+\nIIII\n")
+        with pytest.raises(FormatError, match="record 1: header must start with '@'"):
+            load_read_batch(path)
+
+    def test_truncated_record(self, tmp_path):
+        path = tmp_path / "t.fastq"
+        path.write_text("@q\nACGT\n+\n")
+        with pytest.raises(FormatError, match="line count 3 is not a multiple of 4"):
+            load_read_batch(path)
+
+
+class TestGzipInput:
+    def test_fastq_gz_equals_plain(self, tmp_path, genomic_batch):
+        plain = tmp_path / "r.fastq"
+        save_read_batch(plain, genomic_batch)
+        packed = tmp_path / "r.fastq.gz"
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        assert (load_read_batch(packed).codes == load_read_batch(plain).codes).all()
+        assert read_sequences(packed) == read_sequences(plain)
+
+    def test_fasta_gz_equals_plain(self, tmp_path, genomic_batch):
+        plain = tmp_path / "r.fa"
+        save_read_batch(plain, genomic_batch, fmt="fasta")
+        packed = tmp_path / "r.fa.gz"
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        assert (load_read_batch(packed).codes == load_read_batch(plain).codes).all()
+        assert read_sequences(packed) == read_sequences(plain)
 
 
 class TestAutodetect:

@@ -152,6 +152,24 @@ class TestEndToEnd:
         assert len(files) == len(big.subgraphs)
         assert load_big_graph(files[0]).equals(big.subgraphs[0])
 
+    def test_build_from_files_streams_chunks(self, genomic_batch, tmp_path,
+                                             monkeypatch):
+        # A chunk of a few records: each file reaches Step 1 as many
+        # pieces, and the graph is still the one build_graph makes.
+        import repro.dna.io as dio
+
+        path = tmp_path / "reads.fastq"
+        dio.save_read_batch(path, genomic_batch)
+        monkeypatch.setattr(dio, "CHUNK_BYTES", 3 * 210)
+        assert len(list(dio.iter_read_batches(path))) > 100
+        cfg = ParaHashConfig(k=21, p=9, n_partitions=4)
+        streamed = ParaHash(cfg).build_graph_from_files(
+            [path], workdir=tmp_path / "work"
+        )
+        whole = ParaHash(cfg).build_graph(genomic_batch)
+        assert_graphs_equal(streamed.graph, whole.graph, "chunked from-files")
+        assert streamed.n_kmers == whole.n_kmers
+
     def test_build_from_files_requires_input(self, tmp_path):
         with pytest.raises(ValueError):
             ParaHash(ParaHashConfig(k=15, p=7)).build_graph_from_files(

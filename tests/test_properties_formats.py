@@ -13,6 +13,13 @@ from repro.msp.partitioner import partition_reads
 from repro.msp.records import SuperkmerRecord, block_from_records
 
 
+def _examples(pinned: int) -> int:
+    """``pinned`` examples, or the loaded profile's count when it asks for
+    more than hypothesis's default (the nightly ``deep`` profile)."""
+    loaded = settings().max_examples
+    return loaded if loaded > settings.get_profile("default").max_examples else pinned
+
+
 @st.composite
 def superkmer_blocks(draw):
     k = draw(st.integers(3, 15))
@@ -48,7 +55,7 @@ def read_batches(draw):
 
 class TestPartitionFileProperties:
     @given(block=superkmer_blocks())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=_examples(25), deadline=None)
     def test_binio_roundtrip(self, tmp_path_factory, block):
         path = tmp_path_factory.mktemp("phsk") / "p.phsk"
         write_partition(path, block)
@@ -62,7 +69,7 @@ class TestPartitionFileProperties:
 
 class TestGraphFileProperties:
     @given(batch=read_batches(), k=st.integers(3, 12))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=_examples(20), deadline=None)
     def test_binary_roundtrip(self, tmp_path_factory, batch, k):
         if k > batch.read_length:
             k = batch.read_length
@@ -72,7 +79,7 @@ class TestGraphFileProperties:
         assert_graphs_equal(load_graph(path), graph)
 
     @given(batch=read_batches(), k=st.integers(3, 10))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=_examples(15), deadline=None)
     def test_tsv_roundtrip(self, tmp_path_factory, batch, k):
         if k > batch.read_length:
             k = batch.read_length
@@ -84,7 +91,7 @@ class TestGraphFileProperties:
 
 class TestPartitioningProperties:
     @given(read_batches(), st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=_examples(25), deadline=None)
     def test_partitions_vertex_disjoint(self, batch, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(3, min(13, batch.read_length) + 1))
@@ -102,7 +109,7 @@ class TestPartitioningProperties:
                 assert seen.setdefault(int(v), pid) == pid
 
     @given(read_batches())
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=_examples(20), deadline=None)
     def test_noncanonical_minimizers_can_break_disjointness(self, batch):
         # The ablation that justifies canonical minimizers: with plain
         # Definition-1 minimizers, a vertex read on both strands can
