@@ -1,5 +1,4 @@
-"""Ablation — state-transfer partial locking vs whole-entry locking,
-plus the layout x protocol contention A/B matrix.
+"""Ablation — state-transfer partial locking vs whole-entry locking.
 
 Paper (§III-A, §III-C3): the state-transfer mechanism locks the
 multi-word key once per *distinct* vertex, after which the key is
@@ -12,39 +11,9 @@ This ablation takes the real hashing runs on the chr14-like dataset and
 compares the key-lock counts both per kmer instance (the paper's
 metric) and per hash operation (instances plus edge updates), then
 prices the serialized critical sections on the simulated CPU.
-
-Standalone usage runs the **layout x protocol A/B matrix** instead:
-{flat, sharded} x {locked, lockfree} on both the threads and the
-processes backend, verifying every combination builds the identical
-graph and timing the per-operation insert throughput.  The sharded
-layout multiplies the lock-stripe pool (one bundle per shard) and the
-lock-free protocol drops the LOCKED hand-off entirely, so their
-combination is the low-contention corner CI gates on::
-
-    python benchmarks/bench_lock_contention.py --smoke \
-        --output BENCH_shards.json --check benchmarks/baselines.json
-
-The ``shards_lockfree`` baselines entry demands sharded+lockfree beat
-flat+locked at the gated worker count on the processes backend
-(``min_speedup`` with enough cores, ``min_speedup_small`` on
-constrained machines where contention cannot be exhibited in full).
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import os
-import sys
-import time
-from pathlib import Path
-
-# Allow running the file directly from a source checkout.
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if _SRC.is_dir() and str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
-import numpy as np
 
 
 def test_lock_contention_ablation(benchmark, chr14_reads, chr14_workloads):
@@ -98,215 +67,3 @@ def test_lock_contention_ablation(benchmark, chr14_reads, chr14_workloads):
     assert reduction_ops > reduction_instances
     # Key locks equal insertions exactly (one lock per distinct vertex).
     assert key_locks == out["inserts"]
-
-
-# -- layout x protocol A/B matrix (standalone / CI gate) --------------------------
-
-COMBOS = [("flat", "locked"), ("flat", "lockfree"),
-          ("sharded", "locked"), ("sharded", "lockfree")]
-
-#: Observation volume per mode.  The matrix times the *per-operation*
-#: protocol (real locks, real atomics), not the vectorized batch path,
-#: so volumes are modest.
-SMOKE_OBS = 16_000
-FULL_OBS = 80_000
-
-#: Duplication ratio of the synthetic workload (paper §III-C: the
-#: distinct vertices are roughly 1/5 of the kmer instances).
-DUPLICATION = 5
-
-
-def _observations(n_obs: int, seed: int = 7):
-    rng = np.random.default_rng(seed)
-    n_distinct = max(16, n_obs // DUPLICATION)
-    keys = np.unique(
-        rng.integers(0, 1 << 30, size=n_distinct, dtype=np.uint64))
-    idx = rng.integers(0, keys.size, size=n_obs)
-    slots = rng.integers(0, 9, size=n_obs).astype(np.int64)
-    return keys[idx], slots
-
-
-def _graphs_equal(a, b) -> bool:
-    return (a.k == b.k and np.array_equal(a.vertices, b.vertices)
-            and np.array_equal(a.counts, b.counts))
-
-
-def _build_table(layout: str, protocol: str, capacity: int, n_shards: int):
-    from repro.core.hashtable import ConcurrentHashTable
-
-    if layout == "sharded":
-        from repro.parallel.sharded import ShardedHashTable
-
-        return ShardedHashTable(capacity, k=15, n_shards=n_shards,
-                                protocol=protocol)
-    return ConcurrentHashTable(capacity, k=15, protocol=protocol)
-
-
-def _time_threads(layout: str, protocol: str, kmers, slots, capacity: int,
-                  n_shards: int, workers: int, repeats: int):
-    best, graph = float("inf"), None
-    for _ in range(repeats):
-        table = _build_table(layout, protocol, capacity, n_shards)
-        t0 = time.perf_counter()
-        table.insert_threaded(kmers, slots, n_threads=workers)
-        best = min(best, time.perf_counter() - t0)
-        graph = table.to_graph()
-    return best, graph
-
-
-def _time_processes(layout: str, protocol: str, kmers, slots, capacity: int,
-                    n_shards: int, workers: int, repeats: int):
-    from repro.parallel import concurrent_insert_processes
-
-    best, graph = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        graph, _ = concurrent_insert_processes(
-            kmers, slots, k=15, capacity=capacity, n_workers=workers,
-            layout=layout, protocol=protocol, n_shards=n_shards)
-        best = min(best, time.perf_counter() - t0)
-    return best, graph
-
-
-def measure_matrix(smoke: bool = True, repeats: int = 3, workers: int = 4,
-                   n_shards: int = 8) -> dict:
-    """Time every (layout, protocol) combo on both concurrent backends.
-
-    Returns the ``BENCH_shards.json`` payload.  Every combo's graph is
-    verified bit-identical to the flat+locked batch reference before
-    its timing is reported.
-    """
-    from repro.core.estimator import next_power_of_two
-    from repro.core.hashtable import ConcurrentHashTable
-
-    n_obs = SMOKE_OBS if smoke else FULL_OBS
-    kmers, slots = _observations(n_obs)
-    n_distinct = int(np.unique(kmers).size)
-    capacity = next_power_of_two(int(n_distinct / 0.7) + 1)
-
-    reference = ConcurrentHashTable(capacity, k=15)
-    reference.insert_batch(kmers, slots)
-    ref_graph = reference.to_graph()
-
-    backends = {"threads": _time_threads, "processes": _time_processes}
-    runs = []
-    identical = True
-    for backend, timer in backends.items():
-        for layout, protocol in COMBOS:
-            seconds, graph = timer(layout, protocol, kmers, slots,
-                                   capacity, n_shards, workers, repeats)
-            if not _graphs_equal(graph, ref_graph):
-                identical = False
-            runs.append({
-                "backend": backend,
-                "layout": layout,
-                "protocol": protocol,
-                "seconds": round(seconds, 4),
-                "ops_per_sec": round(n_obs / seconds, 1),
-            })
-
-    def _run(backend, layout, protocol):
-        return next(r for r in runs if r["backend"] == backend
-                    and r["layout"] == layout and r["protocol"] == protocol)
-
-    speedups = {
-        backend: round(
-            _run(backend, "flat", "locked")["seconds"]
-            / _run(backend, "sharded", "lockfree")["seconds"], 4)
-        for backend in backends
-    }
-    return {
-        "benchmark": "shards_lockfree",
-        "mode": "smoke" if smoke else "full",
-        "cpu_count": os.cpu_count() or 1,
-        "workers": workers,
-        "n_shards": n_shards,
-        "workload": {
-            "n_observations": n_obs,
-            "n_distinct": n_distinct,
-            "capacity": capacity,
-            "duplication": DUPLICATION,
-        },
-        "repeats": repeats,
-        "runs": runs,
-        "graphs_identical": identical,
-        "speedup_sharded_lockfree_vs_flat_locked": speedups,
-    }
-
-
-def check_against_baseline(report: dict, baseline_path: str | Path) -> list[str]:
-    """Gate the matrix report against ``benchmarks/baselines.json``.
-
-    The gate demands sharded+lockfree beat flat+locked on the processes
-    backend at the report's worker count: by ``min_speedup`` when the
-    machine has at least ``workers`` cores, by ``min_speedup_small``
-    otherwise (a constrained machine timeshares the workers, so the win
-    is lock-acquisition volume, not parallelism).
-    """
-    baselines = json.loads(Path(baseline_path).read_text())
-    spec = baselines[report["benchmark"]]
-    violations: list[str] = []
-    gate_workers = int(spec["workers"])
-    if int(report["workers"]) < gate_workers:
-        violations.append(
-            f"matrix ran at {report['workers']} workers; the gate needs "
-            f">= {gate_workers}")
-        return violations
-    cores = int(report.get("cpu_count") or 1)
-    threshold = (float(spec["min_speedup"]) if cores >= gate_workers
-                 else float(spec["min_speedup_small"]))
-    speedup = float(
-        report["speedup_sharded_lockfree_vs_flat_locked"]["processes"])
-    if speedup < threshold:
-        violations.append(
-            f"sharded+lockfree over flat+locked (processes backend) is "
-            f"{speedup:.2f}x, below the threshold {threshold:.2f}x "
-            f"(min_speedup={spec['min_speedup']}, "
-            f"min_speedup_small={spec['min_speedup_small']}, "
-            f"cpu_count={cores})")
-    if not report.get("graphs_identical"):
-        violations.append(
-            "some (layout, protocol) combo built a different graph")
-    return violations
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="layout x protocol insert-contention A/B matrix")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small observation volume (the CI gate)")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--shards", type=int, default=8)
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats (best-of)")
-    parser.add_argument("--output", default="BENCH_shards.json",
-                        help="where to write the JSON report")
-    parser.add_argument("--check", metavar="BASELINES",
-                        help="gate against a baselines.json; exit 1 on "
-                             "regression")
-    args = parser.parse_args(argv)
-
-    report = measure_matrix(smoke=args.smoke, repeats=args.repeats,
-                            workers=args.workers, n_shards=args.shards)
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    for run in report["runs"]:
-        print(f"{run['backend']:>9} {run['layout']:>7}+{run['protocol']:<8} "
-              f"{run['seconds']:.3f}s  {run['ops_per_sec']:>10,.0f} ops/s")
-    sp = report["speedup_sharded_lockfree_vs_flat_locked"]
-    print(f"sharded+lockfree vs flat+locked: "
-          f"threads {sp['threads']:.2f}x, processes {sp['processes']:.2f}x")
-    print(f"graphs identical across combos: {report['graphs_identical']}")
-    print(f"wrote {args.output}")
-
-    if args.check:
-        violations = check_against_baseline(report, args.check)
-        if violations:
-            for v in violations:
-                print(f"REGRESSION: {v}", file=sys.stderr)
-            return 1
-        print("baseline check passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

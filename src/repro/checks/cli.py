@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         "model",
         help="explicit-state model checking of the protocol models")
     p.add_argument("--protocol",
-                   choices=["insert", "workqueue", "cas_publish", "all"],
+                   choices=["insert", "workqueue", "all"],
                    default="all")
     p.add_argument("--writers", type=int, default=3,
                    help="insert model: concurrent writers (CI bound: 3)")
@@ -222,7 +222,7 @@ def cmd_model(args: argparse.Namespace) -> int:
             tool="model (corpus)", noun="refutation failure")
 
     # -- verification mode: the fixed protocols ----------------------------
-    protocols = (["insert", "workqueue", "cas_publish"]
+    protocols = (["insert", "workqueue"]
                  if args.protocol == "all" else [args.protocol])
     for protocol in protocols:
         model = build_model(protocol, writers=writers,

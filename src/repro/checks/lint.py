@@ -48,8 +48,7 @@ R7  No shared-memory handle or numpy view over one may cross a process
     spawn is a pickle hazard — pass the picklable ``.spec`` instead
     and re-attach in the child.
 
-R8  The protocol counters (``srv``/``cns``/``prd``/``wrt``) and the
-    shard-local counters (any ``shard``-named holder) are only
+R8  The protocol counters (``srv``/``cns``/``prd``/``wrt``) are only
     advanced through their fetch-increment/publish methods: a raw
     ``.value`` store or augmented assignment outside a lock-held
     ``with`` block bypasses the protocol's atomicity.
@@ -114,9 +113,8 @@ SEGMENT_ATTACHERS = frozenset({"attach_segment", "attach_read_batch"})
 SPAWN_CALLS = frozenset({"Process", "run_workers"})
 
 #: Attribute chains that name a protocol counter (R8): the §III-E
-#: queue cursors plus any shard-local counter (``shard_occ``,
-#: ``self.shards[i]``, ...) of the sharded table layout.
-_COUNTERISH = re.compile(r"\b_?(srv|cns|prd|wrt|shards?\w*)\b")
+#: queue cursors.
+_COUNTERISH = re.compile(r"\b_?(srv|cns|prd|wrt)\b")
 
 _LOCKISH = re.compile(r"lock|mutex|cond", re.IGNORECASE)
 _PRAGMA = re.compile(r"#\s*checks:\s*allow\[([A-Za-z0-9,\s]+)\]")
@@ -662,7 +660,7 @@ def _rule_r8(func: _FuncInfo, path: str, issues: list[LintIssue]) -> None:
                     issues.append(LintIssue(
                         "R8", path, node.lineno, node.col_offset,
                         f"raw store to protocol counter `{store}` outside a "
-                        f"lock: srv/cns/prd/wrt and shard counters advance "
+                        f"lock: srv/cns/prd/wrt counters advance "
                         f"only through their fetch-increment/publish methods "
                         f"(or under the lock) to keep the claim atomic",
                     ))

@@ -11,23 +11,17 @@ deliberately broken variants the checker must refute:
   ``concurrentsub.workqueue`` and the process backend's
   ``ProcessWorkQueue``, including crash transitions and the parent
   merger's abort containment.
-* :class:`~repro.checks.protocols.cas_publish.CasPublishProtocol` —
-  the lock-free CAS-publish insert (no LOCKED state: CAS the tag,
-  write the plain key words, store PUB) as run by the ``lockfree``
-  protocol of ``TwoWordHashTable``/``ConcurrentHashTable``.
 """
 
 from __future__ import annotations
 
 from .cas_insert import INSERT_VARIANTS, InsertProtocol
-from .cas_publish import CAS_PUBLISH_VARIANTS, CasPublishProtocol
 from .workqueue import QUEUE_VARIANTS, WorkQueueProtocol
 
 #: Every (protocol, buggy-variant) pair of the seeded-bug corpus.
 CORPUS: tuple[tuple[str, str], ...] = tuple(
     [("insert", v) for v in INSERT_VARIANTS]
     + [("workqueue", v) for v in QUEUE_VARIANTS]
-    + [("cas_publish", v) for v in CAS_PUBLISH_VARIANTS]
 )
 
 
@@ -40,18 +34,14 @@ def build_model(protocol: str, variant: str | None = None, *,
     if protocol == "workqueue":
         return WorkQueueProtocol(n_consumers=consumers, n_items=items,
                                  crash=crash, variant=variant)
-    if protocol == "cas_publish":
-        return CasPublishProtocol(n_writers=writers, variant=variant)
     raise ValueError(f"unknown protocol {protocol!r} "
-                     f"(expected 'insert', 'workqueue' or 'cas_publish')")
+                     f"(expected 'insert' or 'workqueue')")
 
 
 __all__ = [
-    "CAS_PUBLISH_VARIANTS",
     "CORPUS",
     "INSERT_VARIANTS",
     "QUEUE_VARIANTS",
-    "CasPublishProtocol",
     "InsertProtocol",
     "WorkQueueProtocol",
     "build_model",

@@ -248,63 +248,6 @@ def replay_numpy_publish(trace: list[Step],
     )
 
 
-def replay_lf_torn_read(trace: list[Step],
-                        timeout: float = 10.0) -> ReplayResult:
-    """A probe reads the key words inside the claim→publish gap.
-
-    The trace shows a ``torn_read_duplicate`` step: a reader observing
-    a claimed-but-unpublished slot trusted the plain key words without
-    waiting for the PUB bit.  The replay parks the real claim winner at
-    the ``lf_prepub_gap`` point — ``keys_hi`` written, ``keys_lo`` not —
-    while a second thread (under the ``lf_torn_read`` seeded bug, which
-    removes the PUB wait) probes the same slot, reads the torn key,
-    concludes "different key", and claims a second slot for the same
-    kmer.  The concrete manifestation is a duplicated vertex:
-    ``n_occupied == 2`` for one distinct key.
-    """
-    from ..bigk.table import TwoWordHashTable
-    from ..core.hashtable import HashStats, seed_bugs
-    from .instrument import monitor_session
-
-    if not _procs(trace, "torn_read_duplicate"):
-        return ReplayResult("cas_publish", "torn_read", False,
-                            "trace has no torn read inside the gap")
-
-    sched = InterleavingScheduler(timeout=timeout)
-
-    def on_gap(s: InterleavingScheduler, point) -> None:
-        # Park only the first claim winner; the torn reader's own
-        # duplicate insert passes through the gap unimpeded.
-        if s.bump("gap_entered") == 1:
-            s.bump("winner_mid_gap")
-            s.pause_at("gap")
-
-    sched.on("lf_prepub_gap", on_gap)
-
-    table = TwoWordHashTable(64, k=33, protocol="lockfree")
-    locals_ = [HashStats(), HashStats()]
-    kmer = (3 << 62) | 0xD0D0F00D  # both planes nonzero: the tear shows
-
-    def winner() -> None:
-        table.insert_one_threadsafe(kmer, 0, locals_[0])
-
-    def reader() -> None:
-        sched.wait_count("winner_mid_gap", 1)
-        table.insert_one_threadsafe(kmer, 0, locals_[1])
-        sched.release("gap")
-
-    with seed_bugs("lf_torn_read"), monitor_session(sched):
-        _run_threads([winner, reader], timeout)
-
-    reproduced = table.n_occupied != 1
-    return ReplayResult(
-        "cas_publish", "torn_read", reproduced,
-        f"n_occupied={table.n_occupied} for 1 distinct key after a "
-        f"probe read the claim→publish gap",
-        notes={"n_occupied": table.n_occupied},
-    )
-
-
 # -- workqueue-protocol replays ---------------------------------------------------
 
 
@@ -527,7 +470,6 @@ REPLAYS = {
     ("workqueue", "early_srv"): replay_early_srv,
     ("workqueue", "no_close"): replay_no_close,
     ("workqueue", "no_abort"): replay_no_abort,
-    ("cas_publish", "torn_read"): replay_lf_torn_read,
 }
 
 

@@ -80,15 +80,8 @@ SPIN_LIMIT = 64
 # in this file (PR 1) to prove the detector catches them.  Each name
 # gates the *old* faulty code path; production code never enables them.
 
-_KNOWN_BUGS = frozenset(
-    {"shared_stats", "numpy_publish", "tas_claim", "lf_torn_read"}
-)
+_KNOWN_BUGS = frozenset({"shared_stats", "numpy_publish", "tas_claim"})
 _SEEDED_BUGS: frozenset = frozenset()
-
-#: Insert protocols selectable per table: the paper's
-#: EMPTY->LOCKED->OCCUPIED state transfer, or the lock-free single-CAS
-#: publish (no LOCKED intermediate state).
-PROTOCOLS = ("locked", "lockfree")
 
 
 @contextmanager
@@ -110,14 +103,6 @@ def seed_bugs(*names: str):
     stores LOCKED, so both enter the exclusive key-write window (the
     ``insert[tas_claim]`` variant of ``repro.checks.model``, reproduced
     deterministically via the ``tas_gap`` control point).
-
-    ``lf_torn_read`` — in the two-word lock-free reader
-    (:mod:`repro.bigk.table`), skip the wait on the PUB bit: a reader
-    that sees a claimed-but-unpublished tag compares the still-unwritten
-    key words, falsely mismatches, and probes on to insert a duplicate
-    vertex (the ``cas_publish[torn_read]`` variant of
-    ``repro.checks.model``, reproduced via the ``lf_prepub_gap``
-    control point).
     """
     unknown = set(names) - _KNOWN_BUGS
     if unknown:
@@ -200,20 +185,8 @@ class HashStats:
         )
 
 
-def _check_protocol(protocol: str, k: int) -> None:
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if protocol == "lockfree" and 2 * k > 62:
-        # The lock-free claim CAS installs the biased key (kmer + 1)
-        # into a signed 64-bit atomic word, so the key must fit in 62
-        # bits.  k = 32 (the one legal width beyond this) takes the
-        # two-word table anyway.
-        raise ValueError("lockfree protocol needs 2k <= 62 (one-word keys)")
-
-
 def batch_insert(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
-                 chunk: int = 1 << 20,
-                 on_full: str = "raise") -> np.ndarray | None:
+                 chunk: int = 1 << 20) -> None:
     """The vectorized batch insert of both key widths.
 
     ``keys`` are the batch's key planes (one, or ``(hi, lo)``) and
@@ -230,16 +203,10 @@ def batch_insert(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
     is therefore the same for both forms; with rows the table pays one
     probe walk per distinct vertex instead of one per observation.
 
-    ``on_full="raise"`` raises :class:`TableFullError` when probing
-    wraps a full table.  ``on_full="return"`` instead returns the
-    indices (into the batch) of the observations or rows that could not
-    be applied, with their upfront op/increment metering rolled back --
-    the sharded layout's neighbor-fallback path, which re-tries them on
-    the next shard.  Probes and CAS failures paid before the wrap stay
-    metered: they really happened.
+    Raises :class:`TableFullError` when probing wraps a full table, and
+    :class:`OverflowError` before a row would carry a counter past the
+    table's ``counts`` dtype; either leaves the table partially filled.
     """
-    if on_full not in ("raise", "return"):
-        raise ValueError(f"on_full must be 'raise' or 'return', got {on_full!r}")
     keys = tuple(np.ascontiguousarray(p, dtype=np.uint64).ravel() for p in keys)
     values = np.asarray(values)
     values = values.astype(np.int64 if values.ndim == 1 else np.uint64,
@@ -251,29 +218,18 @@ def batch_insert(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
             f"keys and values must be parallel: {n} keys need {n} slots "
             f"or an ({n}, {N_SLOTS}) array of rows, got {values.shape}"
         )
-    leftovers: list[np.ndarray] = []
     for lo in range(0, n, chunk):
-        left = _insert_chunk(table, tuple(p[lo : lo + chunk] for p in keys),
-                             values[lo : lo + chunk], on_full)
-        if left.size:
-            leftovers.append(left + lo)
+        _insert_chunk(table, tuple(p[lo : lo + chunk] for p in keys),
+                      values[lo : lo + chunk])
     if table._atomic_state is not None:
         # Keep the authoritative threaded-mode flags in sync when a
         # quiescent table mixes batch and threaded insertions.
         table._resync_atomic()
-    if on_full == "return":
-        return (np.concatenate(leftovers) if leftovers
-                else np.empty(0, dtype=np.int64))
-    return None
 
 
-def _insert_chunk(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
-                  on_full: str) -> np.ndarray:
-    """One chunk of :func:`batch_insert`: synchronous probe rounds.
-
-    Returns the indices of the items the full table could not take
-    (only ever non-empty with ``on_full="return"``).
-    """
+def _insert_chunk(table, keys: tuple[np.ndarray, ...],
+                  values: np.ndarray) -> None:
+    """One chunk of :func:`batch_insert`: synchronous probe rounds."""
     stats = table.stats
     planes = table._key_planes()
     rows = values if values.ndim == 2 else None
@@ -286,9 +242,17 @@ def _insert_chunk(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
     def add_counts(pos: np.ndarray, items: np.ndarray) -> None:
         if rows is None:
             np.add.at(table.counts, (pos, values[items]), 1)
-        else:
-            # Distinct keys sit in distinct slots: no index repeats.
-            table.counts[pos] += rows[items]
+            return
+        # Headroom left in each counter; comparing against it (not the
+        # sum) cannot itself wrap.
+        top = np.iinfo(table.counts.dtype).max
+        if (rows[items] > top - table.counts[pos]).any():
+            raise OverflowError(
+                f"a vertex row would carry a counter past the "
+                f"{table.counts.dtype} maximum {top}"
+            )
+        # Distinct keys sit in distinct slots: no index repeats.
+        table.counts[pos] += rows[items]
 
     n = keys[0].size
     n_ops = n if weights is None else int(weights.sum())
@@ -297,7 +261,6 @@ def _insert_chunk(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
     home = table._hash(keys) & table._mask
     pending = np.arange(n, dtype=np.int64)
     offset = np.zeros(n, dtype=np.uint64)
-    leftovers: list[np.ndarray] = []
     while pending.size:
         pos = ((home[pending] + offset[pending]) & table._mask).astype(np.int64)
         st = table.state[pos]
@@ -321,10 +284,12 @@ def _insert_chunk(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
             winners[win_idx] = True
             wpos = pos[win_idx]
             items = pending[win_idx]
+            # Counts first: an overflowing row must not leave a
+            # published key behind.
+            add_counts(wpos, items)
             table.state[wpos] = OCCUPIED
             for plane, key in zip(planes, keys):
                 plane[wpos] = key[items]
-            add_counts(wpos, items)
             # One observation per winner inserts.  Run one by one, the
             # rest of a winning row lose the CAS once and then update;
             # items that lost to a different key lose once per
@@ -334,10 +299,7 @@ def _insert_chunk(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
             stats.cas_failures += extra + weight(pending[empty & ~winners])
             table.n_occupied += wpos.size
             stats.inserts += wpos.size
-            if table.protocol == "locked":
-                # Lock-free publishes with the claim CAS itself: no key
-                # critical section is ever taken.
-                stats.key_locks += wpos.size
+            stats.key_locks += wpos.size
         # Advance mismatches; retry CAS losers at the same offset (they
         # will match or mismatch the freshly written key).
         stats.probes += weight(pending[mismatch])
@@ -348,58 +310,39 @@ def _insert_chunk(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
         # An item whose walk visited every slot without meeting its key
         # or an empty slot finds the table full.  The observations of
         # one key walk in lockstep, so they wrap together.
-        wrapped = offset[pending] >= table.capacity
-        if wrapped.any():
-            if on_full == "raise":
-                raise TableFullError(
-                    f"probe wrapped a table of capacity {table.capacity} "
-                    f"(occupied {table.n_occupied})"
-                )
-            # Roll back the upfront metering for the unplaced items so
-            # the caller's retry on a neighbor shard re-meters them
-            # exactly once.
-            n_left = weight(pending[wrapped])
-            stats.ops -= n_left
-            stats.count_increments -= n_left
-            leftovers.append(pending[wrapped])
-            pending = pending[~wrapped]
-    return (np.sort(np.concatenate(leftovers)) if leftovers
-            else np.empty(0, dtype=np.int64))
+        if (offset[pending] >= table.capacity).any():
+            raise TableFullError(
+                f"probe wrapped a table of capacity {table.capacity} "
+                f"(occupied {table.n_occupied})"
+            )
 
 
 class ConcurrentHashTable:
-    """Fixed-capacity open-addressing table with selectable protocol.
+    """Fixed-capacity open-addressing table over one-word (uint64) keys.
 
-    ``protocol="locked"`` (default) runs the paper's state-transfer
-    partial locking.  ``protocol="lockfree"`` removes the LOCKED
-    intermediate state entirely: the claim CAS installs the *biased key*
-    (``kmer + 1``, so 0 stays the EMPTY sentinel) into the atomic word —
-    claiming and publishing are one instruction, readers compare the tag
-    and never wait.  Lock-free requires one-word keys strictly below
-    ``2^63`` (``k <= 31``), which every one-word kmer satisfies.
+    Inserts run the paper's state-transfer partial locking; counters are
+    ``uint32``, as in :class:`repro.bigk.table.TwoWordHashTable` and the
+    shared-memory layout of :func:`repro.parallel.shm.create_table_segment`.
     """
 
-    def __init__(self, capacity: int, k: int, counts_dtype=np.uint32,
-                 protocol: str = "locked") -> None:
+    def __init__(self, capacity: int, k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
         if 2 * k > 64:
             raise ValueError(
                 "this table stores one-word (uint64) keys; need 2k <= 64"
             )
-        _check_protocol(protocol, k)
         self.capacity = next_power_of_two(max(2, capacity))
         self._mask = np.uint64(self.capacity - 1)
         self.k = k
         self.state = np.zeros(self.capacity, dtype=np.int8)
         self.keys = np.zeros(self.capacity, dtype=np.uint64)
-        self.counts = np.zeros((self.capacity, N_SLOTS), dtype=counts_dtype)
+        self.counts = np.zeros((self.capacity, N_SLOTS), dtype=np.uint32)
         self.n_occupied = 0
-        self._init_runtime(protocol)
+        self._init_runtime()
 
-    def _init_runtime(self, protocol: str = "locked") -> None:
+    def _init_runtime(self) -> None:
         """State shared by both constructors (stats + lazy threaded locks)."""
-        self.protocol = protocol
         self.stats = HashStats()
         # Threaded-path machinery (created lazily, under _init_lock).
         self._atomic_state: AtomicInt64Array | None = None
@@ -410,8 +353,8 @@ class ConcurrentHashTable:
 
     @classmethod
     def from_views(cls, k: int, state: np.ndarray, keys: np.ndarray,
-                   counts: np.ndarray, n_occupied: int | None = None,
-                   protocol: str = "locked") -> "ConcurrentHashTable":
+                   counts: np.ndarray,
+                   n_occupied: int | None = None) -> "ConcurrentHashTable":
         """Construct a table over externally owned buffers (no copy).
 
         This is the pickle-free attach path of the process backend: the
@@ -425,7 +368,6 @@ class ConcurrentHashTable:
         """
         if k < 1 or 2 * k > 64:
             raise ValueError("need 1 <= k and 2k <= 64 for one-word keys")
-        _check_protocol(protocol, k)
         capacity = int(state.size)
         if capacity < 2 or capacity & (capacity - 1):
             raise ValueError("state size must be a power of two >= 2")
@@ -442,7 +384,7 @@ class ConcurrentHashTable:
             int((state == OCCUPIED).sum()) if n_occupied is None
             else int(n_occupied)
         )
-        table._init_runtime(protocol)
+        table._init_runtime()
         return table
 
     def detach_views(self) -> None:
@@ -467,8 +409,7 @@ class ConcurrentHashTable:
     # -- vectorized single-threaded path ---------------------------------------
 
     def insert_batch(self, kmers: np.ndarray, values: np.ndarray,
-                     chunk: int = 1 << 20,
-                     on_full: str = "raise") -> np.ndarray | None:
+                     chunk: int = 1 << 20) -> None:
         """Apply ``(kmer, slot)`` observations or vertex rows, vectorized.
 
         ``values`` holds either one counter slot per kmer -- each
@@ -477,12 +418,12 @@ class ConcurrentHashTable:
         rows of :func:`repro.core.subgraph.preaggregate_observations`),
         each added to its entry in one touch.  Entries are inserted on
         first sight.  See :func:`batch_insert` for the metering and
-        ``on_full``.
+        the errors.
 
         Single-threaded only: this path writes the numpy mirror
         directly and must never overlap :meth:`insert_threaded`.
         """
-        return batch_insert(self, (kmers,), values, chunk, on_full)
+        batch_insert(self, (kmers,), values, chunk)
 
     def _key_planes(self) -> tuple[np.ndarray, ...]:
         return (self.keys,)
@@ -504,11 +445,7 @@ class ConcurrentHashTable:
                 return
             atomic = AtomicInt64Array(self.capacity, n_stripes=256)
             raw = atomic.raw()  # checks: allow[R3] pre-publication init under _init_lock
-            if self.protocol == "lockfree":
-                occ = self.state == OCCUPIED
-                raw[occ] = (self.keys[occ] + np.uint64(1)).astype(np.int64)
-            else:
-                raw[:] = self.state.astype(np.int64)
+            raw[:] = self.state.astype(np.int64)
             self._count_locks = [
                 TracedLock(f"count_lock[{i}]") for i in range(256)
             ]
@@ -555,9 +492,6 @@ class ConcurrentHashTable:
             self.stats = self.stats.merged_with(scratch)
 
     def _insert_one(self, kmer: int, slot: int, stats: HashStats) -> None:
-        if self.protocol == "lockfree":
-            self._insert_one_lockfree(kmer, slot, stats)
-            return
         atomic = self._atomic_state
         assert atomic is not None and self._count_locks is not None
         stats.ops += 1
@@ -567,11 +501,6 @@ class ConcurrentHashTable:
         spins = 0
         while True:
             if offset >= self.capacity:
-                # Un-meter the op before raising: a sharded wrapper
-                # catches this and re-runs the op on a neighbor shard,
-                # which meters it again.
-                stats.ops -= 1
-                stats.count_increments -= 1
                 raise TableFullError(
                     f"probe wrapped a table of capacity {self.capacity}"
                 )
@@ -632,60 +561,6 @@ class ConcurrentHashTable:
             offset += 1
             stats.probes += 1
 
-    def _insert_one_lockfree(self, kmer: int, slot: int,
-                             stats: HashStats) -> None:
-        """The CAS-publish protocol: claim == publication, no LOCKED state.
-
-        The atomic word holds the *biased key* (``kmer + 1``) instead of
-        an occupancy flag: a single ``CAS(0 -> kmer + 1)`` both claims
-        the slot and publishes the key's identity, so there is no window
-        in which a reader must wait — a mismatching tag means "probe
-        on", immediately.  The numpy ``keys`` plane is written by the
-        claim winner afterwards purely for the quiescent query paths
-        (``to_graph``); live readers only ever compare the tag.  Edge
-        counters stay atomic fetch-adds, exactly as under ``locked``.
-
-        Consequently ``key_locks`` and ``blocked_reads`` stay zero: the
-        protocol never takes a key critical section and never spins.
-        """
-        atomic = self._atomic_state
-        assert atomic is not None and self._count_locks is not None
-        stats.ops += 1
-        stats.count_increments += 1
-        tag = kmer + 1  # biased key: 0 remains the empty sentinel
-        h = mix64_int(kmer) & (self.capacity - 1)
-        offset = 0
-        while True:
-            if offset >= self.capacity:
-                stats.ops -= 1
-                stats.count_increments -= 1
-                raise TableFullError(
-                    f"probe wrapped a table of capacity {self.capacity}"
-                )
-            pos = (h + offset) & (self.capacity - 1)
-            st = atomic.load(pos)
-            if st == EMPTY:
-                if atomic.compare_and_swap(pos, EMPTY, tag):
-                    stats.inserts += 1
-                    # The slot is already published; this write backfills
-                    # the quiescent-mode mirror and is unraced (exactly
-                    # one claim winner per slot, readers compare tags).
-                    _trace("keys", id(self), pos, "write")
-                    self.keys[pos] = np.uint64(kmer)
-                    self._add_count(pos, slot)
-                    with self._occupied_lock:
-                        _trace("n_occupied", id(self), 0, "write")
-                        self.n_occupied += 1
-                    return
-                stats.cas_failures += 1
-                continue  # retry the same slot against the new tag
-            if st == tag:
-                stats.updates += 1
-                self._add_count(pos, slot)
-                return
-            offset += 1
-            stats.probes += 1
-
     def _add_count(self, pos: int, slot: int) -> None:
         assert self._count_locks is not None
         with self._count_locks[pos % len(self._count_locks)]:
@@ -734,28 +609,17 @@ class ConcurrentHashTable:
         """Re-sync the single-threaded numpy mirror after a fork-join."""
         if self._atomic_state is not None:
             snap = self._atomic_state.snapshot()
-            if self.protocol == "lockfree":
-                # The atomic plane holds biased keys; any non-zero word
-                # is a published entry.
-                snap = np.where(snap != 0, OCCUPIED, EMPTY)
             self.state[:] = snap.astype(self.state.dtype)
 
     def _resync_atomic(self) -> None:
         """Rebuild the authoritative atomic plane from the numpy mirror.
 
         Only legal on a quiescent table: the batch path calls it after
-        mixing vectorized and threaded insertions.  The atomic word's
-        encoding is protocol-dependent — occupancy flags under
-        ``locked``, biased keys (0 = empty) under ``lockfree``.
+        mixing vectorized and threaded insertions.
         """
         assert self._atomic_state is not None
         raw = self._atomic_state.raw()  # checks: allow[R3] single-threaded resync
-        if self.protocol == "lockfree":
-            occ = self.state == OCCUPIED
-            raw[:] = 0
-            raw[occ] = (self.keys[occ] + np.uint64(1)).astype(np.int64)
-        else:
-            raw[:] = self.state
+        raw[:] = self.state
 
     # -- queries ------------------------------------------------------------------
 
@@ -763,11 +627,7 @@ class ConcurrentHashTable:
         """One occupancy flag, via the atomic array while threads may run."""
         atomic = self._atomic_state
         if atomic is not None and "numpy_publish" not in _SEEDED_BUGS:
-            raw = atomic.load(pos)
-            if self.protocol == "lockfree":
-                # The word is a biased key; occupancy is its non-zeroness.
-                return OCCUPIED if raw != EMPTY else EMPTY
-            return raw
+            return atomic.load(pos)
         _trace("state", id(self), pos, "read")
         return int(self.state[pos])  # checks: allow[R1] single-threaded or seeded-bug mirror read (atomic path taken while threads run)
 
@@ -779,10 +639,7 @@ class ConcurrentHashTable:
         atomic snapshot whenever the threaded machinery exists.
         """
         if self._atomic_state is not None:
-            snap = self._atomic_state.snapshot()
-            if self.protocol == "lockfree":
-                snap = np.where(snap != 0, OCCUPIED, EMPTY)
-            return snap.astype(np.int8)
+            return self._atomic_state.snapshot().astype(np.int8)
         return self.state
 
     def lookup(self, kmer: int) -> np.ndarray | None:
@@ -793,21 +650,9 @@ class ConcurrentHashTable:
         numpy mirror) while the threaded machinery exists.
         """
         kmer = int(kmer)
-        atomic = self._atomic_state
-        lockfree_live = self.protocol == "lockfree" and atomic is not None
         h = mix64_int(kmer) & (self.capacity - 1)
         for offset in range(self.capacity):
             pos = (h + offset) & (self.capacity - 1)
-            if lockfree_live:
-                # The atomic word *is* the biased key: one load both
-                # tests occupancy and compares identity — lock-free
-                # readers never wait and never touch the keys plane.
-                tag = atomic.load(pos)
-                if tag == EMPTY:
-                    return None
-                if tag == kmer + 1:
-                    return self.counts[pos].copy()  # checks: allow[R1] racy snapshot of monotonic counters
-                continue
             st = self._load_state(pos)
             if st == EMPTY:
                 return None

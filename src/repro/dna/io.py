@@ -59,6 +59,39 @@ class FormatError(ValueError):
     """Raised when an input file violates the FASTA/FASTQ structure."""
 
 
+class _GzipStream(io.RawIOBase):
+    """The decompressed bytes of a gzip file, with typed read errors.
+
+    A truncated file (``EOFError``), a corrupt deflate block
+    (``zlib.error``) or a bad header or CRC (``gzip.BadGzipFile``)
+    surfaces as a :class:`FormatError` naming the path, for the FASTQ
+    scanner and the FASTA line parser alike.
+    """
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        import gzip
+        import zlib
+
+        self._path = path
+        self._errors = (EOFError, zlib.error, gzip.BadGzipFile)
+        self._gz = gzip.open(path, "rb")
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        try:
+            return self._gz.readinto(buf)
+        except self._errors as exc:
+            raise FormatError(
+                f"{self._path}: corrupt or truncated gzip data ({exc})"
+            ) from exc
+
+    def close(self) -> None:
+        self._gz.close()
+        super().close()
+
+
 def _open_binary(path: str | os.PathLike) -> BinaryIO:
     """Open ``path`` for reading bytes, decompressing it if it is gzip.
 
@@ -67,9 +100,7 @@ def _open_binary(path: str | os.PathLike) -> BinaryIO:
     with open(path, "rb") as fh:
         gzipped = fh.read(2) == _GZIP_MAGIC
     if gzipped:
-        import gzip
-
-        return gzip.open(path, "rb")
+        return io.BufferedReader(_GzipStream(path))
     return open(path, "rb")
 
 

@@ -439,23 +439,11 @@ def build_graph_processes(
 # -- cross-process CAS validation path -------------------------------------------
 
 
-def _final_capacity(capacity: int, k: int, layout: str,
-                    n_shards: int) -> int:
-    """The exact slot count the table segment will carry."""
-    if layout == "sharded":
-        from .sharded import shard_capacity
-
-        return shard_capacity(capacity, n_shards) * n_shards
-    return next_power_of_two(max(2, capacity))
-
-
 def _publish_final_state(table_seg, flags_seg) -> None:
     """Fold the quiescent flags plane into the table's int8 state mirror.
 
-    Protocol-agnostic: under ``locked`` the flags hold state values and
-    every LOCKED resolved to OCCUPIED before the workers joined; under
-    ``lockfree`` they hold key/fingerprint tags.  Either way a non-zero
-    word is exactly a published entry.
+    Every LOCKED flag resolved to OCCUPIED before the workers joined, so
+    a non-zero word is exactly a published entry.
     """
     from ..core.hashtable import OCCUPIED
 
@@ -463,33 +451,16 @@ def _publish_final_state(table_seg, flags_seg) -> None:
     table_seg["state"][:] = ((flags != 0) * OCCUPIED).astype(np.int8)
 
 
-def _shard_lock_bundles(ctx, layout: str, n_shards: int,
-                        n_stripes: int) -> tuple[list, list]:
-    """State/count lock bundles: one pair per shard (one total for flat).
+def _install_shared_atomics(table, flags: np.ndarray, state_locks,
+                            count_locks) -> None:
+    """Arm a worker-side table with the cross-process atomic plane.
 
-    The sharded layout's private lock regions are what cuts stripe
-    contention: ``n_stripes`` is the *total* stripe budget, split so
-    each shard carries its own private slice — two workers in different
-    shards can never collide on a lock, and the OS lock count (and the
-    spawn-pickling cost) stays the same as the flat layout's.
+    The occupancy flags live in the shared int64 plane and every stripe
+    lock is a multiprocessing lock, so the CAS window and the counter
+    updates are mutually exclusive across processes.
     """
-    if layout == "sharded":
-        per_shard = max(4, n_stripes // n_shards)
-        state = [create_lock_bundle(ctx, per_shard) for _ in range(n_shards)]
-        count = [create_lock_bundle(ctx, per_shard) for _ in range(n_shards)]
-        return state, count
-    return ([create_lock_bundle(ctx, n_stripes)],
-            [create_lock_bundle(ctx, n_stripes)])
-
-
-def _install_shared_atomics(table, flags: np.ndarray, layout: str,
-                            state_bundles: list, count_bundles: list) -> None:
-    """Arm a worker-side table with the cross-process atomic plane."""
-    if layout == "sharded":
-        table.install_process_atomics(flags, state_bundles, count_bundles)
-    else:
-        table._atomic_state = ProcessAtomicInt64Array(flags, state_bundles[0])
-        table._count_locks = list(count_bundles[0])
+    table._atomic_state = ProcessAtomicInt64Array(flags, state_locks)
+    table._count_locks = list(count_locks)
 
 
 def concurrent_insert_processes(
@@ -499,22 +470,15 @@ def concurrent_insert_processes(
     capacity: int,
     n_workers: int,
     n_stripes: int = 64,
-    layout: str = "flat",
-    protocol: str = "locked",
-    n_shards: int = 8,
 ) -> tuple[DeBruijnGraph, list[HashStats]]:
     """Insert observations into ONE table from several processes.
 
     This is the insert protocol on genuinely concurrent memory: every
     worker runs the per-operation state machine — CAS EMPTY→LOCKED /
-    write-key / publish-OCCUPIED under ``protocol="locked"``, or the
-    single CAS-publish under ``protocol="lockfree"`` — against the same
-    shared-memory occupancy plane.  ``layout="sharded"`` slices that
-    plane into ``n_shards`` shard regions with *private* lock bundles,
-    so workers mostly contend only within their own shard.  Returns the
-    resulting subgraph and the per-worker stats.  Used by the
-    equivalence tests (the outcome must match a serial
-    ``insert_batch``); the production pipeline instead gives each
+    write-key / publish-OCCUPIED — against the same shared-memory
+    occupancy plane.  Returns the resulting subgraph and the per-worker
+    stats.  Used by the equivalence tests (the outcome must match a
+    serial ``insert_batch``); the production pipeline instead gives each
     partition to exactly one process, as the paper does per subgraph.
     """
     kmers = np.ascontiguousarray(kmers, dtype=np.uint64).ravel()
@@ -523,62 +487,46 @@ def concurrent_insert_processes(
         raise ValueError("kmers and slots must be parallel arrays")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    if layout != "sharded":
-        n_shards = 1
     ctx = default_context()
-    cap = _final_capacity(capacity, k, layout, n_shards)
+    cap = next_power_of_two(max(2, capacity))
     # Each `with` owns its segment from the moment of creation: if the
     # flags segment or a lock bundle fails to build, the table segment
     # is already inside its context and still unlinks (no shm leak on
     # partially-constructed runs).
-    with create_table_segment(cap, k, n_shards=n_shards) as table_seg, \
+    with create_table_segment(cap, k) as table_seg, \
             create_segment([("flags", (cap,), "int64")]) as flags_seg:
-        state_bundles, count_bundles = _shard_lock_bundles(
-            ctx, layout, n_shards, n_stripes
-        )
+        state_locks = create_lock_bundle(ctx, n_stripes)
+        count_locks = create_lock_bundle(ctx, n_stripes)
         bounds = np.linspace(0, kmers.size, n_workers + 1).astype(int).tolist()
         stats = run_workers(
             _cas_worker, n_workers, ctx=ctx,
-            args=(table_seg.spec, flags_seg.spec, state_bundles,
-                  count_bundles, kmers, slots, bounds, k, layout, protocol,
-                  n_shards),
+            args=(table_seg.spec, flags_seg.spec, state_locks, count_locks,
+                  kmers, slots, bounds, k),
         )
         # Publish the final flags into the table's int8 mirror, then
         # read the graph straight out of shared memory.
         _publish_final_state(table_seg, flags_seg)
-        table = table_over_segment(table_seg, k, fresh=False, layout=layout,
-                                   n_shards=n_shards, protocol=protocol)
+        table = table_over_segment(table_seg, k, fresh=False)
         graph = table.to_graph()
         table.detach_views()
         return graph, stats
 
 
 def _cas_worker(worker_id: int, table_spec: SegmentSpec,
-                flags_spec: SegmentSpec, state_bundles, count_bundles,
+                flags_spec: SegmentSpec, state_locks, count_locks,
                 kmers: np.ndarray, slots: np.ndarray,
-                bounds: list[int], k: int, layout: str, protocol: str,
-                n_shards: int) -> HashStats:
+                bounds: list[int], k: int) -> HashStats:
     """One process of the cross-process state-machine run."""
     seg = attach_segment(table_spec)
     flags_seg = attach_segment(flags_spec)
-    table = table_over_segment(seg, k, fresh=True, layout=layout,
-                               n_shards=n_shards, protocol=protocol)
-    # Swap the thread-path machinery for its cross-process twins: the
-    # occupancy flags live in the shared int64 plane and every stripe
-    # lock is a multiprocessing lock, so the CAS window and the counter
-    # updates are mutually exclusive across processes.
-    _install_shared_atomics(table, flags_seg["flags"], layout,
-                            state_bundles, count_bundles)
+    table = table_over_segment(seg, k, fresh=True)
+    _install_shared_atomics(table, flags_seg["flags"], state_locks,
+                            count_locks)
     local = HashStats()
     b0, b1 = bounds[worker_id], bounds[worker_id + 1]
     try:
-        if layout == "sharded":
-            # Routing is one vectorized hash pass over the span.
-            table.insert_ops_threadsafe(kmers[b0:b1], slots[b0:b1], local)
-        else:
-            for i in range(b0, b1):
-                table.insert_one_threadsafe(int(kmers[i]), int(slots[i]),
-                                            local)
+        for i in range(b0, b1):
+            table.insert_one_threadsafe(int(kmers[i]), int(slots[i]), local)
     finally:
         table.detach_views()
         seg.close()
@@ -594,19 +542,13 @@ def concurrent_insert_processes_2w(
     capacity: int,
     n_workers: int,
     n_stripes: int = 64,
-    layout: str = "flat",
-    protocol: str = "locked",
-    n_shards: int = 8,
 ):
     """Two-word twin of :func:`concurrent_insert_processes` (k > 31).
 
     Several processes CAS the same occupancy plane and publish BOTH key
-    words (``keys_hi`` then ``keys_lo``) — inside the LOCKED window
-    under ``protocol="locked"`` (the multi-word case the state-transfer
-    protocol exists for; paper §III, multi-word ablation), or between
-    the claim CAS and the publication-bit store under
-    ``protocol="lockfree"``.  ``layout="sharded"`` gives each shard a
-    private flags region and lock bundles.  Returns the resulting
+    words (``keys_hi`` then ``keys_lo``) inside the LOCKED window — the
+    multi-word case the state-transfer protocol exists for (paper §III,
+    multi-word ablation).  Returns the resulting
     :class:`~repro.bigk.store.BigDeBruijnGraph` and per-worker stats.
     """
     hi = np.ascontiguousarray(hi, dtype=np.uint64).ravel()
@@ -618,57 +560,46 @@ def concurrent_insert_processes_2w(
         raise ValueError("n_workers must be >= 1")
     if k <= 31:
         raise ValueError("use concurrent_insert_processes for k <= 31")
-    if layout != "sharded":
-        n_shards = 1
     ctx = default_context()
-    cap = _final_capacity(capacity, k, layout, n_shards)
+    cap = next_power_of_two(max(2, capacity))
     # Same ownership discipline as the one-word path: each `with` owns
     # its segment from creation, so a failed lock-bundle build still
     # unlinks everything (no shm leak on partially-constructed runs).
-    with create_table_segment(cap, k, n_shards=n_shards) as table_seg, \
+    with create_table_segment(cap, k) as table_seg, \
             create_segment([("flags", (cap,), "int64")]) as flags_seg:
-        state_bundles, count_bundles = _shard_lock_bundles(
-            ctx, layout, n_shards, n_stripes
-        )
+        state_locks = create_lock_bundle(ctx, n_stripes)
+        count_locks = create_lock_bundle(ctx, n_stripes)
         bounds = np.linspace(0, hi.size, n_workers + 1).astype(int).tolist()
         stats = run_workers(
             _cas_worker_2w, n_workers, ctx=ctx,
-            args=(table_seg.spec, flags_seg.spec, state_bundles,
-                  count_bundles, hi, lo, slots, bounds, k, layout, protocol,
-                  n_shards),
+            args=(table_seg.spec, flags_seg.spec, state_locks, count_locks,
+                  hi, lo, slots, bounds, k),
         )
         _publish_final_state(table_seg, flags_seg)
-        table = table_over_segment(table_seg, k, fresh=False, layout=layout,
-                                   n_shards=n_shards, protocol=protocol)
+        table = table_over_segment(table_seg, k, fresh=False)
         graph = table.to_graph()
         table.detach_views()
         return graph, stats
 
 
 def _cas_worker_2w(worker_id: int, table_spec: SegmentSpec,
-                   flags_spec: SegmentSpec, state_bundles, count_bundles,
+                   flags_spec: SegmentSpec, state_locks, count_locks,
                    hi: np.ndarray, lo: np.ndarray, slots: np.ndarray,
-                   bounds: list[int], k: int, layout: str, protocol: str,
-                   n_shards: int) -> HashStats:
+                   bounds: list[int], k: int) -> HashStats:
     """One process of the two-word cross-process state-machine run."""
     from ..bigk.kmer2w import join_planes
 
     seg = attach_segment(table_spec)
     flags_seg = attach_segment(flags_spec)
-    table = table_over_segment(seg, k, fresh=True, layout=layout,
-                               n_shards=n_shards, protocol=protocol)
-    _install_shared_atomics(table, flags_seg["flags"], layout,
-                            state_bundles, count_bundles)
+    table = table_over_segment(seg, k, fresh=True)
+    _install_shared_atomics(table, flags_seg["flags"], state_locks,
+                            count_locks)
     local = HashStats()
     b0, b1 = bounds[worker_id], bounds[worker_id + 1]
     try:
-        if layout == "sharded":
-            table.insert_ops_threadsafe(hi[b0:b1], lo[b0:b1],
-                                        slots[b0:b1], local)
-        else:
-            for i in range(b0, b1):
-                kmer = join_planes(hi[i], lo[i])
-                table.insert_one_threadsafe(kmer, int(slots[i]), local)
+        for i in range(b0, b1):
+            kmer = join_planes(hi[i], lo[i])
+            table.insert_one_threadsafe(kmer, int(slots[i]), local)
     finally:
         table.detach_views()
         seg.close()

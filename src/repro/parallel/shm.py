@@ -195,15 +195,11 @@ def attach_read_batch(spec: SegmentSpec):
 
 # -- hash tables ----------------------------------------------------------------
 
-def create_table_segment(capacity: int, k: int,
-                         n_shards: int = 1) -> SharedSegment:
+def create_table_segment(capacity: int, k: int) -> SharedSegment:
     """Zero-filled backing store for one hash table (one- or two-word).
 
-    Layout matches the table's arrays.  ``capacity`` must already
-    be the table's true (power-of-two) capacity for the flat layout;
-    with ``n_shards > 1`` it is rounded so each of the ``n_shards``
-    contiguous slices is itself a power of two (the sharded layout of
-    :mod:`repro.parallel.sharded` slices these very planes by shard).
+    Layout matches the table's arrays; ``capacity`` must already be the
+    table's true (power-of-two) capacity.
 
     For ``k <= 31`` the layout backs a
     :class:`~repro.core.hashtable.ConcurrentHashTable` (one ``keys``
@@ -216,10 +212,6 @@ def create_table_segment(capacity: int, k: int,
     """
     from ..graph.dbg import N_SLOTS
 
-    if n_shards > 1:
-        from .sharded import shard_capacity
-
-        capacity = shard_capacity(capacity, n_shards) * n_shards
     if k > 31:
         from ..bigk.kmer2w import check_2w_k
 
@@ -237,52 +229,30 @@ def create_table_segment(capacity: int, k: int,
     ])
 
 
-def table_over_segment(seg: SharedSegment, k: int, fresh: bool = False,
-                       layout: str = "flat", n_shards: int = 1,
-                       protocol: str = "locked"):
+def table_over_segment(seg: SharedSegment, k: int, fresh: bool = False):
     """A hash table whose arrays are the segment's views (zero-copy).
 
     Returns a :class:`~repro.core.hashtable.ConcurrentHashTable` over a
     one-word segment or a :class:`~repro.bigk.table.TwoWordHashTable`
     over a two-word one, keyed off ``k`` — which must match the layout
-    the segment was created with.  ``layout="sharded"`` wraps the same
-    planes in the sharded wrappers of :mod:`repro.parallel.sharded`
-    (``n_shards`` must match :func:`create_table_segment`); ``protocol``
-    selects the per-slot insert protocol either way.
+    the segment was created with.
 
     With ``fresh=True`` the segment is assumed zero-filled (a new table);
     otherwise occupancy is recounted from the ``state`` array, so a
     parent can attach *after* a worker filled the table and read the
     result without any copy.
     """
-    if layout == "sharded":
-        from .sharded import ShardedHashTable, ShardedTwoWordHashTable
-
-        if k > 31:
-            return ShardedTwoWordHashTable.from_views(
-                k=k, state=seg["state"], keys_hi=seg["keys_hi"],
-                keys_lo=seg["keys_lo"], counts=seg["counts"],
-                n_shards=n_shards, n_occupied=0 if fresh else None,
-                protocol=protocol,
-            )
-        return ShardedHashTable.from_views(
-            k=k, state=seg["state"], keys=seg["keys"], counts=seg["counts"],
-            n_shards=n_shards, n_occupied=0 if fresh else None,
-            protocol=protocol,
-        )
-    if layout != "flat":
-        raise ValueError(f"layout must be 'flat' or 'sharded', got {layout!r}")
     if k > 31:
         from ..bigk.table import TwoWordHashTable
 
         return TwoWordHashTable.from_views(
             k=k, state=seg["state"], keys_hi=seg["keys_hi"],
             keys_lo=seg["keys_lo"], counts=seg["counts"],
-            n_occupied=0 if fresh else None, protocol=protocol,
+            n_occupied=0 if fresh else None,
         )
     from ..core.hashtable import ConcurrentHashTable
 
     return ConcurrentHashTable.from_views(
         k=k, state=seg["state"], keys=seg["keys"], counts=seg["counts"],
-        n_occupied=0 if fresh else None, protocol=protocol,
+        n_occupied=0 if fresh else None,
     )

@@ -130,6 +130,15 @@ class TestTwoWordTable:
         threaded.insert_threaded(chosen, slots, n_threads=4)
         assert threaded.to_graph().equals(serial.to_graph())
 
+    def test_row_counter_overflow_raises(self):
+        table = TwoWordHashTable(16, k=33)
+        row = np.zeros((1, 9), dtype=np.uint64)
+        row[0, 8] = 2**32 + 5
+        with pytest.raises(OverflowError, match="uint32"):
+            table.insert_batch(np.array([0], dtype=np.uint64),
+                               np.array([7], dtype=np.uint64), row)
+        assert table.n_occupied == 0 and table.lookup(7) is None
+
     def test_lookup(self, rng):
         k = 41
         chosen, hi, lo, slots = self.observations(rng, k)

@@ -73,16 +73,16 @@ class TestR1SharedArrayAccess:
         assert rules_of(lint_source(src, "repro/concurrentsub/q.py")) == {"R1"}
         assert lint_source(src, "repro/other/q.py") == []
 
-    def test_sharded_layout_module_all_threaded(self):
-        # The sharded table layout lives under repro/parallel, so every
-        # function in it is threaded-reachable to the linter.
+    def test_parallel_module_all_threaded(self):
+        # Every function under repro/parallel is threaded-reachable to
+        # the linter, whatever its name.
         src = (
             "class S:\n"
             "    def route(self):\n"
             "        self.state[0] = 1\n"
         )
         assert rules_of(
-            lint_source(src, "repro/parallel/sharded.py")) == {"R1"}
+            lint_source(src, "repro/parallel/backend.py")) == {"R1"}
 
     def test_pragma_suppression(self):
         src = (
@@ -375,30 +375,6 @@ class TestR8CounterDiscipline:
             "    self.mode.value = 3\n"
         )
         assert lint_source(src, "queue.py") == []
-
-    def test_raw_shard_counter_store_flagged(self):
-        # Shard-local counters follow the same discipline as the queue
-        # cursors: raw .value stores bypass the fetch-increment.
-        src = (
-            "def spill(self):\n"
-            "    self.shard_occ.value += 1\n"
-        )
-        assert rules_of(lint_source(src, "sharded.py")) == {"R8"}
-
-    def test_indexed_shard_counter_store_flagged(self):
-        src = (
-            "def spill(self, i):\n"
-            "    self.shards[i].value = 0\n"
-        )
-        assert rules_of(lint_source(src, "sharded.py")) == {"R8"}
-
-    def test_locked_shard_counter_store_clean(self):
-        src = (
-            "def reset(self, i):\n"
-            "    with self._shard_locks[i]:\n"
-            "        self.shards[i]._value.value = 0\n"
-        )
-        assert lint_source(src, "sharded.py") == []
 
 
 class TestR9StalePragma:

@@ -15,7 +15,6 @@ from repro.checks.model import (
     steps_of,
 )
 from repro.checks.protocols import (
-    CAS_PUBLISH_VARIANTS,
     CORPUS,
     INSERT_VARIANTS,
     QUEUE_VARIANTS,
@@ -132,10 +131,6 @@ class TestFixedProtocols:
             build_model("workqueue", consumers=2, items=3, crash=False))
         assert res.ok and not res.truncated, res.summary()
 
-    def test_cas_publish_verifies_at_ci_bound(self):
-        res = check_model(build_model("cas_publish", writers=3))
-        assert res.ok and not res.truncated, res.summary()
-
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             build_model("mutex")
@@ -143,9 +138,9 @@ class TestFixedProtocols:
 
 class TestSeededCorpus:
     def test_corpus_covers_all_protocols(self):
-        assert (set(INSERT_VARIANTS) | set(QUEUE_VARIANTS)
-                | set(CAS_PUBLISH_VARIANTS)) == {v for _, v in CORPUS}
-        assert len(CORPUS) == 8
+        assert (set(INSERT_VARIANTS) | set(QUEUE_VARIANTS)) \
+            == {v for _, v in CORPUS}
+        assert len(CORPUS) == 7
 
     @pytest.mark.parametrize("protocol,variant", CORPUS)
     def test_every_variant_is_refuted(self, protocol, variant):

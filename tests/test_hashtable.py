@@ -74,6 +74,22 @@ class TestInsertBatch:
         with pytest.raises(TableFullError):
             table.insert_batch(kmers, slots)
 
+    def test_row_counter_overflow_raises(self):
+        # Counters are uint32; a row past that must not wrap silently.
+        table = ConcurrentHashTable(16, k=15)
+        row = np.zeros((1, 9), dtype=np.uint64)
+        row[0, MULT_SLOT] = 2**32 + 5
+        with pytest.raises(OverflowError, match="uint32"):
+            table.insert_batch(np.array([7], dtype=np.uint64), row)
+        assert table.n_occupied == 0 and table.lookup(7) is None
+        # Accumulating rows overflow too; the counter keeps its value.
+        row[0, MULT_SLOT] = 2**32 - 1
+        table.insert_batch(np.array([7], dtype=np.uint64), row)
+        row[0, MULT_SLOT] = 1
+        with pytest.raises(OverflowError):
+            table.insert_batch(np.array([7], dtype=np.uint64), row)
+        assert int(table.lookup(7)[MULT_SLOT]) == 2**32 - 1
+
     def test_mismatched_arrays(self):
         table = ConcurrentHashTable(64, k=15)
         with pytest.raises(ValueError):

@@ -141,6 +141,29 @@ class TestGzipInput:
         assert (load_read_batch(packed).codes == load_read_batch(plain).codes).all()
         assert read_sequences(packed) == read_sequences(plain)
 
+    @staticmethod
+    def _packed(tmp_path, batch) -> bytes:
+        plain = tmp_path / "r.fastq"
+        save_read_batch(plain, batch)
+        return gzip.compress(plain.read_bytes())
+
+    def test_truncated_gz_is_format_error(self, tmp_path, genomic_batch):
+        data = self._packed(tmp_path, genomic_batch)
+        cut = tmp_path / "cut.fastq.gz"
+        cut.write_bytes(data[: len(data) // 2])
+        for read in (load_read_batch, read_sequences):
+            with pytest.raises(FormatError, match="cut.fastq.gz.*truncated"):
+                read(cut)
+
+    def test_corrupt_deflate_is_format_error(self, tmp_path, genomic_batch):
+        data = bytearray(self._packed(tmp_path, genomic_batch))
+        data[200:260] = bytes(b ^ 0xFF for b in data[200:260])
+        bad = tmp_path / "bad.fastq.gz"
+        bad.write_bytes(bytes(data))
+        for read in (load_read_batch, read_sequences):
+            with pytest.raises(FormatError, match="bad.fastq.gz.*corrupt"):
+                read(bad)
+
 
 class TestAutodetect:
     def test_detects_fasta(self, tmp_path):

@@ -6,8 +6,8 @@ into one 9-counter row per vertex.  Here the owner build
 and the sort-merge oracles (``build_subgraph_sortmerge`` /
 ``build_subgraph_2w_sortmerge``) on both key widths, and meter the same
 protocol-level ``HashStats`` as the paper's per-observation insert;
-inserting the rows into a table of every layout x insert protocol must
-give that table's per-observation graph and stats.
+inserting the rows into the hash table must give that table's
+per-observation graph and stats.
 
 The blocks are built directly from superkmer records, so they can hold
 what MSP output rarely does: read-boundary (-1) extensions on both
@@ -38,10 +38,6 @@ from repro.core.subgraph import (
 )
 from repro.dna.kmer import kmer_from_codes, revcomp_int
 from repro.msp.records import SuperkmerRecord, block_from_records
-from repro.parallel.sharded import ShardedHashTable, ShardedTwoWordHashTable
-
-COMBOS = [("flat", "locked"), ("flat", "lockfree"),
-          ("sharded", "locked"), ("sharded", "lockfree")]
 
 #: ``HashStats`` fields fixed by the observations alone, whatever order
 #: or grouping the table sees them in.
@@ -49,7 +45,7 @@ PROTOCOL_FIELDS = ("ops", "inserts", "key_locks", "updates", "count_increments")
 
 POLICIES = [
     SizingPolicy(),
-    # Undersized tables: forces regrows and, sharded, neighbor fallback.
+    # Undersized tables: forces regrows.
     SizingPolicy(lam=0.25, alpha=1.0, min_capacity=2),
 ]
 
@@ -116,7 +112,7 @@ def graph_rows(graph) -> dict[int, list[int]]:
     return dict(zip(keys, graph.counts.tolist()))
 
 
-def filled_table(block, policy, layout, protocol, rows):
+def filled_table(block, policy, rows):
     """Insert the block's rows (or every observation) into a fresh table.
 
     Returns the table; an overflowing table is rebuilt at twice the
@@ -127,16 +123,15 @@ def filled_table(block, policy, layout, protocol, rows):
         observations = block_observations_2w(block)
         arrays = (preaggregate_observations_2w(*observations) if rows
                   else observation_pairs(*observations))
-        cls = ShardedTwoWordHashTable if layout == "sharded" else TwoWordHashTable
+        cls = TwoWordHashTable
     else:
         observations = block_observations(block)
         arrays = (preaggregate_observations(*observations) if rows
                   else observation_pairs(*observations))
-        cls = ShardedHashTable if layout == "sharded" else ConcurrentHashTable
-    extra = {"n_shards": 8} if layout == "sharded" else {}
+        cls = ConcurrentHashTable
     capacity = policy.capacity_for(max(1, block.total_kmers()))
     while True:
-        table = cls(capacity, block.k, protocol=protocol, **extra)
+        table = cls(capacity, block.k)
         try:
             table.insert_batch(*arrays)
             return table
@@ -152,18 +147,14 @@ def check_block(block, policy) -> None:
     assert graph_rows(sortmerge) == oracle
     owner = build_subgraph(block)
     assert graph_rows(owner.graph) == oracle
-    for layout, protocol in COMBOS:
-        rows = filled_table(block, policy, layout, protocol, rows=True)
-        plain = filled_table(block, policy, layout, protocol, rows=False)
-        assert graph_rows(rows.to_graph()) == oracle, (layout, protocol)
-        assert graph_rows(plain.to_graph()) == oracle, (layout, protocol)
-        for field in PROTOCOL_FIELDS:
-            assert getattr(rows.stats, field) == getattr(plain.stats, field), \
-                (layout, protocol, field)
-            if protocol == "locked":
-                assert getattr(owner.stats, field) == \
-                    getattr(plain.stats, field), (layout, field)
-        assert rows.stats.lock_reduction == plain.stats.lock_reduction
+    rows = filled_table(block, policy, rows=True)
+    plain = filled_table(block, policy, rows=False)
+    assert graph_rows(rows.to_graph()) == oracle
+    assert graph_rows(plain.to_graph()) == oracle
+    for field in PROTOCOL_FIELDS:
+        assert getattr(rows.stats, field) == getattr(plain.stats, field), field
+        assert getattr(owner.stats, field) == getattr(plain.stats, field), field
+    assert rows.stats.lock_reduction == plain.stats.lock_reduction
 
 
 @given(blocks([1, 2, 3, 5, 11, 16, 31]), st.sampled_from(POLICIES))
