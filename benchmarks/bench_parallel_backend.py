@@ -48,8 +48,6 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-import numpy as np
-
 from repro.core.config import ParaHashConfig
 from repro.core.parahash import ParaHash
 from repro.dna.simulate import HUMAN_CHR14_LIKE
@@ -67,16 +65,6 @@ FULL_SCALE = 4.0
 #: the key traffic, so the gate runs on a smaller input to stay within
 #: the CI smoke budget (still large enough to amortize process spawn).
 BIGK_SCALE = 0.5
-
-
-def _graphs_equal(a, b) -> bool:
-    if hasattr(a, "equals"):  # BigDeBruijnGraph (k > 31)
-        return a.equals(b)
-    return (
-        a.k == b.k
-        and np.array_equal(a.vertices, b.vertices)
-        and np.array_equal(a.counts, b.counts)
-    )
 
 
 def _time_build(config: ParaHashConfig, reads, repeats: int):
@@ -114,7 +102,7 @@ def measure(smoke: bool = True, repeats: int = 2,
     for w in workers:
         cfg = config.with_(backend="processes", n_workers=w)
         seconds, graph = _time_build(cfg, reads, repeats)
-        if not _graphs_equal(graph, serial_graph):
+        if not graph.equals(serial_graph):
             raise AssertionError(
                 f"process backend with {w} workers produced a different "
                 f"graph than the serial backend"

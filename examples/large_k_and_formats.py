@@ -4,7 +4,7 @@
 The paper stresses that ParaHash's hash entries span multiple machine
 words, so kmer lengths are not capped by a 64-bit CAS.  This example
 builds the same dataset's graph at K = 27 (one-word keys) and K = 41
-(two-word keys, through ``repro.bigk``), compares their structure,
+(two-word keys, through the same pipeline), compares their structure,
 round-trips the small-K graph through the binary file format, and runs
 the analysis toolkit on it.
 
@@ -15,7 +15,6 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis import analyze_spectrum, degree_summary, estimate_error_rate
-from repro.bigk import build_debruijn_graph_bigk
 from repro.core import build_debruijn_graph
 from repro.dna import DatasetProfile
 from repro.graph import load_graph, save_graph
@@ -37,7 +36,7 @@ def main() -> None:
 
     # Same pipeline, two key widths.
     g27 = build_debruijn_graph(reads, k=27, p=11, n_partitions=16)
-    g41 = build_debruijn_graph_bigk(reads, k=41, p=15, n_partitions=16)
+    g41 = build_debruijn_graph(reads, k=41, p=15, n_partitions=16)
     print_table(
         ["K", "key words", "distinct vertices", "duplicates", "edge weight"],
         [

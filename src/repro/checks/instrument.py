@@ -8,8 +8,8 @@ The instrumentation surface is a single process-global hook
 * every :class:`~repro.concurrentsub.atomics.TracedLock`
   acquire/release (the hash tables' count/occupied/stats locks), and
 * the ``_trace``/``_mon_event`` shim calls in
-  :mod:`repro.core.hashtable` and :mod:`repro.bigk.table` covering raw
-  numpy touches of ``keys``/``counts``/``state``.
+  :mod:`repro.core.hashtable` covering raw numpy touches of
+  ``keys``/``counts``/``state``.
 
 This module provides context managers that install a monitor for a
 scoped region and restore the previous one afterwards (sessions nest),

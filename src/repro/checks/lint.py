@@ -10,7 +10,7 @@ Rules
 -----
 
 R1  No plain read/write of the shared table arrays (``self.state``,
-    ``self.keys``, ``self.keys_hi``, ``self.keys_lo``, ``self.counts``)
+    ``self.keys`` -- every key plane --, ``self.counts``)
     inside a function reachable from the threaded path, unless the
     access is inside a ``with <...lock...>:`` block or inside the
     exclusive window of a won ``compare_and_swap`` (the
@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 #: Table arrays whose unguarded access on the threaded path is racy (R1).
-SHARED_ARRAYS = frozenset({"state", "keys", "keys_hi", "keys_lo", "counts"})
+SHARED_ARRAYS = frozenset({"state", "keys", "counts"})
 
 #: Attributes of ``self`` that name objects shared across threads (R2
 #: taint sources for local aliases).

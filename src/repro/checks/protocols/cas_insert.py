@@ -34,15 +34,14 @@ Variants (each maps to a seeded bug in the real code):
   mirror that lookups trust (hashtable seeded bug ``numpy_publish``):
   a committed update is invisible while the mirror write is pending.
 
-Two-word keys (:class:`repro.bigk.table.TwoWordHashTable`) need no
-separate model: ``key_writes`` abstracts *all* key words written inside
-the LOCKED window, however many there are.  The occupancy argument —
-only the CAS winner is between LOCKED and OCCUPIED, and readers never
-touch the key words before OCCUPIED is published — is insensitive to
-the number of writes in that window, so the verified invariants (single
-writer in the window, key written exactly once, committed updates
-visible) carry over verbatim to the split-key ``keys_hi``/``keys_lo``
-publish.
+Multi-word keys need no separate model: the table writes all ``W``
+key planes (``keys[:, pos]``) inside the LOCKED window, and
+``key_writes`` abstracts every word written there, however many there
+are.  The occupancy argument — only the CAS winner is between LOCKED
+and OCCUPIED, and readers never touch the key words before OCCUPIED is
+published — is insensitive to the number of writes in that window, so
+the verified invariants (single writer in the window, key written
+exactly once, committed updates visible) hold at every key width.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from .core.config import ParaHashConfig
 from .core.parahash import ParaHash
 from .dna.io import load_read_batch, save_read_batch, write_fasta
 from .dna.io import SequenceRecord
+from .dna.kmer import key_width
 from .dna.simulate import PROFILES, DatasetProfile, genome_to_str
 from .graph.compact import compact_unitigs, compaction_stats
 from .graph.serialize import export_tsv, load_graph, save_graph
@@ -167,12 +168,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _key_note(k: int) -> str:
+    """How many words a key of length ``k`` takes, when more than one."""
+    width = key_width(k)
+    words = "two" if width == 2 else width
+    return "" if width == 1 else f" ({words}-word keys, k={k})"
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     reads = load_read_batch(args.input)
-    if args.k > 31:
-        return _build_bigk(args, reads)
     config = ParaHashConfig(
-        k=args.k, p=args.p, n_partitions=args.partitions,
+        # Minimizers stay one-word at every k.
+        k=args.k, p=min(args.p, 31), n_partitions=args.partitions,
         n_threads=args.threads, backend=args.backend, n_workers=args.workers,
         calibrate=args.calibrate,
     )
@@ -183,7 +190,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.min_multiplicity > 1:
         graph = graph.filter_min_multiplicity(args.min_multiplicity)
     n_bytes = save_graph(args.output, graph)
-    print(f"{graph.n_vertices:,} vertices "
+    print(f"{graph.n_vertices:,} vertices{_key_note(args.k)} "
           f"({result.graph.n_duplicate_vertices():,} duplicates merged) "
           f"-> {args.output} ({n_bytes:,} bytes)")
     print(f"stages: MSP {result.timings.msp_seconds:.2f}s, "
@@ -196,54 +203,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_bigk(args: argparse.Namespace, reads) -> int:
-    """Two-word construction path for 31 < K <= 63 (any backend)."""
-    from .bigk import save_big_graph
-
-    if args.min_multiplicity > 1:
-        print("error: --min-multiplicity is only supported for k <= 31",
-              file=sys.stderr)
-        return 2
-    if args.tsv:
-        print("error: --tsv export is only supported for k <= 31",
-              file=sys.stderr)
-        return 2
-    config = ParaHashConfig(
-        k=args.k, p=min(args.p, 31), n_partitions=args.partitions,
-        n_threads=args.threads, backend=args.backend, n_workers=args.workers,
-        calibrate=args.calibrate,
-    )
-    result = ParaHash(config).build_graph(
-        reads, workdir=Path(args.workdir) if args.workdir else None
-    )
-    graph = result.graph
-    n_bytes = save_big_graph(args.output, graph)
-    print(f"{graph.n_vertices:,} vertices (two-word keys, k={args.k}) "
-          f"-> {args.output} ({n_bytes:,} bytes)")
-    print(f"stages: MSP {result.timings.msp_seconds:.2f}s, "
-          f"hashing {result.timings.hashing_seconds:.2f}s, "
-          f"IO {result.timings.io_seconds:.2f}s; "
-          f"lock reduction {100 * result.hash_stats.lock_reduction:.0f}%")
-    return 0
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .bigk import detect_graph_format, load_big_graph
-
-    if detect_graph_format(args.graph) == "2w":
-        graph = load_big_graph(args.graph)
-        print(render_table(
-            ["property", "value"],
-            [[key, value] for key, value in graph.describe().items()],
-            title=f"graph {args.graph} (two-word keys)",
-        ))
-        return 0
     graph = load_graph(args.graph)
     d = graph.describe()
     print(render_table(
         ["property", "value"],
         [[key, value] for key, value in d.items()],
-        title=f"graph {args.graph}",
+        title=f"graph {args.graph}{_key_note(graph.k)}",
     ))
     spectrum = analyze_spectrum(graph)
     degrees = degree_summary(graph)

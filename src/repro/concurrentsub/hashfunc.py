@@ -45,6 +45,27 @@ def mix64_int(value: int) -> int:
     return x
 
 
+def hash_planes(*planes: np.ndarray) -> np.ndarray:
+    """Probe hash of plane-array keys (vectorized), folded over planes.
+
+    ``h = mix64(p0)``, then ``h = mix64(p_j ^ (h + GOLDEN))`` per later
+    plane: the one-word hash at W = 1 and a full-key mix at any W.
+    """
+    h = mix64(planes[0])
+    with np.errstate(over="ignore"):
+        for plane in planes[1:]:
+            h = mix64(np.asarray(plane, dtype=np.uint64) ^ (h + _GOLDEN))
+    return h
+
+
+def hash_planes_int(*planes: int) -> int:
+    """Scalar twin of :func:`hash_planes` over plane values."""
+    h = mix64_int(planes[0])
+    for plane in planes[1:]:
+        h = mix64_int(plane ^ ((h + _GOLDEN_INT) & _MASK64))
+    return h
+
+
 def hash_words(words: tuple[int, ...] | list[int]) -> int:
     """Hash a multi-word key by folding mixed words.
 

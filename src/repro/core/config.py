@@ -25,9 +25,11 @@ class ParaHashConfig:
     ----------
     k:
         Kmer length (vertex size).  The paper uses 27 for both datasets.
-        ``k <= 31`` packs into one word; ``33 <= k <= 63`` uses the
-        split-key two-word substrate (:mod:`repro.bigk`), whose high
-        plane needs at least one base, so ``k = 32`` is rejected.
+        Keys take ``W = key_width(k)`` uint64 planes
+        (:mod:`repro.dna.kmer`): one for ``k`` in 1..31, two for
+        ``33 <= k <= 63``.  The leading plane needs at least one base,
+        so ``k = 32`` is rejected; raising the 63 ceiling is the only
+        change wider keys need.
     p:
         Minimizer length; larger P balances partitions better but
         fragments superkmers (Fig 6).  Must satisfy ``1 <= p <= k``,

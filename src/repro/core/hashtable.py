@@ -58,7 +58,8 @@ import numpy as np
 
 from ..concurrentsub import atomics
 from ..concurrentsub.atomics import AtomicInt64Array, TracedLock
-from ..concurrentsub.hashfunc import mix64, mix64_int
+from ..concurrentsub.hashfunc import hash_planes, hash_planes_int
+from ..dna.kmer import as_planes, key_width, sort_order, split_int, take_planes
 from ..graph.dbg import MULT_SLOT, N_SLOTS, DeBruijnGraph
 from .estimator import next_power_of_two
 
@@ -185,158 +186,26 @@ class HashStats:
         )
 
 
-def batch_insert(table, keys: tuple[np.ndarray, ...], values: np.ndarray,
-                 chunk: int = 1 << 20) -> None:
-    """The vectorized batch insert of both key widths.
-
-    ``keys`` are the batch's key planes (one, or ``(hi, lo)``) and
-    ``values`` their counter slots (1-D) or ``(n, 9)`` counter rows;
-    rows need distinct keys within one call.  ``table`` supplies its
-    planes through ``_key_planes()`` and its probe hash through
-    ``_hash(keys)``.
-
-    The outcome is identical to running the concurrent protocol, and
-    stats are metered as if it had run every observation one by one: a
-    row counts as its sum of observations -- one op and one atomic
-    increment each, one key lock per distinct vertex, every observation
-    beyond the inserting one an update.  ``HashStats.lock_reduction``
-    is therefore the same for both forms; with rows the table pays one
-    probe walk per distinct vertex instead of one per observation.
-
-    Raises :class:`TableFullError` when probing wraps a full table, and
-    :class:`OverflowError` before a row would carry a counter past the
-    table's ``counts`` dtype; either leaves the table partially filled.
-    """
-    keys = tuple(np.ascontiguousarray(p, dtype=np.uint64).ravel() for p in keys)
-    values = np.asarray(values)
-    values = values.astype(np.int64 if values.ndim == 1 else np.uint64,
-                           copy=False)
-    n = keys[0].size
-    if any(p.size != n for p in keys) or values.shape[:1] != (n,) \
-            or values.shape[1:] not in ((), (N_SLOTS,)):
-        raise ValueError(
-            f"keys and values must be parallel: {n} keys need {n} slots "
-            f"or an ({n}, {N_SLOTS}) array of rows, got {values.shape}"
-        )
-    for lo in range(0, n, chunk):
-        _insert_chunk(table, tuple(p[lo : lo + chunk] for p in keys),
-                      values[lo : lo + chunk])
-    if table._atomic_state is not None:
-        # Keep the authoritative threaded-mode flags in sync when a
-        # quiescent table mixes batch and threaded insertions.
-        table._resync_atomic()
-
-
-def _insert_chunk(table, keys: tuple[np.ndarray, ...],
-                  values: np.ndarray) -> None:
-    """One chunk of :func:`batch_insert`: synchronous probe rounds."""
-    stats = table.stats
-    planes = table._key_planes()
-    rows = values if values.ndim == 2 else None
-    # Observations per item: 1 for a slot, the row sum for a row.
-    weights = None if rows is None else rows.sum(axis=1, dtype=np.int64)
-
-    def weight(items: np.ndarray) -> int:
-        return items.size if weights is None else int(weights[items].sum())
-
-    def add_counts(pos: np.ndarray, items: np.ndarray) -> None:
-        if rows is None:
-            np.add.at(table.counts, (pos, values[items]), 1)
-            return
-        # Headroom left in each counter; comparing against it (not the
-        # sum) cannot itself wrap.
-        top = np.iinfo(table.counts.dtype).max
-        if (rows[items] > top - table.counts[pos]).any():
-            raise OverflowError(
-                f"a vertex row would carry a counter past the "
-                f"{table.counts.dtype} maximum {top}"
-            )
-        # Distinct keys sit in distinct slots: no index repeats.
-        table.counts[pos] += rows[items]
-
-    n = keys[0].size
-    n_ops = n if weights is None else int(weights.sum())
-    stats.ops += n_ops
-    stats.count_increments += n_ops
-    home = table._hash(keys) & table._mask
-    pending = np.arange(n, dtype=np.int64)
-    offset = np.zeros(n, dtype=np.uint64)
-    while pending.size:
-        pos = ((home[pending] + offset[pending]) & table._mask).astype(np.int64)
-        st = table.state[pos]
-        is_occ = st == OCCUPIED
-        match = is_occ
-        for plane, key in zip(planes, keys):
-            match = match & (plane[pos] == key[pending])
-        if match.any():
-            items = pending[match]
-            add_counts(pos[match], items)
-            stats.updates += weight(items)
-        mismatch = is_occ & ~match
-        empty = st == EMPTY
-        # Claim empty slots: the first pending item targeting each
-        # distinct empty position wins the CAS; others retry.
-        winners = np.zeros(pending.size, dtype=bool)
-        if empty.any():
-            empty_idx = np.nonzero(empty)[0]
-            _, first = np.unique(pos[empty_idx], return_index=True)
-            win_idx = empty_idx[first]
-            winners[win_idx] = True
-            wpos = pos[win_idx]
-            items = pending[win_idx]
-            # Counts first: an overflowing row must not leave a
-            # published key behind.
-            add_counts(wpos, items)
-            table.state[wpos] = OCCUPIED
-            for plane, key in zip(planes, keys):
-                plane[wpos] = key[items]
-            # One observation per winner inserts.  Run one by one, the
-            # rest of a winning row lose the CAS once and then update;
-            # items that lost to a different key lose once per
-            # observation.
-            extra = weight(items) - wpos.size
-            stats.updates += extra
-            stats.cas_failures += extra + weight(pending[empty & ~winners])
-            table.n_occupied += wpos.size
-            stats.inserts += wpos.size
-            stats.key_locks += wpos.size
-        # Advance mismatches; retry CAS losers at the same offset (they
-        # will match or mismatch the freshly written key).
-        stats.probes += weight(pending[mismatch])
-        keep = ~match & ~winners
-        advance = mismatch[keep].astype(np.uint64)
-        pending = pending[keep]
-        offset[pending] += advance
-        # An item whose walk visited every slot without meeting its key
-        # or an empty slot finds the table full.  The observations of
-        # one key walk in lockstep, so they wrap together.
-        if (offset[pending] >= table.capacity).any():
-            raise TableFullError(
-                f"probe wrapped a table of capacity {table.capacity} "
-                f"(occupied {table.n_occupied})"
-            )
-
-
 class ConcurrentHashTable:
-    """Fixed-capacity open-addressing table over one-word (uint64) keys.
+    """Fixed-capacity open-addressing table over ``k``-base keys.
 
-    Inserts run the paper's state-transfer partial locking; counters are
-    ``uint32``, as in :class:`repro.bigk.table.TwoWordHashTable` and the
-    shared-memory layout of :func:`repro.parallel.shm.create_table_segment`.
+    A key is ``W = key_width(k)`` uint64 planes (one for ``k`` in 1..31,
+    two for ``33 <= k <= 63``), so ``keys`` has shape ``(W, capacity)``.
+    A multi-word key cannot be claimed with one hardware CAS; the
+    state transfer claims the slot's occupancy flag instead and writes
+    every key word inside the LOCKED window, which is why the paper's
+    entry "is not limited by the machine word size" (§I).  Counters are
+    ``uint32``, as in the shared-memory layout of
+    :func:`repro.parallel.shm.create_table_segment`.
     """
 
     def __init__(self, capacity: int, k: int) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if 2 * k > 64:
-            raise ValueError(
-                "this table stores one-word (uint64) keys; need 2k <= 64"
-            )
+        self.width = key_width(k)
         self.capacity = next_power_of_two(max(2, capacity))
         self._mask = np.uint64(self.capacity - 1)
         self.k = k
         self.state = np.zeros(self.capacity, dtype=np.int8)
-        self.keys = np.zeros(self.capacity, dtype=np.uint64)
+        self.keys = np.zeros((self.width, self.capacity), dtype=np.uint64)
         self.counts = np.zeros((self.capacity, N_SLOTS), dtype=np.uint32)
         self.n_occupied = 0
         self._init_runtime()
@@ -366,14 +235,14 @@ class ConcurrentHashTable:
         the table.  With ``n_occupied=None`` occupancy is recounted from
         ``state`` (attaching to a table another process filled).
         """
-        if k < 1 or 2 * k > 64:
-            raise ValueError("need 1 <= k and 2k <= 64 for one-word keys")
+        width = key_width(k)
         capacity = int(state.size)
         if capacity < 2 or capacity & (capacity - 1):
             raise ValueError("state size must be a power of two >= 2")
-        if keys.shape != (capacity,) or counts.shape[0] != capacity:
+        if keys.shape != (width, capacity) or counts.shape[0] != capacity:
             raise ValueError("state, keys and counts must agree on capacity")
         table = cls.__new__(cls)
+        table.width = width
         table.capacity = capacity
         table._mask = np.uint64(capacity - 1)
         table.k = k
@@ -408,29 +277,145 @@ class ConcurrentHashTable:
 
     # -- vectorized single-threaded path ---------------------------------------
 
-    def insert_batch(self, kmers: np.ndarray, values: np.ndarray,
-                     chunk: int = 1 << 20) -> None:
-        """Apply ``(kmer, slot)`` observations or vertex rows, vectorized.
+    def insert_batch(self, *args: np.ndarray, chunk: int = 1 << 20) -> None:
+        """Apply ``(key, slot)`` observations or vertex rows, vectorized.
 
-        ``values`` holds either one counter slot per kmer -- each
-        observation increments ``counts[entry(kmer), slot]`` -- or an
-        ``(n, 9)`` array of counter rows, one per *distinct* kmer (the
-        rows of :func:`repro.core.subgraph.preaggregate_observations`),
-        each added to its entry in one touch.  Entries are inserted on
-        first sight.  See :func:`batch_insert` for the metering and
-        the errors.
+        ``insert_batch(*planes, values)``: the keys as ``W`` plane
+        arrays (or one ``(W, n)`` array, or at W = 1 one 1-D array),
+        then ``values``.  These are either one counter slot per key --
+        each observation increments ``counts[entry(key), slot]`` -- or
+        an ``(n, 9)`` array of counter rows, one per *distinct* key
+        (the rows of
+        :func:`repro.core.subgraph.preaggregate_observations`), each
+        added to its entry in one touch.  Entries are inserted on first
+        sight.
 
-        Single-threaded only: this path writes the numpy mirror
-        directly and must never overlap :meth:`insert_threaded`.
+        The outcome is identical to running the concurrent protocol,
+        and stats are metered as if it had run every observation one by
+        one: a row counts as its sum of observations -- one op and one
+        atomic increment each, one key lock per distinct vertex, every
+        observation beyond the inserting one an update.
+        ``HashStats.lock_reduction`` is therefore the same for both
+        forms; with rows the table pays one probe walk per distinct
+        vertex instead of one per observation.
+
+        Raises :class:`TableFullError` when probing wraps a full table,
+        and :class:`OverflowError` before an observation or a row would
+        carry a counter past the ``uint32`` maximum; either leaves the
+        table partially filled.  Single-threaded only: this path writes
+        the numpy mirror directly and must never overlap
+        :meth:`insert_threaded`.
         """
-        batch_insert(self, (kmers,), values, chunk)
+        *keys, values = args
+        planes = as_planes(keys[0] if len(keys) == 1 else keys, self.k)
+        values = np.asarray(values)
+        values = values.astype(np.int64 if values.ndim == 1 else np.uint64,
+                               copy=False)
+        n = planes.shape[1]
+        if values.shape[:1] != (n,) or values.shape[1:] not in ((), (N_SLOTS,)):
+            raise ValueError(
+                f"keys and values must be parallel: {n} keys need {n} slots "
+                f"or an ({n}, {N_SLOTS}) array of rows, got {values.shape}"
+            )
+        for lo in range(0, n, chunk):
+            self._insert_chunk(planes[:, lo : lo + chunk], values[lo : lo + chunk])
+        if self._atomic_state is not None:
+            # Keep the authoritative threaded-mode flags in sync when a
+            # quiescent table mixes batch and threaded insertions.
+            self._resync_atomic()
 
-    def _key_planes(self) -> tuple[np.ndarray, ...]:
-        return (self.keys,)
+    def _add_counts(self, pos: np.ndarray, values: np.ndarray) -> None:
+        """Add slot observations or distinct-key rows at table ``pos``.
 
-    @staticmethod
-    def _hash(keys: tuple[np.ndarray, ...]) -> np.ndarray:
-        return mix64(keys[0])
+        Checks the headroom first, so an overflowing add writes nothing;
+        comparing against the headroom (not the sum) cannot itself wrap.
+        """
+        top = np.iinfo(self.counts.dtype).max
+        if values.ndim == 2:
+            # Distinct keys sit in distinct slots: no index repeats.
+            rows, cols, adds = pos, slice(None), values
+        else:
+            cells, adds = np.unique(pos * N_SLOTS + values, return_counts=True)
+            rows, cols = cells // N_SLOTS, cells % N_SLOTS
+        if (adds > top - self.counts[rows, cols]).any():
+            raise OverflowError(
+                f"an insert would carry a counter past the "
+                f"{self.counts.dtype} maximum {top}"
+            )
+        self.counts[rows, cols] += adds.astype(self.counts.dtype)
+
+    def _insert_chunk(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """One chunk of :meth:`insert_batch`: synchronous probe rounds."""
+        stats = self.stats
+        # Observations per item: 1 for a slot, the row sum for a row.
+        weights = (None if values.ndim == 1
+                   else values.sum(axis=1, dtype=np.int64))
+
+        def weight(items: np.ndarray) -> int:
+            return items.size if weights is None else int(weights[items].sum())
+
+        n = keys.shape[1]
+        n_ops = n if weights is None else int(weights.sum())
+        stats.ops += n_ops
+        stats.count_increments += n_ops
+        home = hash_planes(*keys) & self._mask
+        pending = np.arange(n, dtype=np.int64)
+        offset = np.zeros(n, dtype=np.uint64)
+        while pending.size:
+            pos = ((home[pending] + offset[pending]) & self._mask).astype(np.int64)
+            st = self.state[pos]
+            is_occ = st == OCCUPIED
+            match = is_occ
+            for plane, key in zip(self.keys, keys):
+                match = match & (plane[pos] == key[pending])
+            if match.any():
+                items = pending[match]
+                self._add_counts(pos[match], values[items])
+                stats.updates += weight(items)
+            mismatch = is_occ & ~match
+            empty = st == EMPTY
+            # Claim empty slots: the first pending item targeting each
+            # distinct empty position wins the CAS; others retry.
+            winners = np.zeros(pending.size, dtype=bool)
+            if empty.any():
+                empty_idx = np.nonzero(empty)[0]
+                _, first = np.unique(pos[empty_idx], return_index=True)
+                win_idx = empty_idx[first]
+                winners[win_idx] = True
+                wpos = pos[win_idx]
+                items = pending[win_idx]
+                # Counts first: an overflowing add must not leave a
+                # published key behind.
+                self._add_counts(wpos, values[items])
+                self.state[wpos] = OCCUPIED
+                for plane, key in zip(self.keys, keys):
+                    plane[wpos] = key[items]
+                # One observation per winner inserts.  Run one by one,
+                # the rest of a winning row lose the CAS once and then
+                # update; items that lost to a different key lose once
+                # per observation.
+                extra = weight(items) - wpos.size
+                stats.updates += extra
+                stats.cas_failures += extra + weight(pending[empty & ~winners])
+                self.n_occupied += wpos.size
+                stats.inserts += wpos.size
+                stats.key_locks += wpos.size
+            # Advance mismatches; retry CAS losers at the same offset
+            # (they will match or mismatch the freshly written key).
+            stats.probes += weight(pending[mismatch])
+            keep = ~match & ~winners
+            advance = mismatch[keep].astype(np.uint64)
+            pending = pending[keep]
+            offset[pending] += advance
+            # An item whose walk visited every slot without meeting its
+            # key or an empty slot finds the table full.  The
+            # observations of one key walk in lockstep, so they wrap
+            # together.
+            if (offset[pending] >= self.capacity).any():
+                raise TableFullError(
+                    f"probe wrapped a table of capacity {self.capacity} "
+                    f"(occupied {self.n_occupied})"
+                )
 
     # -- threaded path ----------------------------------------------------------
 
@@ -496,7 +481,8 @@ class ConcurrentHashTable:
         assert atomic is not None and self._count_locks is not None
         stats.ops += 1
         stats.count_increments += 1
-        h = mix64_int(kmer) & (self.capacity - 1)
+        words = split_int(kmer, self.k)
+        h = hash_planes_int(*words) & (self.capacity - 1)
         offset = 0
         spins = 0
         while True:
@@ -520,10 +506,10 @@ class ConcurrentHashTable:
                 else:
                     won = atomic.compare_and_swap(pos, EMPTY, LOCKED)
                 if won:
-                    # Exclusive writer: the key is written exactly once,
-                    # inside the LOCKED->OCCUPIED window.
+                    # Exclusive writer: every key word is written
+                    # exactly once, inside the LOCKED->OCCUPIED window.
                     _trace("keys", id(self), pos, "write")
-                    self.keys[pos] = np.uint64(kmer)
+                    self.keys[:, pos] = words
                     stats.key_locks += 1
                     stats.inserts += 1
                     _mon_event("pre_publish", pos)
@@ -554,7 +540,7 @@ class ConcurrentHashTable:
             # read is publication-ordered (we observed OCCUPIED through
             # the atomic flag first), hence "read-acq".
             _trace("keys", id(self), pos, "read-acq")
-            if int(self.keys[pos]) == kmer:  # checks: allow[R1] immutable after OCCUPIED publication
+            if tuple(self.keys[:, pos].tolist()) == words:  # checks: allow[R1] immutable after OCCUPIED publication
                 stats.updates += 1
                 self._add_count(pos, slot)
                 return
@@ -567,10 +553,11 @@ class ConcurrentHashTable:
             _trace("counts", id(self), pos, "write")
             self.counts[pos, slot] += 1
 
-    def insert_threaded(self, kmers: np.ndarray, slots: np.ndarray,
+    def insert_threaded(self, kmers, slots: np.ndarray,
                         n_threads: int) -> list[HashStats]:
         """Partition the observations over real threads and run them.
 
+        ``kmers`` are int kmers (a list, or a uint64 array at W = 1).
         Returns per-thread stats; the aggregate is merged into
         ``self.stats``.  After the join, the single-threaded numpy
         mirror of the occupancy flags is re-synced from the atomic
@@ -578,16 +565,17 @@ class ConcurrentHashTable:
         """
         if n_threads < 1:
             raise ValueError("n_threads must be >= 1")
-        kmers = np.asarray(kmers, dtype=np.uint64).ravel()
+        kmers = (kmers.ravel().tolist() if isinstance(kmers, np.ndarray)
+                 else [int(km) for km in kmers])
         slots = np.asarray(slots, dtype=np.int64).ravel()
-        bounds = np.linspace(0, kmers.size, n_threads + 1).astype(int)
+        bounds = np.linspace(0, len(kmers), n_threads + 1).astype(int)
         locals_ = [HashStats() for _ in range(n_threads)]
         errors: list[BaseException] = []
 
         def work(t: int) -> None:
             try:
                 for i in range(bounds[t], bounds[t + 1]):
-                    self.insert_one_threadsafe(int(kmers[i]), int(slots[i]), locals_[t])
+                    self.insert_one_threadsafe(kmers[i], int(slots[i]), locals_[t])
             except BaseException as exc:
                 errors.append(exc)
 
@@ -649,24 +637,25 @@ class ConcurrentHashTable:
         occupancy flags are read through the atomic array (never the
         numpy mirror) while the threaded machinery exists.
         """
-        kmer = int(kmer)
-        h = mix64_int(kmer) & (self.capacity - 1)
+        words = split_int(kmer, self.k)
+        h = hash_planes_int(*words) & (self.capacity - 1)
         for offset in range(self.capacity):
             pos = (h + offset) & (self.capacity - 1)
             st = self._load_state(pos)
             if st == EMPTY:
                 return None
-            if st == OCCUPIED and int(self.keys[pos]) == kmer:  # checks: allow[R1] immutable after OCCUPIED publication
+            if st == OCCUPIED and tuple(self.keys[:, pos].tolist()) == words:  # checks: allow[R1] immutable after OCCUPIED publication
                 return self.counts[pos].copy()  # checks: allow[R1] racy snapshot of monotonic counters
         return None
 
     def to_graph(self) -> DeBruijnGraph:
         """Extract the subgraph: occupied entries sorted by vertex."""
         occ = self._state_view() == OCCUPIED
-        vertices = self.keys[occ]
+        keys = take_planes(self.keys, occ)
         counts = self.counts[occ].astype(np.uint64)
-        order = np.argsort(vertices)
-        return DeBruijnGraph(k=self.k, vertices=vertices[order], counts=counts[order])
+        order = sort_order(keys)
+        return DeBruijnGraph(k=self.k, vertices=take_planes(keys, order),
+                             counts=counts[order])
 
     def multiplicity_histogram(self, max_mult: int = 16) -> np.ndarray:
         """Histogram of vertex multiplicities (error-filtering diagnostics)."""

@@ -21,8 +21,9 @@ from pathlib import Path
 
 from ..concurrentsub.workqueue import WorkerRecord, run_coprocessed
 from ..dna.reads import ReadBatch
-from ..graph.dbg import DeBruijnGraph, empty_graph
+from ..graph.dbg import DeBruijnGraph
 from ..graph.merge import merge_disjoint
+from ..graph.serialize import save_subgraphs
 from ..msp.partitioner import load_partitions, partition_reads, partition_to_files
 from ..msp.records import SuperkmerBlock
 from .config import ParaHashConfig
@@ -45,13 +46,7 @@ class StageTimings:
 
 @dataclass
 class ParaHashResult:
-    """Everything a ParaHash run produced.
-
-    For big-k runs (``config.k > 31``) ``graph``/``subgraphs`` hold
-    :class:`repro.bigk.store.BigDeBruijnGraph` instances instead; the
-    two stores share the counter layout and the describe/compare
-    surface.
-    """
+    """Everything a ParaHash run produced (graphs at any key width)."""
 
     graph: DeBruijnGraph
     subgraphs: list[DeBruijnGraph]
@@ -263,29 +258,6 @@ class ParaHash:
         )
 
 
-def _merge_partition_subgraphs(subgraphs: list, k: int):
-    """Union the per-partition subgraphs, one- or two-word per ``k``."""
-    if k > 31:
-        from ..bigk.construct import merge_bigk_disjoint
-
-        return merge_bigk_disjoint(subgraphs, k=k)
-    nonempty = [g for g in subgraphs if g.n_vertices]
-    return merge_disjoint(nonempty) if nonempty else empty_graph(k)
-
-
-def _save_partition_subgraphs(output_dir: str | Path, subgraphs: list,
-                             k: int) -> None:
-    """Write subgraph files in the format matching the key width."""
-    if k > 31:
-        from ..bigk.serialize import save_big_subgraphs
-
-        save_big_subgraphs(output_dir, subgraphs)
-    else:
-        from ..graph.serialize import save_subgraphs
-
-        save_subgraphs(output_dir, subgraphs)
-
-
 def finish_build(
     cfg: ParaHashConfig,
     results: list[SubgraphResult],
@@ -297,7 +269,7 @@ def finish_build(
     partition_bytes: int,
     worker_records: dict[str, WorkerRecord],
 ) -> ParaHashResult:
-    """The Step-2 tail every driver shares, for either key width.
+    """The Step-2 tail every driver shares.
 
     Saves the subgraphs to ``output_dir`` (timed as I/O), merges them
     into the full graph and totals their hashing telemetry.  ``results``
@@ -306,13 +278,13 @@ def finish_build(
     subgraphs = [r.graph for r in results]
     if output_dir is not None and subgraphs:
         t_io = time.perf_counter()
-        _save_partition_subgraphs(output_dir, subgraphs, cfg.k)
+        save_subgraphs(output_dir, subgraphs)
         timings.io_seconds += time.perf_counter() - t_io
     stats = HashStats()
     for r in results:
         stats = stats.merged_with(r.stats)
     return ParaHashResult(
-        graph=_merge_partition_subgraphs(subgraphs, cfg.k),
+        graph=merge_disjoint(subgraphs, k=cfg.k),
         subgraphs=subgraphs,
         hash_stats=stats,
         timings=timings,

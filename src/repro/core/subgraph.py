@@ -30,14 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dna.kmer import canonical_with_flip
+from ..dna.kmer import (
+    canonical_planes_with_flip,
+    group_planes,
+    planes_to_ints,
+    take_planes,
+)
 from ..graph.dbg import (
     MULT_SLOT,
-    N_SLOTS,
     DeBruijnGraph,
     graph_from_pairs,
     slot_for_predecessor,
     slot_for_successor,
+    vertex_rows,
 )
 from ..msp.records import SuperkmerBlock
 from .estimator import SizingPolicy, next_power_of_two
@@ -75,53 +80,40 @@ def instance_slots(block: SuperkmerBlock, positions: np.ndarray,
 def block_observations(block: SuperkmerBlock) -> tuple[np.ndarray, np.ndarray]:
     """Every kmer instance of a block with the observations it makes.
 
-    Returns ``(vertices, slots)``: the instances' canonical vertices
-    (uint64, block order) and their ``(3, n)`` counter slots from
-    :func:`instance_slots`.  Each non-negative slot is one ``(vertex,
-    slot)`` observation; :func:`preaggregate_observations` groups them
-    into vertex rows and :func:`observation_pairs` flattens them into
-    the per-observation stream.
+    Returns ``(keys, slots)``: the instances' canonical keys as a
+    ``(W, n)`` plane array (block order, any k) and their ``(3, n)``
+    counter slots from :func:`instance_slots`.  Each non-negative slot
+    is one ``(vertex, slot)`` observation;
+    :func:`preaggregate_observations` groups them into vertex rows and
+    :func:`observation_pairs` flattens them into the per-observation
+    stream.
     """
-    if block.n_superkmers == 0:
-        return np.zeros(0, dtype=np.uint64), np.zeros((3, 0), dtype=np.int8)
-    kmers, positions = block.flat_kmers()
-    can, flip = canonical_with_flip(kmers, block.k)
-    return can, instance_slots(block, positions, flip)
+    planes, positions = block.kmer_planes()
+    keys, flip = canonical_planes_with_flip(planes, block.k)
+    return keys, instance_slots(block, positions, flip)
 
 
-def observation_pairs(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+def observation_pairs(keys: np.ndarray,
+                      slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flatten per-instance observations into parallel observation arrays.
 
-    Takes what :func:`block_observations` (or its two-word twin)
-    returns -- the key planes, then the ``(3, n)`` slots -- and returns
-    the planes and the int64 slot of every single observation: all
-    multiplicity observations first, then the successor edges, then
-    the predecessor edges.  This is the paper's per-observation insert
-    stream and the input of the sort-merge oracles.
+    Takes what :func:`block_observations` returns and returns the keys
+    (same form: ``(W, m)`` planes, or a 1-D array for 1-D input) and
+    the int64 slot of every single observation: all multiplicity
+    observations first, then the successor edges, then the predecessor
+    edges.  This is the paper's per-observation insert stream and the
+    input of the sort-merge oracles.
     """
-    *planes, slots = arrays
     flat = slots.ravel()
     keep = flat >= 0
-    return (*(np.tile(plane, 3)[keep] for plane in planes),
-            flat[keep].astype(np.int64))
-
-
-def vertex_rows(inverse: np.ndarray, n_vertices: int,
-                slots: np.ndarray) -> np.ndarray:
-    """``(n_vertices, 9)`` counter rows of grouped kmer instances.
-
-    Instance ``i`` belongs to vertex ``inverse[i]`` and adds one count
-    to each of its non-negative ``slots[:, i]``; a single ``bincount``
-    over ``vertex * 9 + slot`` builds every row at once.
-    """
-    spill = n_vertices * N_SLOTS  # bin for the -1 slots, dropped below
-    bins = np.where(slots < 0, spill, inverse * N_SLOTS + slots)
-    counts = np.bincount(bins.ravel(), minlength=spill + 1)[:-1]
-    return counts.reshape(n_vertices, N_SLOTS).view(np.uint64)
+    instance = np.flatnonzero(keep) % max(slots.shape[1], 1)
+    keys = np.asarray(keys)
+    picked = keys[instance] if keys.ndim == 1 else take_planes(keys, instance)
+    return picked, flat[keep].astype(np.int64)
 
 
 def preaggregate_observations(
-    vertices: np.ndarray, slots: np.ndarray
+    keys: np.ndarray, slots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Group a block's observations into one counter row per vertex.
 
@@ -130,23 +122,17 @@ def preaggregate_observations(
     row per distinct vertex is exactly that entry.
 
     Takes :func:`block_observations` output; returns ``(keys, rows)``:
-    the distinct vertices in ascending order and their ``(u, 9)``
+    the distinct vertices in ascending order (same form as the input
+    keys: ``(W, u)`` planes, or 1-D for 1-D input) and their ``(u, 9)``
     uint64 counter rows -- the subgraph itself.  Inserting the rows
     into :class:`ConcurrentHashTable` instead produces a table
     byte-identical to the per-observation insert, with ``HashStats``
     metered from the row sums for the individual observations.
     """
-    keys, inverse = np.unique(vertices, return_inverse=True)
-    return keys, vertex_rows(inverse, keys.size, slots)
-
-
-def _kernels(k: int):
-    """The expand and group kernels of key width ``k`` (two words past 31)."""
-    if k > 31:
-        from ..bigk.construct import block_observations_2w, preaggregate_observations_2w
-
-        return block_observations_2w, preaggregate_observations_2w
-    return block_observations, preaggregate_observations
+    keys = np.asarray(keys)
+    distinct, inverse = group_planes(np.atleast_2d(keys))
+    rows = vertex_rows(inverse, distinct.shape[1], slots)
+    return (distinct[0] if keys.ndim == 1 else distinct), rows
 
 
 def row_stats(rows: np.ndarray) -> HashStats:
@@ -174,7 +160,7 @@ class SubgraphResult:
     none and leaves them 0.
     """
 
-    graph: DeBruijnGraph  # BigDeBruijnGraph for k > 31
+    graph: DeBruijnGraph
     stats: HashStats
     n_kmers: int
     capacity: int = 0
@@ -187,24 +173,15 @@ def build_subgraph(block: SuperkmerBlock) -> SubgraphResult:
 
     Every build path gives a partition to exactly one worker, so there
     is nothing to share a table with: the block's instances grouped by
-    canonical vertex (:func:`preaggregate_observations`, or its
-    two-word twin for ``k > 31``) already are the sorted vertices and
-    ``(u, 9)`` counter rows of the subgraph.  The graph is identical to
-    the one :func:`build_subgraph_table` reads out of its table, and the
-    stats are metered by :func:`row_stats`.  Returns a
-    :class:`repro.bigk.store.BigDeBruijnGraph` for ``k > 31``.
+    canonical vertex (:func:`preaggregate_observations`) already are
+    the sorted vertices and ``(u, 9)`` counter rows of the subgraph, at
+    any k.  The graph is identical to the one
+    :func:`build_subgraph_table` reads out of its table, and the stats
+    are metered by :func:`row_stats`.
     """
-    expand, group = _kernels(block.k)
-    *keys, rows = group(*expand(block))
-    if block.k > 31:
-        from ..bigk.store import BigDeBruijnGraph
-
-        graph = BigDeBruijnGraph(k=block.k, vertices_hi=keys[0],
-                                 vertices_lo=keys[1], counts=rows)
-    else:
-        graph = DeBruijnGraph(k=block.k, vertices=keys[0], counts=rows)
-    return SubgraphResult(graph=graph, stats=row_stats(rows),
-                          n_kmers=block.total_kmers())
+    keys, rows = preaggregate_observations(*block_observations(block))
+    return SubgraphResult(graph=DeBruijnGraph(k=block.k, vertices=keys, counts=rows),
+                          stats=row_stats(rows), n_kmers=block.total_kmers())
 
 
 def build_subgraph_table(
@@ -216,10 +193,9 @@ def build_subgraph_table(
     """Construct one subgraph with the paper's concurrent hash table.
 
     Every ``(vertex, slot)`` observation is inserted on its own, as in
-    §III-C2: ``n_threads == 1`` runs the vectorized batch insert on
-    either key width (``k > 31`` takes the two-word table); more threads
-    run the real per-operation state machine concurrently on one-word
-    keys (slow; meant for the protocol's claims, not throughput).  This
+    §III-C2: ``n_threads == 1`` runs the vectorized batch insert; more
+    threads run the real per-operation state machine concurrently (slow;
+    meant for the protocol's claims, not throughput).  This
     is the table that the hashing figures, Table II and the simulator's
     measured workloads meter; the build paths use :func:`build_subgraph`.
 
@@ -232,15 +208,7 @@ def build_subgraph_table(
     :class:`repro.core.hashtable.TableFullError` instead.
     """
     policy = policy or SizingPolicy()
-    if n_threads > 1 and block.k > 31:
-        raise ValueError("the threaded path needs one-word keys (k <= 31)")
-    table_cls = ConcurrentHashTable
-    if block.k > 31:
-        from ..bigk.table import TwoWordHashTable
-
-        table_cls = TwoWordHashTable
-    expand, _ = _kernels(block.k)
-    arrays = observation_pairs(*expand(block))
+    keys, slots = observation_pairs(*block_observations(block))
     n_kmers = block.total_kmers()
     capacity = policy.capacity_for(max(1, n_kmers))
     # Hard upper bound: there cannot be more distinct vertices than
@@ -248,12 +216,12 @@ def build_subgraph_table(
     bound = next_power_of_two(max(2, int(n_kmers / policy.alpha) + 1))
     n_regrows = 0
     while True:
-        table = table_cls(capacity, block.k)
+        table = ConcurrentHashTable(capacity, block.k)
         try:
             if n_threads == 1:
-                table.insert_batch(*arrays)
+                table.insert_batch(keys, slots)
             else:
-                table.insert_threaded(*arrays, n_threads)
+                table.insert_threaded(planes_to_ints(keys), slots, n_threads)
             break
         except TableFullError:
             if not allow_regrow or capacity >= bound:

@@ -7,13 +7,19 @@ is represented by the **canonical** kmer — the lexicographically smaller
 of a kmer and its reverse complement — and the constructed graph is
 bi-directed.
 
-Two representations are provided:
+Three representations are provided:
 
 * a **vectorized uint64 path** for ``K <= 31`` (the paper uses K = 27),
   where a kmer is the 2K low bits of a ``numpy.uint64`` and whole read
-  batches are processed with array operations; and
+  batches are processed with array operations;
+* the **key-plane codec** for every K: a key is ``W = key_width(k)``
+  uint64 *planes* (one for ``k`` in 1..31, two for 33..63), and
+  ``n`` keys are one ``(W, n)`` array.  The paper's hash entry "is not
+  limited by the machine word size" (§I), so the table, the graph store
+  and the Step-2 kernels all work on plane arrays and only this codec
+  knows how bases map onto words; and
 * a **scalar Python-int path** for arbitrary K, used by the reference
-  implementations and the multi-word hash-table keys.
+  implementations and as the codec's ground truth.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .encoding import int_to_codes
 
 #: Largest K supported by the vectorized uint64 representation.
 MAX_U64_K = 31
+
+_WORD_MASK = (1 << 64) - 1
 
 # (shift, mask) pairs that swap adjacent 2-bit fields, then nibbles.
 _SWAPS = (
@@ -91,29 +99,36 @@ def kmers_from_reads(codes: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def revcomp_u64(kmers: np.ndarray, k: int) -> np.ndarray:
-    """Reverse complement of packed uint64 kmers, vectorized.
+def _revcomp_words(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Reverse complement of full 32-base words, written into ``out``.
 
     Complementing a 2-bit code is ``code ^ 3``, so the whole word is
     inverted; the base order is then reversed by swapping adjacent
-    2-bit pairs, then nibbles, then bytes, and a shift drops the
-    (complemented) padding.
+    2-bit pairs, then nibbles, then bytes.
+    """
+    np.invert(words, out=out)
+    t = np.empty_like(out)
+    for shift, mask in _SWAPS:
+        np.right_shift(out, shift, out=t)
+        t &= mask
+        out &= mask
+        out <<= shift
+        out |= t
+    out.byteswap(inplace=True)
+    return out
 
-    Accepts ``k`` up to 32 (a full word): the two-word big-K substrate
-    reverse-complements its 32-base low plane through this function.
+
+def revcomp_u64(kmers: np.ndarray, k: int) -> np.ndarray:
+    """Reverse complement of packed uint64 kmers, vectorized.
+
+    The full-word reverse complement followed by a shift that drops the
+    (complemented) padding.  Accepts ``k`` up to 32 (a full word).
     """
     _check_k(k)
     if k > 32:
         raise ValueError(f"revcomp_u64 requires k <= 32, got {k}")
-    x = np.invert(np.ascontiguousarray(kmers, dtype=np.uint64))
-    t = np.empty_like(x)
-    for shift, mask in _SWAPS:
-        np.right_shift(x, shift, out=t)
-        t &= mask
-        x &= mask
-        x <<= shift
-        x |= t
-    x.byteswap(inplace=True)
+    kmers = np.ascontiguousarray(kmers, dtype=np.uint64)
+    x = _revcomp_words(kmers, np.empty_like(kmers))
     x >>= np.uint64(64 - 2 * k)
     return x
 
@@ -178,3 +193,228 @@ def iter_kmers(codes: np.ndarray, k: int):
     codes = np.asarray(codes, dtype=np.uint8)
     for i in range(len(codes) - k + 1):
         yield kmer_from_codes(codes[i : i + k])
+
+
+# ---------------------------------------------------------------------------
+# Key planes (every K)
+# ---------------------------------------------------------------------------
+#
+# Plane 0 holds the leading ``lead_bases(k) = k - 32 (W - 1)`` bases and
+# every later plane 32 bases, each packed 2 bits per base with the first
+# base in the high bits.  Comparing the planes in order therefore
+# compares the kmers, and at W = 2 the planes are the (hi, lo) split of
+# the 2k-bit integer.
+
+#: Bases held by every plane after the leading one.
+PLANE_BASES = 32
+
+
+def key_width(k: int) -> int:
+    """Number of uint64 planes ``W`` of a ``k``-base key.
+
+    The leading plane holds 1..31 bases, so ``k`` must not be a
+    multiple of 32 (that plane would be empty).
+    """
+    _check_k(k)
+    if k % PLANE_BASES == 0:
+        raise ValueError(
+            f"k must not be a multiple of {PLANE_BASES} (the leading key "
+            f"plane would hold no bases), got {k}"
+        )
+    return k // PLANE_BASES + 1
+
+
+def lead_bases(k: int) -> int:
+    """Bases held by plane 0."""
+    return k - PLANE_BASES * (key_width(k) - 1)
+
+
+def as_planes(keys, k: int) -> np.ndarray:
+    """Keys as a contiguous ``(W, n)`` uint64 plane array.
+
+    Accepts a ``(W, ...)`` array or a sequence of ``W`` plane arrays
+    (the dimensions after the first are flattened) and, at W = 1, an
+    array of one-word keys of any shape.
+    """
+    width = key_width(k)
+    planes = np.asarray(keys, dtype=np.uint64)
+    if width == 1:
+        planes = planes.reshape(1, -1)
+    elif planes.ndim < 2 or planes.shape[0] != width:
+        raise ValueError(
+            f"k={k} keys need {width} planes, got an array of shape "
+            f"{planes.shape}"
+        )
+    return np.ascontiguousarray(planes.reshape(width, -1))
+
+
+def take_planes(planes: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``planes[:, index]``, gathered one plane at a time.
+
+    A per-plane ``np.take`` into one preallocated array is several
+    times faster than numpy's 2-D fancy index.
+    """
+    index = np.asarray(index)
+    if index.dtype == bool:
+        index = np.flatnonzero(index)
+    out = np.empty((planes.shape[0], index.size), dtype=np.uint64)
+    for plane, row in zip(planes, out):
+        np.take(plane, index, out=row)
+    return out
+
+
+def pack_windows(bases: np.ndarray, k: int) -> np.ndarray:
+    """Every ``k``-base window of ``bases``, packed 2 bits per base.
+
+    ``out[i]`` packs ``bases[i : i + k]`` with the first base in the
+    high bits, for ``1 <= k <= 32``.  Built by doubling: windows of 1,
+    2, 4, 8, 16 and 32 bases, each two copies of the previous size side
+    by side, with the sizes that make up ``k``'s set bits OR-ed into
+    place -- about ``2 log2 k`` vector passes instead of ``k``.
+    """
+    if not 1 <= k <= 32:
+        raise ValueError(f"pack_windows needs 1 <= k <= 32, got {k}")
+    n = bases.size - k + 1
+    out = np.zeros(max(n, 0), dtype=np.uint64)
+    if n <= 0:
+        return out
+    window = bases.astype(np.uint64)
+    size, start = 1, 0
+    while True:
+        if k & size:
+            out |= window[start : start + n] << np.uint64(2 * (k - start - size))
+            start += size
+        if 2 * size > k:
+            return out
+        window = (window[:-size] << np.uint64(2 * size)) | window[size:]
+        size *= 2
+
+
+def pack_planes(bases: np.ndarray, k: int,
+                starts: np.ndarray | None = None) -> np.ndarray:
+    """The ``k``-base windows of a flat base array as ``(W, n)`` planes.
+
+    Every window by default, or the windows beginning at ``starts``.
+    Each plane is one :func:`pack_windows` pass over its slice of the
+    bases.
+    """
+    bases = np.asarray(bases, dtype=np.uint8)
+    n = max(bases.size - k + 1, 0) if starts is None else starts.size
+    planes = np.empty((key_width(k), n), dtype=np.uint64)
+    first, size = 0, lead_bases(k)
+    for row in planes:
+        windows = pack_windows(bases[first:], size)
+        if starts is None:
+            row[:] = windows[:n]
+        else:
+            np.take(windows, starts, out=row)
+        first, size = first + size, PLANE_BASES
+    return planes
+
+
+def kmer_planes_from_reads(codes: np.ndarray, k: int) -> np.ndarray:
+    """All kmers of equal-length reads as ``(W, n_reads, L - k + 1)`` planes."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    if codes.ndim != 2:
+        raise ValueError("codes must be a 2-D (n_reads, L) matrix")
+    n, length = codes.shape
+    if length < k:
+        raise ValueError(f"read length {length} shorter than k={k}")
+    n_kmers = length - k + 1
+    starts = (np.arange(n)[:, None] * length + np.arange(n_kmers)).ravel()
+    return pack_planes(codes.ravel(), k, starts).reshape(-1, n, n_kmers)
+
+
+def revcomp_planes(planes: np.ndarray, k: int) -> np.ndarray:
+    """Reverse complement of plane-array keys, vectorized.
+
+    Reverse-complement each plane as a full 32-base word and reverse
+    the plane order; the complemented padding of plane 0 then sits at
+    the low end, and a multi-word right shift by ``2 (32 W - k)`` bits
+    (2..62, always less than a word) drops it.
+    """
+    planes = np.asarray(planes, dtype=np.uint64)
+    width = key_width(k)
+    if planes.shape[0] != width:
+        raise ValueError(f"k={k} keys need {width} plane(s), got {planes.shape[0]}")
+    out = np.empty_like(planes)
+    for j in range(width):
+        _revcomp_words(planes[j], out[width - 1 - j])
+    shift = np.uint64(2 * (PLANE_BASES - lead_bases(k)))
+    carry = np.uint64(64) - shift
+    for j in range(width - 1, 0, -1):
+        out[j] >>= shift
+        out[j] |= out[j - 1] << carry
+    out[0] >>= shift
+    return out
+
+
+def less_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise lexicographic ``a < b`` of two plane arrays."""
+    less = a[-1] < b[-1]
+    for j in range(len(a) - 2, -1, -1):
+        less = (a[j] < b[j]) | ((a[j] == b[j]) & less)
+    return less
+
+
+def canonical_planes_with_flip(
+    planes: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical plane-array keys plus the flipped flag, vectorized."""
+    planes = np.asarray(planes, dtype=np.uint64)
+    rc = revcomp_planes(planes, k)
+    flipped = less_planes(rc, planes)
+    return np.where(flipped, rc, planes), flipped
+
+
+def sort_order(planes: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """Indices that sort ``(W, n)`` keys ascending.
+
+    One plane takes ``np.argsort`` (``kind`` passes through); more
+    take ``np.lexsort`` with plane 0 as the primary key.
+    """
+    if planes.shape[0] == 1:
+        return np.argsort(planes[0], kind=kind)
+    return np.lexsort(planes[::-1])
+
+
+def group_planes(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(W, n)`` keys in ascending order, plus each key's group.
+
+    Returns ``(keys, inverse)`` with ``keys[:, inverse] == planes``;
+    one plane takes ``np.unique``, more a lexsort and a boundary scan.
+    """
+    if planes.shape[0] == 1:
+        keys, inverse = np.unique(planes[0], return_inverse=True)
+        return keys[None], inverse
+    order = sort_order(planes)
+    ordered = take_planes(planes, order)
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return take_planes(ordered, new), inverse
+
+
+def split_int(kmer: int, k: int) -> tuple[int, ...]:
+    """A Python-int kmer as its ``W`` plane values, plane 0 first."""
+    width = key_width(k)
+    kmer = int(kmer)
+    return tuple(
+        (kmer >> (64 * (width - 1 - j))) & _WORD_MASK for j in range(width)
+    )
+
+
+def join_planes(*planes: int) -> int:
+    """Inverse of :func:`split_int`."""
+    kmer = 0
+    for plane in planes:
+        kmer = (kmer << 64) | int(plane)
+    return kmer
+
+
+def planes_to_ints(planes: np.ndarray) -> list[int]:
+    """``(W, n)`` keys as a list of Python-int kmers."""
+    if len(planes) == 1:
+        return planes[0].tolist()
+    return [join_planes(*key) for key in zip(*(p.tolist() for p in planes))]

@@ -1,7 +1,6 @@
 """De Bruijn graph structures, reference construction, merging, validation."""
 
 from .build import (
-    build_graph_from_observations,
     build_reference_graph,
     build_reference_graph_slow,
     edge_observations,
@@ -16,6 +15,7 @@ from .dbg import (
     graph_from_pairs,
     slot_for_predecessor,
     slot_for_successor,
+    vertex_rows,
 )
 from .compare import (
     GraphComparison,
@@ -78,7 +78,6 @@ __all__ = [
     "OUT_BASE",
     "OverlapError",
     "assert_graphs_equal",
-    "build_graph_from_observations",
     "build_reference_graph",
     "build_reference_graph_slow",
     "check_canonical_vertices",
@@ -94,4 +93,5 @@ __all__ = [
     "slot_for_predecessor",
     "slot_for_successor",
     "validate_full_graph",
+    "vertex_rows",
 ]

@@ -24,6 +24,7 @@ from .dbg import (
     N_SLOTS,
     OUT_BASE,
     DeBruijnGraph,
+    empty_graph,
     graph_from_pairs,
     slot_for_predecessor,
     slot_for_successor,
@@ -63,16 +64,8 @@ def edge_observations(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 def build_reference_graph(reads: ReadBatch, k: int) -> DeBruijnGraph:
     """Vectorized whole-input De Bruijn graph construction."""
     if reads.n_reads == 0:
-        return graph_from_pairs(k, np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64))
-    vertex_ids, slots = edge_observations(reads.codes, k)
-    return build_graph_from_observations(k, vertex_ids, slots)
-
-
-def build_graph_from_observations(
-    k: int, vertex_ids: np.ndarray, slots: np.ndarray
-) -> DeBruijnGraph:
-    """Aggregate observation pairs into a graph (thin alias for clarity)."""
-    return graph_from_pairs(k, vertex_ids, slots)
+        return empty_graph(k)
+    return graph_from_pairs(k, *edge_observations(reads.codes, k))
 
 
 def build_reference_graph_slow(reads: ReadBatch, k: int) -> DeBruijnGraph:

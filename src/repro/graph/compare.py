@@ -6,10 +6,8 @@ compared without any alignment — vertices private to one graph mark the
 sequence that differs.  Works on the sorted vertex arrays directly, so
 comparisons are O(n) and memory-light.
 
-Big-k graphs (:class:`repro.bigk.store.BigDeBruijnGraph`) compare the
-same way: their ``(hi, lo)`` plane pairs are viewed as a structured
-array whose element order equals the store's (hi-major) sort order, so
-every set operation below works unchanged.
+Multi-word keys compare the same way: their key planes are viewed as a
+structured array whose element order equals the store's sort order.
 """
 
 from __future__ import annotations
@@ -45,23 +43,20 @@ class GraphComparison:
         return self.n_shared / total_a if total_a else 1.0
 
 
-#: Structured view dtype for two-word vertices; hi first so structured
-#: comparison order matches BigDeBruijnGraph's lexsort((lo, hi)) order.
-_PLANE_PAIR_DTYPE = np.dtype([("hi", "<u8"), ("lo", "<u8")])
+def _vertex_view(g: DeBruijnGraph) -> np.ndarray:
+    """A graph's sorted vertices as one comparable 1-D array.
 
-
-def _vertex_view(g) -> np.ndarray:
-    """A graph's sorted vertex array, one- or two-word.
-
-    One-word graphs expose ``vertices`` directly; big-k graphs get a
-    zero-copy-ish structured view over their ``(hi, lo)`` planes whose
-    sort order matches the store's invariant.
+    One-word keys are their plane; wider keys become a structured array
+    over the ``(W, n)`` planes whose field order (plane 0 first) gives
+    the store's sort order, so every set operation below works
+    unchanged.
     """
-    if hasattr(g, "vertices"):
-        return g.vertices
-    view = np.empty(g.n_vertices, dtype=_PLANE_PAIR_DTYPE)
-    view["hi"] = g.vertices_hi
-    view["lo"] = g.vertices_lo
+    width = g.planes.shape[0]
+    if width == 1:
+        return g.planes[0]
+    view = np.empty(g.n_vertices, dtype=[(f"p{j}", "<u8") for j in range(width)])
+    for j, plane in enumerate(g.planes):
+        view[f"p{j}"] = plane
     return view
 
 

@@ -20,8 +20,10 @@ slot   meaning (relative to the canonical-forward orientation)
 8      multiplicity of the vertex itself (kmer occurrence count)
 ====== =========================================================
 
-The store is a pair of parallel arrays sorted by vertex value, which
-makes graphs directly comparable, mergeable and binary-searchable.
+The store is a ``(W, n)`` uint64 key-plane array (one plane for
+``k`` in 1..31, two for 33..63; see :func:`repro.dna.kmer.key_width`)
+and a parallel counter matrix, sorted by vertex, which makes graphs
+directly comparable, mergeable and binary-searchable at every k.
 """
 
 from __future__ import annotations
@@ -30,7 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dna.kmer import kmer_mask, kmer_to_str, revcomp_int
+from ..dna.kmer import (
+    as_planes,
+    canonical_int,
+    group_planes,
+    join_planes,
+    key_width,
+    kmer_mask,
+    kmer_to_str,
+    less_planes,
+    planes_to_ints,
+    split_int,
+    take_planes,
+)
 
 #: Number of counters per vertex: 4 out-edges, 4 in-edges, multiplicity.
 N_SLOTS = 9
@@ -59,41 +73,91 @@ def slot_for_predecessor(flipped: np.ndarray, prev_base: np.ndarray) -> np.ndarr
     return np.where(flipped, OUT_BASE + (3 - prev_base), IN_BASE + prev_base)
 
 
-@dataclass
+@dataclass(init=False, repr=False, eq=False)
 class DeBruijnGraph:
-    """A constructed De Bruijn (sub)graph.
+    """A constructed De Bruijn (sub)graph, for any k.
 
     Attributes
     ----------
     k:
         Kmer length of the vertices.
-    vertices:
-        Sorted ``uint64`` array of distinct canonical kmers.
+    planes:
+        ``(W, n_vertices)`` uint64 key planes of the distinct canonical
+        kmers (:func:`repro.dna.kmer.key_width`), strictly ascending.
+        ``vertices`` is its one plane at W = 1 and ``vertices_hi`` /
+        ``vertices_lo`` its two at W = 2; each is absent at the other
+        width.
     counts:
         ``(n_vertices, 9)`` uint64 counter matrix (see module docstring).
+
+    The keys are passed as ``vertices`` (a 1-D array of one-word keys
+    or the ``(W, n)`` plane array) or, as ``dataclasses.replace`` does,
+    as ``planes``.
     """
 
     k: int
-    vertices: np.ndarray
+    planes: np.ndarray
     counts: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.vertices = np.asarray(self.vertices, dtype=np.uint64)
-        self.counts = np.asarray(self.counts, dtype=np.uint64)
-        if self.counts.shape != (self.vertices.size, N_SLOTS):
+    def __init__(self, k: int, vertices: np.ndarray | None = None,
+                 counts: np.ndarray | None = None, *,
+                 planes: np.ndarray | None = None) -> None:
+        if (vertices is None) == (planes is None) or counts is None:
+            raise TypeError("DeBruijnGraph needs k, counts and one of "
+                            "vertices or planes")
+        self.k = k
+        self.planes = as_planes(planes if vertices is None else vertices, k)
+        self.counts = np.asarray(counts, dtype=np.uint64)
+        n = self.planes.shape[1]
+        if self.counts.shape != (n, N_SLOTS):
             raise ValueError(
-                f"counts shape {self.counts.shape} does not match "
-                f"({self.vertices.size}, {N_SLOTS})"
+                f"counts shape {self.counts.shape} does not match ({n}, {N_SLOTS})"
             )
-        if self.vertices.size > 1 and not (self.vertices[1:] > self.vertices[:-1]).all():
+        if n > 1 and not less_planes(self.planes[:, :-1], self.planes[:, 1:]).all():
             raise ValueError("vertices must be strictly sorted")
+
+    def __repr__(self) -> str:
+        return f"DeBruijnGraph(k={self.k}, n_vertices={self.n_vertices})"
+
+    # -- plane views ----------------------------------------------------------
+
+    def _plane(self, width: int, j: int, name: str) -> np.ndarray:
+        if self.planes.shape[0] != width:
+            raise AttributeError(
+                f"{name} exists for {width}-word keys; k={self.k} has "
+                f"{self.planes.shape[0]}"
+            )
+        return self.planes[j]
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """Sorted uint64 vertices (one-word keys only)."""
+        return self._plane(1, 0, "vertices")
+
+    @property
+    def vertices_hi(self) -> np.ndarray:
+        """Leading plane of two-word keys."""
+        return self._plane(2, 0, "vertices_hi")
+
+    @property
+    def vertices_lo(self) -> np.ndarray:
+        """Trailing 32-base plane of two-word keys."""
+        return self._plane(2, 1, "vertices_lo")
+
+    def vertex_int(self, i: int) -> int:
+        """Vertex row ``i`` as a Python-int kmer."""
+        return join_planes(*self.planes[:, i].tolist())
+
+    def vertex_ints(self) -> list[int]:
+        """Every vertex as a Python-int kmer, in row order."""
+        return planes_to_ints(self.planes)
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
         """Number of distinct vertices (the paper's graph-size metric)."""
-        return int(self.vertices.size)
+        return int(self.planes.shape[1])
 
     def total_kmer_instances(self) -> int:
         """Total kmer occurrences absorbed (distinct + duplicates)."""
@@ -118,11 +182,19 @@ class DeBruijnGraph:
         return self.index_of(int(kmer)) >= 0
 
     def index_of(self, kmer: int) -> int:
-        """Row index of a canonical kmer, or -1 when absent."""
-        i = int(np.searchsorted(self.vertices, np.uint64(kmer)))
-        if i < self.vertices.size and int(self.vertices[i]) == int(kmer):
-            return i
-        return -1
+        """Row index of a canonical kmer, or -1 when absent.
+
+        Narrows the row range one plane at a time.
+        """
+        lo, hi = 0, self.n_vertices
+        for plane, value in zip(self.planes, split_int(kmer, self.k)):
+            sub = plane[lo:hi]
+            value = np.uint64(value)
+            lo, hi = (lo + int(np.searchsorted(sub, value, side="left")),
+                      lo + int(np.searchsorted(sub, value, side="right")))
+            if lo == hi:
+                return -1
+        return lo
 
     def multiplicity(self, kmer: int) -> int:
         """Occurrence count of a canonical kmer (0 when absent)."""
@@ -159,8 +231,7 @@ class DeBruijnGraph:
                 neighbor = ((int(kmer) << 2) | b) & mask
             else:
                 neighbor = (b << (2 * (self.k - 1))) | (int(kmer) >> 2)
-            canon = min(neighbor, revcomp_int(neighbor, self.k))
-            result.append((canon, weight))
+            result.append((canonical_int(neighbor, self.k), weight))
         return result
 
     def degree(self, kmer: int) -> int:
@@ -179,9 +250,8 @@ class DeBruijnGraph:
         the surviving endpoint (they identify the dropped neighbor).
         """
         keep = self.counts[:, MULT_SLOT] >= np.uint64(min_multiplicity)
-        return DeBruijnGraph(
-            k=self.k, vertices=self.vertices[keep], counts=self.counts[keep]
-        )
+        return DeBruijnGraph(k=self.k, vertices=take_planes(self.planes, keep),
+                             counts=self.counts[keep])
 
     def filter_min_edge_weight(self, min_weight: int) -> "DeBruijnGraph":
         """Zero out edges observed fewer than ``min_weight`` times.
@@ -194,11 +264,11 @@ class DeBruijnGraph:
         counts = self.counts.copy()
         edges = counts[:, OUT_BASE:MULT_SLOT]
         edges[edges < np.uint64(min_weight)] = 0
-        return DeBruijnGraph(k=self.k, vertices=self.vertices.copy(), counts=counts)
+        return DeBruijnGraph(k=self.k, vertices=self.planes.copy(), counts=counts)
 
     def memory_bytes(self) -> int:
         """Bytes held by the vertex and counter arrays."""
-        return int(self.vertices.nbytes + self.counts.nbytes)
+        return int(self.planes.nbytes + self.counts.nbytes)
 
     # -- comparison ---------------------------------------------------------
 
@@ -206,8 +276,7 @@ class DeBruijnGraph:
         """Exact equality of vertex sets and all counters."""
         return (
             self.k == other.k
-            and self.vertices.size == other.vertices.size
-            and bool(np.array_equal(self.vertices, other.vertices))
+            and bool(np.array_equal(self.planes, other.planes))
             and bool(np.array_equal(self.counts, other.counts))
         )
 
@@ -224,50 +293,48 @@ class DeBruijnGraph:
 
     def vertex_str(self, i: int) -> str:
         """DNA string of vertex row ``i`` (debugging aid)."""
-        return kmer_to_str(int(self.vertices[i]), self.k)
+        return kmer_to_str(self.vertex_int(i), self.k)
 
 
 def empty_graph(k: int) -> DeBruijnGraph:
     """A graph with no vertices."""
     return DeBruijnGraph(
         k=k,
-        vertices=np.zeros(0, dtype=np.uint64),
+        vertices=np.zeros((key_width(k), 0), dtype=np.uint64),
         counts=np.zeros((0, N_SLOTS), dtype=np.uint64),
     )
+
+
+def vertex_rows(inverse: np.ndarray, n_vertices: int,
+                slots: np.ndarray) -> np.ndarray:
+    """``(n_vertices, 9)`` counter rows of grouped observations.
+
+    Entry ``i`` belongs to vertex ``inverse[i]`` and adds one count to
+    each of its non-negative ``slots[..., i]`` (one slot per entry, or a
+    ``(3, n)`` block of them); a single ``bincount`` over
+    ``vertex * 9 + slot`` builds every row at once.
+    """
+    spill = n_vertices * N_SLOTS  # bin for the -1 slots, dropped below
+    bins = np.where(slots < 0, spill, inverse * N_SLOTS + slots)
+    counts = np.bincount(bins.ravel(), minlength=spill + 1)[:-1]
+    return counts.reshape(n_vertices, N_SLOTS).view(np.uint64)
 
 
 def graph_from_pairs(k: int, vertex_ids: np.ndarray, slots: np.ndarray) -> DeBruijnGraph:
     """Aggregate ``(vertex, slot)`` observation pairs into a graph.
 
-    Every pair increments one counter.  This is the shared aggregation
-    kernel of the reference builder and of the sort-merge baselines: it
-    sorts the pairs and merges duplicates, exactly the "sort-merge"
-    strategy of §II-B, implemented with numpy.
+    ``vertex_ids`` are the observations' keys (a 1-D array at W = 1, or
+    ``(W, n)`` planes).  Every pair increments one counter.  This is the
+    shared aggregation kernel of the reference builder and of the
+    sort-merge baselines: it sorts the keys, merges duplicates -- the
+    "sort-merge" strategy of §II-B -- and bins the slots per vertex.
     """
-    vertex_ids = np.asarray(vertex_ids, dtype=np.uint64).ravel()
-    slots = np.asarray(slots, dtype=np.uint64).ravel()
-    if vertex_ids.shape != slots.shape:
+    planes = as_planes(vertex_ids, k)
+    slots = np.asarray(slots).ravel().astype(np.int64)
+    if slots.shape != (planes.shape[1],):
         raise ValueError("vertex_ids and slots must have equal length")
-    if vertex_ids.size == 0:
-        return empty_graph(k)
-    if slots.size and int(slots.max()) >= N_SLOTS:
-        raise ValueError("slot values must be < 9")
-    if 2 * k + 4 <= 64:
-        # Fast path: pack (vertex, slot) into one uint64 key.
-        keys = (vertex_ids << np.uint64(4)) | slots
-        unique_keys, key_counts = np.unique(keys, return_counts=True)
-        u_vertices = unique_keys >> np.uint64(4)
-        u_slots = (unique_keys & np.uint64(0xF)).astype(np.int64)
-    else:
-        order = np.lexsort((slots, vertex_ids))
-        sv, ss = vertex_ids[order], slots[order]
-        boundary = np.ones(sv.size, dtype=bool)
-        boundary[1:] = (sv[1:] != sv[:-1]) | (ss[1:] != ss[:-1])
-        starts = np.nonzero(boundary)[0]
-        key_counts = np.diff(np.append(starts, sv.size))
-        u_vertices = sv[starts]
-        u_slots = ss[starts].astype(np.int64)
-    vertices, inverse = np.unique(u_vertices, return_inverse=True)
-    counts = np.zeros((vertices.size, N_SLOTS), dtype=np.uint64)
-    np.add.at(counts, (inverse, u_slots), key_counts.astype(np.uint64))
-    return DeBruijnGraph(k=k, vertices=vertices, counts=counts)
+    if slots.size and (int(slots.min()) < 0 or int(slots.max()) >= N_SLOTS):
+        raise ValueError("slot values must be in [0, 9)")
+    keys, inverse = group_planes(planes)
+    counts = vertex_rows(inverse, keys.shape[1], slots)
+    return DeBruijnGraph(k=k, vertices=keys, counts=counts)

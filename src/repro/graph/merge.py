@@ -14,6 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..dna.kmer import group_planes, join_planes, sort_order, take_planes
 from .dbg import N_SLOTS, DeBruijnGraph, empty_graph
 
 
@@ -21,46 +22,57 @@ class OverlapError(ValueError):
     """Raised when subgraphs expected to be disjoint share vertices."""
 
 
-def merge_disjoint(subgraphs: Sequence[DeBruijnGraph]) -> DeBruijnGraph:
+def merge_disjoint(subgraphs: Sequence[DeBruijnGraph],
+                   k: int | None = None) -> DeBruijnGraph:
     """Union of vertex-disjoint subgraphs (the MSP guarantee).
 
-    Raises :class:`OverlapError` if any vertex appears in two subgraphs,
-    which would indicate a partitioning bug.
+    ``k`` comes from the inputs (empty ones included); pass it to merge
+    an empty list.  Raises :class:`OverlapError` if any vertex appears
+    in two subgraphs, which would indicate a partitioning bug.
     """
+    k = _common_k(subgraphs, k)
     subgraphs = [g for g in subgraphs if g.n_vertices]
     if not subgraphs:
-        return empty_graph(k=_common_k(subgraphs) if subgraphs else 1)
-    k = _common_k(subgraphs)
-    vertices = np.concatenate([g.vertices for g in subgraphs])
+        return empty_graph(k)
+    planes = np.concatenate([g.planes for g in subgraphs], axis=1)
     counts = np.concatenate([g.counts for g in subgraphs], axis=0)
-    order = np.argsort(vertices, kind="stable")
-    vertices = vertices[order]
+    # Stable: the inputs are sorted runs, which a stable sort merges.
+    order = sort_order(planes, kind="stable")
+    planes = take_planes(planes, order)
     counts = counts[order]
-    if vertices.size > 1 and (vertices[1:] == vertices[:-1]).any():
-        dup = int(vertices[np.nonzero(vertices[1:] == vertices[:-1])[0][0]])
+    dup = (planes[:, 1:] == planes[:, :-1]).all(axis=0)
+    if dup.any():
+        i = int(np.flatnonzero(dup)[0])
+        vertex = join_planes(*planes[:, i].tolist())
         raise OverlapError(
-            f"vertex {dup:#x} appears in more than one subgraph; "
+            f"vertex {vertex:#x} appears in more than one subgraph; "
             "MSP partitions must be vertex-disjoint"
         )
-    return DeBruijnGraph(k=k, vertices=vertices, counts=counts)
+    return DeBruijnGraph(k=k, vertices=planes, counts=counts)
 
 
-def merge_adding(subgraphs: Sequence[DeBruijnGraph]) -> DeBruijnGraph:
-    """General merge: counters of vertices present in several inputs add up."""
+def merge_adding(subgraphs: Sequence[DeBruijnGraph],
+                 k: int | None = None) -> DeBruijnGraph:
+    """General merge: counters of vertices present in several inputs add up.
+
+    An empty list without ``k`` merges to an empty ``k = 1`` graph.
+    """
+    k = _common_k(subgraphs, k) if subgraphs or k is not None else 1
     subgraphs = [g for g in subgraphs if g.n_vertices]
     if not subgraphs:
-        return empty_graph(k=1)
-    k = _common_k(subgraphs)
-    vertices = np.concatenate([g.vertices for g in subgraphs])
+        return empty_graph(k)
+    planes = np.concatenate([g.planes for g in subgraphs], axis=1)
     counts = np.concatenate([g.counts for g in subgraphs], axis=0)
-    unique, inverse = np.unique(vertices, return_inverse=True)
-    merged = np.zeros((unique.size, N_SLOTS), dtype=np.uint64)
+    unique, inverse = group_planes(planes)
+    merged = np.zeros((unique.shape[1], N_SLOTS), dtype=np.uint64)
     np.add.at(merged, inverse, counts)
     return DeBruijnGraph(k=k, vertices=unique, counts=merged)
 
 
-def _common_k(subgraphs: Sequence[DeBruijnGraph]) -> int:
-    ks = {g.k for g in subgraphs}
+def _common_k(subgraphs: Sequence[DeBruijnGraph], k: int | None) -> int:
+    ks = {g.k for g in subgraphs} | ({k} if k is not None else set())
+    if not ks:
+        raise ValueError("merging no subgraphs needs an explicit k")
     if len(ks) > 1:
         raise ValueError(f"cannot merge graphs with different k: {sorted(ks)}")
     return ks.pop()

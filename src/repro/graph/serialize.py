@@ -5,7 +5,8 @@ required format and transfers it to the disk" (§III-E); the constructed
 subgraphs become disk files (the paper's Bumblebee output is ~20 GB).
 Two formats:
 
-* **binary** (``.phdbg``): header + the raw vertex/counter arrays.
+* **binary** (``.phdbg``): header + the raw key-plane/counter arrays,
+  magic ``PHDB`` for one-word keys and ``PHB2`` for two-word keys.
   Compact, exact, fast; the format partition outputs use.
 * **TSV text**: one vertex per line with its spelled kmer, multiplicity
   and the 8 edge counters — for interoperability and eyeballing.
@@ -21,9 +22,13 @@ import numpy as np
 
 from ..dna.alphabet import encode
 from ..dna.encoding import codes_to_int
+from ..dna.kmer import key_width, sort_order, split_int, take_planes
 from .dbg import N_SLOTS, DeBruijnGraph
 
-MAGIC = b"PHDB"
+#: File magic per key width: one-word graphs are ``PHDB`` files and
+#: two-word ones ``PHB2``; the body is the ``(W, n)`` key planes (plane
+#: 0 first), then the counter matrix, all little-endian uint64.
+MAGICS = {1: b"PHDB", 2: b"PHB2"}
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBBHQ")
 
@@ -34,38 +39,41 @@ class GraphFormatError(ValueError):
 
 def save_graph(path: str | os.PathLike, graph: DeBruijnGraph) -> int:
     """Write a graph as a binary ``.phdbg`` file; returns bytes written."""
+    magic = MAGICS[graph.planes.shape[0]]
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, graph.k, 0, graph.n_vertices))
-        fh.write(np.ascontiguousarray(graph.vertices, dtype="<u8").tobytes())
+        fh.write(_HEADER.pack(magic, FORMAT_VERSION, graph.k, 0, graph.n_vertices))
+        fh.write(np.ascontiguousarray(graph.planes, dtype="<u8").tobytes())
         fh.write(np.ascontiguousarray(graph.counts, dtype="<u8").tobytes())
     return os.path.getsize(path)
 
 
 def load_graph(path: str | os.PathLike) -> DeBruijnGraph:
-    """Read a binary graph file back."""
+    """Read a binary graph file back (either magic)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
         raise GraphFormatError(f"{path}: truncated header")
     magic, version, k, _reserved, n = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
+    widths = {m: w for w, m in MAGICS.items()}
+    if magic not in widths:
         raise GraphFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise GraphFormatError(f"{path}: unsupported version {version}")
-    need = _HEADER.size + n * 8 + n * N_SLOTS * 8
+    width = widths[magic]
+    try:
+        if key_width(k) != width:
+            raise ValueError(f"a {magic!r} file holds {width}-word keys")
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: k={k} does not fit: {exc}") from exc
+    need = _HEADER.size + n * 8 * (width + N_SLOTS)
     if len(raw) != need:
         raise GraphFormatError(
             f"{path}: expected {need} bytes for {n} vertices, got {len(raw)}"
         )
-    pos = _HEADER.size
-    vertices = np.frombuffer(raw, dtype="<u8", count=n, offset=pos).copy()
-    pos += n * 8
-    counts = (
-        np.frombuffer(raw, dtype="<u8", count=n * N_SLOTS, offset=pos)
-        .reshape(n, N_SLOTS)
-        .copy()
-    )
-    return DeBruijnGraph(k=k, vertices=vertices, counts=counts)
+    body = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size)
+    planes = body[: width * n].reshape(width, n).astype(np.uint64)
+    counts = body[width * n :].reshape(n, N_SLOTS).astype(np.uint64)
+    return DeBruijnGraph(k=k, vertices=planes, counts=counts)
 
 
 TSV_HEADER = "kmer\tmultiplicity\toutA\toutC\toutG\toutT\tinA\tinC\tinG\tinT"
@@ -108,14 +116,15 @@ def import_tsv(path: str | os.PathLike) -> DeBruijnGraph:
             )
         vertices.append(codes_to_int(encode(kmer_str)))
         counts.append([int(v) for v in edges] + [int(mult)])
-    order = np.argsort(np.array(vertices, dtype=np.uint64))
-    vertices_arr = np.array(vertices, dtype=np.uint64)[order]
+    planes = np.array([split_int(v, k) for v in vertices],
+                      dtype=np.uint64).reshape(-1, key_width(k)).T
+    order = sort_order(planes)
     counts_arr = (
         np.array(counts, dtype=np.uint64)[order]
         if counts
         else np.zeros((0, N_SLOTS), dtype=np.uint64)
     )
-    return DeBruijnGraph(k=k, vertices=vertices_arr, counts=counts_arr)
+    return DeBruijnGraph(k=k, vertices=take_planes(planes, order), counts=counts_arr)
 
 
 def save_subgraphs(

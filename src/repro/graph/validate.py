@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dna.kmer import canonical_int, iter_kmers, kmer_mask, kmer_to_str, revcomp_int
+from ..dna.kmer import (
+    canonical_int,
+    iter_kmers,
+    kmer_mask,
+    kmer_to_str,
+    planes_to_ints,
+    revcomp_int,
+)
 from ..dna.reads import ReadBatch
 from .dbg import IN_BASE, OUT_BASE, DeBruijnGraph
 
@@ -24,19 +31,18 @@ def assert_graphs_equal(actual: DeBruijnGraph, expected: DeBruijnGraph, label: s
     if actual.k != expected.k:
         raise GraphValidationError(f"{prefix}k differs: {actual.k} != {expected.k}")
     if actual.n_vertices != expected.n_vertices:
-        missing = np.setdiff1d(expected.vertices, actual.vertices)
-        extra = np.setdiff1d(actual.vertices, expected.vertices)
+        have, want = set(actual.vertex_ints()), set(expected.vertex_ints())
         examples = []
-        for v in missing[:3]:
-            examples.append(f"missing {kmer_to_str(int(v), expected.k)}")
-        for v in extra[:3]:
-            examples.append(f"extra {kmer_to_str(int(v), expected.k)}")
+        for v in sorted(want - have)[:3]:
+            examples.append(f"missing {kmer_to_str(v, expected.k)}")
+        for v in sorted(have - want)[:3]:
+            examples.append(f"extra {kmer_to_str(v, expected.k)}")
         raise GraphValidationError(
             f"{prefix}vertex count differs: {actual.n_vertices} != "
             f"{expected.n_vertices} ({'; '.join(examples)})"
         )
-    if not np.array_equal(actual.vertices, expected.vertices):
-        i = int(np.nonzero(actual.vertices != expected.vertices)[0][0])
+    if not np.array_equal(actual.planes, expected.planes):
+        i = int(np.nonzero((actual.planes != expected.planes).any(axis=0))[0][0])
         raise GraphValidationError(
             f"{prefix}vertex sets differ at row {i}: "
             f"{actual.vertex_str(i)} != {expected.vertex_str(i)}"
@@ -53,8 +59,7 @@ def assert_graphs_equal(actual: DeBruijnGraph, expected: DeBruijnGraph, label: s
 
 def check_canonical_vertices(graph: DeBruijnGraph) -> None:
     """Every stored vertex must be in canonical form."""
-    for i in range(min(graph.n_vertices, 100_000)):
-        v = int(graph.vertices[i])
+    for i, v in enumerate(planes_to_ints(graph.planes[:, :100_000])):
         if canonical_int(v, graph.k) != v:
             raise GraphValidationError(
                 f"vertex {kmer_to_str(v, graph.k)} at row {i} is not canonical"
@@ -72,8 +77,7 @@ def check_edge_symmetry(graph: DeBruijnGraph) -> None:
     """
     k = graph.k
     mask = kmer_mask(k)
-    for i in range(graph.n_vertices):
-        v = int(graph.vertices[i])
+    for i, v in enumerate(graph.vertex_ints()):
         for b in range(4):
             out_w = int(graph.counts[i, OUT_BASE + b])
             if out_w:

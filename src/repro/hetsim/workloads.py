@@ -162,7 +162,7 @@ def simulate_parahash(
     devices2 = device_set(use_cpu, n_gpus, cpu=replace(base_cpu, io_share=0.0))
     sim1 = simulate_step(step1.works, devices1, disk)
     sim2 = simulate_step(step2.works, devices2, disk)
-    graph = merge_disjoint([r.graph for r in step2.results])
+    graph = merge_disjoint([r.graph for r in step2.results], k=config.k)
     return HetSimReport(
         step1=sim1,
         step2=sim2,

@@ -19,37 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dna.alphabet import decode
-from ..dna.kmer import kmer_mask
+from ..dna.kmer import kmer_mask, key_width, pack_planes
+from ..dna.kmer import pack_windows  # noqa: F401  (re-exported)
 
 #: Extension sentinel: the superkmer touches the read boundary.
 NO_EXT = -1
-
-
-def pack_windows(bases: np.ndarray, k: int) -> np.ndarray:
-    """Every ``k``-base window of ``bases``, packed 2 bits per base.
-
-    ``out[i]`` packs ``bases[i : i + k]`` with the first base in the
-    high bits, for ``1 <= k <= 32``.  Built by doubling: windows of 1,
-    2, 4, 8, 16 and 32 bases, each two copies of the previous size side
-    by side, with the sizes that make up ``k``'s set bits OR-ed into
-    place -- about ``2 log2 k`` vector passes instead of ``k``.
-    """
-    if not 1 <= k <= 32:
-        raise ValueError(f"pack_windows needs 1 <= k <= 32, got {k}")
-    n = bases.size - k + 1
-    out = np.zeros(max(n, 0), dtype=np.uint64)
-    if n <= 0:
-        return out
-    window = bases.astype(np.uint64)
-    size, start = 1, 0
-    while True:
-        if k & size:
-            out |= window[start : start + n] << np.uint64(2 * (k - start - size))
-            start += size
-        if 2 * size > k:
-            return out
-        window = (window[:-size] << np.uint64(2 * size)) | window[size:]
-        size *= 2
 
 
 @dataclass(frozen=True)
@@ -165,20 +139,25 @@ class SuperkmerBlock:
             self.offsets[:-1] - firsts, per_sk
         )
 
-    def flat_kmers(self) -> tuple[np.ndarray, np.ndarray]:
-        """All kmers of the block with their flat base positions.
+    def kmer_planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """All kmers of the block as key planes, with their flat positions.
 
-        Returns ``(kmers, positions)`` where ``kmers[i]`` is the packed
-        uint64 kmer starting at ``bases[positions[i]]``.  Kmers never
-        span superkmer boundaries.  Vectorized with
-        :func:`pack_windows` over the flat base array (no
-        per-superkmer Python loop).
+        Returns ``(planes, positions)``: ``planes[:, i]`` is the
+        ``(W,)`` key of the kmer starting at ``bases[positions[i]]``
+        (:func:`repro.dna.kmer.pack_planes`, one vectorized doubling
+        pass per plane over the flat base array).  Kmers never span
+        superkmer boundaries.
         """
-        if self.n_superkmers == 0:
-            empty = np.zeros(0, dtype=np.uint64)
-            return empty, np.zeros(0, dtype=np.int64)
         positions = self.kmer_positions()
-        return pack_windows(self.bases, self.k)[positions], positions
+        return pack_planes(self.bases, self.k, positions), positions
+
+    def flat_kmers(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(kmers, positions)`` for one-word ``k``: :meth:`kmer_planes`'
+        single plane."""
+        if key_width(self.k) != 1:
+            raise ValueError(f"flat_kmers needs one-word keys, got k={self.k}")
+        planes, positions = self.kmer_planes()
+        return planes[0], positions
 
     def packed_mask(self) -> int:
         return kmer_mask(self.k)

@@ -7,8 +7,7 @@ Public surface:
   partition, streamed in one pool);
 * :func:`concurrent_insert_processes` — several processes running the
   state-transfer protocol against *one* shared table (protocol
-  validation on genuinely concurrent memory), with
-  :func:`concurrent_insert_processes_2w` as its split-key big-k twin;
+  validation on genuinely concurrent memory), at any key width;
 * the shared-memory and pool primitives the backend is built from.
 """
 
@@ -16,7 +15,6 @@ from .atomics_mp import ProcessAtomicInt64Array, create_lock_bundle
 from .backend import (
     build_graph_processes,
     concurrent_insert_processes,
-    concurrent_insert_processes_2w,
 )
 from .pool import (
     PoolInterrupted,
@@ -44,7 +42,6 @@ __all__ = [
     "attach_segment",
     "build_graph_processes",
     "concurrent_insert_processes",
-    "concurrent_insert_processes_2w",
     "create_lock_bundle",
     "create_segment",
     "create_table_segment",

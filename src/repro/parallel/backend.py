@@ -30,11 +30,9 @@ scales with cores instead of being serialized by the GIL, as the
 the *same* table's occupancy flags through
 :class:`~repro.parallel.atomics_mp.ProcessAtomicInt64Array` — which is
 what validates that the state-transfer protocol is sound on genuinely
-concurrent memory, not merely under the GIL.  For ``k > 31`` the table
-segment carries the split-key two-word planes (``keys_hi``/``keys_lo``)
-and :func:`concurrent_insert_processes_2w` exercises the multi-word
-publish (both key words written inside the LOCKED window) across
-processes.
+concurrent memory, not merely under the GIL.  At ``W = 2`` every
+claim writes both key words inside the LOCKED window: the multi-word
+publish the protocol exists for, across processes.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ from ..concurrentsub.workqueue import (
 from ..core.estimator import next_power_of_two
 from ..core.hashtable import HashStats
 from ..core.subgraph import SubgraphResult, build_subgraph
+from ..dna.kmer import as_planes, planes_to_ints
 from ..dna.reads import ReadBatch
 from ..graph.dbg import DeBruijnGraph
 from ..msp.partitioner import (
@@ -464,7 +463,7 @@ def _install_shared_atomics(table, flags: np.ndarray, state_locks,
 
 
 def concurrent_insert_processes(
-    kmers: np.ndarray,
+    keys: np.ndarray,
     slots: np.ndarray,
     k: int,
     capacity: int,
@@ -475,16 +474,18 @@ def concurrent_insert_processes(
 
     This is the insert protocol on genuinely concurrent memory: every
     worker runs the per-operation state machine — CAS EMPTY→LOCKED /
-    write-key / publish-OCCUPIED — against the same shared-memory
-    occupancy plane.  Returns the resulting subgraph and the per-worker
-    stats.  Used by the equivalence tests (the outcome must match a
-    serial ``insert_batch``); the production pipeline instead gives each
+    write every key word / publish-OCCUPIED — against the same
+    shared-memory occupancy plane.  ``keys`` are the observations' key
+    planes (``(W, n)``, a sequence of ``W`` planes, or at W = 1 a 1-D
+    array).  Returns the resulting subgraph and the per-worker stats.
+    Used by the equivalence tests (the outcome must match a serial
+    ``insert_batch``); the production pipeline instead gives each
     partition to exactly one process, as the paper does per subgraph.
     """
-    kmers = np.ascontiguousarray(kmers, dtype=np.uint64).ravel()
+    planes = as_planes(keys, k)
     slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-    if kmers.shape != slots.shape:
-        raise ValueError("kmers and slots must be parallel arrays")
+    if planes.shape[1:] != slots.shape:
+        raise ValueError("keys and slots must be parallel arrays")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     ctx = default_context()
@@ -497,11 +498,11 @@ def concurrent_insert_processes(
             create_segment([("flags", (cap,), "int64")]) as flags_seg:
         state_locks = create_lock_bundle(ctx, n_stripes)
         count_locks = create_lock_bundle(ctx, n_stripes)
-        bounds = np.linspace(0, kmers.size, n_workers + 1).astype(int).tolist()
+        bounds = np.linspace(0, slots.size, n_workers + 1).astype(int).tolist()
         stats = run_workers(
             _cas_worker, n_workers, ctx=ctx,
             args=(table_seg.spec, flags_seg.spec, state_locks, count_locks,
-                  kmers, slots, bounds, k),
+                  planes, slots, bounds, k),
         )
         # Publish the final flags into the table's int8 mirror, then
         # read the graph straight out of shared memory.
@@ -514,7 +515,7 @@ def concurrent_insert_processes(
 
 def _cas_worker(worker_id: int, table_spec: SegmentSpec,
                 flags_spec: SegmentSpec, state_locks, count_locks,
-                kmers: np.ndarray, slots: np.ndarray,
+                planes: np.ndarray, slots: np.ndarray,
                 bounds: list[int], k: int) -> HashStats:
     """One process of the cross-process state-machine run."""
     seg = attach_segment(table_spec)
@@ -525,81 +526,9 @@ def _cas_worker(worker_id: int, table_spec: SegmentSpec,
     local = HashStats()
     b0, b1 = bounds[worker_id], bounds[worker_id + 1]
     try:
-        for i in range(b0, b1):
-            table.insert_one_threadsafe(int(kmers[i]), int(slots[i]), local)
-    finally:
-        table.detach_views()
-        seg.close()
-        flags_seg.close()
-    return local
-
-
-def concurrent_insert_processes_2w(
-    hi: np.ndarray,
-    lo: np.ndarray,
-    slots: np.ndarray,
-    k: int,
-    capacity: int,
-    n_workers: int,
-    n_stripes: int = 64,
-):
-    """Two-word twin of :func:`concurrent_insert_processes` (k > 31).
-
-    Several processes CAS the same occupancy plane and publish BOTH key
-    words (``keys_hi`` then ``keys_lo``) inside the LOCKED window — the
-    multi-word case the state-transfer protocol exists for (paper §III,
-    multi-word ablation).  Returns the resulting
-    :class:`~repro.bigk.store.BigDeBruijnGraph` and per-worker stats.
-    """
-    hi = np.ascontiguousarray(hi, dtype=np.uint64).ravel()
-    lo = np.ascontiguousarray(lo, dtype=np.uint64).ravel()
-    slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-    if not (hi.shape == lo.shape == slots.shape):
-        raise ValueError("hi, lo and slots must be parallel arrays")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    if k <= 31:
-        raise ValueError("use concurrent_insert_processes for k <= 31")
-    ctx = default_context()
-    cap = next_power_of_two(max(2, capacity))
-    # Same ownership discipline as the one-word path: each `with` owns
-    # its segment from creation, so a failed lock-bundle build still
-    # unlinks everything (no shm leak on partially-constructed runs).
-    with create_table_segment(cap, k) as table_seg, \
-            create_segment([("flags", (cap,), "int64")]) as flags_seg:
-        state_locks = create_lock_bundle(ctx, n_stripes)
-        count_locks = create_lock_bundle(ctx, n_stripes)
-        bounds = np.linspace(0, hi.size, n_workers + 1).astype(int).tolist()
-        stats = run_workers(
-            _cas_worker_2w, n_workers, ctx=ctx,
-            args=(table_seg.spec, flags_seg.spec, state_locks, count_locks,
-                  hi, lo, slots, bounds, k),
-        )
-        _publish_final_state(table_seg, flags_seg)
-        table = table_over_segment(table_seg, k, fresh=False)
-        graph = table.to_graph()
-        table.detach_views()
-        return graph, stats
-
-
-def _cas_worker_2w(worker_id: int, table_spec: SegmentSpec,
-                   flags_spec: SegmentSpec, state_locks, count_locks,
-                   hi: np.ndarray, lo: np.ndarray, slots: np.ndarray,
-                   bounds: list[int], k: int) -> HashStats:
-    """One process of the two-word cross-process state-machine run."""
-    from ..bigk.kmer2w import join_planes
-
-    seg = attach_segment(table_spec)
-    flags_seg = attach_segment(flags_spec)
-    table = table_over_segment(seg, k, fresh=True)
-    _install_shared_atomics(table, flags_seg["flags"], state_locks,
-                            count_locks)
-    local = HashStats()
-    b0, b1 = bounds[worker_id], bounds[worker_id + 1]
-    try:
-        for i in range(b0, b1):
-            kmer = join_planes(hi[i], lo[i])
-            table.insert_one_threadsafe(kmer, int(slots[i]), local)
+        for kmer, slot in zip(planes_to_ints(planes[:, b0:b1]),
+                              slots[b0:b1].tolist()):
+            table.insert_one_threadsafe(kmer, slot, local)
     finally:
         table.detach_views()
         seg.close()

@@ -4,8 +4,8 @@ The process backend (:mod:`repro.parallel.backend`) moves the read-code
 matrix of a ParaHash run into a :mod:`multiprocessing.shared_memory`
 segment, so every Step-1 worker reads the *same* physical memory (no
 pickling of a multi-megabyte array).  Its cross-process CAS path keeps
-one hash table's arrays (``state``, ``keys``, ``counts``; for k > 31
-the split-key planes ``keys_hi``/``keys_lo``) in a segment too, so the
+one hash table's arrays (``state``, the ``(W, capacity)`` ``keys``
+planes, ``counts``) in a segment too, so the
 state-transfer protocol's occupancy flags live in genuinely concurrent
 memory when several processes insert into that table (see
 :mod:`repro.parallel.atomics_mp`).
@@ -196,60 +196,34 @@ def attach_read_batch(spec: SegmentSpec):
 # -- hash tables ----------------------------------------------------------------
 
 def create_table_segment(capacity: int, k: int) -> SharedSegment:
-    """Zero-filled backing store for one hash table (one- or two-word).
+    """Zero-filled backing store for one hash table.
 
-    Layout matches the table's arrays; ``capacity`` must already be the
-    table's true (power-of-two) capacity.
-
-    For ``k <= 31`` the layout backs a
-    :class:`~repro.core.hashtable.ConcurrentHashTable` (one ``keys``
-    plane); for ``k > 31`` it is the split-key two-word layout of
-    :class:`~repro.bigk.table.TwoWordHashTable` — ``keys_hi`` and
-    ``keys_lo`` uint64 planes holding the ``k - 32`` leftmost and 32
-    rightmost bases.  Either way :func:`table_over_segment` rebuilds
-    the matching table over the views, so backend call sites stay
-    width-agnostic.
+    Layout matches :class:`~repro.core.hashtable.ConcurrentHashTable`:
+    an int8 ``state`` plane, a ``(W, capacity)`` uint64 ``keys`` plane
+    array (``W = key_width(k)``) and ``(capacity, 9)`` uint32
+    ``counts``.  ``capacity`` must already be the table's true
+    (power-of-two) capacity.
     """
+    from ..dna.kmer import key_width
     from ..graph.dbg import N_SLOTS
 
-    if k > 31:
-        from ..bigk.kmer2w import check_2w_k
-
-        check_2w_k(k)
-        return create_segment([
-            ("state", (capacity,), "int8"),
-            ("keys_hi", (capacity,), "uint64"),
-            ("keys_lo", (capacity,), "uint64"),
-            ("counts", (capacity, N_SLOTS), "uint32"),
-        ])
     return create_segment([
         ("state", (capacity,), "int8"),
-        ("keys", (capacity,), "uint64"),
+        ("keys", (key_width(k), capacity), "uint64"),
         ("counts", (capacity, N_SLOTS), "uint32"),
     ])
 
 
 def table_over_segment(seg: SharedSegment, k: int, fresh: bool = False):
-    """A hash table whose arrays are the segment's views (zero-copy).
-
-    Returns a :class:`~repro.core.hashtable.ConcurrentHashTable` over a
-    one-word segment or a :class:`~repro.bigk.table.TwoWordHashTable`
-    over a two-word one, keyed off ``k`` — which must match the layout
-    the segment was created with.
+    """A :class:`~repro.core.hashtable.ConcurrentHashTable` whose arrays
+    are the segment's views (zero-copy); ``k`` must match the layout the
+    segment was created with.
 
     With ``fresh=True`` the segment is assumed zero-filled (a new table);
     otherwise occupancy is recounted from the ``state`` array, so a
     parent can attach *after* a worker filled the table and read the
     result without any copy.
     """
-    if k > 31:
-        from ..bigk.table import TwoWordHashTable
-
-        return TwoWordHashTable.from_views(
-            k=k, state=seg["state"], keys_hi=seg["keys_hi"],
-            keys_lo=seg["keys_lo"], counts=seg["counts"],
-            n_occupied=0 if fresh else None,
-        )
     from ..core.hashtable import ConcurrentHashTable
 
     return ConcurrentHashTable.from_views(

@@ -36,7 +36,7 @@ from .manifest import read_json, write_json_atomic
 #: resumable.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
-MAX_K_2W = 63  # two-word big-k ceiling (repro.bigk)
+MAX_K_2W = 63  # two-word key ceiling (repro.dna.kmer.key_width)
 
 
 class JobError(ValueError):
@@ -81,11 +81,6 @@ class JobSpec:
             raise JobError("claim_weight must be >= 1")
         if self.step2_delay < 0:
             raise JobError("step2_delay must be >= 0")
-
-    @property
-    def big_k(self) -> bool:
-        """Does this job take the two-word (31 < k <= 63) path?"""
-        return self.k > 31
 
     def to_dict(self) -> dict:
         return asdict(self)

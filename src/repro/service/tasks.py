@@ -37,6 +37,7 @@ from pathlib import Path
 
 from ..core.subgraph import build_subgraph
 from ..dna.io import load_read_batch
+from ..graph.serialize import save_graph
 from ..msp.partitioner import SpillWriterSet, load_partition_group, partition_reads
 
 
@@ -97,14 +98,7 @@ def _run_step2(task: dict) -> dict:
     built = build_subgraph(block)
     out_path = Path(task["out_path"])
     tmp = out_path.with_name(out_path.name + ".tmp")
-    if k > 31:
-        from ..bigk.serialize import save_big_graph
-
-        n_bytes = save_big_graph(tmp, built.graph)
-    else:
-        from ..graph.serialize import save_graph
-
-        n_bytes = save_graph(tmp, built.graph)
+    n_bytes = save_graph(tmp, built.graph)
     atomic_replace(tmp, out_path)
     return {
         "kind": "step2",

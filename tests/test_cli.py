@@ -234,28 +234,49 @@ class TestBigKCli:
         assert "two-word keys" in capsys.readouterr().out
 
     def test_bigk_roundtrip_exact(self, reads_file, tmp_path):
-        from repro.bigk import build_debruijn_graph_bigk, load_big_graph
+        from repro.bigk.serialize import load_big_graph
+        from repro.core.parahash import build_debruijn_graph
 
         out = tmp_path / "g41.phdbg"
         main(["build", "--input", str(reads_file), "--k", "41",
               "--p", "15", "--partitions", "4", "--output", str(out)])
         reads = load_read_batch(reads_file)
-        expected = build_debruijn_graph_bigk(reads, 41, p=15, n_partitions=4)
+        expected = build_debruijn_graph(reads, 41, p=15, n_partitions=4)
         assert load_big_graph(out).equals(expected)
 
-    def test_unsupported_flags_rejected(self, reads_file, tmp_path):
+    def test_filter_and_tsv_at_large_k(self, reads_file, tmp_path):
+        from repro.bigk.store import build_reference_bigk_slow
+        from repro.graph.serialize import import_tsv
+
         out = tmp_path / "g.phdbg"
+        tsv = tmp_path / "g.tsv"
         rc = main(["build", "--input", str(reads_file), "--k", "41",
                    "--p", "15", "--partitions", "4", "--output", str(out),
-                   "--min-multiplicity", "2"])
-        assert rc == 2
-        rc = main(["build", "--input", str(reads_file), "--k", "41",
-                   "--p", "15", "--partitions", "4", "--output", str(out),
-                   "--tsv", str(tmp_path / "g.tsv")])
-        assert rc == 2
+                   "--min-multiplicity", "2", "--tsv", str(tsv)])
+        assert rc == 0
+        reads = load_read_batch(reads_file)
+        expected = build_reference_bigk_slow(reads, 41).filter_min_multiplicity(2)
+        assert 0 < expected.n_vertices
+        assert load_graph(out).equals(expected)
+        assert import_tsv(tsv).equals(expected)
+
+    def test_analysis_commands_at_large_k(self, reads_file, tmp_path, capsys):
+        out = tmp_path / "g41.phdbg"
+        assert main(["build", "--input", str(reads_file), "--k", "41",
+                     "--p", "15", "--partitions", "4", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--graph", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "coverage peak (x)" in printed and "junction vertices" in printed
+        fasta = tmp_path / "u.fasta"
+        assert main(["unitigs", "--graph", str(out), "--output", str(fasta)]) == 0
+        records = read_fasta(fasta)
+        assert records and all(len(r.sequence) >= 41 for r in records)
+        assert main(["validate", "--graph", str(out), "--full"]) == 0
+        assert "all invariants hold" in capsys.readouterr().out
 
     def test_processes_backend_builds_large_k(self, reads_file, tmp_path):
-        from repro.bigk import load_big_graph
+        from repro.bigk.serialize import load_big_graph
 
         serial_out = tmp_path / "serial.phdbg"
         proc_out = tmp_path / "proc.phdbg"
@@ -277,7 +298,7 @@ class TestBigKCli:
         assert not (tmp_path / "g.phdbg").exists()
 
     def test_threads_backend_builds_large_k(self, reads_file, tmp_path):
-        from repro.bigk import load_big_graph
+        from repro.bigk.serialize import load_big_graph
 
         serial_out = tmp_path / "serial.phdbg"
         threads_out = tmp_path / "threads.phdbg"

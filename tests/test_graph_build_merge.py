@@ -9,7 +9,7 @@ from repro.graph.build import (
     build_reference_graph_slow,
     edge_observations,
 )
-from repro.graph.dbg import MULT_SLOT, empty_graph, graph_from_pairs
+from repro.graph.dbg import MULT_SLOT, DeBruijnGraph, empty_graph, graph_from_pairs
 from repro.graph.merge import OverlapError, merge_adding, merge_disjoint
 from repro.graph.validate import assert_graphs_equal
 
@@ -101,6 +101,29 @@ class TestMergeDisjoint:
         g13 = build_reference_graph(genomic_batch, 13)
         with pytest.raises(ValueError):
             merge_disjoint([g15, g13])
+
+
+class TestMergeKeepsK:
+    def test_empty_one_word_merges_keep_k(self):
+        assert merge_disjoint([empty_graph(27)] * 2).k == 27
+        assert merge_adding([empty_graph(27)]).k == 27
+        assert merge_disjoint([], k=27).k == 27
+        with pytest.raises(ValueError):
+            merge_disjoint([])
+        with pytest.raises(ValueError):
+            merge_disjoint([empty_graph(27), empty_graph(21)])
+
+    def test_empty_two_word_merges_keep_k(self):
+        g = empty_graph(45)
+        assert g.planes.shape == (2, 0)
+        assert merge_disjoint([g, g]).k == 45
+        assert merge_adding([g]).k == 45
+        merged = merge_disjoint([], k=45)
+        assert merged.k == 45 and merged.planes.shape == (2, 0)
+        one = DeBruijnGraph(k=45, vertices=np.array([[1], [2]], dtype=np.uint64),
+                            counts=np.ones((1, 9), dtype=np.uint64))
+        with pytest.raises(OverlapError):
+            merge_disjoint([one, g, one])
 
 
 class TestMergeAdding:

@@ -90,6 +90,26 @@ class TestInsertBatch:
             table.insert_batch(np.array([7], dtype=np.uint64), row)
         assert int(table.lookup(7)[MULT_SLOT]) == 2**32 - 1
 
+    @pytest.mark.parametrize("k, key", [(15, (7,)), (41, (1, 7))])
+    def test_slot_counter_overflow_raises(self, k, key):
+        # The per-observation path guards the uint32 counters too, at
+        # either key width, and writes nothing when it refuses.
+        table = ConcurrentHashTable(16, k=k)
+        planes = [np.array([word], dtype=np.uint64) for word in key]
+        row = np.zeros((1, 9), dtype=np.uint64)
+        row[0, MULT_SLOT] = 2**32 - 3
+        table.insert_batch(*planes, row)
+        two = [np.repeat(plane, 2) for plane in planes]
+        # Two more fit; a third in the same batch would wrap the counter.
+        with pytest.raises(OverflowError, match="uint32"):
+            table.insert_batch(*[np.repeat(plane, 3) for plane in planes],
+                               np.full(3, MULT_SLOT))
+        assert int(table.to_graph().counts[0, MULT_SLOT]) == 2**32 - 3
+        table.insert_batch(*two, np.full(2, MULT_SLOT))
+        with pytest.raises(OverflowError, match="uint32"):
+            table.insert_batch(*planes, np.array([MULT_SLOT]))
+        assert int(table.to_graph().counts[0, MULT_SLOT]) == 2**32 - 1
+
     def test_mismatched_arrays(self):
         table = ConcurrentHashTable(64, k=15)
         with pytest.raises(ValueError):
@@ -185,7 +205,7 @@ class TestConstruction:
 
     def test_rejects_large_k(self):
         with pytest.raises(ValueError):
-            ConcurrentHashTable(64, k=33)
+            ConcurrentHashTable(64, k=64)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Doubling kmer packers against per-record scalar extraction.
 
-``SuperkmerBlock.flat_kmers`` (one word) and ``flat_kmers_2w`` (two
+``SuperkmerBlock.flat_kmers`` (one word) and ``kmer_planes`` (two
 words) build their kmers from 1-, 2-, 4-, ... 32-base windows; every
 width and boundary case here is checked against ``iter_kmers`` run on
 each superkmer on its own.
@@ -9,9 +9,7 @@ each superkmer on its own.
 import numpy as np
 import pytest
 
-from repro.bigk.construct import flat_kmers_2w
-from repro.bigk.kmer2w import hi_bases, join_planes
-from repro.dna.kmer import iter_kmers
+from repro.dna.kmer import iter_kmers, join_planes, lead_bases
 from repro.msp.records import (
     SuperkmerRecord,
     block_from_records,
@@ -50,7 +48,7 @@ def test_flat_kmers_matches_iter_kmers(rng, k):
 def test_flat_kmers_2w_matches_iter_kmers(rng, k):
     records = _records(rng, k)
     block = block_from_records(k, records)
-    hi, lo, positions = flat_kmers_2w(block)
+    (hi, lo), positions = block.kmer_planes()
     got = [join_planes(h, l) for h, l in zip(hi.tolist(), lo.tolist())]
     assert got == _expected(records, k)
     assert positions.size == hi.size
@@ -59,10 +57,10 @@ def test_flat_kmers_2w_matches_iter_kmers(rng, k):
 @pytest.mark.parametrize("k, hi_len", [(33, 1), (63, 31)])
 def test_hi_plane_extremes(rng, k, hi_len):
     # k = 33 leaves one base in the high plane, k = 63 leaves 31.
-    assert hi_bases(k) == hi_len
+    assert lead_bases(k) == hi_len
     records = [SuperkmerRecord(bases=np.full(k, 3, dtype=np.uint8),
                                left_ext=-1, right_ext=-1)]
-    hi, lo, _ = flat_kmers_2w(block_from_records(k, records))
+    (hi, lo), _ = block_from_records(k, records).kmer_planes()
     assert hi.tolist() == [(1 << (2 * hi_len)) - 1]
     assert lo.tolist() == [(1 << 64) - 1]
 
@@ -73,7 +71,7 @@ def test_superkmers_exactly_k_long(rng, k):
                                left_ext=-1, right_ext=-1) for _ in range(3)]
     block = block_from_records(k, records)
     if k > 31:
-        hi, lo, positions = flat_kmers_2w(block)
+        (hi, lo), positions = block.kmer_planes()
         got = [join_planes(h, l) for h, l in zip(hi.tolist(), lo.tolist())]
     else:
         kmers, positions = block.flat_kmers()
@@ -86,7 +84,7 @@ def test_superkmers_exactly_k_long(rng, k):
 def test_empty_block(k):
     block = empty_block(k)
     if k > 31:
-        hi, lo, positions = flat_kmers_2w(block)
+        (hi, lo), positions = block.kmer_planes()
         assert hi.size == lo.size == positions.size == 0
     else:
         kmers, positions = block.flat_kmers()

@@ -70,7 +70,7 @@ def test_partitioned_counting_uses_no_table(genomic_batch, no_tables):
 @pytest.mark.parametrize("k", [21, 45])
 def test_service_step2_task_uses_no_table(genomic_batch, no_tables, tmp_path,
                                           k):
-    from repro.bigk import build_subgraph_2w_sortmerge, load_big_graph
+    from repro.bigk.serialize import load_big_graph
     from repro.core.subgraph import build_subgraph_sortmerge
     from repro.graph.serialize import load_graph
     from repro.msp.partitioner import load_partition_group, partition_to_files
@@ -85,7 +85,7 @@ def test_service_step2_task_uses_no_table(genomic_batch, no_tables, tmp_path,
                            "out_path": str(out), "k": k})
         block = load_partition_group([path], k)
         if k > 31:
-            built, oracle = load_big_graph(out), build_subgraph_2w_sortmerge(block)
+            built, oracle = load_big_graph(out), build_subgraph_sortmerge(block)
         else:
             built, oracle = load_graph(out), build_subgraph_sortmerge(block)
         assert built.equals(oracle)

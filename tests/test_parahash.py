@@ -141,7 +141,8 @@ class TestEndToEnd:
         assert result.n_kmers == genomic_batch.n_kmers(15)
 
         # Two-word keys take the same Step-2 tail, subgraph files included.
-        from repro.bigk import build_reference_bigk_slow, load_big_graph
+        from repro.bigk.serialize import load_big_graph
+        from repro.bigk.store import build_reference_bigk_slow
 
         big = ParaHash(cfg.with_(k=45, p=13)).build_graph_from_files(
             shards, workdir=tmp_path / "work45", output_dir=tmp_path / "out45"

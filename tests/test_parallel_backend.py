@@ -208,13 +208,13 @@ def test_bigk_processes_fallback_on_undersized_tables(clean_batch):
 
 
 def test_cross_process_cas_2w_matches_serial_insert(genomic_batch, rng):
-    from repro.bigk import TwoWordHashTable, canonical2w_with_flip
-    from repro.bigk.kmer2w import kmers2w_from_reads
-    from repro.parallel import concurrent_insert_processes_2w
+    from repro.bigk.table import TwoWordHashTable
+    from repro.dna.kmer import canonical_planes_with_flip, kmer_planes_from_reads
+    from repro.parallel import concurrent_insert_processes
 
     k = 45
-    hi, lo = kmers2w_from_reads(genomic_batch.codes, k)
-    hi, lo, _ = canonical2w_with_flip(hi, lo, k)
+    hi, lo = kmer_planes_from_reads(genomic_batch.codes, k)
+    (hi, lo), _ = canonical_planes_with_flip((hi, lo), k)
     hi, lo = hi[:5000], lo[:5000]
     slots = rng.integers(0, N_SLOTS, size=hi.size, dtype=np.int64)
     capacity = 1 << 14
@@ -223,8 +223,8 @@ def test_cross_process_cas_2w_matches_serial_insert(genomic_batch, rng):
     serial.insert_batch(hi, lo, slots)
     expected = serial.to_graph()
 
-    graph, stats = concurrent_insert_processes_2w(
-        hi, lo, slots, k, capacity, n_workers=3
+    graph, stats = concurrent_insert_processes(
+        (hi, lo), slots, k, capacity, n_workers=3
     )
     assert expected.equals(graph)
     assert len(stats) == 3
@@ -233,10 +233,10 @@ def test_cross_process_cas_2w_matches_serial_insert(genomic_batch, rng):
 
 def test_cross_process_cas_2w_rejects_small_k():
     with pytest.raises(ValueError):
-        from repro.parallel import concurrent_insert_processes_2w
+        from repro.parallel import concurrent_insert_processes
 
-        concurrent_insert_processes_2w(
-            np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64),
+        concurrent_insert_processes(
+            (np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)),
             np.zeros(1, dtype=np.int64), 21, 16, 1,
         )
 
@@ -275,7 +275,7 @@ def test_matrix_cell_cli_build_matches_serial(genomic_batch, tmp_path):
     if k <= 31:
         from repro.graph.serialize import load_graph as load
     else:
-        from repro.bigk import load_big_graph as load
+        from repro.bigk.serialize import load_big_graph as load
     a, b = load(serial_out), load(cell_out)
     comparison = compare_graphs(a, b)
     assert comparison.jaccard == 1.0

@@ -1,21 +1,24 @@
-"""Property-based tests for the two-word (big-K) substrate."""
+"""Property-based tests for the key-plane codec past one word."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bigk.construct import build_debruijn_graph_bigk
-from repro.bigk.kmer2w import (
-    canonical2w_with_flip,
+from repro.bigk.store import build_reference_bigk_slow
+from repro.bigk.table import TwoWordHashTable
+from repro.core.parahash import build_debruijn_graph
+from repro.dna.kmer import (
+    canonical_int,
+    canonical_planes_with_flip,
     join_planes,
-    kmers2w_from_reads,
-    revcomp2w,
+    kmer_planes_from_reads,
+    revcomp_int,
+    revcomp_planes,
     split_int,
 )
-from repro.bigk.store import build_reference_bigk_slow, graph_from_plane_pairs
-from repro.bigk.table import TwoWordHashTable
-from repro.dna.kmer import canonical_int, revcomp_int
 from repro.dna.reads import ReadBatch
+from repro.graph.dbg import graph_from_pairs
 
 big_ks = st.integers(33, 63)
 
@@ -32,8 +35,8 @@ class TestPlaneProperties:
     def test_revcomp_matches_scalar(self, k, data):
         kmer = data.draw(st.integers(0, (1 << (2 * k)) - 1))
         hi, lo = split_int(kmer, k)
-        rhi, rlo = revcomp2w(np.array([hi], dtype=np.uint64),
-                             np.array([lo], dtype=np.uint64), k)
+        rhi, rlo = revcomp_planes((np.array([hi], dtype=np.uint64),
+                                   np.array([lo], dtype=np.uint64)), k)
         assert join_planes(int(rhi[0]), int(rlo[0])) == revcomp_int(kmer, k)
 
     @given(big_ks, st.data())
@@ -41,8 +44,8 @@ class TestPlaneProperties:
     def test_canonical_matches_scalar(self, k, data):
         kmer = data.draw(st.integers(0, (1 << (2 * k)) - 1))
         hi, lo = split_int(kmer, k)
-        chi, clo, flip = canonical2w_with_flip(
-            np.array([hi], dtype=np.uint64), np.array([lo], dtype=np.uint64), k
+        (chi, clo), flip = canonical_planes_with_flip(
+            (np.array([hi], dtype=np.uint64), np.array([lo], dtype=np.uint64)), k
         )
         expected = canonical_int(kmer, k)
         assert join_planes(int(chi[0]), int(clo[0])) == expected
@@ -57,7 +60,7 @@ class TestPlaneProperties:
         k = int(rng.integers(33, 64))
         length = k + int(rng.integers(0, 20))
         codes = rng.integers(0, 4, size=(2, length), dtype=np.uint8)
-        hi, lo = kmers2w_from_reads(codes, k)
+        hi, lo = kmer_planes_from_reads(codes, k)
         for i in range(2):
             for j, ref in enumerate(iter_kmers(codes[i], k)):
                 assert join_planes(hi[i, j], lo[i, j]) == ref
@@ -75,8 +78,7 @@ class TestBigKConstructionProperties:
                                              dtype=np.uint8))
         p = int(rng.integers(5, 22))
         n_partitions = int(rng.integers(1, 8))
-        fast = build_debruijn_graph_bigk(batch, k, p=p,
-                                         n_partitions=n_partitions)
+        fast = build_debruijn_graph(batch, k, p=p, n_partitions=n_partitions)
         slow = build_reference_bigk_slow(batch, k)
         assert fast.equals(slow)
 
@@ -91,4 +93,109 @@ class TestBigKConstructionProperties:
         slots = rng.integers(0, 9, size=n).astype(np.int64)
         table = TwoWordHashTable(1024, k)
         table.insert_batch(hi, lo, slots)
-        assert table.to_graph().equals(graph_from_plane_pairs(k, hi, lo, slots))
+        assert table.to_graph().equals(graph_from_pairs(k, (hi, lo), slots))
+
+
+# -- W = 3: k > 63 needs no code change in the codec ------------------------------
+#
+# Only the codec knows how bases map onto planes, so running it at three
+# planes against the scalar Python-int functions shows that wider keys
+# are a constant change (the k ranges of ParaHashConfig and JobSpec).
+# Multiples of 32 leave the leading plane empty and are rejected.
+
+three_plane_ks = st.integers(65, 95)
+
+
+def _kmer(data, k):
+    return data.draw(st.integers(0, (1 << (2 * k)) - 1))
+
+
+def _planes(kmers, k):
+    from repro.dna.kmer import key_width
+
+    columns = [split_int(km, k) for km in kmers]
+    return np.array(columns, dtype=np.uint64).reshape(-1, key_width(k)).T
+
+
+class TestThreePlaneCodec:
+    @given(three_plane_ks, st.data())
+    def test_width_and_int_roundtrip(self, k, data):
+        from repro.dna.kmer import key_width, lead_bases
+
+        assert key_width(k) == 3 and lead_bases(k) == k - 64
+        kmer = _kmer(data, k)
+        planes = split_int(kmer, k)
+        assert len(planes) == 3 and planes[0] < 1 << (2 * (k - 64))
+        assert join_planes(*planes) == kmer
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_pack_matches_scalar(self, seed):
+        from repro.dna.kmer import iter_kmers, pack_planes, planes_to_ints
+
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(65, 96))
+        bases = rng.integers(0, 4, size=k + int(rng.integers(0, 30)),
+                             dtype=np.uint8)
+        assert planes_to_ints(pack_planes(bases, k)) == list(iter_kmers(bases, k))
+
+    @given(three_plane_ks, st.data())
+    @settings(max_examples=60)
+    def test_revcomp_matches_scalar_and_involutes(self, k, data):
+        kmers = [_kmer(data, k) for _ in range(4)]
+        planes = _planes(kmers, k)
+        rc = revcomp_planes(planes, k)
+        assert [join_planes(*col) for col in rc.T.tolist()] == [
+            revcomp_int(km, k) for km in kmers
+        ]
+        assert np.array_equal(revcomp_planes(rc, k), planes)
+
+    @given(three_plane_ks, st.data())
+    @settings(max_examples=60)
+    def test_canonical_with_flip_matches_scalar(self, k, data):
+        kmers = [_kmer(data, k) for _ in range(4)]
+        canon, flip = canonical_planes_with_flip(_planes(kmers, k), k)
+        expected = [canonical_int(km, k) for km in kmers]
+        assert [join_planes(*col) for col in canon.T.tolist()] == expected
+        assert flip.tolist() == [e != km for e, km in zip(expected, kmers)]
+
+    @given(three_plane_ks, st.data())
+    @settings(max_examples=60)
+    def test_less_and_sort_order_match_ints(self, k, data):
+        from repro.dna.kmer import group_planes, less_planes, sort_order
+
+        # Few distinct values per plane, so ties reach the later planes.
+        kmers = [
+            join_planes(*(data.draw(st.sampled_from([0, 1, (1 << 64) - 1]))
+                          if j else data.draw(st.integers(0, 2))
+                          for j in range(3)))
+            for _ in range(8)
+        ]
+        planes = _planes(kmers, k)
+        a, b = planes[:, :4], planes[:, 4:]
+        assert less_planes(a, b).tolist() == [
+            x < y for x, y in zip(kmers[:4], kmers[4:])
+        ]
+        order = sort_order(planes).tolist()
+        assert [kmers[i] for i in order] == sorted(kmers)
+        keys, inverse = group_planes(planes)
+        distinct = sorted(set(kmers))
+        assert [join_planes(*col) for col in keys.T.tolist()] == distinct
+        assert [distinct[i] for i in inverse.tolist()] == kmers
+
+    def test_multiples_of_32_rejected(self):
+        from repro.dna.kmer import key_width
+
+        for k in (32, 64, 96):
+            with pytest.raises(ValueError):
+                key_width(k)
+
+    def test_pipeline_k_ranges_stay_at_two_planes(self):
+        from repro.core.config import ParaHashConfig
+        from repro.service.jobstore import JobError, JobSpec
+
+        for k in (32, 64, 65):
+            with pytest.raises(ValueError):
+                ParaHashConfig(k=k, p=11)
+            with pytest.raises(JobError):
+                JobSpec(input="reads.fastq", k=k, p=11)

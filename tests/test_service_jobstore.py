@@ -15,10 +15,11 @@ class TestJobSpec:
     def test_defaults_valid(self):
         s = spec()
         assert s.claim_weight == 1
-        assert not s.big_k
 
     def test_big_k_flag(self):
-        assert spec(k=41, p=6).big_k
+        from repro.dna.kmer import key_width
+
+        assert key_width(spec(k=41, p=6).k) == 2
 
     @pytest.mark.parametrize("bad", [
         dict(k=0), dict(k=64), dict(p=0), dict(p=16),  # p > k=15

@@ -3,8 +3,8 @@
 The row path groups a partition's kmer instances by canonical vertex
 into one 9-counter row per vertex.  Here the owner build
 (``build_subgraph``) must equal a pure-Python ``Counter``-style oracle
-and the sort-merge oracles (``build_subgraph_sortmerge`` /
-``build_subgraph_2w_sortmerge``) on both key widths, and meter the same
+and the sort-merge oracle (``build_subgraph_sortmerge``) on both key
+widths, and meter the same
 protocol-level ``HashStats`` as the paper's per-observation insert;
 inserting the rows into the hash table must give that table's
 per-observation graph and stats.
@@ -20,13 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bigk.construct import (
-    block_observations_2w,
-    build_subgraph_2w_sortmerge,
-    preaggregate_observations_2w,
-)
-from repro.bigk.kmer2w import join_planes
-from repro.bigk.table import TwoWordHashTable
 from repro.core.estimator import SizingPolicy
 from repro.core.hashtable import ConcurrentHashTable, TableFullError
 from repro.core.subgraph import (
@@ -36,7 +29,7 @@ from repro.core.subgraph import (
     observation_pairs,
     preaggregate_observations,
 )
-from repro.dna.kmer import kmer_from_codes, revcomp_int
+from repro.dna.kmer import join_planes, kmer_from_codes, revcomp_int
 from repro.msp.records import SuperkmerRecord, block_from_records
 
 #: ``HashStats`` fields fixed by the observations alone, whatever order
@@ -118,20 +111,12 @@ def filled_table(block, policy, rows):
     Returns the table; an overflowing table is rebuilt at twice the
     capacity, as :func:`build_subgraph_table` does.
     """
-    two_word = block.k > 31
-    if two_word:
-        observations = block_observations_2w(block)
-        arrays = (preaggregate_observations_2w(*observations) if rows
-                  else observation_pairs(*observations))
-        cls = TwoWordHashTable
-    else:
-        observations = block_observations(block)
-        arrays = (preaggregate_observations(*observations) if rows
-                  else observation_pairs(*observations))
-        cls = ConcurrentHashTable
+    observations = block_observations(block)
+    arrays = (preaggregate_observations(*observations) if rows
+              else observation_pairs(*observations))
     capacity = policy.capacity_for(max(1, block.total_kmers()))
     while True:
-        table = cls(capacity, block.k)
+        table = ConcurrentHashTable(capacity, block.k)
         try:
             table.insert_batch(*arrays)
             return table
@@ -140,10 +125,8 @@ def filled_table(block, policy, rows):
 
 
 def check_block(block, policy) -> None:
-    two_word = block.k > 31
     oracle = oracle_rows(block)
-    sortmerge = (build_subgraph_2w_sortmerge if two_word
-                 else build_subgraph_sortmerge)(block)
+    sortmerge = build_subgraph_sortmerge(block)
     assert graph_rows(sortmerge) == oracle
     owner = build_subgraph(block)
     assert graph_rows(owner.graph) == oracle
