@@ -54,8 +54,9 @@ def test_encoding_and_compaction_ablation(benchmark, chr14_reads, chr14_config):
         ),
     )
 
-    # ~1/4 of the text size; per-record framing (3 bytes of length +
-    # extension flags) keeps the measured ratio a little above 0.25.
+    # ~1/4 of the text size; each record's 3 bytes of length +
+    # extension flags (plus one small header per frame) keep the
+    # measured ratio a little above 0.25.
     assert 0.24 <= ratio <= 0.35
     # Superkmer compaction: an order of magnitude below per-kmer storage.
     assert compaction < 0.2

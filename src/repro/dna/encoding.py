@@ -9,7 +9,8 @@ Two packed representations are used throughout the library:
 
 * **byte-packed** (`pack_codes` / `unpack_codes`): 4 bases per byte,
   first base in the *most significant* bit pair.  Used for partition
-  files on disk (``repro.msp.binio``).
+  files on disk (``repro.msp.binio``), where each frame packs all of
+  its superkmers' bases as one run.
 * **integer-packed** (`codes_to_int` / `int_to_codes`): the whole
   sequence as one big integer, first base most significant.  Because the
   code order is lexicographic, integer comparison of two equal-length

@@ -9,12 +9,17 @@ File layout (little-endian):
 
 * header: magic ``b"PHSK"``, format version ``u8``, kmer length ``u8``,
   reserved ``u16``, record count ``u64`` (patched on close);
-* per record: base count ``u16``, extension byte ``u8`` (bit 0 = has
-  left extension, bit 1 = has right, bits 2-3 = left base code, bits
-  4-5 = right base code), then ``ceil(n/4)`` bytes of packed bases.
+* one frame per :meth:`PartitionWriter.write_block` call: record count
+  ``u32`` and base count ``u64``, then ``n`` × ``u16`` superkmer
+  lengths, ``n`` extension bytes (bit 0 = has left extension, bit 1 =
+  has right, bits 2-3 = left base code, bits 4-5 = right base code),
+  then the frame's concatenated bases packed 4 per byte
+  (:func:`repro.dna.encoding.pack_codes`).
 
-The extension byte carries the paper's "two extra base pairs" in packed
-form; semantically the record is the extended superkmer.
+Frames delimit themselves, so encoding, decoding and merging files are
+whole-array operations: nothing walks the records one by one.  The
+extension byte carries the paper's "two extra base pairs" in packed
+form; semantically each record is the extended superkmer.
 """
 
 from __future__ import annotations
@@ -26,36 +31,35 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dna.encoding import pack_codes
-from .records import NO_EXT, SuperkmerBlock
+from ..dna.encoding import pack_codes, packed_size, unpack_codes
+from .records import (
+    NO_EXT,
+    SuperkmerBlock,
+    SuperkmerRecord,
+    block_from_records,
+    empty_block,
+)
 
 MAGIC = b"PHSK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = struct.Struct("<4sBBHQ")
-_REC_HEAD = struct.Struct("<HB")
+_FRAME = struct.Struct("<IQ")
 
 
 class PartitionFormatError(ValueError):
     """Raised on a malformed partition file."""
 
 
-def _ext_byte(left_ext: int, right_ext: int) -> int:
-    flags = 0
-    if left_ext != NO_EXT:
-        flags |= 0x01 | ((left_ext & 0x3) << 2)
-    if right_ext != NO_EXT:
-        flags |= 0x02 | ((right_ext & 0x3) << 4)
-    return flags
-
-
-def _ext_from_byte(flags: int) -> tuple[int, int]:
-    left = (flags >> 2) & 0x3 if flags & 0x01 else NO_EXT
-    right = (flags >> 4) & 0x3 if flags & 0x02 else NO_EXT
-    return left, right
+def frame_size(n_records: int, n_bases: int) -> int:
+    """Bytes of one frame holding ``n_records`` superkmers of ``n_bases``
+    bases in total (0 for an empty block, which writes no frame)."""
+    if n_records == 0:
+        return 0
+    return _FRAME.size + 3 * n_records + packed_size(n_bases)
 
 
 class PartitionWriter:
-    """Streams superkmer records into one partition file."""
+    """Streams superkmer blocks into one partition file, a frame each."""
 
     def __init__(self, path: str | os.PathLike, k: int) -> None:
         if not 1 <= k <= 255:
@@ -67,20 +71,13 @@ class PartitionWriter:
         self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, k, 0, 0))
 
     def write_record(self, bases: np.ndarray, left_ext: int, right_ext: int) -> None:
-        """Append one superkmer (codes + extensions)."""
-        if self._fh is None:
-            raise ValueError("writer already closed")
-        n = len(bases)
-        if n < self.k:
-            raise ValueError(f"superkmer of {n} bases is shorter than k={self.k}")
-        if n > 0xFFFF:
-            raise ValueError("superkmer too long for u16 length field")
-        self._fh.write(_REC_HEAD.pack(n, _ext_byte(left_ext, right_ext)))
-        self._fh.write(pack_codes(bases))
-        self._count += 1
+        """Append one superkmer (codes + extensions) as its own frame."""
+        self.write_block(
+            block_from_records(self.k, [SuperkmerRecord(bases, left_ext, right_ext)])
+        )
 
     def write_block(self, block: SuperkmerBlock) -> None:
-        """Append every record of a block (vectorized encoding)."""
+        """Append every record of a block as one frame."""
         if self._fh is None:
             raise ValueError("writer already closed")
         if block.k != self.k:
@@ -108,128 +105,110 @@ class PartitionWriter:
 
 
 def encode_block(block: SuperkmerBlock) -> bytes:
-    """Encode a whole block's records at once (no per-record loop).
-
-    Produces exactly the bytes the record-at-a-time
-    :meth:`PartitionWriter.write_record` path would: little-endian
-    ``u16`` length, extension byte, then the bases packed 4-per-byte
-    MSB-first (matching :func:`repro.dna.encoding.pack_codes`).  The
-    payload bytes of all records are assembled with one scatter per bit
-    lane, which is what makes spilling the full superkmer stream to
-    disk cheap enough for the process backend.
-    """
+    """Encode a whole block as one frame (empty block: no bytes)."""
     lens = block.lengths
     n = lens.size
     if n == 0:
         return b""
     if int(lens.max()) > 0xFFFF:
         raise ValueError("superkmer too long for u16 length field")
-    packed = (lens + 3) // 4
-    rec_sizes = 3 + packed
-    starts = np.concatenate(([0], np.cumsum(rec_sizes)[:-1]))
-    out = np.zeros(int(rec_sizes.sum()), dtype=np.uint8)
-    out[starts] = (lens & 0xFF).astype(np.uint8)
-    out[starts + 1] = ((lens >> 8) & 0xFF).astype(np.uint8)
     left = block.left_ext
     right = block.right_ext
-    flags = np.zeros(n, dtype=np.uint8)
-    has_l = left != NO_EXT
-    has_r = right != NO_EXT
-    flags[has_l] |= 0x01 | ((left[has_l].astype(np.uint8) & 0x3) << 2)
-    flags[has_r] |= 0x02 | ((right[has_r].astype(np.uint8) & 0x3) << 4)
-    out[starts + 2] = flags
-    # Payload: for packed byte j of record i, gather bases
-    # 4j .. 4j+3 (first base in the most significant bit pair).
-    total_packed = int(packed.sum())
-    rec_of = np.repeat(np.arange(n, dtype=np.int64), packed)
-    within = np.arange(total_packed, dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(packed)[:-1])), packed
+    flags = np.where(left != NO_EXT, 0x01 | ((left & 0x3) << 2), 0) | np.where(
+        right != NO_EXT, 0x02 | ((right & 0x3) << 4), 0
     )
-    base0 = block.offsets[:-1][rec_of] + 4 * within
-    bases = block.bases
-    vals = np.zeros(total_packed, dtype=np.uint8)
-    for lane in range(4):
-        valid = (4 * within + lane) < lens[rec_of]
-        idx = np.minimum(base0 + lane, max(0, bases.size - 1))
-        lane_vals = np.where(valid, bases[idx], 0).astype(np.uint8)
-        vals |= lane_vals << (6 - 2 * lane)
-    out[starts[rec_of] + 3 + within] = vals
-    return out.tobytes()
+    return b"".join((
+        _FRAME.pack(n, block.bases.size),
+        lens.astype("<u2").tobytes(),
+        flags.astype(np.uint8).tobytes(),
+        pack_codes(block.bases),
+    ))
 
 
-def read_partition_header(path: str | os.PathLike) -> tuple[int, int]:
-    """Return ``(k, record_count)`` from a partition file header."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-    if len(raw) < _HEADER.size:
-        raise PartitionFormatError(f"{path}: truncated header")
-    magic, version, k, _reserved, count = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise PartitionFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise PartitionFormatError(f"{path}: unsupported version {version}")
-    return k, count
-
-
-def read_partition(path: str | os.PathLike) -> SuperkmerBlock:
-    """Load a partition file back into a :class:`SuperkmerBlock`.
-
-    The record scan is the only sequential part (each record's length
-    determines the next record's position); headers, extensions and
-    base unpacking are decoded with vectorized gathers over the whole
-    payload.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _unpack_header(data: bytes, path) -> tuple[int, int]:
     if len(data) < _HEADER.size:
         raise PartitionFormatError(f"{path}: truncated header")
     magic, version, k, _reserved, count = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise PartitionFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
-        raise PartitionFormatError(f"{path}: unsupported version {version}")
-    starts = np.empty(count, dtype=np.int64)
-    lens = np.empty(count, dtype=np.int64)
+        raise PartitionFormatError(
+            f"{path}: unsupported version {version} (expected {FORMAT_VERSION})"
+        )
+    if k == 0:
+        raise PartitionFormatError(f"{path}: header has k=0")
+    return k, count
+
+
+def read_partition_header(path: str | os.PathLike) -> tuple[int, int]:
+    """Return ``(k, record_count)`` from a partition file header."""
+    with open(path, "rb") as fh:
+        return _unpack_header(fh.read(_HEADER.size), path)
+
+
+def read_partition(path: str | os.PathLike) -> SuperkmerBlock:
+    """Load a partition file back into a :class:`SuperkmerBlock`.
+
+    Walks the file frame by frame (one frame per block the writer was
+    given); each frame decodes with ``np.frombuffer`` slices and one
+    :func:`repro.dna.encoding.unpack_codes`.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    k, count = _unpack_header(data, path)
+    view = memoryview(data)
+    lens_parts, flag_parts, base_parts = [], [], []
     pos = _HEADER.size
-    i = 0
-    try:
-        for i in range(count):
-            n = data[pos] | (data[pos + 1] << 8)
-            starts[i] = pos
-            lens[i] = n
-            pos += 3 + ((n + 3) >> 2)
-    except IndexError:
-        raise PartitionFormatError(f"{path}: truncated at record {i}") from None
-    if pos > len(data):
-        raise PartitionFormatError(f"{path}: truncated bases at record {count - 1}")
-    if pos != len(data):
-        raise PartitionFormatError(f"{path}: {len(data) - pos} trailing bytes")
-    if count and int(lens.min()) < k:
-        short = int(np.argmin(lens))
-        raise PartitionFormatError(f"{path}: record {short} shorter than k={k}")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    flags = raw[starts + 2] if count else np.zeros(0, dtype=np.uint8)
-    left_ext = np.where(
-        flags & 0x01, (flags >> 2) & 0x3, NO_EXT
-    ).astype(np.int8)
-    right_ext = np.where(
-        flags & 0x02, (flags >> 4) & 0x3, NO_EXT
-    ).astype(np.int8)
-    offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-    total = int(offsets[-1])
-    rec_of = np.repeat(np.arange(count, dtype=np.int64), lens)
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], lens)
-    byte_pos = starts[rec_of] + 3 + (within >> 2)
-    shift = 6 - 2 * (within & 3)
-    bases = ((raw[byte_pos] >> shift) & 0x3).astype(np.uint8)
+    seen = 0
+    while pos < len(data):
+        if pos + _FRAME.size > len(data):
+            raise PartitionFormatError(
+                f"{path}: {len(data) - pos} trailing bytes (partial frame header)"
+            )
+        n, nb = _FRAME.unpack_from(data, pos)
+        body = pos + _FRAME.size
+        end = body + 3 * n + packed_size(nb)
+        if n == 0:
+            raise PartitionFormatError(f"{path}: empty frame at offset {pos}")
+        if end > len(data):
+            raise PartitionFormatError(f"{path}: truncated frame at offset {pos}")
+        lens = np.frombuffer(data, dtype="<u2", count=n, offset=body)
+        if int(lens.sum(dtype=np.int64)) != nb:
+            raise PartitionFormatError(
+                f"{path}: frame at offset {pos} lengths do not sum to its {nb} bases"
+            )
+        if int(lens.min()) < k:
+            raise PartitionFormatError(
+                f"{path}: record {seen + int(np.argmin(lens))} shorter than k={k}"
+            )
+        lens_parts.append(lens)
+        flag_parts.append(
+            np.frombuffer(data, dtype=np.uint8, count=n, offset=body + 2 * n)
+        )
+        base_parts.append(unpack_codes(view[body + 3 * n:end], nb))
+        seen += n
+        pos = end
+    if seen != count:
+        raise PartitionFormatError(
+            f"{path}: header counts {count} records, frames hold {seen}"
+        )
+    if not count:
+        return empty_block(k)
+    lens = np.concatenate(lens_parts)
+    flags = np.concatenate(flag_parts)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(lens, dtype=np.int64, out=offsets[1:])
     return SuperkmerBlock(
-        k=k, bases=bases, offsets=offsets,
-        left_ext=left_ext, right_ext=right_ext,
+        k=k,
+        bases=np.concatenate(base_parts),
+        offsets=offsets,
+        left_ext=np.where(flags & 0x01, (flags >> 2) & 0x3, NO_EXT).astype(np.int8),
+        right_ext=np.where(flags & 0x02, (flags >> 4) & 0x3, NO_EXT).astype(np.int8),
     )
 
 
 def partition_file_size(block: SuperkmerBlock) -> int:
-    """Exact on-disk size of a block in this format, in bytes."""
+    """Exact on-disk size of a block written as one frame, in bytes."""
     return _HEADER.size + block.byte_size_encoded()
 
 
@@ -244,22 +223,26 @@ def concat_partition_files(
     dest: str | os.PathLike, sources: list[Path] | list[str],
     k: int | None = None,
 ) -> int:
-    """Merge partition files record-for-record at the byte level.
+    """Merge partition files frame-for-frame at the byte level.
 
-    Records are self-delimiting, so merging is a header rewrite plus a
-    raw payload copy — no decode/re-encode.  This is how the process
+    Frames are self-delimiting, so merging is a header rewrite plus a
+    raw frame copy — no decode/re-encode.  This is how the process
     backend folds per-worker spill files into one canonical partition
     file (all sources share a partition id, hence a minimizer-hash
     class).  Returns the merged record count.
     """
+    if k is None:
+        if not sources:
+            raise PartitionFormatError(
+                f"{dest}: merging zero sources needs an explicit k"
+            )
+        k = read_partition_header(sources[0])[0]
     total = 0
     with open(dest, "wb") as out:
-        out.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0, 0, 0))
+        out.write(_HEADER.pack(MAGIC, FORMAT_VERSION, k, 0, 0))
         for src in sources:
             src_k, count = read_partition_header(src)
-            if k is None:
-                k = src_k
-            elif src_k != k:
+            if src_k != k:
                 raise PartitionFormatError(
                     f"{src}: k={src_k} does not match merge k={k}"
                 )
@@ -272,9 +255,5 @@ def concat_partition_files(
                         break
                     out.write(chunk)
         out.seek(0)
-        if k is None:
-            raise PartitionFormatError(
-                f"{dest}: merging zero sources needs an explicit k"
-            )
         out.write(_HEADER.pack(MAGIC, FORMAT_VERSION, k, 0, total))
     return total

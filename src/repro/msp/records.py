@@ -165,11 +165,14 @@ class SuperkmerBlock:
     def byte_size_encoded(self) -> int:
         """Bytes this block occupies in the 2-bit partition file format.
 
-        Per record: 2-byte length + 1-byte extension flags + packed
-        bases (4 per byte).  Used for the encoding-ablation benchmark.
+        The block as one frame: frame header, then per record a 2-byte
+        length and a 1-byte extension flag, then all bases packed 4 per
+        byte (:func:`repro.msp.binio.frame_size`; 0 when empty).  Used
+        for the encoding-ablation benchmark.
         """
-        lengths = self.lengths
-        return int((3 + (lengths + 3) // 4).sum())
+        from .binio import frame_size
+
+        return frame_size(self.n_superkmers, self.total_bases())
 
     def byte_size_text(self) -> int:
         """Bytes of the equivalent plain-text representation (1 byte per

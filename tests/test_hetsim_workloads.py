@@ -14,6 +14,8 @@ from repro.hetsim.workloads import (
     measure_workloads,
     simulate_parahash,
 )
+from repro.msp.binio import partition_file_size
+from repro.msp.records import empty_block
 
 
 @pytest.fixture
@@ -33,11 +35,19 @@ class TestMeasureStep1:
         assert len(wl.blocks) == cfg.n_partitions
         assert sum(b.total_kmers() for b in wl.blocks) == genomic_batch.n_kmers(cfg.k)
 
-    def test_out_bytes_are_encoded_sizes(self, genomic_batch, cfg):
+    def test_out_bytes_are_encoded_sizes(self, genomic_batch, cfg, tmp_path):
+        # Step 1's output is what partition_to_files writes for the same
+        # pieces: every file's bytes after its header.
+        from repro.msp.partitioner import partition_to_files
+
         wl = measure_step1(genomic_batch, cfg)
-        total_out = sum(w.out_bytes for w in wl.works)
-        total_block = sum(b.byte_size_encoded() for b in wl.blocks)
-        assert total_out == total_block
+        report = partition_to_files(
+            genomic_batch, cfg.k, cfg.p, cfg.n_partitions, tmp_path,
+            n_input_pieces=cfg.n_input_pieces,
+        )
+        header = partition_file_size(empty_block(cfg.k))
+        body = sum(path.stat().st_size - header for path in report.paths)
+        assert sum(w.out_bytes for w in wl.works) == body
 
 
 class TestMeasureStep2:

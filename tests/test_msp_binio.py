@@ -1,18 +1,30 @@
 """Tests for repro.msp.binio (encoded partition files)."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.dna import alphabet as al
+from repro.dna.encoding import pack_codes
 from repro.msp.binio import (
+    FORMAT_VERSION,
+    MAGIC,
     PartitionFormatError,
     PartitionWriter,
+    concat_partition_files,
     partition_file_size,
     read_partition,
     read_partition_header,
     write_partition,
 )
+from repro.msp.partitioner import load_partition_group
 from repro.msp.records import NO_EXT, SuperkmerRecord, block_from_records
+
+#: File header and frame header layouts, spelled out independently of
+#: the module so the tests pin the on-disk format.
+HEADER = struct.Struct("<4sBBHQ")
+FRAME = struct.Struct("<IQ")
 
 
 def sample_block(k=5, n=20, seed=0):
@@ -167,6 +179,114 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(PartitionFormatError):
             read_partition(path)
+
+
+class TestFrameCorruption:
+    def test_header_count_differs_from_frames(self, tmp_path):
+        path = tmp_path / "p.phsk"
+        write_partition(path, sample_block(n=6))
+        data = bytearray(path.read_bytes())
+        data[8:16] = (7).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(PartitionFormatError, match="records"):
+            read_partition(path)
+
+    def test_frame_lengths_do_not_sum_to_base_count(self, tmp_path):
+        path = tmp_path / "p.phsk"
+        block = sample_block(n=4)
+        write_partition(path, block)
+        data = bytearray(path.read_bytes())
+        n, nb = FRAME.unpack_from(data, HEADER.size)
+        assert (n, nb) == (4, block.total_bases())
+        # Claim four fewer bases: the frame still ends inside the file,
+        # but its lengths no longer add up.
+        FRAME.pack_into(data, HEADER.size, n, nb - 4)
+        path.write_bytes(bytes(data))
+        with pytest.raises(PartitionFormatError, match="sum"):
+            read_partition(path)
+
+    def test_partial_frame_header_at_end(self, tmp_path):
+        path = tmp_path / "p.phsk"
+        write_partition(path, sample_block(n=3))
+        data = path.read_bytes() + FRAME.pack(1, 40)[: FRAME.size - 1]
+        path.write_bytes(data)
+        with pytest.raises(PartitionFormatError, match="partial frame header"):
+            read_partition(path)
+
+    def test_empty_frame_rejected(self, tmp_path):
+        path = tmp_path / "p.phsk"
+        write_partition(path, sample_block(n=3))
+        path.write_bytes(path.read_bytes() + FRAME.pack(0, 0))
+        with pytest.raises(PartitionFormatError, match="empty frame"):
+            read_partition(path)
+
+    def test_version_one_file_rejected(self, tmp_path):
+        # A version-1 file: per-record u16 length, extension byte and
+        # padded bases.  Its version is named in the error.
+        bases = al.encode("ACGTACG")
+        record = struct.pack("<HB", bases.size, 0) + pack_codes(bases)
+        path = tmp_path / "p.phsk"
+        path.write_bytes(HEADER.pack(MAGIC, 1, 5, 0, 1) + record)
+        with pytest.raises(PartitionFormatError, match="version 1"):
+            read_partition(path)
+        with pytest.raises(PartitionFormatError, match="version 1"):
+            read_partition_header(path)
+
+    def test_header_with_k_zero_rejected(self, tmp_path):
+        path = tmp_path / "p.phsk"
+        path.write_bytes(HEADER.pack(MAGIC, FORMAT_VERSION, 0, 0, 0))
+        with pytest.raises(PartitionFormatError, match="k=0"):
+            read_partition(path)
+
+
+class TestFrames:
+    def test_one_frame_per_written_block(self, tmp_path):
+        path = tmp_path / "p.phsk"
+        blocks = [sample_block(n=3, seed=s) for s in range(3)]
+        with PartitionWriter(path, 5) as writer:
+            for block in blocks:
+                writer.write_block(block)
+        data = path.read_bytes()
+        pos = HEADER.size
+        for block in blocks:
+            n, nb = FRAME.unpack_from(data, pos)
+            assert (n, nb) == (block.n_superkmers, block.total_bases())
+            pos += partition_file_size(block) - HEADER.size
+        assert pos == len(data)
+
+    def test_long_partition_offsets_do_not_wrap(self, tmp_path):
+        # More than 65 535 bases in one frame: the u16 lengths must be
+        # summed in a wider type.
+        block = block_from_records(31, [
+            SuperkmerRecord(np.full(60_000, i % 4, dtype=np.uint8), NO_EXT, NO_EXT)
+            for i in range(3)
+        ])
+        path = tmp_path / "p.phsk"
+        write_partition(path, block)
+        back = read_partition(path)
+        assert back.offsets.tolist() == [0, 60_000, 120_000, 180_000]
+        assert np.array_equal(back.bases, block.bases)
+
+
+class TestMerging:
+    def test_concat_without_sources_or_k_writes_nothing(self, tmp_path):
+        dest = tmp_path / "merged.phsk"
+        with pytest.raises(PartitionFormatError):
+            concat_partition_files(dest, [])
+        assert not dest.exists()
+
+    def test_concat_without_sources_but_with_k(self, tmp_path):
+        dest = tmp_path / "merged.phsk"
+        assert concat_partition_files(dest, [], k=9) == 0
+        back = read_partition(dest)
+        assert back.k == 9 and back.n_superkmers == 0
+
+    def test_load_group_of_empty_files(self, tmp_path):
+        paths = [tmp_path / "a.phsk", tmp_path / "b.phsk"]
+        for path in paths:
+            PartitionWriter(path, 21).close()
+        block = load_partition_group(paths, 21)
+        assert block.k == 21 and block.n_superkmers == 0
 
 
 class TestCompression:

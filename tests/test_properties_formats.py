@@ -8,9 +8,19 @@ from repro.dna.reads import ReadBatch
 from repro.graph.build import build_reference_graph
 from repro.graph.serialize import export_tsv, import_tsv, load_graph, save_graph
 from repro.graph.validate import assert_graphs_equal
-from repro.msp.binio import read_partition, write_partition
+from repro.msp.binio import (
+    PartitionWriter,
+    concat_partition_files,
+    read_partition,
+    write_partition,
+)
 from repro.msp.partitioner import partition_reads
-from repro.msp.records import SuperkmerRecord, block_from_records
+from repro.msp.records import (
+    SuperkmerRecord,
+    block_from_records,
+    concat_blocks,
+    empty_block,
+)
 
 
 def _examples(pinned: int) -> int:
@@ -35,6 +45,29 @@ def superkmer_blocks(draw):
         right = draw(st.sampled_from([-1, 0, 1, 2, 3]))
         records.append(SuperkmerRecord(bases=bases, left_ext=left, right_ext=right))
     return block_from_records(k, records)
+
+
+@st.composite
+def framed_writes(draw):
+    """``(k, blocks, cut)``: 1-4 blocks (some empty) for one writer each
+    call, and where to split them over two files to merge (``None``:
+    one file, no merge).  Lengths run from exactly ``k`` through every
+    residue mod 4."""
+    k = draw(st.integers(1, 63))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        records = []
+        for _ in range(draw(st.integers(0, 5))):
+            length = k + draw(st.integers(0, 7))
+            raw = draw(st.binary(min_size=length, max_size=length))
+            records.append(SuperkmerRecord(
+                bases=np.frombuffer(raw, dtype=np.uint8) & 3,
+                left_ext=draw(st.sampled_from([-1, 0, 1, 2, 3])),
+                right_ext=draw(st.sampled_from([-1, 0, 1, 2, 3])),
+            ))
+        blocks.append(block_from_records(k, records))
+    cut = draw(st.none() | st.integers(0, len(blocks)))
+    return k, blocks, cut
 
 
 @st.composite
@@ -65,6 +98,32 @@ class TestPartitionFileProperties:
         assert np.array_equal(back.offsets, block.offsets)
         assert np.array_equal(back.left_ext, block.left_ext)
         assert np.array_equal(back.right_ext, block.right_ext)
+
+
+    @given(case=framed_writes())
+    @settings(max_examples=_examples(40), deadline=None)
+    def test_frames_roundtrip(self, tmp_path_factory, case):
+        k, blocks, cut = case
+        out = tmp_path_factory.mktemp("frames")
+        groups = [blocks] if cut is None else [blocks[:cut], blocks[cut:]]
+        paths = []
+        for i, group in enumerate(groups):
+            paths.append(out / f"part{i}.phsk")
+            with PartitionWriter(paths[-1], k) as writer:
+                for block in group:
+                    writer.write_block(block)
+        path = paths[0]
+        if cut is not None:
+            path = out / "merged.phsk"
+            concat_partition_files(path, paths)
+        back = read_partition(path)
+        nonempty = [b for b in blocks if b.n_superkmers]
+        want = concat_blocks(nonempty) if nonempty else empty_block(k)
+        assert back.k == k
+        assert np.array_equal(back.bases, want.bases)
+        assert np.array_equal(back.offsets, want.offsets)
+        assert np.array_equal(back.left_ext, want.left_ext)
+        assert np.array_equal(back.right_ext, want.right_ext)
 
 
 class TestGraphFileProperties:
