@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=27)
     p.add_argument("--p", type=int, default=11, help="minimizer length")
     p.add_argument("--partitions", type=int, default=32)
-    p.add_argument("--threads", type=int, default=1,
-                   help="co-processing worker threads for Step 2")
     p.add_argument("--backend", choices=["serial", "threads", "processes"],
                    default="serial",
                    help="execution backend for the pipeline (any k <= 63)")
@@ -73,10 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = all cores)")
     p.add_argument("--workdir",
                    help="directory for encoded partition files (disk-backed run)")
-    p.add_argument("--calibrate", action="store_true",
-                   help="measure this host's kernel rates and size claim "
-                        "weights from the fitted device model "
-                        "(processes backend)")
     p.add_argument("--output", required=True, help="graph file (.phdbg)")
     p.add_argument("--tsv", help="also export adjacency lists as TSV")
     p.add_argument("--min-multiplicity", type=int, default=1,
@@ -176,13 +170,12 @@ def _key_note(k: int) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    reads = load_read_batch(args.input)
+    # The config validates k and p before the input is read.
     config = ParaHashConfig(
-        # Minimizers stay one-word at every k.
-        k=args.k, p=min(args.p, 31), n_partitions=args.partitions,
-        n_threads=args.threads, backend=args.backend, n_workers=args.workers,
-        calibrate=args.calibrate,
+        k=args.k, p=args.p, n_partitions=args.partitions,
+        backend=args.backend, n_workers=args.workers,
     )
+    reads = load_read_batch(args.input)
     result = ParaHash(config).build_graph(
         reads, workdir=Path(args.workdir) if args.workdir else None
     )

@@ -5,7 +5,6 @@ from .hashfunc import hash_words, mix64, mix64_int, partition_ids, table_slots
 from .workqueue import (
     InputQueue,
     OutputQueue,
-    ProcessTicketQueue,
     ProcessWorkQueue,
     QueueClosed,
     WorkerRecord,
@@ -16,7 +15,6 @@ __all__ = [
     "AtomicInt64Array",
     "InputQueue",
     "OutputQueue",
-    "ProcessTicketQueue",
     "ProcessWorkQueue",
     "QueueClosed",
     "SharedCounter",

@@ -280,57 +280,6 @@ def run_coprocessed(
     return results, records
 
 
-# -- process-safe work stealing --------------------------------------------------
-
-
-class ProcessTicketQueue:
-    """The ``cns`` ticket dispenser across *processes*, with weights.
-
-    The thread-path :class:`InputQueue` holds its items in Python
-    memory, which processes cannot share; in the process backend the
-    items (read chunks, partition files, shared tables) are addressable
-    by index from every worker, so the only state that must be shared
-    is the claim counter itself.  This class is exactly that: a
-    ``multiprocessing.Value`` fetch-add ticket dispenser implementing
-    the paper's ``cns`` protocol.
-
-    **Weighted dispatch** generalizes §III-E's CPU/GPU dispatch: a
-    worker standing in for a throughput-``w`` device claims up to ``w``
-    *consecutive* tickets per visit, so faster devices drain
-    proportionally more of the queue while the claim itself stays one
-    atomic fetch-add.  Weight 1 recovers plain work stealing.
-
-    Instances are created by the parent and passed to workers through
-    ``Process`` arguments (picklable via the multiprocessing context on
-    every start method).
-    """
-
-    def __init__(self, n_items: int,
-                 ctx: mp.context.BaseContext | None = None) -> None:
-        if n_items < 0:
-            raise ValueError("n_items must be >= 0")
-        ctx = ctx or mp.get_context()
-        self.n_items = n_items
-        self._cns = ctx.Value("q", 0)
-
-    def claim(self, weight: int = 1) -> list[int]:
-        """Claim up to ``weight`` consecutive tickets; ``[]`` when drained."""
-        if weight < 1:
-            raise ValueError("weight must be >= 1")
-        with self._cns.get_lock():
-            start = int(self._cns.value)
-            take = min(weight, self.n_items - start)
-            if take <= 0:
-                return []
-            self._cns.value = start + take
-        return list(range(start, start + take))
-
-    def claimed(self) -> int:
-        """Tickets handed out so far (for progress reporting)."""
-        with self._cns.get_lock():
-            return min(self.n_items, int(self._cns.value))
-
-
 # -- cross-process publish/claim (the pipelined srv/cns protocol) -----------------
 
 _WQ_OPEN = 0
@@ -342,14 +291,22 @@ class ProcessWorkQueue:
     """Bounded cross-process publish/claim queue — the srv/cns protocol
     with a *live producer*.
 
-    This generalizes :class:`ProcessTicketQueue`: where the ticket queue
-    dispenses ids for a work list fully known at construction, this
-    queue lets the parent **publish** work items while consumer
+    The thread-path :class:`InputQueue` holds its items in Python
+    memory, which processes cannot share; this queue carries picklable
+    items through a ``multiprocessing`` queue and keeps the
+    ``srv``/``cns`` counters and the open/closed state in shared
+    memory.  The parent may **publish** work items while consumer
     processes are already claiming — the handoff that makes the
     Step-1→Step-2 pipeline of :mod:`repro.parallel.backend` stream
-    instead of barrier.  ``ProcessTicketQueue`` is the degenerate case
-    where every index is published up front, kept as the cheaper
-    counter-only fast path.
+    instead of barrier.  A work list fully known up front (Step 1's
+    read chunks) is the degenerate case: publish every item, then
+    :meth:`close` before any consumer starts.
+
+    **Weighted claims** generalize §III-E's CPU/GPU dispatch: a
+    consumer standing in for a throughput-``w`` device reserves up to
+    ``w`` items per visit with one ``cns`` fetch-add (the job
+    service's per-tenant ``claim_weight``).  Weight 1 is plain work
+    stealing.
 
     Protocol (mirrors :class:`InputQueue` across processes):
 

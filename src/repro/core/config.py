@@ -47,10 +47,6 @@ class ParaHashConfig:
         paper's shared table (:func:`repro.core.subgraph.build_subgraph_table`),
         which the measured :mod:`repro.hetsim` workloads run.  The build
         paths give each partition a single owner and need no table.
-    n_threads:
-        Co-processing threads of the in-process drivers; with more than
-        one, the serial backend runs both steps through the §III-E
-        work-stealing queue.
     backend:
         Execution backend for the end-to-end driver: ``"serial"`` (one
         process, vectorized kernels), ``"threads"`` (the §III-E
@@ -59,11 +55,8 @@ class ParaHashConfig:
         :mod:`repro.parallel.backend`).
     n_workers:
         Worker count for the ``threads``/``processes`` backends;
-        0 means auto (the machine's CPU count).
-    calibrate:
-        ``processes`` backend only: run a short warm-up measurement
-        pass, fit the :mod:`repro.hetsim.device` model to this host,
-        and size per-worker chunk/partition claim weights from it.
+        0 means auto (the machine's CPU count).  The ``serial`` backend
+        always runs one thread.
     """
 
     k: int = 27
@@ -71,10 +64,8 @@ class ParaHashConfig:
     n_partitions: int = 32
     n_input_pieces: int = 4
     sizing: SizingPolicy = field(default_factory=SizingPolicy)
-    n_threads: int = 1
     backend: str = "serial"
     n_workers: int = 0
-    calibrate: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -92,8 +83,6 @@ class ParaHashConfig:
             raise ValueError("n_partitions must be >= 1")
         if self.n_input_pieces < 1:
             raise ValueError("n_input_pieces must be >= 1")
-        if self.n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"

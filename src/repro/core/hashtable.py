@@ -208,10 +208,6 @@ class ConcurrentHashTable:
         self.keys = np.zeros((self.width, self.capacity), dtype=np.uint64)
         self.counts = np.zeros((self.capacity, N_SLOTS), dtype=np.uint32)
         self.n_occupied = 0
-        self._init_runtime()
-
-    def _init_runtime(self) -> None:
-        """State shared by both constructors (stats + lazy threaded locks)."""
         self.stats = HashStats()
         # Threaded-path machinery (created lazily, under _init_lock).
         self._atomic_state: AtomicInt64Array | None = None
@@ -219,52 +215,6 @@ class ConcurrentHashTable:
         self._occupied_lock = TracedLock("occupied_lock")
         self._stats_lock = TracedLock("stats_lock")
         self._init_lock = threading.Lock()
-
-    @classmethod
-    def from_views(cls, k: int, state: np.ndarray, keys: np.ndarray,
-                   counts: np.ndarray,
-                   n_occupied: int | None = None) -> "ConcurrentHashTable":
-        """Construct a table over externally owned buffers (no copy).
-
-        This is the pickle-free attach path of the process backend: the
-        three arrays are typically numpy views over one
-        ``multiprocessing.shared_memory`` segment (see
-        :func:`repro.parallel.shm.table_over_segment`), so a worker
-        process fills the very memory the parent later reads the graph
-        from.  The caller owns buffer lifetime — the views must outlive
-        the table.  With ``n_occupied=None`` occupancy is recounted from
-        ``state`` (attaching to a table another process filled).
-        """
-        width = key_width(k)
-        capacity = int(state.size)
-        if capacity < 2 or capacity & (capacity - 1):
-            raise ValueError("state size must be a power of two >= 2")
-        if keys.shape != (width, capacity) or counts.shape[0] != capacity:
-            raise ValueError("state, keys and counts must agree on capacity")
-        table = cls.__new__(cls)
-        table.width = width
-        table.capacity = capacity
-        table._mask = np.uint64(capacity - 1)
-        table.k = k
-        table.state = state
-        table.keys = keys
-        table.counts = counts
-        table.n_occupied = (
-            int((state == OCCUPIED).sum()) if n_occupied is None
-            else int(n_occupied)
-        )
-        table._init_runtime()
-        return table
-
-    def detach_views(self) -> None:
-        """Release the array references (before closing a shared segment).
-
-        Shared-memory buffers cannot unmap while numpy views alias them;
-        a table attached via :meth:`from_views` must call this before
-        the owning segment is closed.  The table is unusable afterwards.
-        """
-        self.state = self.keys = self.counts = None  # type: ignore[assignment]
-        self._atomic_state = None
 
     # -- sizing ---------------------------------------------------------------
 

@@ -78,25 +78,31 @@ class ParaHash:
     def __init__(self, config: ParaHashConfig | None = None) -> None:
         self.config = config or ParaHashConfig()
 
+    def _threads(self) -> int:
+        """Co-processing threads: ``workers()`` on ``threads``, else one."""
+        cfg = self.config
+        return cfg.workers() if cfg.backend == "threads" else 1
+
     # -- Step 1 -----------------------------------------------------------------
 
     def partition(self, reads: ReadBatch) -> list[SuperkmerBlock]:
         """In-memory Step 1: superkmer blocks, one per partition.
 
-        With ``n_threads > 1`` the input pieces are co-processed through
-        the work-stealing queue, mirroring Step 1's pipeline; piece
-        results accumulate in input order either way, so the outcome is
-        identical to the sequential run.
+        On the ``threads`` backend the input pieces are co-processed
+        through the work-stealing queue, mirroring Step 1's pipeline;
+        piece results accumulate in input order either way, so the
+        outcome is identical to the sequential run.
         """
         cfg = self.config
         pieces = reads.split(cfg.n_input_pieces)
-        if cfg.n_threads > 1 and len(pieces) > 1:
+        threads = self._threads()
+        if threads > 1 and len(pieces) > 1:
             workers = {
                 f"cpu{t}": (
                     lambda piece: partition_reads(piece, cfg.k, cfg.p,
                                                   cfg.n_partitions)
                 )
-                for t in range(cfg.n_threads)
+                for t in range(threads)
             }
             results, _ = run_coprocessed(pieces, workers,
                                          size_of=lambda piece: piece.n_reads)
@@ -129,11 +135,11 @@ class ParaHash:
         Each partition is claimed whole by one worker, which builds it
         alone (:func:`repro.core.subgraph.build_subgraph`).
         """
-        cfg = self.config
         nonempty = [b for b in blocks if b.n_superkmers]
-        if cfg.n_threads == 1 or len(nonempty) <= 1:
+        threads = self._threads()
+        if threads == 1 or len(nonempty) <= 1:
             return [build_subgraph(b) for b in nonempty], {}
-        workers = {f"cpu{t}": build_subgraph for t in range(cfg.n_threads)}
+        workers = {f"cpu{t}": build_subgraph for t in range(threads)}
         results, records = run_coprocessed(
             nonempty, workers, size_of=lambda b: b.total_kmers()
         )
@@ -170,10 +176,6 @@ class ParaHash:
             return build_graph_processes(
                 reads, cfg, workdir=workdir, output_dir=output_dir
             )
-        if cfg.backend == "threads" and cfg.n_threads < cfg.workers():
-            threaded = ParaHash(cfg.with_(n_threads=cfg.workers()))
-            return threaded.build_graph(reads, workdir=workdir,
-                                        output_dir=output_dir)
         t0 = time.perf_counter()
         io_seconds = 0.0
         if workdir is None:

@@ -5,7 +5,7 @@ GPUs.  Neither is available here, so devices are modeled: each device
 converts *measured algorithm work* (bases scanned in MSP, hash-table
 operations and probe counts in Step 2 — all produced by really running
 the kernels in :mod:`repro.core`) into simulated seconds through a
-small set of calibrated rates.
+small set of rate constants.
 
 The calibration constants encode the paper's observed ratios rather
 than absolute hardware speeds:
@@ -25,8 +25,7 @@ than absolute hardware speeds:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.hashtable import HashStats
 
@@ -217,114 +216,3 @@ def default_cpu(n_threads: int = 20) -> CpuDevice:
 def default_gpu(index: int = 0) -> GpuDevice:
     """One Tesla K40m-class device."""
     return GpuDevice(name=f"gpu{index}")
-
-
-# -- host calibration -------------------------------------------------------
-#
-# The simulated devices above carry the *paper's* ratios; the process
-# backend additionally wants rates for the machine it actually runs on,
-# so its dispatch weights reflect real kernel throughput.  A short
-# warm-up pass runs the real MSP and hashing kernels on a read sample
-# and fits the device model to the measured rates.
-
-
-@dataclass(frozen=True)
-class HostCalibration:
-    """Single-thread kernel rates measured on this host."""
-
-    msp_bases_per_sec: float
-    hash_ops_per_sec: float
-    sample_bases: int
-    sample_ops: int
-
-    def as_dict(self) -> dict:
-        return {
-            "msp_bases_per_sec": self.msp_bases_per_sec,
-            "hash_ops_per_sec": self.hash_ops_per_sec,
-            "sample_bases": self.sample_bases,
-            "sample_ops": self.sample_ops,
-        }
-
-
-def measure_host_rates(reads, k: int, p: int, n_partitions: int,
-                       max_reads: int = 256) -> HostCalibration:
-    """Run both kernels on a sample of ``reads`` and time them.
-
-    The sample is the leading ``max_reads`` reads — enough work to
-    amortize interpreter overhead, small enough that calibration stays
-    a fraction of a real build.  The hashing kernel is the one Step-2
-    workers run: a partition's rows straight into its subgraph
-    (:func:`repro.core.subgraph.build_subgraph`), timed from the
-    partition block on; its rate is in metered observations per second.
-    Rates are floored at 1.0 so a degenerate sample can never produce a
-    zero-division downstream.
-    """
-    from ..core.subgraph import build_subgraph
-    from ..dna.reads import ReadBatch
-    from ..msp.partitioner import partition_reads
-
-    sample = (ReadBatch(codes=reads.codes[:max_reads])
-              if reads.n_reads > max_reads else reads)
-    t0 = time.perf_counter()
-    result = partition_reads(sample, k, p, n_partitions)
-    msp_elapsed = time.perf_counter() - t0
-    n_bases = sample.n_reads * sample.read_length
-
-    sample_ops = 0
-    t1 = time.perf_counter()
-    for block in result.blocks:
-        if block.n_superkmers:
-            sample_ops += build_subgraph(block).stats.ops
-    hash_elapsed = time.perf_counter() - t1
-
-    return HostCalibration(
-        msp_bases_per_sec=max(1.0, n_bases / max(msp_elapsed, 1e-9)),
-        hash_ops_per_sec=max(1.0, sample_ops / max(hash_elapsed, 1e-9)),
-        sample_bases=n_bases,
-        sample_ops=sample_ops,
-    )
-
-
-def fitted_cpu(calibration: HostCalibration, n_threads: int = 1) -> CpuDevice:
-    """A :class:`CpuDevice` whose per-thread rates are this host's."""
-    return replace(
-        default_cpu(n_threads=n_threads),
-        name="host-cpu",
-        hash_ops_per_sec=calibration.hash_ops_per_sec,
-        msp_bases_per_sec=calibration.msp_bases_per_sec,
-    )
-
-
-def scaled_gpu(calibration: HostCalibration, index: int = 0) -> GpuDevice:
-    """A GPU model preserving the paper's GPU:CPU-thread rate ratios.
-
-    The K40's calibrated constants are ratios against one Xeon thread;
-    re-anchoring them to this host's measured thread keeps the
-    heterogeneous simulation honest on different hardware.
-    """
-    paper_cpu = default_cpu()
-    paper_gpu = default_gpu(index)
-    return replace(
-        paper_gpu,
-        name=f"host-gpu{index}",
-        hash_ops_per_sec=calibration.hash_ops_per_sec
-        * (paper_gpu.hash_ops_per_sec / paper_cpu.hash_ops_per_sec),
-        msp_bases_per_sec=calibration.msp_bases_per_sec
-        * (paper_gpu.msp_bases_per_sec / paper_cpu.msp_bases_per_sec),
-    )
-
-
-def claim_weight(device: Device, work: MspWork | HashWork,
-                 target_seconds: float = 0.05, max_weight: int = 8) -> int:
-    """Tickets one queue visit should claim on ``device``.
-
-    A fast device (or tiny work items) claims several tickets per visit
-    so queue synchronization amortizes; a slow device claims one so the
-    tail stays balanced (the §III-E work-stealing argument).  The
-    weight is how many ``work``-sized items fit in ``target_seconds``
-    of device time, clamped to ``[1, max_weight]``.
-    """
-    seconds = device.total_seconds(work)
-    if seconds <= 0.0:
-        return max_weight
-    return max(1, min(max_weight, int(round(target_seconds / seconds))))

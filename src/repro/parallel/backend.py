@@ -5,15 +5,17 @@ scales with cores instead of being serialized by the GIL, as the
 §III-E streaming pipeline in ONE worker pool:
 
 * **Step 1** — the read matrix is copied once into shared memory and
-  split into chunks; workers claim chunks from a
-  :class:`~repro.concurrentsub.workqueue.ProcessTicketQueue` (the
-  paper's ``cns`` work stealing, with weighted dispatch) and append
-  each chunk's superkmer blocks to their own spill files.  Grouping
-  the spill files by partition id — the minimizer-hash class — is the
-  merge.  Each worker announces its spill manifest to the parent
-  through the pool's event channel when its share is done.
+  split into chunks; the parent publishes every chunk's bounds on a
+  :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue` and closes
+  it before the pool starts, so workers claim chunks one at a time
+  (the paper's ``cns`` work stealing) and append each chunk's
+  superkmer blocks to their own spill files.  Grouping the spill files
+  by partition id — the minimizer-hash class — is the merge.  Each
+  worker announces its spill manifest to the parent through the
+  pool's event channel when its share is done, even when it claimed
+  no chunk.
 * **Step 2** — once every manifest has landed, the parent's merger
-  publishes the partitions (heaviest first) on a
+  publishes the partitions (heaviest first) on a second
   :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue`, so workers
   that finished Step 1 early start while slower peers still spill.  A
   worker claims a whole partition, reads its spill group, builds the
@@ -21,18 +23,6 @@ scales with cores instead of being serialized by the GIL, as the
   it back through the event channel as soon as it is built.  No table
   and no shared segment is involved: a partition's owner is its only
   writer.
-
-``config.calibrate`` sizes both claim weights from a measured
-:mod:`repro.hetsim.device` fit of this host.
-
-:func:`concurrent_insert_processes` additionally exercises the
-§III-C3 state machine itself across processes — several workers CAS
-the *same* table's occupancy flags through
-:class:`~repro.parallel.atomics_mp.ProcessAtomicInt64Array` — which is
-what validates that the state-transfer protocol is sound on genuinely
-concurrent memory, not merely under the GIL.  At ``W = 2`` every
-claim writes both key words inside the LOCKED window: the multi-word
-publish the protocol exists for, across processes.
 """
 
 from __future__ import annotations
@@ -45,17 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..concurrentsub.workqueue import (
-    ProcessTicketQueue,
-    ProcessWorkQueue,
-    WorkerRecord,
-)
-from ..core.estimator import next_power_of_two
-from ..core.hashtable import HashStats
+from ..concurrentsub.workqueue import ProcessWorkQueue, WorkerRecord
 from ..core.subgraph import SubgraphResult, build_subgraph
-from ..dna.kmer import as_planes, planes_to_ints
 from ..dna.reads import ReadBatch
-from ..graph.dbg import DeBruijnGraph
 from ..msp.partitioner import (
     SpillWriterSet,
     load_partition_group,
@@ -63,17 +45,8 @@ from ..msp.partitioner import (
     partition_reads,
     spill_groups,
 )
-from .atomics_mp import ProcessAtomicInt64Array, create_lock_bundle
 from .pool import default_context, run_workers
-from .shm import (
-    SegmentSpec,
-    attach_read_batch,
-    attach_segment,
-    create_segment,
-    create_table_segment,
-    share_read_batch,
-    table_over_segment,
-)
+from .shm import SegmentSpec, attach_read_batch, share_read_batch
 
 
 @dataclass(frozen=True)
@@ -89,34 +62,28 @@ class _Step2Job:
 
 
 def _step1_worker(worker_id: int, batch_spec: SegmentSpec,
-                  chunk_bounds: list[tuple[int, int]],
-                  tickets: ProcessTicketQueue, weights: list[int], k: int,
-                  p: int, n_partitions: int, spill_dir: str) -> dict:
+                  chunks: ProcessWorkQueue, k: int, p: int,
+                  n_partitions: int, spill_dir: str) -> dict:
     """Claim read chunks, partition them, spill per-worker files."""
 
     def consume(batch: ReadBatch, spills: SpillWriterSet) -> dict:
         # Inner frame: every view over the shared codes matrix dies
         # when this returns, so the segment can close cleanly.
-        weight = weights[worker_id]
-        claimed: list[int] = []
         n_superkmers = 0
         n_reads = 0
         kmers_per_partition = np.zeros(n_partitions, dtype=np.int64)
         while True:
-            ids = tickets.claim(weight)
-            if not ids:
+            claimed = chunks.claim()
+            if not claimed:
                 break
-            for chunk_id in ids:
-                lo, hi = chunk_bounds[chunk_id]
+            for lo, hi in claimed:
                 piece = ReadBatch(codes=batch.codes[lo:hi])
                 result = partition_reads(piece, k, p, n_partitions)
                 spills.write_result(result)
                 n_superkmers += len(result.superkmers)
                 n_reads += piece.n_reads
                 kmers_per_partition += result.kmers_per_partition()
-                claimed.append(chunk_id)
         return {
-            "claimed": claimed,
             "n_superkmers": n_superkmers,
             "n_reads": n_reads,
             "kmers_per_partition": kmers_per_partition.tolist(),
@@ -143,29 +110,26 @@ def _process_step2_job(job: _Step2Job) -> SubgraphResult:
 
 
 def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
-                     chunk_bounds: list[tuple[int, int]],
-                     tickets: ProcessTicketQueue, weights: list[int],
-                     step2_weights: list[int], ready: ProcessWorkQueue,
+                     chunks: ProcessWorkQueue, ready: ProcessWorkQueue,
                      k: int, p: int, n_partitions: int, spill_dir: str,
                      *, emit) -> list[tuple[int, int]]:
     """Both steps in one process: partition, announce, then build.
 
-    The worker drains Step-1 chunk tickets with :func:`_step1_worker`,
-    emits its spill manifest through the pool's event channel (the
-    parent's merger is listening), and immediately starts claiming
-    ready partitions — which the merger publishes as soon as *every*
+    The worker drains Step-1 chunks with :func:`_step1_worker`, emits
+    its spill manifest through the pool's event channel (the parent's
+    merger is listening), and immediately starts claiming ready
+    partitions — which the merger publishes as soon as *every*
     worker's manifest has landed, i.e. while this worker's slower peers
     may still be spilling.  Each subgraph is emitted the moment it is
     built, so a worker never holds more than one.  Returns the
     ``(partition, n_kmers)`` of every partition it built.
     """
-    report = _step1_worker(worker_id, batch_spec, chunk_bounds, tickets,
-                           weights, k, p, n_partitions, spill_dir)
+    report = _step1_worker(worker_id, batch_spec, chunks, k, p,
+                           n_partitions, spill_dir)
     emit(("spills", report))
-    weight = step2_weights[worker_id]
     built: list[tuple[int, int]] = []
     while True:
-        jobs = ready.claim(weight)
+        jobs = ready.claim()
         if not jobs:
             break
         for job in jobs:
@@ -280,84 +244,24 @@ class _PipelineMerger:
             self.ready.close()
 
 
-def _calibrated_weights(reads: ReadBatch, cfg, n_workers: int,
-                        n_chunks: int) -> tuple[list[int], list[int], object]:
-    """Fit the device model to this host and size both claim weights."""
-    from ..hetsim.device import (
-        ENTRY_BYTES,
-        HashWork,
-        MspWork,
-        claim_weight,
-        fitted_cpu,
-        measure_host_rates,
-    )
-
-    calibration = measure_host_rates(reads, cfg.k, cfg.p, cfg.n_partitions)
-    device = fitted_cpu(calibration, n_threads=1)
-    reads_per_chunk = max(1, reads.n_reads // max(1, n_chunks))
-    chunk_bases = reads_per_chunk * reads.read_length
-    msp_work = MspWork(
-        n_reads=reads_per_chunk, n_bases=chunk_bases, n_superkmers=0,
-        in_bytes=chunk_bases, out_bytes=chunk_bases,
-    )
-    # Per-partition Step-2 work, estimated from the input shape: every
-    # kmer instance yields one multiplicity observation and up to two
-    # edge observations (~3 ops), grouped into at most one row each;
-    # the row kernel probes nothing.
-    kmers_per_read = max(1, reads.read_length - cfg.k + 1)
-    est_kmers = max(
-        1, reads.n_reads * kmers_per_read // max(1, cfg.n_partitions)
-    )
-    hash_work = HashWork(
-        n_kmers=est_kmers, ops=3 * est_kmers, probes=0,
-        inserts=max(1, est_kmers // 4), table_bytes=est_kmers * ENTRY_BYTES,
-        in_bytes=est_kmers, out_bytes=0,
-    )
-    step1 = [claim_weight(device, msp_work)] * n_workers
-    step2 = [claim_weight(device, hash_work)] * n_workers
-    return step1, step2, calibration
-
-
 def build_graph_processes(
     reads: ReadBatch,
     config,
     workdir: str | Path | None = None,
     output_dir: str | Path | None = None,
-    weights: list[int] | None = None,
-    step2_weights: list[int] | None = None,
 ):
     """Run the two-step workflow across worker processes.
 
     Mirrors :meth:`repro.core.parahash.ParaHash.build_graph` (same
     result type, graph bit-for-bit identical to the serial backend, and
     the same on-disk artifacts) but executes Step 1 and Step 2 on
-    ``config.workers()`` processes in one streaming pool.  ``weights`` /
-    ``step2_weights`` optionally skew the ticket dispatch (one entry
-    per worker; a weight-``w`` worker claims ``w`` chunks — or ready
-    partitions — per visit, the CPU/GPU-style dispatch knob).  With
-    ``config.calibrate`` and no explicit weights, both are sized from a
-    warm-up measurement fit of :mod:`repro.hetsim.device`.
+    ``config.workers()`` processes in one streaming pool.
     """
     from ..core.parahash import StageTimings, finish_build
 
     cfg = config
     n_workers = cfg.workers()
     n_chunks = max(cfg.n_input_pieces, 2 * n_workers)
-    if cfg.calibrate and weights is None and step2_weights is None \
-            and reads.n_reads:
-        weights, step2_weights, _ = _calibrated_weights(
-            reads, cfg, n_workers, n_chunks
-        )
-    if weights is None:
-        weights = [1] * n_workers
-    if step2_weights is None:
-        step2_weights = [1] * n_workers
-    if len(weights) != n_workers or min(weights) < 1:
-        raise ValueError("weights must give every worker a weight >= 1")
-    if len(step2_weights) != n_workers or min(step2_weights) < 1:
-        raise ValueError(
-            "step2_weights must give every worker a weight >= 1"
-        )
     bounds_arr = np.linspace(0, reads.n_reads, n_chunks + 1).astype(int)
     chunk_bounds = [
         (int(bounds_arr[i]), int(bounds_arr[i + 1]))
@@ -383,16 +287,22 @@ def build_graph_processes(
     ctx = default_context()
     t0 = time.perf_counter()
     try:
-        tickets = ProcessTicketQueue(len(chunk_bounds), ctx)
+        # Publishing starts the item queue's feeder thread before the
+        # pool forks; a forked child only reads this queue, and
+        # multiprocessing re-initialises the queue's thread-side lock
+        # in the child.
+        chunks = ProcessWorkQueue(len(chunk_bounds), ctx=ctx)
+        for bounds in chunk_bounds:
+            chunks.publish(bounds)
+        chunks.close()
         ready = ProcessWorkQueue(cfg.n_partitions, ctx=ctx, claim_timeout=600.0)
         merger = _PipelineMerger(cfg, n_workers, ready, workdir)
         batch_seg = share_read_batch(reads)
         try:
             built = run_workers(
                 _pipeline_worker, n_workers, ctx=ctx,
-                args=(batch_seg.spec, chunk_bounds, tickets, weights,
-                      step2_weights, ready, cfg.k, cfg.p, cfg.n_partitions,
-                      str(spill_dir)),
+                args=(batch_seg.spec, chunks, ready, cfg.k, cfg.p,
+                      cfg.n_partitions, str(spill_dir)),
                 on_event=merger.on_event,
             )
         finally:
@@ -433,104 +343,3 @@ def build_graph_processes(
         partition_bytes=merger.partition_bytes,
         worker_records=records,
     )
-
-
-# -- cross-process CAS validation path -------------------------------------------
-
-
-def _publish_final_state(table_seg, flags_seg) -> None:
-    """Fold the quiescent flags plane into the table's int8 state mirror.
-
-    Every LOCKED flag resolved to OCCUPIED before the workers joined, so
-    a non-zero word is exactly a published entry.
-    """
-    from ..core.hashtable import OCCUPIED
-
-    flags = flags_seg["flags"]
-    table_seg["state"][:] = ((flags != 0) * OCCUPIED).astype(np.int8)
-
-
-def _install_shared_atomics(table, flags: np.ndarray, state_locks,
-                            count_locks) -> None:
-    """Arm a worker-side table with the cross-process atomic plane.
-
-    The occupancy flags live in the shared int64 plane and every stripe
-    lock is a multiprocessing lock, so the CAS window and the counter
-    updates are mutually exclusive across processes.
-    """
-    table._atomic_state = ProcessAtomicInt64Array(flags, state_locks)
-    table._count_locks = list(count_locks)
-
-
-def concurrent_insert_processes(
-    keys: np.ndarray,
-    slots: np.ndarray,
-    k: int,
-    capacity: int,
-    n_workers: int,
-    n_stripes: int = 64,
-) -> tuple[DeBruijnGraph, list[HashStats]]:
-    """Insert observations into ONE table from several processes.
-
-    This is the insert protocol on genuinely concurrent memory: every
-    worker runs the per-operation state machine — CAS EMPTY→LOCKED /
-    write every key word / publish-OCCUPIED — against the same
-    shared-memory occupancy plane.  ``keys`` are the observations' key
-    planes (``(W, n)``, a sequence of ``W`` planes, or at W = 1 a 1-D
-    array).  Returns the resulting subgraph and the per-worker stats.
-    Used by the equivalence tests (the outcome must match a serial
-    ``insert_batch``); the production pipeline instead gives each
-    partition to exactly one process, as the paper does per subgraph.
-    """
-    planes = as_planes(keys, k)
-    slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
-    if planes.shape[1:] != slots.shape:
-        raise ValueError("keys and slots must be parallel arrays")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    ctx = default_context()
-    cap = next_power_of_two(max(2, capacity))
-    # Each `with` owns its segment from the moment of creation: if the
-    # flags segment or a lock bundle fails to build, the table segment
-    # is already inside its context and still unlinks (no shm leak on
-    # partially-constructed runs).
-    with create_table_segment(cap, k) as table_seg, \
-            create_segment([("flags", (cap,), "int64")]) as flags_seg:
-        state_locks = create_lock_bundle(ctx, n_stripes)
-        count_locks = create_lock_bundle(ctx, n_stripes)
-        bounds = np.linspace(0, slots.size, n_workers + 1).astype(int).tolist()
-        stats = run_workers(
-            _cas_worker, n_workers, ctx=ctx,
-            args=(table_seg.spec, flags_seg.spec, state_locks, count_locks,
-                  planes, slots, bounds, k),
-        )
-        # Publish the final flags into the table's int8 mirror, then
-        # read the graph straight out of shared memory.
-        _publish_final_state(table_seg, flags_seg)
-        table = table_over_segment(table_seg, k, fresh=False)
-        graph = table.to_graph()
-        table.detach_views()
-        return graph, stats
-
-
-def _cas_worker(worker_id: int, table_spec: SegmentSpec,
-                flags_spec: SegmentSpec, state_locks, count_locks,
-                planes: np.ndarray, slots: np.ndarray,
-                bounds: list[int], k: int) -> HashStats:
-    """One process of the cross-process state-machine run."""
-    seg = attach_segment(table_spec)
-    flags_seg = attach_segment(flags_spec)
-    table = table_over_segment(seg, k, fresh=True)
-    _install_shared_atomics(table, flags_seg["flags"], state_locks,
-                            count_locks)
-    local = HashStats()
-    b0, b1 = bounds[worker_id], bounds[worker_id + 1]
-    try:
-        for kmer, slot in zip(planes_to_ints(planes[:, b0:b1]),
-                              slots[b0:b1].tolist()):
-            table.insert_one_threadsafe(kmer, slot, local)
-    finally:
-        table.detach_views()
-        seg.close()
-        flags_seg.close()
-    return local

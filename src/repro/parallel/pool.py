@@ -1,7 +1,7 @@
 """A small crash-safe process fan-out.
 
 ``concurrent.futures`` is deliberately not used: the backend's workers
-claim their own work from a shared ticket counter (work stealing), so
+claim their own work from a shared queue (work stealing), so
 the pool's only jobs are (1) start one process per worker, (2) collect
 one result message per worker, and (3) **never hang** — a worker that
 dies without reporting (segfault, ``os._exit``, OOM kill) must surface
@@ -19,6 +19,7 @@ import multiprocessing as mp
 import queue as queue_mod
 import signal
 import threading
+import time
 import traceback
 from typing import Any, Callable
 
@@ -128,7 +129,11 @@ def run_workers(
     first so shared resources quiesce) and :class:`WorkerCrashed` when a
     worker vanished without a result; in both cases surviving workers
     are terminated before the error propagates, so the caller can
-    release shared segments safely.
+    release shared segments safely.  ``timeout`` bounds the time since
+    the last message of any kind (result or event): a pool whose
+    workers all stay alive but silent that long raises
+    :class:`WorkerCrashed`, while a run that keeps reporting may take
+    as long as it needs.
 
     With ``on_event`` set, workers are additionally handed an
     ``emit(payload)`` keyword callable; every emitted payload is
@@ -159,19 +164,19 @@ def run_workers(
     results: list[Any] = [None] * n_workers
     reported = [False] * n_workers
     failure: tuple[str, int, str] | None = None
-    waited = 0.0
     try:
         for p in procs:
             p.start()
+        last_message = time.monotonic()
         while not all(reported):
             try:
                 kind, worker_id, payload = out.get(timeout=poll_seconds)
             except queue_mod.Empty:
-                waited += poll_seconds
-                if timeout is not None and waited > timeout:
+                silent = time.monotonic() - last_message
+                if timeout is not None and silent > timeout:
                     raise WorkerCrashed(
-                        f"workers {_pending(reported)} produced no result "
-                        f"within {timeout:.0f}s"
+                        f"workers {_pending(reported)} sent no message "
+                        f"for {timeout:g}s"
                     )
                 dead = [
                     w for w, p in enumerate(procs)
@@ -187,6 +192,7 @@ def run_workers(
                         f"processed"
                     )
                 continue
+            last_message = time.monotonic()
             if kind == "event":
                 if on_event is not None:
                     on_event(worker_id, payload)

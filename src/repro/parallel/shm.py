@@ -3,12 +3,10 @@
 The process backend (:mod:`repro.parallel.backend`) moves the read-code
 matrix of a ParaHash run into a :mod:`multiprocessing.shared_memory`
 segment, so every Step-1 worker reads the *same* physical memory (no
-pickling of a multi-megabyte array).  Its cross-process CAS path keeps
-one hash table's arrays (``state``, the ``(W, capacity)`` ``keys``
-planes, ``counts``) in a segment too, so the
-state-transfer protocol's occupancy flags live in genuinely concurrent
-memory when several processes insert into that table (see
-:mod:`repro.parallel.atomics_mp`).
+pickling of a multi-megabyte array).  :func:`create_table_segment`
+lays out one hash table's arrays (``state``, the ``(W, capacity)``
+``keys`` planes, ``counts``) the same way, for measuring what a
+shared-memory table of a given size costs to set up.
 
 Lifetime rules
 --------------
@@ -212,21 +210,3 @@ def create_table_segment(capacity: int, k: int) -> SharedSegment:
         ("keys", (key_width(k), capacity), "uint64"),
         ("counts", (capacity, N_SLOTS), "uint32"),
     ])
-
-
-def table_over_segment(seg: SharedSegment, k: int, fresh: bool = False):
-    """A :class:`~repro.core.hashtable.ConcurrentHashTable` whose arrays
-    are the segment's views (zero-copy); ``k`` must match the layout the
-    segment was created with.
-
-    With ``fresh=True`` the segment is assumed zero-filled (a new table);
-    otherwise occupancy is recounted from the ``state`` array, so a
-    parent can attach *after* a worker filled the table and read the
-    result without any copy.
-    """
-    from ..core.hashtable import ConcurrentHashTable
-
-    return ConcurrentHashTable.from_views(
-        k=k, state=seg["state"], keys=seg["keys"], counts=seg["counts"],
-        n_occupied=0 if fresh else None,
-    )

@@ -1,6 +1,5 @@
 """Tests for repro.baselines (SOAP, sort-merge, bcalm)."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.bcalm import build_bcalm, simulate_bcalm

@@ -103,6 +103,32 @@ class TestBuild:
         assert main(base + ["--input", str(packed), "--output", str(packed_out)]) == 0
         assert packed_out.read_bytes() == plain_out.read_bytes()
 
+    def test_minimizer_longer_than_a_word_rejected(self, reads_file, tmp_path):
+        out = tmp_path / "g.phdbg"
+        with pytest.raises(ValueError, match="p must be <= 31"):
+            main(["build", "--input", str(reads_file), "--k", "45",
+                  "--p", "40", "--output", str(out)])
+        assert not out.exists()
+
+    def test_bad_k_fails_before_reading_input(self, reads_file, tmp_path,
+                                              monkeypatch):
+        import repro.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input read before the config was checked")
+
+        monkeypatch.setattr(cli_mod, "load_read_batch", refuse)
+        with pytest.raises(ValueError, match=r"33\.\.63"):
+            main(["build", "--input", str(reads_file), "--k", "32",
+                  "--output", str(tmp_path / "g.phdbg")])
+
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--calibrate"]])
+    def test_removed_flags_exit_2(self, reads_file, tmp_path, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["build", "--input", str(reads_file),
+                  "--output", str(tmp_path / "g.phdbg")] + flag)
+        assert excinfo.value.code == 2
+
 
 class TestStatsAndUnitigs:
     def test_stats_runs(self, reads_file, tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Failure-injection tests: corrupted inputs, straggler devices, edge cases."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import ParaHashConfig

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dna.alphabet import decode, encode
+from repro.dna.alphabet import decode
 from repro.dna.reads import ReadBatch
 from repro.dna.simulate import random_genome, simulate_reads
 from repro.graph.build import build_reference_graph

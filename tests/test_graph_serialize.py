@@ -1,6 +1,5 @@
 """Tests for repro.graph.serialize (binary and TSV graph files)."""
 
-import numpy as np
 import pytest
 
 from repro.graph.build import build_reference_graph

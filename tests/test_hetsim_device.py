@@ -4,7 +4,6 @@ import pytest
 
 from repro.hetsim.device import (
     CpuDevice,
-    GpuDevice,
     HashWork,
     MspWork,
     default_cpu,

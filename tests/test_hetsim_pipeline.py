@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hetsim.device import CpuDevice, GpuDevice, HashWork, default_cpu, default_gpu
+from repro.hetsim.device import CpuDevice, HashWork, default_cpu, default_gpu
 from repro.hetsim.pipeline import simulate_step, simulate_step_non_pipelined
 from repro.hetsim.transfer import DiskModel, memory_cached_disk, spinning_disk
 

@@ -67,7 +67,8 @@ class TestAllPathsAgree:
 
     def test_parahash_threaded(self, dataset, reference):
         _, _, reads = dataset
-        cfg = ParaHashConfig(k=K, p=P, n_partitions=NP, n_threads=4)
+        cfg = ParaHashConfig(k=K, p=P, n_partitions=NP, backend="threads",
+                             n_workers=4)
         result = ParaHash(cfg).build_graph(reads)
         assert_graphs_equal(result.graph, reference, "parahash-threaded")
 

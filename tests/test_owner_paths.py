@@ -1,7 +1,7 @@
 """Every single-writer build path runs without the concurrent hash table.
 
 Each partition has exactly one owner on every build path -- serial,
-threads, processes (with calibration), ``count_kmers_partitioned`` and
+threads, processes, ``count_kmers_partitioned`` and
 the service's ``step2`` task -- so the owner turns the partition's
 vertex rows straight into its subgraph.  These tests make the table
 constructors and the table segment refuse to run, and require every
@@ -19,7 +19,6 @@ from repro.core.hashtable import ConcurrentHashTable
 from repro.core.parahash import ParaHash
 from repro.graph.build import build_reference_graph
 from repro.graph.validate import assert_graphs_equal
-from repro.parallel import backend as backend_mod
 from repro.parallel import shm as shm_mod
 
 
@@ -31,7 +30,6 @@ def no_tables(monkeypatch):
     monkeypatch.setattr(ConcurrentHashTable, "__init__", refuse)
     monkeypatch.setattr(TwoWordHashTable, "__init__", refuse)
     monkeypatch.setattr(shm_mod, "create_table_segment", refuse)
-    monkeypatch.setattr(backend_mod, "create_table_segment", refuse)
 
 
 def reference(reads, k):
@@ -51,8 +49,7 @@ def assert_equal(graph, ref, k):
 @pytest.mark.parametrize("k", [21, 45])
 def test_build_paths_use_no_table(genomic_batch, no_tables, backend, k):
     cfg = ParaHashConfig(k=k, p=9 if k <= 31 else 15, n_partitions=8,
-                         backend=backend, n_workers=2,
-                         calibrate=backend == "processes")
+                         backend=backend, n_workers=2)
     result = ParaHash(cfg).build_graph(genomic_batch)
     assert_equal(result.graph, reference(genomic_batch, k), k)
     assert result.hash_stats.key_locks == result.graph.n_vertices

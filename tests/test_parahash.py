@@ -29,7 +29,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             ParaHashConfig(n_input_pieces=0)
         with pytest.raises(ValueError):
-            ParaHashConfig(n_threads=0)
+            ParaHashConfig(n_workers=-1)
 
     def test_k32_rejected_naming_supported_ranges(self):
         # One word holds k <= 31 here; two words need a high-plane base.
@@ -65,7 +65,8 @@ class TestEndToEnd:
         assert result.timings.io_seconds >= 0
 
     def test_coprocessed_equals_reference(self, genomic_batch):
-        cfg = ParaHashConfig(k=15, p=7, n_partitions=8, n_threads=3)
+        cfg = ParaHashConfig(k=15, p=7, n_partitions=8, backend="threads",
+                             n_workers=3)
         result = ParaHash(cfg).build_graph(genomic_batch)
         ref = build_reference_graph(genomic_batch, 15)
         assert_graphs_equal(result.graph, ref, "coprocessed")

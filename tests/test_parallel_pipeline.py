@@ -26,8 +26,9 @@ from repro.core.subgraph import (
     preaggregate_observations,
 )
 from repro.core.hashtable import ConcurrentHashTable
+from repro.dna.reads import ReadBatch
 from repro.msp.partitioner import partition_reads
-from repro.parallel import WorkerCrashed, WorkerFailed, build_graph_processes
+from repro.parallel import WorkerCrashed, WorkerFailed
 from repro.parallel import backend as backend_mod
 
 CFG = ParaHashConfig(k=21, p=9, n_partitions=16, n_input_pieces=4)
@@ -110,40 +111,49 @@ def test_pipelined_worker_records_cover_both_steps(genomic_batch):
 
 
 def test_pipelined_empty_input(tmp_path):
-    empty = __import__("repro.dna.reads", fromlist=["ReadBatch"]).ReadBatch(
-        codes=np.zeros((0, 50), dtype=np.uint8)
-    )
+    empty = ReadBatch(codes=np.zeros((0, 50), dtype=np.uint8))
     result = ParaHash(
         CFG.with_(backend="processes", n_workers=2)
     ).build_graph(empty)
     assert result.graph.n_vertices == 0
 
 
-def test_calibrated_dispatch_matches_serial(clean_batch):
-    serial = ParaHash(CFG).build_graph(clean_batch)
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_fewer_reads_than_workers(clean_batch, backend):
+    one_read = ReadBatch(codes=clean_batch.codes[:1])
+    serial = ParaHash(CFG).build_graph(one_read)
     result = ParaHash(
-        CFG.with_(backend="processes", n_workers=2, calibrate=True)
-    ).build_graph(clean_batch)
+        CFG.with_(backend=backend, n_workers=3)
+    ).build_graph(one_read)
+    assert serial.graph.n_vertices > 0
     assert_graphs_identical(serial.graph, result.graph)
 
 
-def test_explicit_step2_weights(clean_batch):
-    serial = ParaHash(CFG).build_graph(clean_batch)
-    result = build_graph_processes(
-        clean_batch, CFG.with_(backend="processes", n_workers=2),
-        weights=[2, 1], step2_weights=[1, 3],
-    )
-    assert_graphs_identical(serial.graph, result.graph)
-    with pytest.raises(ValueError):
-        build_graph_processes(
-            clean_batch, CFG.with_(backend="processes", n_workers=2),
-            step2_weights=[1],
-        )
-    with pytest.raises(ValueError):
-        build_graph_processes(
-            clean_batch, CFG.with_(backend="processes", n_workers=2),
-            step2_weights=[1, 0],
-        )
+def test_worker_without_step1_chunk_announces_empty_manifest(
+        clean_batch, monkeypatch):
+    """One chunk and three workers: the two that claim nothing still
+    report an empty spill manifest, or the merger would never publish
+    Step 2's partitions."""
+    manifests = {}
+    real_on_event = backend_mod._PipelineMerger.on_event
+
+    def spying_on_event(self, worker_id, payload):
+        if payload[0] == "spills":
+            manifests[worker_id] = payload[1]
+        real_on_event(self, worker_id, payload)
+
+    monkeypatch.setattr(backend_mod._PipelineMerger, "on_event",
+                        spying_on_event)
+    one_read = ReadBatch(codes=clean_batch.codes[:1])
+    result = ParaHash(
+        CFG.with_(backend="processes", n_workers=3)
+    ).build_graph(one_read)
+    assert sorted(manifests) == [0, 1, 2]
+    assert sorted(m["n_reads"] for m in manifests.values()) == [0, 0, 1]
+    idle = [m for m in manifests.values() if m["n_reads"] == 0]
+    assert all(m["spills"] == {} for m in idle)
+    assert set(result.worker_records) == {"proc0", "proc1", "proc2"}
+    assert result.n_kmers == one_read.n_kmers(CFG.k)
 
 
 # -- pre-aggregation --------------------------------------------------------------
@@ -264,60 +274,3 @@ def test_failing_merger_tears_down_pool(genomic_batch, monkeypatch):
             CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
     assert time.perf_counter() - t0 < 60.0
-
-
-# -- calibration model ------------------------------------------------------------
-
-
-def test_measure_host_rates_times_the_row_kernel(genomic_batch, monkeypatch):
-    """Calibration runs what Step-2 workers run: vertex-row inserts."""
-    import repro.core.subgraph as subgraph_mod
-    from repro.hetsim.device import measure_host_rates
-
-    seen = {"rows": 0}
-    real = subgraph_mod.preaggregate_observations
-
-    def counting(*args):
-        keys, rows = real(*args)
-        seen["rows"] += keys.size
-        return keys, rows
-
-    monkeypatch.setattr(subgraph_mod, "preaggregate_observations", counting)
-    cal = measure_host_rates(genomic_batch, CFG.k, CFG.p, CFG.n_partitions)
-    assert seen["rows"] > 0
-    assert cal.sample_ops > seen["rows"]  # ops stay metered per observation
-
-
-def test_measure_host_rates_and_fit(genomic_batch):
-    from repro.hetsim.device import (
-        HashWork,
-        MspWork,
-        claim_weight,
-        fitted_cpu,
-        measure_host_rates,
-        scaled_gpu,
-    )
-
-    cal = measure_host_rates(genomic_batch, CFG.k, CFG.p, CFG.n_partitions)
-    assert cal.msp_bases_per_sec > 0
-    assert cal.hash_ops_per_sec > 0
-    assert cal.sample_bases > 0
-    assert cal.sample_ops > 0
-
-    cpu = fitted_cpu(cal, n_threads=1)
-    assert cpu.hash_ops_per_sec == cal.hash_ops_per_sec
-    gpu = scaled_gpu(cal)
-    # The paper's GPU:CPU-thread ratios survive re-anchoring.
-    assert gpu.hash_ops_per_sec / cpu.hash_ops_per_sec == pytest.approx(
-        1.9e8 / 6.0e6
-    )
-
-    msp = MspWork(n_reads=100, n_bases=8000, n_superkmers=0,
-                  in_bytes=8000, out_bytes=8000)
-    hashw = HashWork(n_kmers=1000, ops=3000, probes=700, inserts=250,
-                     table_bytes=1 << 16, in_bytes=1000, out_bytes=0)
-    for device in (cpu, gpu):
-        w = claim_weight(device, msp)
-        assert 1 <= w <= 8
-        w = claim_weight(device, hashw, target_seconds=0.1, max_weight=4)
-        assert 1 <= w <= 4

@@ -16,7 +16,6 @@ from repro.dna.encoding import (
 from repro.dna.kmer import (
     canonical_int,
     canonical_u64,
-    kmers_from_reads,
     revcomp_int,
     revcomp_u64,
 )

@@ -22,14 +22,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.config import ParaHashConfig
 from repro.core.parahash import ParaHash
 from repro.parallel import WorkerFailed
 from repro.parallel import backend as backend_mod
-from repro.parallel.backend import concurrent_insert_processes
 from repro.parallel.shm import share_read_batch
 
 CFG = ParaHashConfig(k=21, p=9, n_partitions=16, n_input_pieces=4)
@@ -73,26 +71,6 @@ def test_failed_pipelined_run_leaves_no_segments(genomic_batch, monkeypatch):
         ParaHash(
             CFG.with_(backend="processes", n_workers=2)
         ).build_graph(genomic_batch)
-    assert _segments() - before == set()
-
-
-@needs_dev_shm
-def test_concurrent_insert_partial_construction_leaves_no_segments(
-        monkeypatch):
-    """The PR's fixed leak: a failure *between* the table-segment and
-    lock-bundle creations must still unlink the already-created
-    segments (previously they were created outside the try/finally)."""
-
-    def broken_bundle(ctx, n_stripes):
-        raise RuntimeError("lock bundle allocation failed")
-
-    monkeypatch.setattr(backend_mod, "create_lock_bundle", broken_bundle)
-    kmers = np.arange(8, dtype=np.uint64)
-    slots = np.zeros(8, dtype=np.int64)
-    before = _segments()
-    with pytest.raises(RuntimeError, match="lock bundle"):
-        concurrent_insert_processes(kmers, slots, k=15, capacity=32,
-                                    n_workers=2)
     assert _segments() - before == set()
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.concurrentsub.workqueue import (
     InputQueue,
     OutputQueue,
-    ProcessTicketQueue,
     ProcessWorkQueue,
     QueueClosed,
     run_coprocessed,
@@ -141,44 +140,51 @@ class TestRunCoprocessed:
         assert records["w"].items_processed == 0
 
 
-class TestProcessTicketQueue:
+def _published_up_front(items) -> ProcessWorkQueue:
+    """A work list known up front: every item published, then closed."""
+    q = ProcessWorkQueue(len(items))
+    for item in items:
+        q.publish(item)
+    q.close()
+    return q
+
+
+class TestProcessWorkQueuePublishedUpFront:
+    """Step 1's chunk dispenser: the whole work list before any claim."""
+
     def test_weighted_claims_are_consecutive(self):
-        q = ProcessTicketQueue(7)
-        assert q.claim(3) == [0, 1, 2]
-        assert q.claim(2) == [3, 4]
-        assert q.claimed() == 5
+        q = _published_up_front(list(range(7)))
+        assert q.claim(3, timeout=2.0) == [0, 1, 2]
+        assert q.claim(2, timeout=2.0) == [3, 4]
 
     def test_weight_exceeding_remaining_returns_tail(self):
-        q = ProcessTicketQueue(5)
-        assert q.claim(3) == [0, 1, 2]
-        # Only two tickets remain; an oversized claim takes just those.
-        assert q.claim(10) == [3, 4]
-        assert q.claimed() == 5
+        q = _published_up_front(list(range(5)))
+        assert q.claim(3, timeout=2.0) == [0, 1, 2]
+        # Only two items remain; an oversized claim takes just those.
+        assert q.claim(10, timeout=2.0) == [3, 4]
 
     def test_drained_queue_returns_empty_forever(self):
-        q = ProcessTicketQueue(2)
-        assert q.claim(2) == [0, 1]
-        assert q.claim(1) == []
-        assert q.claim(5) == []
-        assert q.claimed() == 2
+        q = _published_up_front([0, 1])
+        assert q.claim(2, timeout=2.0) == [0, 1]
+        assert q.claim(1, timeout=2.0) == []
+        assert q.claim(5, timeout=2.0) == []
+        assert q.published() == 2
 
     def test_weight_below_one_rejected(self):
-        q = ProcessTicketQueue(3)
+        q = _published_up_front([0, 1, 2])
         with pytest.raises(ValueError):
             q.claim(0)
         with pytest.raises(ValueError):
             q.claim(-2)
-        # The failed claims must not have consumed tickets.
-        assert q.claim(3) == [0, 1, 2]
+        # The failed claims must not have consumed items.
+        assert q.claim(3, timeout=2.0) == [0, 1, 2]
 
     def test_zero_item_queue(self):
-        q = ProcessTicketQueue(0)
-        assert q.claim(1) == []
-        assert q.claimed() == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessTicketQueue(-1)
+        q = _published_up_front([])
+        t0 = time.monotonic()
+        assert q.claim(1, timeout=30.0) == []
+        assert time.monotonic() - t0 < 5.0  # closed: no wait for a publish
+        assert q.published() == 0
 
 
 class TestProcessWorkQueue:
