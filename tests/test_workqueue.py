@@ -186,6 +186,12 @@ class TestProcessWorkQueuePublishedUpFront:
         assert time.monotonic() - t0 < 5.0  # closed: no wait for a publish
         assert q.published() == 0
 
+    def test_negative_capacity_rejected(self):
+        # A work list's length sizes the queue; a negative size is refused
+        # before any shared state is made.
+        with pytest.raises(ValueError):
+            ProcessWorkQueue(-1)
+
 
 class TestProcessWorkQueue:
     def test_publish_then_claim(self):
