@@ -30,7 +30,7 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.checks.model import check_model
-from repro.checks.protocols import build_model
+from repro.checks.protocols.corpus import build_model
 
 #: (writers,) sweep for the insert model.
 SMOKE_INSERT = (2, 3)

@@ -13,9 +13,11 @@ check how much of the genome the unitigs recover.
 import tempfile
 from pathlib import Path
 
-from repro.core import ParaHash, ParaHashConfig
-from repro.dna import DatasetProfile, decode
-from repro.graph import compact_unitigs, compaction_stats
+from repro.core.config import ParaHashConfig
+from repro.core.parahash import ParaHash
+from repro.dna.alphabet import decode
+from repro.dna.simulate import DatasetProfile
+from repro.graph.compact import compact_unitigs, compaction_stats
 
 
 def revcomp(s: str) -> str:

@@ -10,18 +10,13 @@ performance model.
     python examples/heterogeneous_pipeline.py
 """
 
-from repro.core import ParaHashConfig
-from repro.dna import HUMAN_CHR14_LIKE
-from repro.hetsim import (
-    ideal_coprocessing_time,
-    ideal_workload_shares,
-    measure_workloads,
-    memory_cached_disk,
-    render_gantt,
-    simulate_parahash,
-    spinning_disk,
-)
-from repro.util import print_table
+from repro.core.config import ParaHashConfig
+from repro.dna.simulate import HUMAN_CHR14_LIKE
+from repro.hetsim.model import ideal_coprocessing_time, ideal_workload_shares
+from repro.hetsim.trace import render_gantt
+from repro.hetsim.transfer import memory_cached_disk, spinning_disk
+from repro.hetsim.workloads import measure_workloads, simulate_parahash
+from repro.util.tables import print_table
 
 
 def main() -> None:

@@ -12,10 +12,12 @@ distinct-vertex counts with the Property 1 estimate.
 
 import numpy as np
 
-from repro.core import ParaHash, ParaHashConfig, expected_distinct_vertices
-from repro.dna import DatasetProfile
-from repro.graph import MULT_SLOT
-from repro.util import print_table
+from repro.core.config import ParaHashConfig
+from repro.core.estimator import expected_distinct_vertices
+from repro.core.parahash import ParaHash
+from repro.dna.simulate import DatasetProfile
+from repro.graph.dbg import MULT_SLOT
+from repro.util.tables import print_table
 
 K = 21
 BAR = 48

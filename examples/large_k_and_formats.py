@@ -14,11 +14,13 @@ the analysis toolkit on it.
 import tempfile
 from pathlib import Path
 
-from repro.analysis import analyze_spectrum, degree_summary, estimate_error_rate
-from repro.core import build_debruijn_graph
-from repro.dna import DatasetProfile
-from repro.graph import load_graph, save_graph
-from repro.util import print_table
+from repro.analysis.degrees import degree_summary
+from repro.analysis.errors import estimate_error_rate
+from repro.analysis.spectrum import analyze_spectrum
+from repro.core.parahash import build_debruijn_graph
+from repro.dna.simulate import DatasetProfile
+from repro.graph.serialize import load_graph, save_graph
+from repro.util.tables import print_table
 
 
 def main() -> None:

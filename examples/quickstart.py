@@ -2,20 +2,22 @@
 """Quickstart: build a De Bruijn graph from simulated reads.
 
 Runs in a few seconds.  Demonstrates the one-call API
-(`repro.core.build_debruijn_graph`), basic graph queries, and the
+(`repro.core.parahash.build_debruijn_graph`), basic graph queries, and the
 equivalence with the single-pass reference builder.
 
     python examples/quickstart.py
 """
 
-from repro.core import build_debruijn_graph
-from repro.dna import TOY, kmer_to_str
-from repro.graph import assert_graphs_equal, build_reference_graph
+from repro.core.parahash import build_debruijn_graph
+from repro.dna.kmer import kmer_to_str
+from repro.dna.simulate import TOY
+from repro.graph.build import build_reference_graph
+from repro.graph.validate import assert_graphs_equal
 
 
 def main() -> None:
     # 1. Get reads.  TOY is a 5 kbp genome at 12x coverage; swap in
-    #    repro.dna.load_read_batch("your.fastq") for real data.
+    #    repro.dna.io.load_read_batch("your.fastq") for real data.
     genome, reads = TOY.generate()
     print(f"dataset: {reads.n_reads} reads of {reads.read_length} bp "
           f"({reads.total_bases:,} bases)")

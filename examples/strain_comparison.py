@@ -9,15 +9,14 @@ vertex sets — every SNP leaves up to K private kmers in each strain.
     python examples/strain_comparison.py
 """
 
-from repro.core import build_debruijn_graph
-from repro.dna import random_genome, simulate_reads
-from repro.dna.simulate import mutate_genome
+from repro.core.parahash import build_debruijn_graph
+from repro.dna.simulate import mutate_genome, random_genome, simulate_reads
 from repro.graph.compare import (
     compare_graphs,
     multiplicity_correlation,
     variant_regions,
 )
-from repro.util import print_table
+from repro.util.tables import print_table
 
 K = 21
 N_SNPS = 40

@@ -1,30 +1,1 @@
 """Graph analysis: multiplicity spectra, degree structure, error rates."""
-
-from .degrees import (
-    DegreeSummary,
-    branching_fraction,
-    degree_summary,
-    in_degrees,
-    out_degrees,
-)
-from .errors import ErrorRateEstimate, estimate_error_rate
-from .spectrum import (
-    SpectrumSummary,
-    analyze_spectrum,
-    estimate_genome_size_from_instances,
-    multiplicity_histogram,
-)
-
-__all__ = [
-    "DegreeSummary",
-    "ErrorRateEstimate",
-    "SpectrumSummary",
-    "analyze_spectrum",
-    "branching_fraction",
-    "degree_summary",
-    "estimate_error_rate",
-    "estimate_genome_size_from_instances",
-    "in_degrees",
-    "multiplicity_histogram",
-    "out_degrees",
-]

@@ -1,39 +1,1 @@
 """Baselines: SOAP-style, plain sort-merge and bcalm2-style construction."""
-
-from .bcalm import (
-    BcalmResult,
-    BcalmWork,
-    build_bcalm,
-    simulate_bcalm,
-)
-from .soap import (
-    SoapResult,
-    SoapTiming,
-    SoapWork,
-    build_soap,
-    simulate_soap_hashing,
-    soap_memory_required,
-)
-from .sortmerge import (
-    SortMergeResult,
-    SortMergeWork,
-    build_sortmerge,
-    simulate_sortmerge,
-)
-
-__all__ = [
-    "BcalmResult",
-    "BcalmWork",
-    "SoapResult",
-    "SoapTiming",
-    "SoapWork",
-    "SortMergeResult",
-    "SortMergeWork",
-    "build_bcalm",
-    "build_soap",
-    "build_sortmerge",
-    "simulate_bcalm",
-    "simulate_soap_hashing",
-    "simulate_sortmerge",
-    "soap_memory_required",
-]

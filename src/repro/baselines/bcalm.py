@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.config import ParaHashConfig
 from ..core.subgraph import build_subgraph_sortmerge
 from ..dna.reads import ReadBatch
 from ..graph.compact import count_junction_vertices
@@ -123,8 +122,3 @@ def simulate_bcalm(work: BcalmWork, cpu: CpuDevice, disk: DiskModel) -> float:
         + disk.read_seconds(work.intermediate_bytes)
     )
     return sort_seconds + mphf_seconds + disk_seconds
-
-
-def bcalm_config_equivalent(config: ParaHashConfig) -> tuple[int, int]:
-    """The (p, n_partitions) a comparable bcalm run would use."""
-    return config.p, config.n_partitions

@@ -24,22 +24,3 @@ Run ``python -m repro.checks lint src/`` and
 ``pytest --repro-race-detect`` to run the whole test suite under the
 lockset detector.
 """
-
-from .lint import LintIssue, lint_paths, lint_source
-from .lockset import LocksetMonitor, Monitor, RaceReport
-from .instrument import CompositeMonitor, lockset_session, monitor_session
-from .schedule import InterleavingScheduler, SchedulerTimeout
-
-__all__ = [
-    "CompositeMonitor",
-    "InterleavingScheduler",
-    "LintIssue",
-    "LocksetMonitor",
-    "Monitor",
-    "RaceReport",
-    "SchedulerTimeout",
-    "lint_paths",
-    "lint_source",
-    "lockset_session",
-    "monitor_session",
-]

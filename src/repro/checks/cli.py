@@ -174,7 +174,7 @@ def cmd_races(args: argparse.Namespace) -> int:
 def cmd_model(args: argparse.Namespace) -> int:
     # Lazy imports, same reason as cmd_races: `lint` stays numpy-free.
     from .model import check_model, render_trace
-    from .protocols import CORPUS, build_model
+    from .protocols.corpus import CORPUS, build_model
 
     writers, consumers, items = args.writers, args.consumers, args.items
     if args.deep:

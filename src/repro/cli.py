@@ -24,17 +24,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import analyze_spectrum, degree_summary, estimate_error_rate
 from .core.config import ParaHashConfig
 from .core.parahash import ParaHash
 from .dna.io import load_read_batch, save_read_batch, write_fasta
 from .dna.io import SequenceRecord
 from .dna.kmer import key_width
 from .dna.simulate import PROFILES, DatasetProfile, genome_to_str
-from .graph.compact import compact_unitigs, compaction_stats
 from .graph.serialize import export_tsv, load_graph, save_graph
-from .hetsim.transfer import memory_cached_disk, spinning_disk
-from .hetsim.workloads import measure_workloads, simulate_parahash
 from .util.tables import render_table
 
 
@@ -197,6 +193,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .analysis.degrees import degree_summary
+    from .analysis.errors import estimate_error_rate
+    from .analysis.spectrum import analyze_spectrum
+
     graph = load_graph(args.graph)
     d = graph.describe()
     print(render_table(
@@ -227,6 +227,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_unitigs(args: argparse.Namespace) -> int:
+    from .graph.compact import compact_unitigs, compaction_stats
+
     graph = load_graph(args.graph)
     cleaned = graph.filter_min_multiplicity(args.min_multiplicity)
     cleaned = cleaned.filter_min_edge_weight(args.min_edge_weight)
@@ -320,6 +322,10 @@ def cmd_checks(args: argparse.Namespace) -> int:
 
 
 def cmd_hetsim(args: argparse.Namespace) -> int:
+    from .hetsim.trace import render_gantt
+    from .hetsim.transfer import memory_cached_disk, spinning_disk
+    from .hetsim.workloads import measure_workloads, simulate_parahash
+
     reads = load_read_batch(args.input)
     config = ParaHashConfig(k=args.k, p=args.p, n_partitions=args.partitions)
     disk = memory_cached_disk() if args.disk == "ram" else spinning_disk()
@@ -347,8 +353,6 @@ def cmd_hetsim(args: argparse.Namespace) -> int:
         title="workload distribution",
     ))
     if args.gantt:
-        from .hetsim.trace import render_gantt
-
         print("\nhashing schedule:")
         print(render_gantt(report.step2))
     print(f"\ntotal simulated time: {report.total_seconds:.4f} s; "

@@ -25,7 +25,7 @@ from ..graph.dbg import DeBruijnGraph
 from ..graph.merge import merge_disjoint
 from ..graph.serialize import save_subgraphs
 from ..msp.partitioner import load_partitions, partition_reads, partition_to_files
-from ..msp.records import SuperkmerBlock
+from ..msp.records import SuperkmerBlock, join_blocks
 from .config import ParaHashConfig
 from .hashtable import HashStats
 from .subgraph import SubgraphResult, build_subgraph
@@ -111,19 +111,10 @@ class ParaHash:
                 partition_reads(piece, cfg.k, cfg.p, cfg.n_partitions)
                 for piece in pieces
             ]
-        blocks: list[SuperkmerBlock] | None = None
-        for result in results:
-            if blocks is None:
-                blocks = result.blocks
-            else:
-                from ..msp.records import concat_blocks
-
-                blocks = [
-                    concat_blocks([a, b]) if b.n_superkmers else a
-                    for a, b in zip(blocks, result.blocks)
-                ]
-        assert blocks is not None
-        return blocks
+        return [
+            join_blocks(pieces, cfg.k)
+            for pieces in zip(*(result.blocks for result in results))
+        ]
 
     # -- Step 2 -----------------------------------------------------------------
 

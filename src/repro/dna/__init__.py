@@ -1,132 +1,1 @@
 """Sequence substrate: alphabet, encodings, k-mers, minimizers, I/O, simulation."""
-
-from .alphabet import (
-    ALPHABET_SIZE,
-    BASES,
-    BITS_PER_BASE,
-    complement,
-    decode,
-    encode,
-    reverse_complement,
-)
-from .encoding import (
-    codes_to_int,
-    int_to_codes,
-    int_to_words,
-    pack_codes,
-    unpack_codes,
-    words_for_bases,
-    words_to_int,
-)
-from .io import (
-    FormatError,
-    SequenceRecord,
-    iter_read_batches,
-    load_read_batch,
-    read_fasta,
-    read_fastq,
-    read_sequences,
-    save_read_batch,
-    split_input_file,
-    write_fasta,
-    write_fastq,
-)
-from .kmer import (
-    MAX_U64_K,
-    canonical_int,
-    canonical_u64,
-    canonical_with_flip,
-    iter_kmers,
-    kmer_from_codes,
-    kmer_mask,
-    kmer_to_str,
-    kmers_from_reads,
-    revcomp_int,
-    revcomp_u64,
-)
-from .minimizer import (
-    SuperkmerSet,
-    minimizer_of_kmer_ref,
-    minimizers_for_reads,
-    sliding_min,
-    superkmers_for_reads,
-    superkmers_of_read_ref,
-)
-from .paired import (
-    PairedReads,
-    read_interleaved_fastq,
-    simulate_paired_reads,
-    write_interleaved_fastq,
-)
-from .reads import ReadBatch, concat_batches
-from .simulate import (
-    BUMBLEBEE_LIKE,
-    HUMAN_CHR14_LIKE,
-    PROFILES,
-    TOY,
-    DatasetProfile,
-    mutate_genome,
-    random_genome,
-    repetitive_genome,
-    simulate_reads,
-)
-
-__all__ = [
-    "ALPHABET_SIZE",
-    "BASES",
-    "BITS_PER_BASE",
-    "BUMBLEBEE_LIKE",
-    "DatasetProfile",
-    "FormatError",
-    "HUMAN_CHR14_LIKE",
-    "MAX_U64_K",
-    "PROFILES",
-    "PairedReads",
-    "ReadBatch",
-    "SequenceRecord",
-    "SuperkmerSet",
-    "TOY",
-    "canonical_int",
-    "canonical_u64",
-    "canonical_with_flip",
-    "codes_to_int",
-    "complement",
-    "concat_batches",
-    "decode",
-    "encode",
-    "int_to_codes",
-    "int_to_words",
-    "iter_kmers",
-    "iter_read_batches",
-    "kmer_from_codes",
-    "kmer_mask",
-    "kmer_to_str",
-    "kmers_from_reads",
-    "load_read_batch",
-    "minimizer_of_kmer_ref",
-    "minimizers_for_reads",
-    "mutate_genome",
-    "pack_codes",
-    "random_genome",
-    "read_fasta",
-    "read_fastq",
-    "read_interleaved_fastq",
-    "read_sequences",
-    "repetitive_genome",
-    "simulate_paired_reads",
-    "write_interleaved_fastq",
-    "revcomp_int",
-    "revcomp_u64",
-    "reverse_complement",
-    "save_read_batch",
-    "simulate_reads",
-    "sliding_min",
-    "split_input_file",
-    "superkmers_for_reads",
-    "superkmers_of_read_ref",
-    "unpack_codes",
-    "words_for_bases",
-    "words_to_int",
-    "write_fasta",
-    "write_fastq",
-]

@@ -1,80 +1,1 @@
 """Heterogeneous-processor simulation: devices, disks, pipeline, model."""
-
-from .device import (
-    CpuDevice,
-    Device,
-    GpuDevice,
-    HashWork,
-    MspWork,
-    default_cpu,
-    default_gpu,
-)
-from .model import (
-    StepComponents,
-    classify_case,
-    estimate_step_time,
-    ideal_coprocessing_time,
-    ideal_workload_shares,
-    io_bound_time,
-    t_io,
-)
-from .pipeline import (
-    DeviceUsage,
-    StepSimulation,
-    WorkPlacementError,
-    simulate_step,
-    simulate_step_non_pipelined,
-)
-from .trace import ScheduleEvent, render_gantt, schedule_events, summarize_schedule
-from .transfer import DiskModel, memory_cached_disk, spinning_disk
-from .workloads import (
-    GRAPH_BYTES_PER_VERTEX,
-    HetSimReport,
-    Step1Workload,
-    Step2Workload,
-    device_set,
-    fastq_bytes,
-    measure_step1,
-    measure_step2,
-    measure_workloads,
-    simulate_parahash,
-)
-
-__all__ = [
-    "CpuDevice",
-    "Device",
-    "DeviceUsage",
-    "DiskModel",
-    "GRAPH_BYTES_PER_VERTEX",
-    "GpuDevice",
-    "HashWork",
-    "HetSimReport",
-    "MspWork",
-    "Step1Workload",
-    "Step2Workload",
-    "ScheduleEvent",
-    "StepComponents",
-    "StepSimulation",
-    "WorkPlacementError",
-    "render_gantt",
-    "schedule_events",
-    "summarize_schedule",
-    "classify_case",
-    "default_cpu",
-    "default_gpu",
-    "device_set",
-    "estimate_step_time",
-    "fastq_bytes",
-    "ideal_coprocessing_time",
-    "ideal_workload_shares",
-    "io_bound_time",
-    "measure_step1",
-    "measure_step2",
-    "measure_workloads",
-    "memory_cached_disk",
-    "simulate_parahash",
-    "simulate_step",
-    "simulate_step_non_pipelined",
-    "spinning_disk",
-    "t_io",
-]

@@ -18,7 +18,7 @@ from ..dna.reads import ReadBatch
 from ..graph.dbg import DeBruijnGraph
 from ..graph.merge import merge_disjoint
 from ..msp.partitioner import partition_reads
-from ..msp.records import SuperkmerBlock, concat_blocks
+from ..msp.records import SuperkmerBlock, join_blocks
 from .device import CpuDevice, Device, HashWork, MspWork, default_cpu, default_gpu
 from .pipeline import StepSimulation, simulate_step
 from .transfer import DiskModel, memory_cached_disk
@@ -53,7 +53,7 @@ class Step2Workload:
 def measure_step1(reads: ReadBatch, config: ParaHashConfig) -> Step1Workload:
     """Run MSP per input piece and meter each piece's work."""
     works: list[MspWork] = []
-    accumulated: list[SuperkmerBlock] | None = None
+    piece_blocks: list[list[SuperkmerBlock]] = []
     for piece in reads.split(config.n_input_pieces):
         result = partition_reads(piece, config.k, config.p, config.n_partitions)
         out_bytes = sum(b.byte_size_encoded() for b in result.blocks)
@@ -66,15 +66,9 @@ def measure_step1(reads: ReadBatch, config: ParaHashConfig) -> Step1Workload:
                 out_bytes=out_bytes,
             )
         )
-        if accumulated is None:
-            accumulated = result.blocks
-        else:
-            accumulated = [
-                concat_blocks([a, b]) if b.n_superkmers else a
-                for a, b in zip(accumulated, result.blocks)
-            ]
-    assert accumulated is not None
-    return Step1Workload(works=works, blocks=accumulated)
+        piece_blocks.append(result.blocks)
+    blocks = [join_blocks(pieces, config.k) for pieces in zip(*piece_blocks)]
+    return Step1Workload(works=works, blocks=blocks)
 
 
 def measure_step2(blocks: list[SuperkmerBlock], config: ParaHashConfig) -> Step2Workload:

@@ -1,71 +1,1 @@
 """Step 1: Minimum Substring Partitioning with adjacency extensions."""
-
-from .binio import (
-    FORMAT_VERSION,
-    MAGIC,
-    PartitionFormatError,
-    PartitionWriter,
-    partition_file_size,
-    read_partition,
-    read_partition_header,
-    write_partition,
-)
-from .inspect import (
-    PartitionDirSummary,
-    PartitionFileInfo,
-    deep_scan_partition,
-    inspect_partition_dir,
-    list_partition_files,
-)
-from .partitioner import (
-    MspResult,
-    MspRunReport,
-    load_partitions,
-    partition_reads,
-    partition_to_files,
-)
-from .records import (
-    NO_EXT,
-    SuperkmerBlock,
-    SuperkmerRecord,
-    block_from_records,
-    concat_blocks,
-    empty_block,
-)
-from .stats import (
-    PartitionDistribution,
-    distribution_of,
-    sweep_minimizer_length,
-    sweep_n_partitions,
-)
-
-__all__ = [
-    "FORMAT_VERSION",
-    "MAGIC",
-    "MspResult",
-    "MspRunReport",
-    "NO_EXT",
-    "PartitionDirSummary",
-    "PartitionDistribution",
-    "PartitionFileInfo",
-    "deep_scan_partition",
-    "inspect_partition_dir",
-    "list_partition_files",
-    "PartitionFormatError",
-    "PartitionWriter",
-    "SuperkmerBlock",
-    "SuperkmerRecord",
-    "block_from_records",
-    "concat_blocks",
-    "distribution_of",
-    "empty_block",
-    "load_partitions",
-    "partition_file_size",
-    "partition_reads",
-    "partition_to_files",
-    "read_partition",
-    "read_partition_header",
-    "sweep_minimizer_length",
-    "sweep_n_partitions",
-    "write_partition",
-]

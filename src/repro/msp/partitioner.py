@@ -24,7 +24,7 @@ from ..concurrentsub.hashfunc import partition_ids
 from ..dna.minimizer import SuperkmerSet, superkmers_for_reads
 from ..dna.reads import ReadBatch
 from .binio import PartitionWriter, read_partition
-from .records import NO_EXT, SuperkmerBlock, concat_blocks, empty_block
+from .records import NO_EXT, SuperkmerBlock, join_blocks
 
 
 @dataclass(frozen=True)
@@ -263,10 +263,7 @@ def spill_groups(
 
 def load_partition_group(paths: list[Path], k: int) -> SuperkmerBlock:
     """Concatenate one partition's spill files into a single block."""
-    blocks = [b for b in map(read_partition, paths) if b.n_superkmers]
-    if not blocks:
-        return empty_block(k)
-    return blocks[0] if len(blocks) == 1 else concat_blocks(blocks)
+    return join_blocks([read_partition(path) for path in paths], k)
 
 
 def merge_spill_files(

@@ -14,13 +14,13 @@ edge generation over a whole partition is vectorizable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dna.alphabet import decode
-from ..dna.kmer import kmer_mask, key_width, pack_planes
-from ..dna.kmer import pack_windows  # noqa: F401  (re-exported)
+from ..dna.kmer import key_width, pack_planes
 
 #: Extension sentinel: the superkmer touches the read boundary.
 NO_EXT = -1
@@ -159,9 +159,6 @@ class SuperkmerBlock:
         planes, positions = self.kmer_planes()
         return planes[0], positions
 
-    def packed_mask(self) -> int:
-        return kmer_mask(self.k)
-
     def byte_size_encoded(self) -> int:
         """Bytes this block occupies in the 2-bit partition file format.
 
@@ -225,3 +222,12 @@ def concat_blocks(blocks: list[SuperkmerBlock]) -> SuperkmerBlock:
         left_ext=np.concatenate([b.left_ext for b in blocks]),
         right_ext=np.concatenate([b.right_ext for b in blocks]),
     )
+
+
+def join_blocks(blocks: Iterable[SuperkmerBlock], k: int) -> SuperkmerBlock:
+    """One partition's pieces as a single block: empty when every piece
+    is, the one non-empty piece itself, else one :func:`concat_blocks`."""
+    nonempty = [b for b in blocks if b.n_superkmers]
+    if not nonempty:
+        return empty_block(k)
+    return nonempty[0] if len(nonempty) == 1 else concat_blocks(nonempty)

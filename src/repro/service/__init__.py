@@ -6,32 +6,3 @@ Everything above the one-shot pipeline: durable job directories
 serving many jobs at once (:mod:`pool`), and the asyncio HTTP front end
 plus CLI (:mod:`server`, :mod:`cli`).
 """
-
-from .jobstore import JobError, JobRecord, JobSpec, JobStore
-from .manifest import Artifact, StageManifest, file_digest, write_json_atomic
-from .pool import (
-    LaneSession,
-    LaneStalled,
-    ServicePool,
-    SessionCancelled,
-    TasksFailed,
-)
-from .runner import JobFailed, run_job
-
-__all__ = [
-    "Artifact",
-    "JobError",
-    "JobFailed",
-    "JobRecord",
-    "JobSpec",
-    "JobStore",
-    "LaneSession",
-    "LaneStalled",
-    "ServicePool",
-    "SessionCancelled",
-    "StageManifest",
-    "TasksFailed",
-    "file_digest",
-    "run_job",
-    "write_json_atomic",
-]

@@ -19,10 +19,6 @@ import urllib.request
 from pathlib import Path
 
 from ..util.tables import render_table
-from .jobstore import JobError, JobStore
-from .pool import ServicePool
-from .runner import JobFailed, run_job
-from .server import ServiceApp, serve_in_thread
 
 
 def add_service_commands(sub) -> None:
@@ -67,6 +63,10 @@ def add_service_commands(sub) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .jobstore import JobStore
+    from .pool import ServicePool
+    from .server import ServiceApp, serve_in_thread
+
     store = JobStore(args.root)
     with ServicePool(n_workers=args.workers, n_lanes=args.lanes) as pool:
         app = ServiceApp(store, pool)
@@ -131,6 +131,8 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     if args.url:
         docs = _http(f"{args.url.rstrip('/')}/jobs")["jobs"]
     elif args.root:
+        from .jobstore import JobStore
+
         docs = [r.describe() for r in JobStore(args.root).list_jobs()]
     else:
         print("error: pass --url (live) or --root (offline)",
@@ -147,6 +149,10 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
+    from .jobstore import JobError, JobStore
+    from .pool import ServicePool
+    from .runner import JobFailed, run_job
+
     store = JobStore(args.root)
     try:
         record = store.load(args.job_id)

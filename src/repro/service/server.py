@@ -61,11 +61,6 @@ class _ActiveJob:
         if session is not None:
             session.cancel()
 
-    @property
-    def cancel_requested(self) -> bool:
-        with self._lock:
-            return self._cancel_requested
-
     def describe_session(self) -> dict | None:
         with self._lock:
             session = self.session

@@ -1,17 +1,1 @@
-"""Utilities: text tables, timing, measurement, byte sizes."""
-
-from .bytesize import bytes2human, human2bytes
-from .tables import format_cell, print_table, render_table
-from .timing import Measurement, StageTimer, fit_loglog_slope, measure
-
-__all__ = [
-    "Measurement",
-    "StageTimer",
-    "bytes2human",
-    "fit_loglog_slope",
-    "format_cell",
-    "human2bytes",
-    "measure",
-    "print_table",
-    "render_table",
-]
+"""Utilities: text tables, timing, measurement."""

@@ -14,12 +14,9 @@ from repro.checks.model import (
     render_trace,
     steps_of,
 )
-from repro.checks.protocols import (
-    CORPUS,
-    INSERT_VARIANTS,
-    QUEUE_VARIANTS,
-    build_model,
-)
+from repro.checks.protocols.cas_insert import INSERT_VARIANTS
+from repro.checks.protocols.corpus import CORPUS, build_model
+from repro.checks.protocols.workqueue import QUEUE_VARIANTS
 
 
 # -- a tiny hand-rolled model to pin the search semantics -----------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.checks.model import Step, check_model
-from repro.checks.protocols import CORPUS, build_model
+from repro.checks.protocols.corpus import CORPUS, build_model
 from repro.checks.replay import replay_counterexample
 
 #: Refutation sizing — matches the CLI's corpus mode (two contenders is

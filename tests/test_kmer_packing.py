@@ -9,13 +9,8 @@ each superkmer on its own.
 import numpy as np
 import pytest
 
-from repro.dna.kmer import iter_kmers, join_planes, lead_bases
-from repro.msp.records import (
-    SuperkmerRecord,
-    block_from_records,
-    empty_block,
-    pack_windows,
-)
+from repro.dna.kmer import iter_kmers, join_planes, lead_bases, pack_windows
+from repro.msp.records import SuperkmerRecord, block_from_records, empty_block
 
 ONE_WORD_KS = [1, 2, 16, 31]
 TWO_WORD_KS = [33, 45, 63]

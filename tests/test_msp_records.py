@@ -12,6 +12,7 @@ from repro.msp.records import (
     block_from_records,
     concat_blocks,
     empty_block,
+    join_blocks,
 )
 
 
@@ -170,3 +171,12 @@ class TestConcat:
     def test_concat_all_empty_rejected(self):
         with pytest.raises(ValueError):
             concat_blocks([empty_block(5)])
+
+    def test_join_zero_one_many(self):
+        joined = join_blocks([empty_block(5), empty_block(5)], 5)
+        assert joined.n_superkmers == 0 and joined.k == 5
+        one = make_block()
+        assert join_blocks([empty_block(5), one, empty_block(5)], 5) is one
+        many = join_blocks([one, empty_block(5), make_block()], 5)
+        assert many.bases.tolist() == concat_blocks([one, one]).bases.tolist()
+        assert many.offsets.tolist() == concat_blocks([one, one]).offsets.tolist()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import BACKENDS, ParaHashConfig
 from repro.core.parahash import ParaHash
-from repro.parallel import WorkerCrashed, WorkerFailed, run_workers
+from repro.parallel.pool import WorkerCrashed, WorkerFailed, run_workers
 
 CFG = ParaHashConfig(k=21, p=9, n_partitions=16, n_input_pieces=4)
 

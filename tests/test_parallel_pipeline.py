@@ -28,7 +28,7 @@ from repro.core.subgraph import (
 from repro.core.hashtable import ConcurrentHashTable
 from repro.dna.reads import ReadBatch
 from repro.msp.partitioner import partition_reads
-from repro.parallel import WorkerCrashed, WorkerFailed
+from repro.parallel.pool import WorkerCrashed, WorkerFailed
 from repro.parallel import backend as backend_mod
 
 CFG = ParaHashConfig(k=21, p=9, n_partitions=16, n_input_pieces=4)

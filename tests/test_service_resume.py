@@ -18,16 +18,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.parahash import ParaHash, ParaHashConfig
+from repro.core.config import ParaHashConfig
+from repro.core.parahash import ParaHash
 from repro.graph.compare import compare_graphs
 from repro.graph.serialize import load_graph
-from repro.service import JobSpec, JobStore, run_job
+from repro.service.jobstore import JobSpec, JobStore
+from repro.service.runner import run_job
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _CHILD = """\
 import sys
-from repro.service import JobStore, run_job
+from repro.service.jobstore import JobStore
+from repro.service.runner import run_job
 run_job(JobStore(sys.argv[1]).load(sys.argv[2]))
 """
 

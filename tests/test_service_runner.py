@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.core.parahash import ParaHash, ParaHashConfig
+from repro.core.config import ParaHashConfig
+from repro.core.parahash import ParaHash
 from repro.dna.io import load_read_batch, save_read_batch
 from repro.graph.compare import compare_graphs
 from repro.graph.serialize import load_graph
-from repro.service import JobSpec, JobStore, run_job
-from repro.service.runner import JobFailed
+from repro.service.jobstore import JobSpec, JobStore
+from repro.service.runner import JobFailed, run_job
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ import urllib.request
 
 import pytest
 
-from repro.service import JobStore, ServicePool
+from repro.service.jobstore import JobStore
+from repro.service.pool import ServicePool
 from repro.service.server import ServiceApp, serve_in_thread
 
 
@@ -143,7 +144,7 @@ def test_resume_waits_for_cancelled_job_to_leave(tmp_path, reads_file,
     before it left the active set waits for it instead of answering
     "already active".  The job thread is held in that window (inside
     its lane release) until the resume is under way."""
-    from repro.service import JobSpec
+    from repro.service.jobstore import JobSpec
 
     pool = ServicePool(n_workers=2, n_lanes=2).start()
     app = ServiceApp(JobStore(tmp_path / "jobs"), pool,

@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.config import ParaHashConfig
 from repro.core.parahash import ParaHash
-from repro.parallel import WorkerFailed
+from repro.parallel.pool import WorkerFailed
 from repro.parallel import backend as backend_mod
 from repro.parallel.shm import share_read_batch
 

@@ -1,10 +1,9 @@
-"""Tests for repro.util (tables, timing, byte sizes)."""
+"""Tests for repro.util (tables, timing)."""
 
 import time
 
 import pytest
 
-from repro.util.bytesize import bytes2human, human2bytes
 from repro.util.tables import format_cell, render_table
 from repro.util.timing import StageTimer, fit_loglog_slope, measure
 
@@ -75,55 +74,6 @@ class TestStageTimer:
             pass
         assert timer.stages["a"] >= 0.01
         assert timer.total == pytest.approx(sum(timer.stages.values()))
-
-
-class TestHuman2Bytes:
-    @pytest.mark.parametrize("text,expected", [
-        ("0", 0),
-        ("512", 512),
-        ("2K", 2048),
-        ("2KB", 2048),
-        ("2KiB", 2048),
-        ("2k", 2048),
-        ("1.5G", int(1.5 * 1024 ** 3)),
-        ("92G", 92 * 1024 ** 3),
-        ("1T", 1024 ** 4),
-        (" 4 M ", 4 * 1024 ** 2),
-    ])
-    def test_parses(self, text, expected):
-        assert human2bytes(text) == expected
-
-    def test_numbers_pass_through(self):
-        assert human2bytes(4096) == 4096
-        assert human2bytes(1.5) == 1
-
-    @pytest.mark.parametrize("bad", ["", "G", "-1K", "1Q", "one meg",
-                                     -1, True])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            human2bytes(bad)
-
-
-class TestBytes2Human:
-    @pytest.mark.parametrize("n,expected", [
-        (0, "0"),
-        (512, "512"),
-        (2048, "2K"),
-        (1536, "1.5K"),
-        (92 * 1024 ** 3, "92G"),
-        (1024 ** 4, "1T"),
-    ])
-    def test_formats(self, n, expected):
-        assert bytes2human(n) == expected
-
-    def test_round_trips(self):
-        for n in (0, 1, 1023, 1024, 1536, 10 * 1024 ** 2, 3 * 1024 ** 3):
-            assert human2bytes(bytes2human(n, precision=3)) \
-                == pytest.approx(n, rel=1e-3)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bytes2human(-5)
 
 
 class TestLogLogFit:
