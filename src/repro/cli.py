@@ -280,11 +280,13 @@ def cmd_partitions(args: argparse.Namespace) -> int:
           f"{summary.total_bytes:,} bytes, "
           f"balance CV {summary.balance_cv():.3f}")
     if args.deep:
-        rows = [deep_scan_partition(f.path) for f in summary.files]
+        rows = [deep_scan_partition(info, summary.k)
+                for info in summary.partitions]
         print(render_table(
-            ["partition", "superkmers", "kmers", "mean len", "left ext", "right ext"],
+            ["partition", "files", "superkmers", "kmers", "mean len",
+             "left ext", "right ext"],
             [
-                [Path(r["path"]).name, r["n_superkmers"], r["n_kmers"],
+                [r["partition"], r["n_files"], r["n_superkmers"], r["n_kmers"],
                  f"{r['mean_superkmer_length']:.1f}", r["n_with_left_ext"],
                  r["n_with_right_ext"]]
                 for r in rows

@@ -17,6 +17,25 @@ from .estimator import SizingPolicy
 BACKENDS = ("serial", "threads", "processes")
 
 
+def check_k_p(k: int, p: int) -> None:
+    """Raise ``ValueError`` unless ``k`` and ``p`` are a buildable pair.
+
+    The rules of :class:`ParaHashConfig` below; the job service applies
+    the same ones to a submitted job.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > 63 or k == 32:
+        raise ValueError(
+            f"k must be in 1..31 (one-word keys) or 33..63 "
+            f"(two-word keys), got {k}"
+        )
+    if not 1 <= p <= k:
+        raise ValueError(f"need 1 <= p <= k, got p={p}, k={k}")
+    if p > 31:
+        raise ValueError("minimizer length p must be <= 31 (one word)")
+
+
 @dataclass(frozen=True)
 class ParaHashConfig:
     """Parameters of a ParaHash run.
@@ -68,17 +87,7 @@ class ParaHashConfig:
     n_workers: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.k > 63 or self.k == 32:
-            raise ValueError(
-                f"k must be in 1..31 (one-word keys) or 33..63 "
-                f"(two-word keys), got {self.k}"
-            )
-        if not 1 <= self.p <= self.k:
-            raise ValueError(f"need 1 <= p <= k, got p={self.p}, k={self.k}")
-        if self.p > 31:
-            raise ValueError("minimizer length p must be <= 31 (one word)")
+        check_k_p(self.k, self.p)
         if self.n_partitions < 1:
             raise ValueError("n_partitions must be >= 1")
         if self.n_input_pieces < 1:

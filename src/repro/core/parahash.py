@@ -23,7 +23,6 @@ from ..concurrentsub.workqueue import WorkerRecord, run_coprocessed
 from ..dna.reads import ReadBatch
 from ..graph.dbg import DeBruijnGraph
 from ..graph.merge import merge_disjoint
-from ..graph.serialize import save_subgraphs
 from ..msp.partitioner import load_partitions, partition_reads, partition_to_files
 from ..msp.records import SuperkmerBlock, join_blocks
 from .config import ParaHashConfig
@@ -142,16 +141,13 @@ class ParaHash:
         self,
         reads: ReadBatch,
         workdir: str | Path | None = None,
-        output_dir: str | Path | None = None,
     ) -> ParaHashResult:
         """Run both steps and merge the subgraphs into the full graph.
 
         With ``workdir`` set, Step 1 streams encoded partition files to
         disk and Step 2 reads them back (the paper's measured
         configuration, including the write-out/read-in of superkmer
-        partitions); otherwise everything stays in memory.  With
-        ``output_dir`` set, Step 2 additionally writes each constructed
-        subgraph as a binary file — the workflow's final output stage.
+        partitions); otherwise everything stays in memory.
 
         ``config.backend`` selects the execution backend.  ``serial``
         runs everything in this thread; ``threads`` co-processes both
@@ -164,9 +160,7 @@ class ParaHash:
         if cfg.backend == "processes":
             from ..parallel.backend import build_graph_processes
 
-            return build_graph_processes(
-                reads, cfg, workdir=workdir, output_dir=output_dir
-            )
+            return build_graph_processes(reads, cfg, workdir=workdir)
         t0 = time.perf_counter()
         io_seconds = 0.0
         if workdir is None:
@@ -193,60 +187,7 @@ class ParaHash:
             cfg, results,
             StageTimings(msp_seconds=(t1 - t0) - io_seconds,
                          hashing_seconds=t2 - t1, io_seconds=io_seconds),
-            output_dir, n_superkmers=n_superkmers, n_kmers=n_kmers,
-            partition_bytes=partition_bytes, worker_records=records,
-        )
-
-    def build_graph_from_files(
-        self,
-        input_paths: list[str | Path],
-        workdir: str | Path,
-        output_dir: str | Path | None = None,
-    ) -> ParaHashResult:
-        """Construct from multiple read files without loading them at once.
-
-        The on-disk analogue of the paper's Step 1 input loop: each
-        FASTQ scanner chunk (:func:`repro.dna.io.iter_read_batches`) is
-        one input piece — parsed, partitioned, appended to the partition
-        files, and released before the next chunk is read, so Step 1
-        holds O(chunk) of input per file.  A FASTA file is one piece.
-        Step 2 then proceeds from the accumulated partitions.  Each file
-        must contain reads of one common length.
-        """
-        from ..dna.io import iter_read_batches
-        from ..msp.binio import PartitionWriter
-
-        if not input_paths:
-            raise ValueError("need at least one input file")
-        cfg = self.config
-        work = Path(workdir)
-        work.mkdir(parents=True, exist_ok=True)
-        paths = [work / f"partition_{i:04d}.phsk" for i in range(cfg.n_partitions)]
-        writers = [PartitionWriter(path, cfg.k) for path in paths]
-        t0 = time.perf_counter()
-        n_superkmers = 0
-        n_kmers = 0
-        try:
-            for input_path in input_paths:
-                for piece in iter_read_batches(input_path):
-                    result = partition_reads(piece, cfg.k, cfg.p, cfg.n_partitions)
-                    for writer, block in zip(writers, result.blocks):
-                        writer.write_block(block)
-                    n_superkmers += len(result.superkmers)
-                    n_kmers += result.total_kmers()
-        finally:
-            for writer in writers:
-                writer.close()
-        partition_bytes = sum(p.stat().st_size for p in paths)
-        t1 = time.perf_counter()
-
-        blocks = load_partitions(paths)
-        results, records = self.construct_subgraphs(blocks)
-        t2 = time.perf_counter()
-        return finish_build(
-            cfg, results,
-            StageTimings(msp_seconds=t1 - t0, hashing_seconds=t2 - t1),
-            output_dir, n_superkmers=n_superkmers, n_kmers=n_kmers,
+            n_superkmers=n_superkmers, n_kmers=n_kmers,
             partition_bytes=partition_bytes, worker_records=records,
         )
 
@@ -255,7 +196,6 @@ def finish_build(
     cfg: ParaHashConfig,
     results: list[SubgraphResult],
     timings: StageTimings,
-    output_dir: str | Path | None,
     *,
     n_superkmers: int,
     n_kmers: int,
@@ -264,15 +204,10 @@ def finish_build(
 ) -> ParaHashResult:
     """The Step-2 tail every driver shares.
 
-    Saves the subgraphs to ``output_dir`` (timed as I/O), merges them
-    into the full graph and totals their hashing telemetry.  ``results``
-    are in partition order.
+    Merges the subgraphs into the full graph and totals their hashing
+    telemetry.  ``results`` are in partition order.
     """
     subgraphs = [r.graph for r in results]
-    if output_dir is not None and subgraphs:
-        t_io = time.perf_counter()
-        save_subgraphs(output_dir, subgraphs)
-        timings.io_seconds += time.perf_counter() - t_io
     stats = HashStats()
     for r in results:
         stats = stats.merged_with(r.stats)

@@ -1,13 +1,14 @@
 """De Bruijn graph serialization.
 
 Step 2's third pipeline stage "parses each output partition to the
-required format and transfers it to the disk" (§III-E); the constructed
-subgraphs become disk files (the paper's Bumblebee output is ~20 GB).
-Two formats:
+required format and transfers it to the disk" (§III-E; the paper's
+Bumblebee output is ~20 GB).  ``repro build`` writes the merged graph,
+and a service job one file per partition before the merge.  Two
+formats:
 
 * **binary** (``.phdbg``): header + the raw key-plane/counter arrays,
   magic ``PHDB`` for one-word keys and ``PHB2`` for two-word keys.
-  Compact, exact, fast; the format partition outputs use.
+  Compact, exact, fast; the format graph outputs use.
 * **TSV text**: one vertex per line with its spelled kmer, multiplicity
   and the 8 edge counters — for interoperability and eyeballing.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -125,22 +125,3 @@ def import_tsv(path: str | os.PathLike) -> DeBruijnGraph:
         else np.zeros((0, N_SLOTS), dtype=np.uint64)
     )
     return DeBruijnGraph(k=k, vertices=take_planes(planes, order), counts=counts_arr)
-
-
-def save_subgraphs(
-    out_dir: str | os.PathLike, subgraphs: list[DeBruijnGraph]
-) -> list[Path]:
-    """Write one binary file per subgraph (the Step 2 output stage)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, graph in enumerate(subgraphs):
-        path = out / f"subgraph_{i:04d}.phdbg"
-        save_graph(path, graph)
-        paths.append(path)
-    return paths
-
-
-def load_subgraphs(paths: list[Path] | list[str]) -> list[DeBruijnGraph]:
-    """Read subgraph files back (e.g. to merge them)."""
-    return [load_graph(p) for p in paths]

@@ -16,8 +16,8 @@ File layout (little-endian):
   then the frame's concatenated bases packed 4 per byte
   (:func:`repro.dna.encoding.pack_codes`).
 
-Frames delimit themselves, so encoding, decoding and merging files are
-whole-array operations: nothing walks the records one by one.  The
+Frames delimit themselves, so encoding and decoding are whole-array
+operations: nothing walks the records one by one.  The
 extension byte carries the paper's "two extra base pairs" in packed
 form; semantically each record is the extended superkmer.
 """
@@ -217,43 +217,3 @@ def write_partition(path: str | os.PathLike, block: SuperkmerBlock) -> int:
     with PartitionWriter(path, block.k) as writer:
         writer.write_block(block)
     return os.path.getsize(path)
-
-
-def concat_partition_files(
-    dest: str | os.PathLike, sources: list[Path] | list[str],
-    k: int | None = None,
-) -> int:
-    """Merge partition files frame-for-frame at the byte level.
-
-    Frames are self-delimiting, so merging is a header rewrite plus a
-    raw frame copy — no decode/re-encode.  This is how the process
-    backend folds per-worker spill files into one canonical partition
-    file (all sources share a partition id, hence a minimizer-hash
-    class).  Returns the merged record count.
-    """
-    if k is None:
-        if not sources:
-            raise PartitionFormatError(
-                f"{dest}: merging zero sources needs an explicit k"
-            )
-        k = read_partition_header(sources[0])[0]
-    total = 0
-    with open(dest, "wb") as out:
-        out.write(_HEADER.pack(MAGIC, FORMAT_VERSION, k, 0, 0))
-        for src in sources:
-            src_k, count = read_partition_header(src)
-            if src_k != k:
-                raise PartitionFormatError(
-                    f"{src}: k={src_k} does not match merge k={k}"
-                )
-            total += count
-            with open(src, "rb") as fh:
-                fh.seek(_HEADER.size)
-                while True:
-                    chunk = fh.read(1 << 20)
-                    if not chunk:
-                        break
-                    out.write(chunk)
-        out.seek(0)
-        out.write(_HEADER.pack(MAGIC, FORMAT_VERSION, k, 0, total))
-    return total

@@ -3,7 +3,8 @@
 Operational tooling for the on-disk intermediate state: summarize a
 directory of ``.phsk`` partition files (the Step 1 output / Step 2
 input) without loading the superkmers — only headers and sizes — plus a
-deep scan that loads each partition for exact kmer counts.
+deep scan that loads each partition for exact kmer counts.  A partition
+is all of its writers' files (:func:`repro.msp.partitioner.partition_path`).
 """
 
 from __future__ import annotations
@@ -14,34 +15,35 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_partition, read_partition_header
+from .binio import read_partition_header
+from .partitioner import load_partition_group, parse_partition_path
 
 
 @dataclass(frozen=True)
-class PartitionFileInfo:
-    """Cheap (header-only) facts about one partition file."""
+class PartitionInfo:
+    """Cheap (header-only) facts about one partition's files."""
 
-    path: Path
-    k: int
+    partition: int
+    paths: list[Path]
     n_superkmers: int
     file_bytes: int
 
 
 @dataclass(frozen=True)
 class PartitionDirSummary:
-    """Aggregate view of a partition directory."""
+    """Aggregate view of a partition directory: its non-empty partitions."""
 
-    files: list[PartitionFileInfo]
+    partitions: list[PartitionInfo]
     k: int
     total_superkmers: int
     total_bytes: int
 
     @property
     def n_partitions(self) -> int:
-        return len(self.files)
+        return len(self.partitions)
 
     def superkmer_counts(self) -> np.ndarray:
-        return np.array([f.n_superkmers for f in self.files], dtype=np.int64)
+        return np.array([p.n_superkmers for p in self.partitions], dtype=np.int64)
 
     def balance_cv(self) -> float:
         """Coefficient of variation of per-partition superkmer counts."""
@@ -51,40 +53,49 @@ class PartitionDirSummary:
 
 
 def list_partition_files(directory: str | os.PathLike) -> list[Path]:
-    """The ``.phsk`` files of a directory, sorted by name."""
-    return sorted(Path(directory).glob("*.phsk"))
+    """The partition files of a directory, sorted by name."""
+    return sorted(path for path in Path(directory).glob("*.phsk")
+                  if parse_partition_path(path) is not None)
 
 
 def inspect_partition_dir(directory: str | os.PathLike) -> PartitionDirSummary:
-    """Header-only summary of every partition file in a directory."""
+    """Header-only summary of every partition in a directory."""
     paths = list_partition_files(directory)
     if not paths:
-        raise FileNotFoundError(f"no .phsk partition files in {directory}")
-    files = []
+        raise FileNotFoundError(
+            f"no partition files (partition_*_w*.phsk) in {directory}")
+    groups: dict[int, list[Path]] = {}
+    counts: dict[int, int] = {}
     ks = set()
     for path in paths:
         k, count = read_partition_header(path)
         ks.add(k)
-        files.append(PartitionFileInfo(
-            path=path, k=k, n_superkmers=count,
-            file_bytes=path.stat().st_size,
-        ))
+        partition = parse_partition_path(path)[0]
+        groups.setdefault(partition, []).append(path)
+        counts[partition] = counts.get(partition, 0) + count
     if len(ks) != 1:
         raise ValueError(f"{directory}: mixed k values {sorted(ks)}")
+    partitions = [
+        PartitionInfo(partition=part, paths=groups[part],
+                      n_superkmers=counts[part],
+                      file_bytes=sum(p.stat().st_size for p in groups[part]))
+        for part in sorted(groups) if counts[part]
+    ]
     return PartitionDirSummary(
-        files=files,
+        partitions=partitions,
         k=ks.pop(),
-        total_superkmers=sum(f.n_superkmers for f in files),
-        total_bytes=sum(f.file_bytes for f in files),
+        total_superkmers=sum(counts.values()),
+        total_bytes=sum(path.stat().st_size for path in paths),
     )
 
 
-def deep_scan_partition(path: str | os.PathLike) -> dict:
-    """Load one partition and report exact contents."""
-    block = read_partition(path)
+def deep_scan_partition(info: PartitionInfo, k: int) -> dict:
+    """Load one partition's files and report exact contents."""
+    block = load_partition_group(info.paths, k)
     lengths = block.lengths
     return {
-        "path": str(path),
+        "partition": info.partition,
+        "n_files": len(info.paths),
         "k": block.k,
         "n_superkmers": block.n_superkmers,
         "n_kmers": block.total_kmers(),

@@ -10,11 +10,17 @@ The in-memory kernel is fully vectorized (no per-read Python loop); the
 disk-backed driver accumulates partition files over input pieces the
 way the paper's Step 1 accumulates superkmer partitions as the input is
 processed.
+
+On disk, partition ``p`` of a run is every file of the run's directory
+named ``partition_{p:04d}_w{w:03d}.phsk``, one per writer ``w``
+(:func:`partition_path`).  Nothing concatenates them: Step 2 reads a
+partition's files together (:func:`load_partition_group`).
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,12 +163,12 @@ def partition_to_files(
     The input batch is split into ``n_input_pieces`` equal pieces (the
     paper partitions the input file to equal size); each piece's
     superkmers are appended to the ``n_partitions`` open partition
-    files, so partitions accumulate as the input is consumed.
+    files, so partitions accumulate as the input is consumed.  The one
+    writer is writer 0, and every partition gets its file, empty or not.
     """
     _check_params(k, p, n_partitions, reads.read_length)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = [out / f"partition_{i:04d}.phsk" for i in range(n_partitions)]
+    clear_partition_files(out_dir)
+    paths = [partition_path(out_dir, i, 0) for i in range(n_partitions)]
     writers = [PartitionWriter(path, k) for path in paths]
     n_superkmers = 0
     n_kmers = 0
@@ -193,12 +199,30 @@ def load_partitions(paths: list[Path] | list[str]) -> list[SuperkmerBlock]:
     return [read_partition(path) for path in paths]
 
 
-# -- per-worker spill files (process backend) ------------------------------------
+# -- partition files on disk -----------------------------------------------------
+
+_PARTITION_NAME = re.compile(r"partition_(\d{4,})_w(\d{3,})\.phsk")
 
 
-def spill_path(spill_dir: Path, worker_id: int, partition: int) -> Path:
-    """Naming convention for one worker's spill file of one partition."""
-    return Path(spill_dir) / f"spill_w{worker_id:03d}_p{partition:04d}.phsk"
+def partition_path(directory: str | os.PathLike, partition: int,
+                   writer: int) -> Path:
+    """Writer ``writer``'s file of partition ``partition``."""
+    return Path(directory) / f"partition_{partition:04d}_w{writer:03d}.phsk"
+
+
+def parse_partition_path(path: str | os.PathLike) -> tuple[int, int] | None:
+    """``(partition, writer)`` of a :func:`partition_path` name, else None."""
+    match = _PARTITION_NAME.fullmatch(Path(path).name)
+    return (int(match[1]), int(match[2])) if match else None
+
+
+def clear_partition_files(directory: str | os.PathLike) -> None:
+    """Create ``directory`` and delete any partition files in it, so
+    that it holds one run's partitions only."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for path in Path(directory).glob("partition_*_w*.phsk"):
+        if parse_partition_path(path) is not None:
+            path.unlink()
 
 
 class SpillWriterSet:
@@ -206,9 +230,9 @@ class SpillWriterSet:
 
     Step 1's process fan-out gives every worker its *own* output files
     (no cross-process file locking): the worker appends each processed
-    read chunk's superkmer blocks here, and the parent later merges all
-    workers' spills partition by partition.  Files are created lazily,
-    so partitions a worker never touched leave no file behind.
+    read chunk's superkmer blocks here, as writer ``worker_id`` of each
+    partition.  Files are created lazily, so partitions a worker never
+    touched leave no file behind.
     """
 
     def __init__(self, spill_dir: str | os.PathLike, worker_id: int, k: int,
@@ -227,7 +251,7 @@ class SpillWriterSet:
             writer = self._writers.get(partition)
             if writer is None:
                 writer = PartitionWriter(
-                    spill_path(self.spill_dir, self.worker_id, partition),
+                    partition_path(self.spill_dir, partition, self.worker_id),
                     self.k,
                 )
                 self._writers[partition] = writer
@@ -251,7 +275,7 @@ def spill_groups(
 
     ``spill_paths[w]`` maps partition id to worker ``w``'s spill file.
     Because MSP routes every duplicate of a kmer to one partition id
-    (the minimizer-hash class), grouping by that id *is* the merge key:
+    (the minimizer-hash class), grouping by that id *is* the merge:
     ``groups[p]`` lists every worker's contribution to partition ``p``.
     """
     groups: list[list[Path]] = [[] for _ in range(n_partitions)]
@@ -262,27 +286,5 @@ def spill_groups(
 
 
 def load_partition_group(paths: list[Path], k: int) -> SuperkmerBlock:
-    """Concatenate one partition's spill files into a single block."""
+    """Read one partition's files (all its writers') as a single block."""
     return join_blocks([read_partition(path) for path in paths], k)
-
-
-def merge_spill_files(
-    groups: list[list[Path]], out_dir: str | os.PathLike, k: int
-) -> list[Path]:
-    """Fold spill groups into canonical ``partition_%04d.phsk`` files.
-
-    Byte-level concatenation (see
-    :func:`repro.msp.binio.concat_partition_files`) — used when the
-    caller asked for a persistent ``workdir``, so the on-disk layout
-    matches a serial :func:`partition_to_files` run file-for-file.
-    """
-    from .binio import concat_partition_files
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    merged: list[Path] = []
-    for partition, sources in enumerate(groups):
-        dest = out / f"partition_{partition:04d}.phsk"
-        concat_partition_files(dest, sources, k=k)
-        merged.append(dest)
-    return merged

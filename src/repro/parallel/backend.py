@@ -9,8 +9,10 @@ scales with cores instead of being serialized by the GIL, as the
   :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue` and closes
   it before the pool starts, so workers claim chunks one at a time
   (the paper's ``cns`` work stealing) and append each chunk's
-  superkmer blocks to their own spill files.  Grouping the spill files
-  by partition id — the minimizer-hash class — is the merge.  Each
+  superkmer blocks to their own spill files (worker ``w`` is writer
+  ``w`` of :func:`repro.msp.partitioner.partition_path`), in the work
+  directory when there is one.  Grouping the spill files by
+  partition id — the minimizer-hash class — is the merge.  Each
   worker announces its spill manifest to the parent through the
   pool's event channel when its share is done, even when it claimed
   no chunk.
@@ -40,8 +42,8 @@ from ..core.subgraph import SubgraphResult, build_subgraph
 from ..dna.reads import ReadBatch
 from ..msp.partitioner import (
     SpillWriterSet,
+    clear_partition_files,
     load_partition_group,
-    merge_spill_files,
     partition_reads,
     spill_groups,
 )
@@ -51,7 +53,7 @@ from .shm import SegmentSpec, attach_read_batch, share_read_batch
 
 @dataclass(frozen=True)
 class _Step2Job:
-    """One partition's work order: its id and spill (or partition) files."""
+    """One partition's work order: its id and spill files."""
 
     partition: int
     k: int
@@ -148,29 +150,25 @@ class _PipelineMerger:
     Collects every worker's spill manifest (delivered through the
     pool's event channel, so this runs inline with the parent's result
     poll — single-threaded, no locks needed despite feeding a
-    cross-process queue).  Once the last manifest lands, partitions are
-    finalized ONE AT A TIME — merge the partition's spill group when
-    the run is disk-backed, publish its work order — so workers build
-    early partitions while later ones are still being finalized.  The
-    ready queue is closed after the last publication; a merger failure
-    propagates out of ``run_workers`` and tears the pool down, so
-    workers can never hang on an unclosed queue.  Built subgraphs
-    arrive through the same channel and are kept by partition id.
+    cross-process queue).  Once the last manifest lands, each live
+    partition's spill group is published as one work order, heaviest
+    first.  The ready queue is closed after the last publication; a
+    merger failure propagates out of ``run_workers`` and tears the pool
+    down, so workers can never hang on an unclosed queue.  Built
+    subgraphs arrive through the same channel and are kept by partition
+    id.
     """
 
-    def __init__(self, cfg, n_workers: int, ready: ProcessWorkQueue,
-                 workdir: str | Path | None) -> None:
+    def __init__(self, cfg, n_workers: int, ready: ProcessWorkQueue) -> None:
         self.cfg = cfg
         self.n_workers = n_workers
         self.ready = ready
-        self.workdir = workdir
         self.reports: dict[int, dict] = {}
         self.results: dict[int, SubgraphResult] = {}
         self.kmers_per_partition = np.zeros(cfg.n_partitions, dtype=np.int64)
         self.live: list[int] = []
         self.n_superkmers = 0
         self.partition_bytes = 0
-        self.io_seconds = 0.0
         self.spills_done_at: float | None = None
 
     def on_event(self, worker_id: int, payload) -> None:
@@ -186,8 +184,6 @@ class _PipelineMerger:
             raise RuntimeError(f"unexpected pipeline event {kind!r}")
 
     def _finalize_all(self) -> None:
-        from ..msp.binio import concat_partition_files
-
         cfg = self.cfg
         self.spills_done_at = time.perf_counter()
         reports = [self.reports[w] for w in range(self.n_workers)]
@@ -206,40 +202,17 @@ class _PipelineMerger:
             if self.kmers_per_partition[part] > 0
         ]
         # Heaviest partitions first (LPT-style): the long jobs start
-        # while the parent is still finalizing the light tail.  Result
+        # first and the light tail fills the gaps.  Result
         # assembly re-orders by partition id, so the graph is unchanged.
         order = sorted(
             self.live, key=lambda part: -int(self.kmers_per_partition[part])
         )
-        merged_bytes = 0
         try:
             for part in order:
-                sources = groups[part]
-                if self.workdir is not None:
-                    t_io = time.perf_counter()
-                    dest = Path(self.workdir) / f"partition_{part:04d}.phsk"
-                    concat_partition_files(dest, sources, k=cfg.k)
-                    self.io_seconds += time.perf_counter() - t_io  # checks: allow[R2] merger state touched only by the parent's event thread
-                    sources = [dest]
-                    merged_bytes += os.path.getsize(dest)
                 self.ready.publish(_Step2Job(
                     partition=part, k=cfg.k,
-                    group=tuple(str(p) for p in sources),
+                    group=tuple(str(p) for p in groups[part]),
                 ))
-            if self.workdir is not None:
-                # Serial disk-backed runs leave one canonical file per
-                # partition, empty partitions included — match that
-                # layout file-for-file.
-                t_io = time.perf_counter()
-                published = set(self.live)
-                for part in range(cfg.n_partitions):
-                    if part in published:
-                        continue
-                    dest = Path(self.workdir) / f"partition_{part:04d}.phsk"
-                    concat_partition_files(dest, groups[part], k=cfg.k)
-                    merged_bytes += os.path.getsize(dest)
-                self.io_seconds += time.perf_counter() - t_io  # checks: allow[R2] merger state touched only by the parent's event thread
-                self.partition_bytes = merged_bytes
         finally:
             self.ready.close()
 
@@ -248,14 +221,15 @@ def build_graph_processes(
     reads: ReadBatch,
     config,
     workdir: str | Path | None = None,
-    output_dir: str | Path | None = None,
 ):
     """Run the two-step workflow across worker processes.
 
     Mirrors :meth:`repro.core.parahash.ParaHash.build_graph` (same
-    result type, graph bit-for-bit identical to the serial backend, and
-    the same on-disk artifacts) but executes Step 1 and Step 2 on
-    ``config.workers()`` processes in one streaming pool.
+    result type, graph bit-for-bit identical to the serial backend) but
+    executes Step 1 and Step 2 on ``config.workers()`` processes in one
+    streaming pool.  With ``workdir`` set, the workers' spill files are
+    the run's partition files and stay there; a partition a worker
+    never touched has no file from it.
     """
     from ..core.parahash import StageTimings, finish_build
 
@@ -268,22 +242,18 @@ def build_graph_processes(
         for i in range(n_chunks)
         if bounds_arr[i + 1] > bounds_arr[i]
     ]
+    if workdir is not None:
+        clear_partition_files(workdir)
     if not chunk_bounds:
         # No reads: nothing to start workers for.
-        if workdir is not None:
-            merge_spill_files([[] for _ in range(cfg.n_partitions)],
-                              workdir, cfg.k)
-        return finish_build(cfg, [], StageTimings(), output_dir,
+        return finish_build(cfg, [], StageTimings(),
                             n_superkmers=0, n_kmers=0, partition_bytes=0,
                             worker_records={})
 
     tmp: tempfile.TemporaryDirectory | None = None
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-parallel-")
-        spill_dir = Path(tmp.name)
-    else:
-        spill_dir = Path(workdir) / "spill"
-        spill_dir.mkdir(parents=True, exist_ok=True)
+        workdir = tmp.name
     ctx = default_context()
     t0 = time.perf_counter()
     try:
@@ -296,13 +266,13 @@ def build_graph_processes(
             chunks.publish(bounds)
         chunks.close()
         ready = ProcessWorkQueue(cfg.n_partitions, ctx=ctx, claim_timeout=600.0)
-        merger = _PipelineMerger(cfg, n_workers, ready, workdir)
+        merger = _PipelineMerger(cfg, n_workers, ready)
         batch_seg = share_read_batch(reads)
         try:
             built = run_workers(
                 _pipeline_worker, n_workers, ctx=ctx,
                 args=(batch_seg.spec, chunks, ready, cfg.k, cfg.p,
-                      cfg.n_partitions, str(spill_dir)),
+                      cfg.n_partitions, str(workdir)),
                 on_event=merger.on_event,
             )
         finally:
@@ -332,12 +302,8 @@ def build_graph_processes(
         records[record.name] = record
     return finish_build(
         cfg, [merger.results[part] for part in merger.live],
-        StageTimings(
-            msp_seconds=spills_done - t0,
-            hashing_seconds=max(0.0, (t2 - spills_done) - merger.io_seconds),
-            io_seconds=merger.io_seconds,
-        ),
-        output_dir,
+        StageTimings(msp_seconds=spills_done - t0,
+                     hashing_seconds=t2 - spills_done),
         n_superkmers=merger.n_superkmers,
         n_kmers=int(merger.kmers_per_partition.sum()),
         partition_bytes=merger.partition_bytes,

@@ -9,8 +9,7 @@ alone::
         job.json          # the immutable JobSpec the job was submitted with
         status.json       # mutable: state machine + progress + error text
         manifests/        # one StageManifest per finished stage/partition
-        spill/            # Step 1 per-task superkmer spill files (.phsk)
-        partitions/       # merged canonical partition files (.phsk)
+        spill/            # Step 1 partition files, one per task and partition (.phsk)
         subgraphs/        # per-partition graph files (.phdbg)
         graph.phdbg       # the final merged De Bruijn graph
 
@@ -29,14 +28,13 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+from ..core.config import check_k_p
 from .manifest import read_json, write_json_atomic
 
 #: Job lifecycle states.  ``queued -> running -> done|failed|cancelled``;
 #: a crashed/killed job is found as ``running`` with a dead owner and is
 #: resumable.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
-
-MAX_K_2W = 63  # two-word key ceiling (repro.dna.kmer.key_width)
 
 
 class JobError(ValueError):
@@ -66,13 +64,10 @@ class JobSpec:
     step2_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_K_2W or self.k == 32:
-            raise JobError(
-                f"k must be in 1..31 (one-word keys) or 33..{MAX_K_2W} "
-                f"(two-word keys), got k={self.k}"
-            )
-        if not 1 <= self.p <= self.k:
-            raise JobError(f"need 1 <= p <= k, got p={self.p}, k={self.k}")
+        try:
+            check_k_p(self.k, self.p)
+        except ValueError as exc:
+            raise JobError(str(exc)) from None
         if self.n_partitions < 1:
             raise JobError("n_partitions must be >= 1")
         if self.n_step1_tasks < 1:
@@ -142,10 +137,6 @@ class JobRecord:
         return self.job_dir / "spill"
 
     @property
-    def partition_dir(self) -> Path:
-        return self.job_dir / "partitions"
-
-    @property
     def subgraph_dir(self) -> Path:
         return self.job_dir / "subgraphs"
 
@@ -206,7 +197,7 @@ class JobStore:
         while job_dir.exists():  # pragma: no cover - 24-bit collision
             job_id = new_job_id()
             job_dir = self.jobs_dir / job_id
-        for sub in ("manifests", "spill", "partitions", "subgraphs"):
+        for sub in ("manifests", "spill", "subgraphs"):
             (job_dir / sub).mkdir(parents=True, exist_ok=True)
         record = JobRecord(job_id, job_dir, spec)
         write_json_atomic(record.spec_path, spec.to_dict())

@@ -9,7 +9,7 @@ re-doing the work:
 
 * parameters changed            -> stale, re-run;
 * any input digest changed      -> stale, re-run (a new reads file or a
-  re-merged partition invalidates everything downstream of it);
+  rewritten spill file invalidates everything downstream of it);
 * any output missing or resized -> stale, re-run.
 
 Manifests are plain JSON written atomically (temp file + ``os.replace``

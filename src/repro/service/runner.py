@@ -4,12 +4,14 @@ The pipeline phases of :class:`repro.core.parahash.ParaHash` are recast
 as a DAG of manifest-guarded stages over the job directory::
 
     step1_t0000 ... step1_t{N}    one per input piece   (pool tasks)
-              \\   |   /
-               merge              spills -> canonical partitions (parent)
               /   |   \\
     step2_p0000 ... step2_p{P}    one per partition     (pool tasks)
               \\   |   /
                finalize           subgraph union -> graph.phdbg (parent)
+
+Step-1 task ``t`` is writer ``t`` of every partition it touches
+(:func:`repro.msp.partitioner.partition_path`), and a Step-2 task reads
+its partition's files from all Step-1 tasks; nothing concatenates them.
 
 Before running a stage the runner asks its manifest: *same params, same
 input digests, outputs intact?*  If yes the stage is **skipped** and
@@ -31,6 +33,7 @@ from pathlib import Path
 
 from ..graph.merge import merge_disjoint
 from ..graph.serialize import load_graph, save_graph
+from ..msp.partitioner import spill_groups
 from .jobstore import JobRecord
 from .manifest import Artifact, StageManifest, file_digest, fresh_manifest
 from .pool import LaneSession, SessionCancelled
@@ -139,57 +142,35 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
 
         _execute(pending, session, step1_done, stall_timeout)
 
-        # -- merge: spills -> canonical partition files ---------------------------
-        record.write_status(stage="merge")
-        spill_paths: list[dict[int, Path]] = []
-        for piece in sorted(step1_manifests):
-            stats = step1_manifests[piece].stats
-            spill_paths.append({
-                int(part): record.spill_dir / name
-                for part, name in stats.get("spills", {}).items()
-            })
-        merge_inputs = {
-            f"spill:{path.name}": file_digest(path)
-            for per_piece in spill_paths for path in per_piece.values()
-        }
-        merge_params = {"k": spec.k, "n_partitions": spec.n_partitions}
-        manifest, _ = _stage_is_valid(record, "merge", merge_params,
-                                      merge_inputs)
-        if manifest is None:
-            from ..msp.partitioner import merge_spill_files, spill_groups
-            groups = spill_groups(spill_paths, spec.n_partitions)
-            merged = merge_spill_files(groups, record.partition_dir, spec.k)
-            manifest = fresh_manifest(
-                "merge", merge_params, merge_inputs,
-                tuple(Artifact.of(p, record.job_dir) for p in merged),
-            )
-            manifest.save(record.manifest_path("merge"))
-        partition_files = [
-            record.job_dir / artifact.path for artifact in manifest.outputs
-        ]
-
         # -- Step 2: one subgraph per partition, checkpointed each ---------------
+        groups = spill_groups(
+            [{int(part): record.spill_dir / name
+              for part, name in step1_manifests[piece].stats.get(
+                  "spills", {}).items()}
+             for piece in sorted(step1_manifests)],
+            spec.n_partitions,
+        )
         record.write_status(stage="step2", step2_done=0,
-                            step2_total=len(partition_files))
+                            step2_total=spec.n_partitions)
         step2_params = {"k": spec.k}
-        partition_digests = {
-            part: file_digest(path)
-            for part, path in enumerate(partition_files)
-        }
+        step2_inputs = [
+            {f"spill:{path.name}": file_digest(path) for path in group}
+            for group in groups
+        ]
         subgraph_paths: dict[int, Path] = {}
         n_skipped = 0
         pending = []
-        for part, path in enumerate(partition_files):
+        for part, group in enumerate(groups):
             stage = f"step2_p{part:04d}"
-            inputs = {"partition": partition_digests[part]}
-            manifest, _ = _stage_is_valid(record, stage, step2_params, inputs)
+            manifest, _ = _stage_is_valid(record, stage, step2_params,
+                                          step2_inputs[part])
             if manifest is not None:
                 subgraph_paths[part] = record.job_dir / manifest.outputs[0].path
                 n_skipped += 1
                 continue
             pending.append({
                 "kind": "step2", "partition": part,
-                "partition_file": str(path),
+                "partition_files": [str(path) for path in group],
                 "out_path": str(record.subgraph_dir
                                 / f"subgraph_{part:04d}.phdbg"),
                 "k": spec.k, "delay": spec.step2_delay,
@@ -200,8 +181,7 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
             stage = f"step2_p{part:04d}"
             out_path = Path(result["path"])
             manifest = fresh_manifest(
-                stage, step2_params,
-                {"partition": partition_digests[part]},
+                stage, step2_params, step2_inputs[part],
                 (Artifact.of(out_path, record.job_dir),),
                 stats={"n_vertices": result["n_vertices"],
                        "n_kmers": result["n_kmers"]},
@@ -212,7 +192,7 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
                 stage="step2",
                 step2_done=len(subgraph_paths) - n_skipped,
                 step2_skipped=n_skipped,
-                step2_total=len(partition_files),
+                step2_total=spec.n_partitions,
             )
 
         _execute(pending, session, step2_done, stall_timeout)

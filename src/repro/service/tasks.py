@@ -19,14 +19,13 @@ Task kinds
            deterministic and a re-run overwrites a dead attempt's
            partial spills.
 
-``step2``  one merged partition file -> one subgraph ``.phdbg`` file.
+``step2``  one partition's spill files -> one subgraph ``.phdbg`` file.
            Builds the partition's subgraph (one- or two-word by k) as
            its single owner and saves it atomically.  ``delay`` sleeps first —
            the fault-injection window tests SIGKILL into.
 
-The merge between the two (spills -> canonical partition files) and the
-final subgraph union run in the *parent* (they are cheap, sequential
-file folds); see :mod:`repro.service.runner`.
+The final subgraph union runs in the *parent* (a cheap, sequential file
+fold); see :mod:`repro.service.runner`.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def _run_step2(task: dict) -> dict:
         time.sleep(delay)
     k = int(task["k"])
     partition = int(task["partition"])
-    block = load_partition_group([Path(task["partition_file"])], k)
+    block = load_partition_group(task["partition_files"], k)
     built = build_subgraph(block)
     out_path = Path(task["out_path"])
     tmp = out_path.with_name(out_path.name + ".tmp")

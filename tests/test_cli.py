@@ -244,7 +244,7 @@ class TestValidateAndPartitions:
         captured = capsys.readouterr().out
         assert "4 partitions" in captured
         assert "balance CV" in captured
-        assert "partition_0000.phsk" in captured
+        assert "partition | files | superkmers" in captured  # --deep table
 
 
 class TestBigKCli:

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.graph.build import build_reference_graph
-from repro.graph.merge import merge_disjoint
 from repro.graph.serialize import (
     GraphFormatError,
     export_tsv,
     import_tsv,
     load_graph,
-    load_subgraphs,
     save_graph,
-    save_subgraphs,
 )
 from repro.graph.validate import assert_graphs_equal
 
@@ -111,15 +108,19 @@ class TestTsvFormat:
 
 class TestSubgraphFiles:
     def test_save_load_merge(self, genomic_batch, tmp_path):
+        # A service job's Step-2 output: one file per subgraph, merged
+        # back into the graph at finalize.
         from repro.core.config import ParaHashConfig
         from repro.core.parahash import ParaHash
+        from repro.graph.merge import merge_disjoint
 
         cfg = ParaHashConfig(k=15, p=7, n_partitions=6)
         result = ParaHash(cfg).build_graph(genomic_batch)
-        paths = save_subgraphs(tmp_path / "subs", result.subgraphs)
-        assert len(paths) == len(result.subgraphs)
-        loaded = load_subgraphs(paths)
-        merged = merge_disjoint(loaded)
+        paths = []
+        for i, subgraph in enumerate(result.subgraphs):
+            paths.append(tmp_path / f"subgraph_{i:04d}.phdbg")
+            save_graph(paths[-1], subgraph)
+        merged = merge_disjoint([load_graph(p) for p in paths])
         assert_graphs_equal(merged, result.graph, "subgraph-files")
 
     def test_file_sizes_sum_to_graph(self, genomic_batch, tmp_path):

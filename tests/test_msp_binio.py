@@ -12,7 +12,6 @@ from repro.msp.binio import (
     MAGIC,
     PartitionFormatError,
     PartitionWriter,
-    concat_partition_files,
     partition_file_size,
     read_partition,
     read_partition_header,
@@ -269,18 +268,6 @@ class TestFrames:
 
 
 class TestMerging:
-    def test_concat_without_sources_or_k_writes_nothing(self, tmp_path):
-        dest = tmp_path / "merged.phsk"
-        with pytest.raises(PartitionFormatError):
-            concat_partition_files(dest, [])
-        assert not dest.exists()
-
-    def test_concat_without_sources_but_with_k(self, tmp_path):
-        dest = tmp_path / "merged.phsk"
-        assert concat_partition_files(dest, [], k=9) == 0
-        back = read_partition(dest)
-        assert back.k == 9 and back.n_superkmers == 0
-
     def test_load_group_of_empty_files(self, tmp_path):
         paths = [tmp_path / "a.phsk", tmp_path / "b.phsk"]
         for path in paths:

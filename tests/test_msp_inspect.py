@@ -47,7 +47,8 @@ class TestInspect:
         sub = tmp_path / "extra"
         partition_to_files(genomic_batch, k=13, p=7, n_partitions=1,
                            out_dir=sub)
-        (sub / "partition_0000.phsk").rename(tmp_path / "partition_9999.phsk")
+        (sub / "partition_0000_w000.phsk").rename(
+            tmp_path / "partition_9999_w000.phsk")
         with pytest.raises(ValueError, match="mixed k"):
             inspect_partition_dir(tmp_path)
 
@@ -55,7 +56,8 @@ class TestInspect:
 class TestDeepScan:
     def test_exact_counts(self, partition_dir, genomic_batch):
         directory, _ = partition_dir
-        scans = [deep_scan_partition(f) for f in list_partition_files(directory)]
+        summary = inspect_partition_dir(directory)
+        scans = [deep_scan_partition(p, summary.k) for p in summary.partitions]
         assert sum(s["n_kmers"] for s in scans) == genomic_batch.n_kmers(15)
         for s in scans:
             assert s["k"] == 15

@@ -78,7 +78,7 @@ def test_service_step2_task_uses_no_table(genomic_batch, no_tables, tmp_path,
     for part, path in enumerate(report.paths):
         out = tmp_path / f"subgraph_{part}.phdbg"
         result = run_task({"kind": "step2", "partition": part,
-                           "partition_file": str(path),
+                           "partition_files": [str(path)],
                            "out_path": str(out), "k": k})
         block = load_partition_group([path], k)
         if k > 31:

@@ -111,73 +111,6 @@ class TestEndToEnd:
         g = result.graph
         assert g.n_vertices + g.n_duplicate_vertices() == genomic_batch.n_kmers(15)
 
-    def test_output_dir_writes_subgraph_files(self, genomic_batch, tmp_path):
-        from repro.graph.merge import merge_disjoint
-        from repro.graph.serialize import load_subgraphs
-
-        cfg = ParaHashConfig(k=15, p=7, n_partitions=6)
-        result = ParaHash(cfg).build_graph(genomic_batch,
-                                           output_dir=tmp_path / "out")
-        files = sorted((tmp_path / "out").glob("subgraph_*.phdbg"))
-        assert len(files) == len(result.subgraphs)
-        merged = merge_disjoint(load_subgraphs(files))
-        assert_graphs_equal(merged, result.graph, "output-dir")
-
-    def test_build_from_files(self, genomic_batch, tmp_path):
-        # Shard the reads across three fastq files; streaming
-        # construction must equal the in-memory build.
-        from repro.dna.io import save_read_batch
-
-        shards = []
-        for i, piece in enumerate(genomic_batch.split(3)):
-            path = tmp_path / f"shard_{i}.fastq"
-            save_read_batch(path, piece)
-            shards.append(path)
-        cfg = ParaHashConfig(k=15, p=7, n_partitions=4)
-        result = ParaHash(cfg).build_graph_from_files(
-            shards, workdir=tmp_path / "work"
-        )
-        ref = build_reference_graph(genomic_batch, 15)
-        assert_graphs_equal(result.graph, ref, "from-files")
-        assert result.n_kmers == genomic_batch.n_kmers(15)
-
-        # Two-word keys take the same Step-2 tail, subgraph files included.
-        from repro.bigk.serialize import load_big_graph
-        from repro.bigk.store import build_reference_bigk_slow
-
-        big = ParaHash(cfg.with_(k=45, p=13)).build_graph_from_files(
-            shards, workdir=tmp_path / "work45", output_dir=tmp_path / "out45"
-        )
-        assert big.graph.equals(build_reference_bigk_slow(genomic_batch, 45))
-        assert big.n_kmers == genomic_batch.n_kmers(45)
-        files = sorted((tmp_path / "out45").iterdir())
-        assert len(files) == len(big.subgraphs)
-        assert load_big_graph(files[0]).equals(big.subgraphs[0])
-
-    def test_build_from_files_streams_chunks(self, genomic_batch, tmp_path,
-                                             monkeypatch):
-        # A chunk of a few records: each file reaches Step 1 as many
-        # pieces, and the graph is still the one build_graph makes.
-        import repro.dna.io as dio
-
-        path = tmp_path / "reads.fastq"
-        dio.save_read_batch(path, genomic_batch)
-        monkeypatch.setattr(dio, "CHUNK_BYTES", 3 * 210)
-        assert len(list(dio.iter_read_batches(path))) > 100
-        cfg = ParaHashConfig(k=21, p=9, n_partitions=4)
-        streamed = ParaHash(cfg).build_graph_from_files(
-            [path], workdir=tmp_path / "work"
-        )
-        whole = ParaHash(cfg).build_graph(genomic_batch)
-        assert_graphs_equal(streamed.graph, whole.graph, "chunked from-files")
-        assert streamed.n_kmers == whole.n_kmers
-
-    def test_build_from_files_requires_input(self, tmp_path):
-        with pytest.raises(ValueError):
-            ParaHash(ParaHashConfig(k=15, p=7)).build_graph_from_files(
-                [], workdir=tmp_path
-            )
-
     def test_subgraphs_are_disjoint(self, genomic_batch):
         import numpy as np
 

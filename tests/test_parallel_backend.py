@@ -52,29 +52,29 @@ def test_process_backend_worker_counts_agree(clean_batch):
         assert_graphs_identical(serial.graph, result.graph)
 
 
+def partition_contents(workdir):
+    """``(partition, superkmers)`` of every non-empty partition on disk."""
+    from repro.msp.inspect import inspect_partition_dir
+
+    return [(p.partition, p.n_superkmers)
+            for p in inspect_partition_dir(workdir).partitions]
+
+
 def test_process_backend_disk_artifacts_match_serial(clean_batch, tmp_path):
-    """workdir spill files + output_dir subgraphs are byte-identical."""
+    """Same graph, and the workdirs hold the same partitions."""
     outs = {}
     for backend in ("serial", "processes"):
         work = tmp_path / backend / "work"
-        out = tmp_path / backend / "out"
         cfg = CFG if backend == "serial" else CFG.with_(
             backend="processes", n_workers=2
         )
-        result = ParaHash(cfg).build_graph(
-            clean_batch, workdir=work, output_dir=out
-        )
-        outs[backend] = (result, out)
-    serial_result, serial_out = outs["serial"]
-    procs_result, procs_out = outs["processes"]
+        outs[backend] = (ParaHash(cfg).build_graph(clean_batch, workdir=work),
+                         work)
+    serial_result, serial_work = outs["serial"]
+    procs_result, procs_work = outs["processes"]
     assert_graphs_identical(serial_result.graph, procs_result.graph)
-    serial_files = sorted(p.name for p in serial_out.iterdir())
-    assert serial_files == sorted(p.name for p in procs_out.iterdir())
-    assert serial_files  # the run actually wrote subgraphs
-    for name in serial_files:
-        assert (serial_out / name).read_bytes() == (
-            procs_out / name
-        ).read_bytes()
+    assert partition_contents(serial_work) == partition_contents(procs_work)
+    assert partition_contents(serial_work)
 
 
 def test_process_backend_reports_per_worker_records(genomic_batch):
@@ -171,28 +171,20 @@ def test_bigk_processes_matches_serial_pipelined(genomic_batch):
 
 
 def test_bigk_processes_disk_artifacts_match_serial(clean_batch, tmp_path):
-    """Big-k workdir + output_dir artifacts are byte-identical too."""
+    """Big k: same graph, and the workdirs hold the same partitions."""
     outs = {}
     for backend in ("serial", "processes"):
         work = tmp_path / backend / "work"
-        out = tmp_path / backend / "out"
         cfg = BIGK_CFG if backend == "serial" else BIGK_CFG.with_(
             backend="processes", n_workers=2
         )
-        result = ParaHash(cfg).build_graph(
-            clean_batch, workdir=work, output_dir=out
-        )
-        outs[backend] = (result, out)
-    serial_result, serial_out = outs["serial"]
-    procs_result, procs_out = outs["processes"]
+        outs[backend] = (ParaHash(cfg).build_graph(clean_batch, workdir=work),
+                         work)
+    serial_result, serial_work = outs["serial"]
+    procs_result, procs_work = outs["processes"]
     assert serial_result.graph.equals(procs_result.graph)
-    serial_files = sorted(p.name for p in serial_out.iterdir())
-    assert serial_files == sorted(p.name for p in procs_out.iterdir())
-    assert serial_files
-    for name in serial_files:
-        assert (serial_out / name).read_bytes() == (
-            procs_out / name
-        ).read_bytes()
+    assert partition_contents(serial_work) == partition_contents(procs_work)
+    assert partition_contents(serial_work)
 
 
 def test_bigk_processes_fallback_on_undersized_tables(clean_batch):

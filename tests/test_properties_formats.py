@@ -10,11 +10,10 @@ from repro.graph.serialize import export_tsv, import_tsv, load_graph, save_graph
 from repro.graph.validate import assert_graphs_equal
 from repro.msp.binio import (
     PartitionWriter,
-    concat_partition_files,
     read_partition,
     write_partition,
 )
-from repro.msp.partitioner import partition_reads
+from repro.msp.partitioner import load_partition_group, partition_reads
 from repro.msp.records import (
     SuperkmerRecord,
     block_from_records,
@@ -50,9 +49,9 @@ def superkmer_blocks(draw):
 @st.composite
 def framed_writes(draw):
     """``(k, blocks, cut)``: 1-4 blocks (some empty) for one writer each
-    call, and where to split them over two files to merge (``None``:
-    one file, no merge).  Lengths run from exactly ``k`` through every
-    residue mod 4."""
+    call, and where to split them over two writers' files of one
+    partition (``None``: one file).  Lengths run from exactly ``k``
+    through every residue mod 4."""
     k = draw(st.integers(1, 63))
     blocks = []
     for _ in range(draw(st.integers(1, 4))):
@@ -112,11 +111,7 @@ class TestPartitionFileProperties:
             with PartitionWriter(paths[-1], k) as writer:
                 for block in group:
                     writer.write_block(block)
-        path = paths[0]
-        if cut is not None:
-            path = out / "merged.phsk"
-            concat_partition_files(path, paths)
-        back = read_partition(path)
+        back = load_partition_group(paths, k)
         nonempty = [b for b in blocks if b.n_superkmers]
         want = concat_blocks(nonempty) if nonempty else empty_block(k)
         assert back.k == k

@@ -30,6 +30,12 @@ class TestJobSpec:
         with pytest.raises(JobError):
             spec(**bad)
 
+    def test_minimizer_longer_than_a_word_rejected(self):
+        # The rules of ParaHashConfig: p <= 31 even at two-word k.
+        with pytest.raises(JobError, match="p must be <= 31"):
+            spec(k=45, p=40)
+        assert spec(k=45, p=31).p == 31
+
     def test_round_trip(self):
         s = spec(claim_weight=3, step2_delay=0.5)
         assert JobSpec.from_dict(s.to_dict()) == s
@@ -61,8 +67,9 @@ class TestJobStore:
         assert record.spec_path.is_file()
         assert record.status_path.is_file()
         for d in (record.manifest_dir, record.spill_dir,
-                  record.partition_dir, record.subgraph_dir):
+                  record.subgraph_dir):
             assert d.is_dir()
+        assert not (record.job_dir / "partitions").exists()
         assert record.status == "queued"
 
     def test_load_round_trip(self, tmp_path):

@@ -60,7 +60,7 @@ class TestInlineRun:
         record = store.create(make_spec(reads_file))
         run_job(record)
         before = stamps(record)
-        assert len(before) == 2 + 1 + 6 + 1  # step1 x2, merge, step2 x6, final
+        assert len(before) == 2 + 6 + 1  # step1 x2, step2 x6, final
         run_job(record)
         assert stamps(record) == before
 

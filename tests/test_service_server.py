@@ -107,6 +107,14 @@ class TestEndpoints:
         assert status == 400
         assert "input" in doc["error"]
 
+    def test_minimizer_longer_than_a_word_400(self, service, reads_file):
+        # Rejected at submit, not inside the job's Step-1 task.
+        url, _ = service
+        status, doc = http("POST", f"{url}/jobs",
+                           spec_doc(reads_file, k=45, p=40))
+        assert status == 400
+        assert "p must be <= 31" in doc["error"]
+
     def test_unknown_route_404(self, service):
         url, _ = service
         status, _ = http("GET", f"{url}/frobnicate")
