@@ -2,10 +2,14 @@
 
 One producer (the parent merger) publishes ``n_items`` addressable
 partitions; ``n_consumers`` claimers fetch-increment ``cns`` to reserve
-and consume them — the discipline shared by
-:class:`repro.concurrentsub.workqueue.InputQueue` and the process
-backend's :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue`.
-With ``crash=True`` the model also includes the failure transitions the
+and consume them — the discipline of
+:class:`repro.concurrentsub.workqueue.ProcessWorkQueue`, the one queue
+every parallel build claims from: the threads backend's
+``run_coprocessed``, the processes backend's Step-1 chunks and Step-2
+ready queue, and the job service's lanes.  The paper's output side
+(``prd``/``wrt``) is not modelled here: :mod:`repro.hetsim.pipeline`
+models it, and the processes backend streams results through its
+worker event channel.  With ``crash=True`` the model also includes the failure transitions the
 crash-containment design must survive: a claimer dying *mid-claim*
 (reservation taken, item never fetched) and the merger failing before
 it closes the queue, plus the parent's ``abort`` reaction that
@@ -28,10 +32,13 @@ Variants (the seeded-bug corpus):
 
 * ``split_claim`` — the claim is a read-then-increment instead of one
   fetch-increment (workqueue seeded bug ``split_claim``): two claimers
-  read the same ``cns`` and consume the same partition.
+  read the same ``cns`` and consume the same partition; on the real
+  queue the second is stranded on a reservation the transport never
+  fills.
 * ``early_srv`` — the producer advances ``srv`` before storing the slot
   (workqueue seeded bug ``early_srv``): a claim reserves an item that
-  is not there yet.
+  is not there yet, and on the real queue waits for a put that has
+  not happened.
 * ``no_close`` — the producer exits without ``close()``: drained
   claimers spin forever (deadlock).
 * ``no_abort`` — crashes happen but the parent never ``abort()``\\ s:

@@ -5,8 +5,7 @@ of the abstract protocol models with a concrete interleaving trace.
 This module closes the loop: every trace is translated into
 :class:`~repro.checks.schedule.InterleavingScheduler` gate rules that
 force the *real* implementation — ``ConcurrentHashTable`` under
-:func:`repro.core.hashtable.seed_bugs`, ``InputQueue``/``OutputQueue``/
-``ProcessWorkQueue`` under
+:func:`repro.core.hashtable.seed_bugs`, ``ProcessWorkQueue`` under
 :func:`repro.concurrentsub.workqueue.seed_queue_bugs` — through the
 same interleaving, so the abstract violation reproduces as a concrete,
 deterministic failure.
@@ -256,13 +255,14 @@ def replay_split_claim(trace: list[Step],
     """Two claimers read the same ``cns`` ticket before either advances.
 
     The trace names claimers whose ``claim_read`` steps overlap; the
-    replay holds both real claimer threads at the ``claim_rmw`` point
-    until both have read (the barrier), then releases them: both hold
-    the same ticket, and the second ``OutputQueue.publish`` of that
-    ticket raises the double-publication error — the concrete
+    replay holds both real claimer threads of a
+    :class:`ProcessWorkQueue` at the ``claim_rmw`` point until both
+    have read (the barrier), then releases them.  With one item
+    published, both hold ticket 0: one takes the item and the other is
+    stranded on a reservation the transport never fills — the concrete
     double-consume.
     """
-    from ..concurrentsub.workqueue import InputQueue, OutputQueue, \
+    from ..concurrentsub.workqueue import ProcessWorkQueue, QueueClosed, \
         seed_queue_bugs
     from .instrument import monitor_session
 
@@ -282,49 +282,51 @@ def replay_split_claim(trace: list[Step],
 
     sched.on("claim_rmw", on_claim_rmw)
 
-    in_q = InputQueue(2)
-    out_q = OutputQueue(2)
-    in_q.publish("part-0")
-    in_q.publish("part-1")
-    tickets: list[int] = []
-    dup_errors: list[str] = []
+    q = ProcessWorkQueue(1, claim_timeout=1.0)
+    q.publish("part-0")
+    q.close()
+    got: list = []
+    stranded: list[str] = []
     lock = threading.Lock()
 
     def claimer() -> None:
-        ticket = in_q.try_claim()
-        with lock:
-            tickets.append(ticket)
         try:
-            out_q.publish(ticket, f"done-{ticket}")
-        except ValueError as exc:  # the double-consume manifestation
+            items = q.claim()
+        except QueueClosed as exc:  # the double-consume manifestation
             with lock:
-                dup_errors.append(str(exc))
+                stranded.append(str(exc))
+            return
+        with lock:
+            got.extend(items)
 
     with seed_queue_bugs("split_claim"), monitor_session(sched):
         _run_threads([claimer, claimer], timeout)
 
+    tickets = [p.index for p in sched.events("claim_rmw")]
     duplicated = len(tickets) != len(set(tickets))
-    reproduced = duplicated and bool(dup_errors)
+    reproduced = duplicated and bool(stranded)
     return ReplayResult(
         "workqueue", "split_claim", reproduced,
         f"tickets {sorted(tickets)} claimed; "
-        + (f"double publish rejected: {dup_errors[0]}" if dup_errors
-           else "no duplicate"),
-        notes={"tickets": tickets, "dup_errors": dup_errors},
+        + (f"second claimer stranded: {stranded[0]}" if stranded
+           else "no claimer stranded"),
+        notes={"tickets": tickets, "got": got, "stranded": stranded},
     )
 
 
 def replay_early_srv(trace: list[Step], timeout: float = 10.0) -> ReplayResult:
-    """A claim reserves a slot ``srv`` covers but the store missed.
+    """A claim reserves an item ``srv`` covers but the put has not made.
 
     The trace shows the producer's ``publish_srv`` with a consumer
     claim/fetch before the matching ``publish_write``.  The replay
-    parks the real producer at the ``early_srv`` point — ``srv``
-    already advanced, slot still empty — while a consumer claims the
-    ticket (released by the advanced ``srv``) and takes the slot: it
-    reads the unpublished ``None``.
+    parks the real :class:`ProcessWorkQueue` producer at the
+    ``early_srv`` point — ``srv`` already advanced, item not yet put —
+    while a consumer claims: the reservation succeeds, and the
+    consumer is stranded waiting for an item the transport never
+    receives in time.
     """
-    from ..concurrentsub.workqueue import InputQueue, seed_queue_bugs
+    from ..concurrentsub.workqueue import ProcessWorkQueue, QueueClosed, \
+        seed_queue_bugs
     from .instrument import monitor_session
 
     srv_steps = _procs(trace, "publish_srv")
@@ -352,7 +354,7 @@ def replay_early_srv(trace: list[Step], timeout: float = 10.0) -> ReplayResult:
 
     sched.on("early_srv", on_early_srv)
 
-    q = InputQueue(1)
+    q = ProcessWorkQueue(1, claim_timeout=1.0)
     outcome: dict = {}
 
     def producer() -> None:
@@ -360,20 +362,23 @@ def replay_early_srv(trace: list[Step], timeout: float = 10.0) -> ReplayResult:
 
     def consumer() -> None:
         sched.wait_count("srv_advanced", 1)
-        ticket = q.try_claim()
-        # srv already covers the ticket, so take() returns immediately —
-        # with the slot contents the producer has not stored yet.
-        outcome["item"] = q.take(ticket, timeout=2.0)
-        sched.release("slot_store")
+        try:
+            # srv already covers the item, so the claim reserves it —
+            # and then waits on a put the parked producer has not made.
+            outcome["items"] = q.claim()
+        except QueueClosed as exc:
+            outcome["stranded"] = str(exc)
+        finally:
+            sched.release("slot_store")
 
     with seed_queue_bugs("early_srv"), monitor_session(sched):
         _run_threads([producer, consumer], timeout)
 
-    reproduced = outcome.get("item") is None
+    reproduced = "stranded" in outcome
     return ReplayResult(
         "workqueue", "early_srv", reproduced,
-        "claim released by srv read an unwritten slot (None)" if reproduced
-        else f"slot was already stored: {outcome.get('item')!r}",
+        f"claim released by srv was stranded: {outcome['stranded']}"
+        if reproduced else f"claim got the item: {outcome.get('items')!r}",
         notes=outcome,
     )
 

@@ -239,44 +239,3 @@ class AtomicInt64Array:
             self.n_cas = self.n_cas_failed = 0
             self.n_add = self.n_load = self.n_store = 0
 
-
-class SharedCounter:
-    """A monotonically increasing shared counter with blocking waits.
-
-    Implements the synchronization variables of the paper's
-    work-stealing pipeline (§III-E): ``srv``, ``cns``, ``prd`` and
-    ``wrt`` are all instances of this counter.
-    """
-
-    def __init__(self, initial: int = 0) -> None:
-        self._value = initial
-        self._cond = threading.Condition()
-
-    @property
-    def value(self) -> int:
-        with self._cond:
-            return self._value
-
-    def increment(self, delta: int = 1) -> int:
-        """Advance the counter, waking waiters; returns the new value."""
-        if delta < 0:
-            raise ValueError("SharedCounter is monotonic; delta must be >= 0")
-        with self._cond:
-            self._value += delta
-            self._cond.notify_all()
-            return self._value
-
-    def fetch_increment(self, delta: int = 1) -> int:
-        """Advance and return the *previous* value (ticket dispenser)."""
-        if delta < 0:
-            raise ValueError("SharedCounter is monotonic; delta must be >= 0")
-        with self._cond:
-            old = self._value
-            self._value += delta
-            self._cond.notify_all()
-            return old
-
-    def wait_for(self, threshold: int, timeout: float | None = None) -> bool:
-        """Block until ``value >= threshold``; ``False`` on timeout."""
-        with self._cond:
-            return self._cond.wait_for(lambda: self._value >= threshold, timeout=timeout)

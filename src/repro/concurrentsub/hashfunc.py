@@ -66,27 +66,9 @@ def hash_planes_int(*planes: int) -> int:
     return h
 
 
-def hash_words(words: tuple[int, ...] | list[int]) -> int:
-    """Hash a multi-word key by folding mixed words.
-
-    ParaHash keys are not limited to one machine word (§I); the fold
-    keeps the full key's entropy while producing a single 64-bit index.
-    """
-    acc = 0
-    for w in words:
-        acc = mix64_int((acc + _GOLDEN_INT + (w & _MASK64)) & _MASK64)
-    return acc
-
-
 def partition_ids(minimizers: np.ndarray, n_partitions: int) -> np.ndarray:
     """Superkmer partition id: ``mix64(minimizer) % n_partitions``."""
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
     return (mix64(minimizers) % np.uint64(n_partitions)).astype(np.int64)
 
-
-def table_slots(kmers: np.ndarray, capacity: int) -> np.ndarray:
-    """Initial probe slot for each kmer in a power-of-two sized table."""
-    if capacity < 1 or capacity & (capacity - 1):
-        raise ValueError(f"capacity must be a positive power of two, got {capacity}")
-    return (mix64(kmers) & np.uint64(capacity - 1)).astype(np.int64)

@@ -1,23 +1,21 @@
-"""Work-stealing partition queues (the paper's §III-E protocol).
+"""The work-stealing partition queue (the paper's §III-E protocol).
 
-ParaHash synchronizes its three pipeline stages with four shared
-counters:
+ParaHash hands partitions to processors through two shared counters:
 
-* ``srv`` — tail of the input queue, advanced only by the thread that
-  loads partitions from disk;
-* ``cns`` — head of the input queue; a processor takes a *queuing id*
-  by fetch-incrementing ``cns`` and may consume partition ``id`` once
-  ``srv >= id + 1`` (the paper's ``srv >= cns`` availability test);
-* ``prd`` — number of output partitions produced;
-* ``wrt`` — head of the output queue, advanced by the writer thread
-  once ``prd`` covers it.
+* ``srv`` — tail of the queue, advanced only by the one producer as it
+  publishes partitions;
+* ``cns`` — head of the queue; a processor takes a *queuing id* by
+  fetch-incrementing ``cns`` and may consume partition ``id`` once
+  ``srv >= id + 1`` (the paper's ``srv >= cns`` availability test).
 
-:class:`InputQueue` and :class:`OutputQueue` implement exactly this
-protocol with blocking waits; :func:`run_coprocessed` drives a set of
-worker callables (one per processor) over a partition list the way the
-ParaHash pipeline does, recording which processor consumed which
-partition — the measurement behind the paper's Fig 11 workload
-distribution study.
+:class:`ProcessWorkQueue` is that protocol, shared by threads and by
+worker processes alike.  :func:`run_coprocessed` drives one thread per
+worker callable over a work list through it, recording which processor
+consumed which partition — the measurement behind the paper's Fig 11
+workload distribution study.  The paper's output side (``prd``/``wrt``,
+a writer draining finished partitions) is modelled in
+:mod:`repro.hetsim.pipeline`; the processes backend streams finished
+partitions to its parent through the worker event channel instead.
 """
 
 from __future__ import annotations
@@ -31,11 +29,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import atomics
-from .atomics import SharedCounter
 
 
 class QueueClosed(RuntimeError):
-    """Raised when taking from an input queue that finished early."""
+    """Raised when a claim can no longer be served (a stranded claimer)."""
 
 
 # -- test-only seeded bugs ------------------------------------------------------
@@ -82,205 +79,7 @@ def _mon_event(name: str, index: int | None = None, value=None) -> None:
         m.event(name, index, value)
 
 
-class InputQueue:
-    """The srv/cns input side: a producer publishes, consumers claim ids."""
-
-    def __init__(self, n_items: int) -> None:
-        if n_items < 0:
-            raise ValueError("n_items must be >= 0")
-        self.n_items = n_items
-        self.srv = SharedCounter(0)
-        self.cns = SharedCounter(0)
-        self._slots: list[Any] = [None] * n_items
-
-    def publish(self, item: Any) -> int:
-        """Producer: place the next partition and advance ``srv``.
-
-        Returns the published index.  Only one producer thread may call
-        this (matching the paper: "srv is incremented only by the thread
-        that inputs partitions").
-        """
-        index = self.srv.value
-        if index >= self.n_items:
-            raise IndexError("publish beyond declared n_items")
-        if "early_srv" in _SEEDED_QUEUE_BUGS:
-            # Corpus bug (workqueue[early_srv]): srv advances before the
-            # slot store, so a consumer whose take() is released by srv
-            # reads a slot that is still empty.  The ``early_srv`` point
-            # lets the replay scheduler park the producer in the gap.
-            self.srv.increment()
-            _mon_event("early_srv", index)
-            self._slots[index] = item
-            return index
-        self._slots[index] = item
-        self.srv.increment()
-        return index
-
-    def try_claim(self) -> int | None:
-        """Consumer: take a queuing id, or ``None`` when all are claimed."""
-        if "split_claim" in _SEEDED_QUEUE_BUGS:
-            # Corpus bug (workqueue[split_claim]): the claim reads cns
-            # and increments it as two separate steps — two claimers
-            # that interleave at the ``claim_rmw`` point read the same
-            # ticket and double-consume the partition.
-            ticket = self.cns.value
-            _mon_event("claim_rmw", ticket)
-            self.cns.increment()
-        else:
-            ticket = self.cns.fetch_increment()
-        if ticket >= self.n_items:
-            return None
-        return ticket
-
-    def take(self, ticket: int, timeout: float | None = None) -> Any:
-        """Block until partition ``ticket`` is available, then return it."""
-        if not self.srv.wait_for(ticket + 1, timeout=timeout):
-            raise QueueClosed(f"partition {ticket} never became available")
-        return self._slots[ticket]
-
-
-class OutputQueue:
-    """The prd/wrt output side: producers publish, one writer drains in order."""
-
-    def __init__(self, n_items: int) -> None:
-        if n_items < 0:
-            raise ValueError("n_items must be >= 0")
-        self.n_items = n_items
-        self.prd = SharedCounter(0)
-        self.wrt = SharedCounter(0)
-        self._slots: list[Any] = [None] * n_items
-        self._done = [False] * n_items
-        self._lock = threading.Lock()
-
-    def publish(self, index: int, item: Any) -> None:
-        """A processor finished partition ``index``; advance ``prd``."""
-        with self._lock:
-            if self._done[index]:
-                raise ValueError(f"output {index} published twice")
-            self._slots[index] = item
-            self._done[index] = True
-        self.prd.increment()
-
-    def drain(self, timeout: float | None = None):
-        """Writer: yield outputs in *completion-count* order.
-
-        The writer dequeues as soon as ``prd >= wrt + 1`` — outputs are
-        written as they become available; completion order is whatever
-        the processors produced.
-        """
-        emitted = 0
-        while emitted < self.n_items:
-            if not self.prd.wait_for(emitted + 1, timeout=timeout):
-                raise QueueClosed(f"only {emitted}/{self.n_items} outputs produced")
-            with self._lock:
-                pending = [
-                    i for i in range(self.n_items)
-                    if self._done[i] and self._slots[i] is not _EMITTED
-                ]
-            for i in pending:
-                with self._lock:
-                    item = self._slots[i]
-                    self._slots[i] = _EMITTED
-                self.wrt.increment()
-                emitted += 1
-                yield i, item
-
-
-_EMITTED = object()
-
-
-@dataclass
-class WorkerRecord:
-    """What one processor did during a co-processed run."""
-
-    name: str
-    partitions: list[int] = field(default_factory=list)
-    items_processed: int = 0
-
-
-def run_coprocessed(
-    items: list[Any],
-    workers: dict[str, Callable[[Any], Any]],
-    size_of: Callable[[Any], int] | None = None,
-) -> tuple[list[Any], dict[str, WorkerRecord]]:
-    """Process ``items`` with one thread per worker, work-stealing style.
-
-    Every worker loops: claim the next queuing id from the shared
-    ``cns`` counter, wait for the producer to publish it, process it,
-    publish the result.  Faster workers naturally claim more partitions,
-    which is the paper's dynamic workload distribution.
-
-    Parameters
-    ----------
-    items:
-        The input partitions.
-    workers:
-        Mapping of processor name to its processing callable.
-    size_of:
-        Optional item-size measure accumulated per worker (e.g. number
-        of reads or kmers), for workload-share reporting.
-
-    Returns
-    -------
-    (results, records):
-        ``results[i]`` is the output for ``items[i]``; ``records`` maps
-        worker name to its :class:`WorkerRecord`.
-    """
-    if not workers:
-        raise ValueError("at least one worker is required")
-    n = len(items)
-    in_q = InputQueue(n)
-    out_q = OutputQueue(n)
-    records = {name: WorkerRecord(name=name) for name in workers}
-    errors: list[BaseException] = []
-    error_lock = threading.Lock()
-
-    def producer() -> None:
-        for item in items:
-            in_q.publish(item)
-
-    def consumer(name: str, fn: Callable[[Any], Any]) -> None:
-        record = records[name]
-        while True:
-            ticket = in_q.try_claim()
-            if ticket is None:
-                return
-            try:
-                item = in_q.take(ticket, timeout=60.0)
-                result = fn(item)
-                out_q.publish(ticket, result)
-            except BaseException as exc:  # propagate to caller
-                with error_lock:
-                    errors.append(exc)
-                out_q.publish(ticket, None)
-                # Fail fast: drain the tickets this worker would have
-                # processed so the writer is not left waiting on them.
-                while True:
-                    leftover = in_q.try_claim()
-                    if leftover is None:
-                        return
-                    out_q.publish(leftover, None)
-            record.partitions.append(ticket)
-            record.items_processed += size_of(item) if size_of else 1
-
-    threads = [threading.Thread(target=producer, name="producer")]
-    threads += [
-        threading.Thread(target=consumer, args=(name, fn), name=name)
-        for name, fn in workers.items()
-    ]
-    for t in threads:
-        t.start()
-    results: list[Any] = [None] * n
-    for index, item in out_q.drain(timeout=120.0):
-        results[index] = item
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results, records
-
-
-# -- cross-process publish/claim (the pipelined srv/cns protocol) -----------------
+# -- publish/claim (the srv/cns protocol) ----------------------------------------
 
 _WQ_OPEN = 0
 _WQ_CLOSED = 1
@@ -288,19 +87,18 @@ _WQ_ABORTED = 2
 
 
 class ProcessWorkQueue:
-    """Bounded cross-process publish/claim queue — the srv/cns protocol
-    with a *live producer*.
+    """Bounded publish/claim queue — the srv/cns protocol with a *live
+    producer*, for consumer threads and processes alike.
 
-    The thread-path :class:`InputQueue` holds its items in Python
-    memory, which processes cannot share; this queue carries picklable
-    items through a ``multiprocessing`` queue and keeps the
-    ``srv``/``cns`` counters and the open/closed state in shared
+    Picklable items travel through a ``multiprocessing`` queue; the
+    ``srv``/``cns`` counters and the open/closed state live in shared
     memory.  The parent may **publish** work items while consumer
     processes are already claiming — the handoff that makes the
     Step-1→Step-2 pipeline of :mod:`repro.parallel.backend` stream
     instead of barrier.  A work list fully known up front (Step 1's
-    read chunks) is the degenerate case: publish every item, then
-    :meth:`close` before any consumer starts.
+    read chunks, :func:`run_coprocessed`'s item indices) is the
+    degenerate case: publish every item, then :meth:`close` before any
+    consumer starts.
 
     **Weighted claims** generalize §III-E's CPU/GPU dispatch: a
     consumer standing in for a throughput-``w`` device reserves up to
@@ -308,7 +106,7 @@ class ProcessWorkQueue:
     service's per-tenant ``claim_weight``).  Weight 1 is plain work
     stealing.
 
-    Protocol (mirrors :class:`InputQueue` across processes):
+    Protocol:
 
     * ``publish(item)`` — producer side; advances ``srv`` after the item
       is enqueued, so a claim never reserves an item that has not been
@@ -371,8 +169,17 @@ class ProcessWorkQueue:
                 raise IndexError(
                     f"publish beyond declared capacity {self.capacity}"
                 )
-            self._items.put(item)
+            if "early_srv" not in _SEEDED_QUEUE_BUGS:
+                self._items.put(item)
+                self._srv.value = index + 1
+                return index
             self._srv.value = index + 1
+        # Corpus bug (workqueue[early_srv]): srv advanced and the lock
+        # dropped before the put, so a claim can reserve an item the
+        # transport does not hold yet.  The ``early_srv`` point lets the
+        # replay scheduler park the producer in the gap.
+        _mon_event("early_srv", index)
+        self._items.put(item)
         return index
 
     def close(self) -> None:
@@ -456,19 +263,27 @@ class ProcessWorkQueue:
             raise ValueError("weight must be >= 1")
         timeout = self.claim_timeout if timeout is None else timeout
         deadline = time.monotonic() + timeout
-        take = 0
         while True:
             with self._lock:
                 state = int(self._state.value)
                 if state == _WQ_ABORTED:
                     return []
-                avail = int(self._srv.value) - int(self._cns.value)
-                if avail > 0:
-                    take = min(weight, avail)
-                    self._cns.value += take
+                seen = int(self._cns.value)
+                take = min(weight, int(self._srv.value) - seen)
+                if take > 0 and "split_claim" not in _SEEDED_QUEUE_BUGS:
+                    self._cns.value = seen + take
                     break
-                if state == _WQ_CLOSED:
+                if take <= 0 and state == _WQ_CLOSED:
                     return []
+            if take > 0:
+                # Corpus bug (workqueue[split_claim]): the cns read and
+                # its advance are two lock sections, not one fetch-add;
+                # two claimers that interleave at the ``claim_rmw``
+                # point reserve the same items.
+                _mon_event("claim_rmw", seen)
+                with self._lock:
+                    self._cns.value = seen + take
+                break
             if time.monotonic() >= deadline:
                 raise QueueClosed(
                     f"no publish within {timeout:.0f}s on an open "
@@ -487,3 +302,78 @@ class ProcessWorkQueue:
                     "reserved item never arrived (queue torn down?)"
                 ) from None
         return out
+
+
+@dataclass
+class WorkerRecord:
+    """What one processor did during a co-processed run."""
+
+    name: str
+    partitions: list[int] = field(default_factory=list)
+    items_processed: int = 0
+
+
+def run_coprocessed(
+    items: list[Any],
+    workers: dict[str, Callable[[Any], Any]],
+    size_of: Callable[[Any], int] | None = None,
+) -> tuple[list[Any], dict[str, WorkerRecord]]:
+    """Process ``items`` with one thread per worker, work-stealing style.
+
+    The item indices are published on a :class:`ProcessWorkQueue` and
+    the queue is closed; every worker then loops: claim the next index
+    (the ``cns`` fetch-add), process the item, store its result.
+    Faster workers naturally claim more partitions, which is the
+    paper's dynamic workload distribution.  A worker's first error
+    aborts the queue, so the others stop at their next claim, and is
+    raised once every thread has joined.
+
+    Parameters
+    ----------
+    items:
+        The input partitions.
+    workers:
+        Mapping of processor name to its processing callable.
+    size_of:
+        Optional item-size measure accumulated per worker (e.g. number
+        of reads or kmers), for workload-share reporting.
+
+    Returns
+    -------
+    (results, records):
+        ``results[i]`` is the output for ``items[i]``; ``records`` maps
+        worker name to its :class:`WorkerRecord`.
+    """
+    if not workers:
+        raise ValueError("at least one worker is required")
+    queue = ProcessWorkQueue(len(items))
+    for index in range(len(items)):
+        queue.publish(index)
+    queue.close()
+    results: list[Any] = [None] * len(items)
+    records = {name: WorkerRecord(name=name) for name in workers}
+    errors: list[BaseException] = []
+
+    def consume(record: WorkerRecord, fn: Callable[[Any], Any]) -> None:
+        while claimed := queue.claim():
+            index = claimed[0]
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:  # raised after the join
+                errors.append(exc)
+                queue.abort()
+                return
+            record.partitions.append(index)
+            record.items_processed += size_of(items[index]) if size_of else 1
+
+    threads = [
+        threading.Thread(target=consume, args=(records[name], fn), name=name)
+        for name, fn in workers.items()
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results, records

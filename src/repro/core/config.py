@@ -60,7 +60,8 @@ class ParaHashConfig:
         512 for gigabyte-scale inputs, 960 for 100 GB+.
     n_input_pieces:
         How many equal pieces Step 1 splits the input into (pipeline
-        granularity).
+        granularity); the parallel backends raise it to two per worker
+        (:meth:`step1_pieces`).
     sizing:
         Hash-table sizing policy (Property 1 parameters λ and α) of the
         paper's shared table (:func:`repro.core.subgraph.build_subgraph_table`),
@@ -104,6 +105,17 @@ class ParaHashConfig:
         if self.n_workers > 0:
             return self.n_workers
         return max(1, os.cpu_count() or 1)
+
+    def step1_pieces(self) -> int:
+        """How many read chunks Step 1 splits the input into.
+
+        ``n_input_pieces`` on the serial backend; on the parallel ones
+        at least two per worker, so each worker has a chunk to start on
+        and one to steal.
+        """
+        if self.backend == "serial":
+            return self.n_input_pieces
+        return max(self.n_input_pieces, 2 * self.workers())
 
     def with_(self, **changes) -> "ParaHashConfig":
         """A modified copy (convenience for sweeps)."""

@@ -93,7 +93,7 @@ class ParaHash:
         outcome is identical to the sequential run.
         """
         cfg = self.config
-        pieces = reads.split(cfg.n_input_pieces)
+        pieces = reads.split(cfg.step1_pieces())
         threads = self._threads()
         if threads > 1 and len(pieces) > 1:
             workers = {
@@ -171,7 +171,7 @@ class ParaHash:
         else:
             report = partition_to_files(
                 reads, cfg.k, cfg.p, cfg.n_partitions, workdir,
-                n_input_pieces=cfg.n_input_pieces,
+                n_input_pieces=cfg.step1_pieces(),
             )
             t_io = time.perf_counter()
             blocks = load_partitions(report.paths)

@@ -107,33 +107,3 @@ def int_to_codes(value: int, n_bases: int) -> np.ndarray:
         raise ValueError("packed value has more bases than n_bases")
     return out
 
-
-def int_to_words(value: int, n_bases: int, word_bits: int = 64) -> tuple[int, ...]:
-    """Split an integer-packed sequence into fixed-width machine words.
-
-    ParaHash stores a k-mer key over multiple memory words (paper §II-B,
-    "a kmer should be stored in multiple memory words").  The most
-    significant word comes first.  The number of words is
-    ``ceil(n_bases * 2 / word_bits)``.
-    """
-    n_words = words_for_bases(n_bases, word_bits)
-    mask = (1 << word_bits) - 1
-    words = []
-    for i in range(n_words):
-        shift = word_bits * (n_words - 1 - i)
-        words.append((value >> shift) & mask)
-    return tuple(words)
-
-
-def words_to_int(words: tuple[int, ...] | list[int], word_bits: int = 64) -> int:
-    """Inverse of :func:`int_to_words`."""
-    value = 0
-    for w in words:
-        value = (value << word_bits) | int(w)
-    return value
-
-
-def words_for_bases(n_bases: int, word_bits: int = 64) -> int:
-    """Number of ``word_bits``-wide words needed for ``n_bases`` bases."""
-    bits = n_bases * BITS_PER_BASE
-    return max(1, (bits + word_bits - 1) // word_bits)

@@ -86,16 +86,22 @@ class ReadBatch:
         Step 1.  Returns fewer batches when there are fewer reads than
         requested; empty batches are never produced for non-empty input.
         """
+        bounds = self.split_bounds(n_batches)
+        if not bounds:
+            return [self]
+        return [ReadBatch(codes=self.codes[start:stop]) for start, stop in bounds]
+
+    def split_bounds(self, n_batches: int) -> list[tuple[int, int]]:
+        """The ``(start, stop)`` read ranges of :meth:`split`.
+
+        Non-empty and contiguous; ``[]`` for an empty batch.  Workers
+        that share the read matrix take these ranges instead of copies.
+        """
         if n_batches < 1:
             raise ValueError("n_batches must be >= 1")
-        if self.n_reads == 0:
-            return [self]
         n_batches = min(n_batches, self.n_reads)
         bounds = np.linspace(0, self.n_reads, n_batches + 1).astype(int)
-        return [
-            ReadBatch(codes=self.codes[bounds[i] : bounds[i + 1]])
-            for i in range(n_batches)
-        ]
+        return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_batches)]
 
 
 def concat_batches(batches: list[ReadBatch]) -> ReadBatch:

@@ -235,13 +235,7 @@ def build_graph_processes(
 
     cfg = config
     n_workers = cfg.workers()
-    n_chunks = max(cfg.n_input_pieces, 2 * n_workers)
-    bounds_arr = np.linspace(0, reads.n_reads, n_chunks + 1).astype(int)
-    chunk_bounds = [
-        (int(bounds_arr[i]), int(bounds_arr[i + 1]))
-        for i in range(n_chunks)
-        if bounds_arr[i + 1] > bounds_arr[i]
-    ]
+    chunk_bounds = reads.split_bounds(cfg.step1_pieces())
     if workdir is not None:
         clear_partition_files(workdir)
     if not chunk_bounds:

@@ -28,6 +28,7 @@ the instant its manifest lands.
 
 from __future__ import annotations
 
+import shutil
 import time
 from pathlib import Path
 
@@ -85,6 +86,12 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
     started = time.time()
     record.set_state("running", stage="step1", error=None)
     try:
+        # A job directory from when Step 2 read a concatenated copy also
+        # holds that copy (partitions/) and its merge manifest; nothing
+        # reads either now.  Its spill files stay: the Step-1 manifests
+        # list them as Step 2's inputs.
+        shutil.rmtree(record.job_dir / "partitions", ignore_errors=True)
+        record.manifest_path("merge").unlink(missing_ok=True)
         input_digest = file_digest(spec.input)
 
         # -- Step 1: input pieces -> per-piece spill files ------------------------

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.concurrentsub.atomics import AtomicInt64Array, SharedCounter
+from repro.concurrentsub.atomics import AtomicInt64Array
 
 
 class TestAtomicArrayBasics:
@@ -84,52 +84,3 @@ class TestAtomicArrayConcurrency:
             t.join()
         assert sorted(winners) == list(range(16))
 
-
-class TestSharedCounter:
-    def test_monotonic(self):
-        c = SharedCounter()
-        assert c.increment() == 1
-        assert c.fetch_increment() == 1
-        assert c.value == 2
-        with pytest.raises(ValueError):
-            c.increment(-1)
-
-    def test_wait_for_already_satisfied(self):
-        c = SharedCounter(5)
-        assert c.wait_for(3)
-
-    def test_wait_for_timeout(self):
-        c = SharedCounter()
-        assert not c.wait_for(1, timeout=0.05)
-
-    def test_wait_wakes_on_increment(self):
-        c = SharedCounter()
-        results = []
-
-        def waiter():
-            results.append(c.wait_for(3, timeout=5.0))
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        for _ in range(3):
-            c.increment()
-        t.join(timeout=5.0)
-        assert results == [True]
-
-    def test_ticket_dispenser_unique(self):
-        c = SharedCounter()
-        tickets: list[int] = []
-        lock = threading.Lock()
-
-        def work():
-            for _ in range(500):
-                t = c.fetch_increment()
-                with lock:
-                    tickets.append(t)
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sorted(tickets) == list(range(2000))

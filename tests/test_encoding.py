@@ -86,36 +86,3 @@ class TestIntPacking:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             enc.int_to_codes(-1, 4)
-
-
-class TestWords:
-    def test_single_word(self):
-        value = enc.codes_to_int(al.encode("ACGT" * 7))  # 28 bases, 56 bits
-        words = enc.int_to_words(value, 28)
-        assert len(words) == 1
-        assert enc.words_to_int(words) == value
-
-    def test_multi_word(self):
-        codes = al.encode("ACGT" * 20)  # 80 bases -> 160 bits -> 3 words
-        value = enc.codes_to_int(codes)
-        words = enc.int_to_words(value, 80)
-        assert len(words) == 3
-        assert all(w < (1 << 64) for w in words)
-        assert enc.words_to_int(words) == value
-
-    def test_words_for_bases(self):
-        assert enc.words_for_bases(1) == 1
-        assert enc.words_for_bases(32) == 1
-        assert enc.words_for_bases(33) == 2
-        assert enc.words_for_bases(64) == 2
-        assert enc.words_for_bases(65) == 3
-
-    def test_words_for_bases_min_one(self):
-        assert enc.words_for_bases(0) == 1
-
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(5)
-        for n in (10, 31, 32, 33, 63, 64, 100):
-            codes = rng.integers(0, 4, size=n, dtype=np.uint8)
-            value = enc.codes_to_int(codes)
-            assert enc.words_to_int(enc.int_to_words(value, n)) == value

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.concurrentsub.hashfunc import (
-    hash_words,
     mix64,
     mix64_int,
     partition_ids,
-    table_slots,
 )
 
 
@@ -44,18 +42,6 @@ class TestMix64:
         assert np.array_equal(values, copy)
 
 
-class TestHashWords:
-    def test_multiword_differs_from_singleword(self):
-        assert hash_words([1, 2]) != hash_words([2, 1])
-        assert hash_words([0, 5]) != hash_words([5])
-
-    def test_deterministic(self):
-        assert hash_words([7, 8, 9]) == hash_words([7, 8, 9])
-
-    def test_fits_64_bits(self):
-        assert 0 <= hash_words([2**64 - 1, 2**64 - 1]) < 2**64
-
-
 class TestPartitionIds:
     def test_range(self, rng):
         minis = rng.integers(0, 1 << 40, size=1000, dtype=np.uint64)
@@ -78,16 +64,3 @@ class TestPartitionIds:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             partition_ids(np.zeros(3, dtype=np.uint64), 0)
-
-
-class TestTableSlots:
-    def test_range(self, rng):
-        kmers = rng.integers(0, 1 << 54, size=100, dtype=np.uint64)
-        slots = table_slots(kmers, 256)
-        assert slots.min() >= 0 and slots.max() < 256
-
-    def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            table_slots(np.zeros(3, dtype=np.uint64), 100)
-        with pytest.raises(ValueError):
-            table_slots(np.zeros(3, dtype=np.uint64), 0)

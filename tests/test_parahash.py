@@ -15,6 +15,15 @@ class TestConfig:
         assert cfg.p == 11
         assert cfg.sizing.lam == 2.0
 
+    def test_step1_pieces_two_per_parallel_worker(self):
+        # One chunk rule for both parallel backends; serial keeps
+        # n_input_pieces (4 by default).
+        assert ParaHashConfig(n_workers=8).step1_pieces() == 4
+        for backend in ("threads", "processes"):
+            cfg = ParaHashConfig(backend=backend, n_workers=8)
+            assert cfg.step1_pieces() == 16
+            assert cfg.with_(n_workers=1).step1_pieces() == 4
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ParaHashConfig(k=0)

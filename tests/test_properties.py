@@ -8,10 +8,8 @@ from repro.dna.alphabet import decode, encode
 from repro.dna.encoding import (
     codes_to_int,
     int_to_codes,
-    int_to_words,
     pack_codes,
     unpack_codes,
-    words_to_int,
 )
 from repro.dna.kmer import (
     canonical_int,
@@ -48,11 +46,6 @@ class TestEncodingProperties:
     def test_int_roundtrip(self, codes):
         value = codes_to_int(codes)
         assert np.array_equal(int_to_codes(value, len(codes)), codes)
-
-    @given(code_arrays)
-    def test_words_roundtrip(self, codes):
-        value = codes_to_int(codes)
-        assert words_to_int(int_to_words(value, len(codes))) == value
 
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=40),
            st.lists(st.integers(0, 3), min_size=2, max_size=40))

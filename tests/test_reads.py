@@ -74,6 +74,14 @@ class TestSplit:
         with pytest.raises(ValueError):
             batch.split(0)
 
+    def test_bounds_are_the_split(self):
+        batch = ReadBatch(codes=np.zeros((10, 4), dtype=np.uint8))
+        assert batch.split_bounds(3) == [(0, 3), (3, 6), (6, 10)]
+        assert batch.split_bounds(20) == [(i, i + 1) for i in range(10)]
+        empty = ReadBatch(codes=np.zeros((0, 4), dtype=np.uint8))
+        assert empty.split_bounds(4) == []
+        assert empty.split(4) == [empty]
+
 
 class TestConcat:
     def test_mismatched_lengths(self):

@@ -10,6 +10,7 @@ from repro.dna.io import load_read_batch, save_read_batch
 from repro.graph.compare import compare_graphs
 from repro.graph.serialize import load_graph
 from repro.service.jobstore import JobSpec, JobStore
+from repro.service.manifest import Artifact, StageManifest, fresh_manifest
 from repro.service.runner import JobFailed, run_job
 
 
@@ -73,6 +74,70 @@ class TestInlineRun:
         doc = record.read_status()
         assert doc["status"] == "failed"
         assert doc["error"]
+
+
+class TestOldLayoutResume:
+    """A job directory from when Step 2 read a concatenated copy."""
+
+    def make_old_layout(self, record) -> list:
+        """Rewrite a finished job as the older layout left it, mid-Step-2.
+
+        Spill files get their older names (the Step-1 manifests list
+        them), ``partitions/`` holds the concatenated copy and a
+        ``merge`` manifest records it; Step 2 and finalize are undone.
+        """
+        old_spills = []
+        for path in sorted(record.manifest_dir.glob("step1_t*.json")):
+            manifest = StageManifest.load(path)
+            spills, outputs = {}, []
+            for part, name in manifest.stats["spills"].items():
+                piece = int(manifest.params["piece"])
+                old = record.spill_dir / f"spill_w{piece:03d}_p{int(part):04d}.phsk"
+                (record.spill_dir / name).rename(old)
+                spills[part] = old.name
+                outputs.append(Artifact.of(old, record.job_dir))
+                old_spills.append(old)
+            fresh_manifest(
+                manifest.stage, manifest.params, manifest.inputs,
+                tuple(outputs), stats={**manifest.stats, "spills": spills},
+            ).save(path)
+        copy_dir = record.job_dir / "partitions"
+        copy_dir.mkdir()
+        copies = []
+        for part in range(record.spec.n_partitions):
+            copy = copy_dir / f"partition_{part:04d}.phsk"
+            copy.write_bytes(b"".join(
+                p.read_bytes() for p in old_spills
+                if p.name.endswith(f"_p{part:04d}.phsk")
+            ))
+            copies.append(Artifact.of(copy, record.job_dir))
+        fresh_manifest("merge", {"k": record.spec.k}, {},
+                       tuple(copies)).save(record.manifest_path("merge"))
+        for path in record.manifest_dir.glob("step2_p*.json"):
+            path.unlink()
+        record.manifest_path("finalize").unlink()
+        record.graph_path.unlink()
+        return old_spills
+
+    def test_resume_drops_copy_and_matches_build(self, store, reads_file,
+                                                 tmp_path):
+        from repro.cli import main
+
+        record = store.create(make_spec(reads_file))
+        run_job(record)
+        old_spills = self.make_old_layout(record)
+        assert old_spills
+
+        run_job(record)
+
+        assert not (record.job_dir / "partitions").exists()
+        assert not record.manifest_path("merge").exists()
+        assert all(path.exists() for path in old_spills)
+        built = tmp_path / "built.phdbg"
+        assert main(["build", "--input", str(reads_file), "--k", "15",
+                     "--p", "4", "--partitions", "6",
+                     "--output", str(built)]) == 0
+        assert record.graph_path.read_bytes() == built.read_bytes()
 
 
 class TestInvalidation:

@@ -1,95 +1,18 @@
-"""Tests for repro.concurrentsub.workqueue (srv/cns/prd/wrt protocol)."""
+"""Tests for repro.concurrentsub.workqueue (the srv/cns protocol)."""
 
 import threading
 import time
 
 import pytest
 
+from repro.checks.instrument import monitor_session
+from repro.checks.schedule import InterleavingScheduler
 from repro.concurrentsub.workqueue import (
-    InputQueue,
-    OutputQueue,
     ProcessWorkQueue,
     QueueClosed,
     run_coprocessed,
+    seed_queue_bugs,
 )
-
-
-class TestInputQueue:
-    def test_publish_take(self):
-        q = InputQueue(3)
-        q.publish("a")
-        ticket = q.try_claim()
-        assert ticket == 0
-        assert q.take(ticket) == "a"
-
-    def test_tickets_exhaust(self):
-        q = InputQueue(2)
-        assert q.try_claim() == 0
-        assert q.try_claim() == 1
-        assert q.try_claim() is None
-        assert q.try_claim() is None
-
-    def test_take_blocks_until_published(self):
-        q = InputQueue(1)
-        got = []
-
-        def consumer():
-            ticket = q.try_claim()
-            got.append(q.take(ticket, timeout=5.0))
-
-        t = threading.Thread(target=consumer)
-        t.start()
-        time.sleep(0.05)
-        q.publish("late")
-        t.join(timeout=5.0)
-        assert got == ["late"]
-
-    def test_take_timeout(self):
-        q = InputQueue(1)
-        ticket = q.try_claim()
-        with pytest.raises(QueueClosed):
-            q.take(ticket, timeout=0.05)
-
-    def test_publish_beyond_capacity(self):
-        q = InputQueue(1)
-        q.publish("x")
-        with pytest.raises(IndexError):
-            q.publish("y")
-
-    def test_srv_counter_tracks_publishes(self):
-        q = InputQueue(3)
-        q.publish(1)
-        q.publish(2)
-        assert q.srv.value == 2
-
-
-class TestOutputQueue:
-    def test_drain_in_publish_order(self):
-        q = OutputQueue(3)
-        q.publish(2, "c")
-        q.publish(0, "a")
-        q.publish(1, "b")
-        items = dict(q.drain(timeout=1.0))
-        assert items == {0: "a", 1: "b", 2: "c"}
-
-    def test_double_publish_rejected(self):
-        q = OutputQueue(2)
-        q.publish(0, "a")
-        with pytest.raises(ValueError):
-            q.publish(0, "again")
-
-    def test_drain_timeout(self):
-        q = OutputQueue(2)
-        q.publish(0, "a")
-        with pytest.raises(QueueClosed):
-            list(q.drain(timeout=0.05))
-
-    def test_wrt_advances(self):
-        q = OutputQueue(2)
-        q.publish(0, "a")
-        q.publish(1, "b")
-        list(q.drain(timeout=1.0))
-        assert q.wrt.value == 2
 
 
 class TestRunCoprocessed:
@@ -341,6 +264,108 @@ class TestProcessWorkQueueReset:
             got = q.try_claim(4)
             assert got == [(tenancy, i) for i in range(3)]
             q.reset()
+
+
+def _claim_pair(q: ProcessWorkQueue) -> tuple[list, list[str]]:
+    """Two threads claim once each, held together at ``claim_rmw``.
+
+    The barrier is the ``split_claim`` counterexample's schedule: both
+    claimers read ``cns`` before either advances it.  A fixed queue
+    never reaches the point, so the barrier is never armed.  Returns
+    the items claimed and the errors of stranded claimers.
+    """
+    sched = InterleavingScheduler(timeout=10.0)
+
+    def at_claim_rmw(s, point) -> None:
+        if s.bump("at_claim") >= 2:
+            s.release("claim")
+        s.pause_at("claim")
+
+    sched.on("claim_rmw", at_claim_rmw)
+    got: list = []
+    stranded: list[str] = []
+
+    def claimer() -> None:
+        try:
+            got.extend(q.claim(timeout=1.0))
+        except QueueClosed as exc:
+            stranded.append(str(exc))
+
+    with monitor_session(sched):
+        threads = [threading.Thread(target=claimer) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+    return got, stranded
+
+
+class TestProcessWorkQueueSeededBugs:
+    """``seed_queue_bugs`` breaks the queue that builds run."""
+
+    def test_unknown_bug_rejected(self):
+        with pytest.raises(ValueError, match="unknown"):
+            with seed_queue_bugs("no_such_bug"):
+                pass
+
+    def test_split_claim_double_reserves_one_item(self):
+        q = _published_up_front(["part-0"])
+        with seed_queue_bugs("split_claim"):
+            got, stranded = _claim_pair(q)
+        assert got == ["part-0"]
+        assert len(stranded) == 1
+        assert "reserved item never arrived" in stranded[0]
+
+    def test_fixed_claim_gives_one_item_and_one_clean_exit(self):
+        got, stranded = _claim_pair(_published_up_front(["part-0"]))
+        assert got == ["part-0"]
+        assert stranded == []
+
+    def test_early_srv_reserves_before_the_put(self):
+        q = ProcessWorkQueue(1, claim_timeout=0.5)
+        seen: dict = {}
+
+        def at_early_srv(s, point) -> None:
+            # Claim in the producer's gap: srv already covers the item,
+            # but the transport does not hold it yet.
+            seen["published"] = q.published()
+            try:
+                seen["claimed"] = q.try_claim()
+            except QueueClosed as exc:
+                seen["stranded"] = str(exc)
+
+        sched = InterleavingScheduler(timeout=10.0)
+        sched.on("early_srv", at_early_srv)
+        with seed_queue_bugs("early_srv"), monitor_session(sched):
+            assert q.publish("part-0") == 0
+        assert seen["published"] == 1
+        assert "never arrived" in seen["stranded"]
+
+    def test_fixed_queue_never_strands_a_claimer(self):
+        # A live producer against three claimers: every item is claimed
+        # exactly once and every claimer exits cleanly on close().
+        n = 60
+        q = ProcessWorkQueue(n, claim_timeout=10.0)
+        claimed: list = []
+        errors: list[BaseException] = []
+
+        def claimer() -> None:
+            try:
+                while items := q.claim():
+                    claimed.extend(items)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=claimer) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for i in range(n):
+            q.publish(i)
+        q.close()
+        for t in threads:
+            t.join(timeout=20.0)
+        assert errors == []
+        assert sorted(claimed) == list(range(n))
 
 
 def _drain_worker(worker_id: int, q: ProcessWorkQueue) -> list:
