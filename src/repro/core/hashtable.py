@@ -603,7 +603,7 @@ class ConcurrentHashTable:
         occ = self._state_view() == OCCUPIED
         keys = take_planes(self.keys, occ)
         counts = self.counts[occ].astype(np.uint64)
-        order = sort_order(keys)
+        order = sort_order(keys, self.k)
         return DeBruijnGraph(k=self.k, vertices=take_planes(keys, order),
                              counts=counts[order])
 

@@ -113,7 +113,7 @@ def observation_pairs(keys: np.ndarray,
 
 
 def preaggregate_observations(
-    keys: np.ndarray, slots: np.ndarray
+    keys: np.ndarray, slots: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Group a block's observations into one counter row per vertex.
 
@@ -121,7 +121,8 @@ def preaggregate_observations(
     and its inputs carry a ~4-6x kmer duplication ratio (§III-C); one
     row per distinct vertex is exactly that entry.
 
-    Takes :func:`block_observations` output; returns ``(keys, rows)``:
+    Takes :func:`block_observations` output and the block's ``k``;
+    returns ``(keys, rows)``:
     the distinct vertices in ascending order (same form as the input
     keys: ``(W, u)`` planes, or 1-D for 1-D input) and their ``(u, 9)``
     uint64 counter rows -- the subgraph itself.  Inserting the rows
@@ -130,7 +131,7 @@ def preaggregate_observations(
     metered from the row sums for the individual observations.
     """
     keys = np.asarray(keys)
-    distinct, inverse = group_planes(np.atleast_2d(keys))
+    distinct, inverse = group_planes(np.atleast_2d(keys), k)
     rows = vertex_rows(inverse, distinct.shape[1], slots)
     return (distinct[0] if keys.ndim == 1 else distinct), rows
 
@@ -179,7 +180,7 @@ def build_subgraph(block: SuperkmerBlock) -> SubgraphResult:
     :func:`build_subgraph_table` reads out of its table, and the stats
     are metered by :func:`row_stats`.
     """
-    keys, rows = preaggregate_observations(*block_observations(block))
+    keys, rows = preaggregate_observations(*block_observations(block), block.k)
     return SubgraphResult(graph=DeBruijnGraph(k=block.k, vertices=keys, counts=rows),
                           stats=row_stats(rows), n_kmers=block.total_kmers())
 

@@ -367,33 +367,106 @@ def canonical_planes_with_flip(
     return np.where(flipped, rc, planes), flipped
 
 
-def sort_order(planes: np.ndarray, kind: str | None = None) -> np.ndarray:
-    """Indices that sort ``(W, n)`` keys ascending.
+def _or_key_bits(planes: np.ndarray, k: int, start: int, width: int,
+                 out: np.ndarray, piece: np.ndarray) -> None:
+    """OR ``width`` (1..64) bits of the keys into the low bits of ``out``.
 
-    One plane takes ``np.argsort`` (``kind`` passes through); more
-    take ``np.lexsort`` with plane 0 as the primary key.
+    The bits are ``start .. start + width`` of the ``2k``-bit key,
+    counted from its top; they span at most two planes, each staged in
+    the scratch array ``piece``.  Every shift count stays within 1..63
+    (numpy's ``uint64 << 64`` is not 0).
     """
+    lead = 2 * lead_bases(k)
+    while width:
+        j = 0 if start < lead else (start - lead) // 64 + 1
+        bits = lead if j == 0 else 64
+        above = start - (0 if j == 0 else lead + 64 * (j - 1))
+        taken = min(width, bits - above)
+        below = bits - above - taken
+        width -= taken
+        start += taken
+        if below:
+            np.right_shift(planes[j], np.uint64(below), out=piece)
+        else:
+            piece[:] = planes[j]
+        if above:
+            piece &= np.uint64((1 << taken) - 1)
+        if width:
+            piece <<= np.uint64(width)
+        out |= piece
+
+
+def _argsort_runs(planes: np.ndarray, k: int,
+                  runs: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sort order of ``(W, n)`` keys, plus the starts of equal-key runs.
+
+    A rank-compressed argsort: the first pass argsorts the key's
+    leading 64 bits; each later pass argsorts ``dense rank of the
+    prefix sorted so far << b | the next b key bits``, with ``b`` the
+    bits the rank leaves free, until every key bit is used or no two
+    prefixes tie.  A 45-base key takes two passes.  Three ``n``-sized
+    arrays serve every pass: the key, the order and one scratch array.
+
+    With ``runs``, also returns ``new``: ``new[i]`` is true where the
+    ``i``-th sorted key differs from the one before it.
+    """
+    total = 2 * k
+    used = min(total, 64)
+    scratch = np.empty(planes.shape[1], dtype=np.uint64)
     if planes.shape[0] == 1:
-        return np.argsort(planes[0], kind=kind)
-    return np.lexsort(planes[::-1])
+        key = planes[0]  # all 2k bits: one pass, never written
+    else:
+        key = np.zeros_like(scratch)
+        _or_key_bits(planes, k, 0, used, key, scratch)
+    while True:
+        order = np.argsort(key)
+        if used == total and not runs:
+            return order, None
+        # The keys in sorted order; mode="clip" writes ``out`` unbuffered.
+        np.take(key, order, out=scratch, mode="clip")
+        new = np.empty(order.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(scratch[1:], scratch[:-1], out=new[1:])
+        if used == total or new.all():
+            return order, new
+        rank = np.cumsum(new, dtype=np.uint64, out=scratch)
+        rank -= np.uint64(1)
+        rank_bits = int(rank[-1]).bit_length()
+        width = min(64 - rank_bits, total - used)
+        key[order] = rank
+        del order
+        if rank_bits:
+            key <<= np.uint64(width)
+        _or_key_bits(planes, k, used, width, key, scratch)
+        used += width
 
 
-def group_planes(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ``(W, n)`` keys in ascending order, plus each key's group.
+def sort_order(planes: np.ndarray, k: int) -> np.ndarray:
+    """Indices that sort ``(W, n)`` ``k``-base keys ascending.
+
+    One plane is one ``np.argsort``; more take the rank-compressed
+    argsort of :func:`_argsort_runs`.  Equal keys end up next to each
+    other in no particular order.
+    """
+    return _argsort_runs(planes, k, runs=False)[0]
+
+
+def group_planes(planes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(W, n)`` ``k``-base keys in ascending order, plus each key's group.
 
     Returns ``(keys, inverse)`` with ``keys[:, inverse] == planes``;
-    one plane takes ``np.unique``, more a lexsort and a boundary scan.
+    one plane takes ``np.unique``, more the rank-compressed argsort of
+    :func:`_argsort_runs`, whose last pass marks where the runs start.
     """
     if planes.shape[0] == 1:
         keys, inverse = np.unique(planes[0], return_inverse=True)
         return keys[None], inverse
-    order = sort_order(planes)
-    ordered = take_planes(planes, order)
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    order, new = _argsort_runs(planes, k, runs=True)
+    group = np.cumsum(new)
+    group -= 1
     inverse = np.empty(order.size, dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return take_planes(ordered, new), inverse
+    inverse[order] = group
+    return take_planes(planes, order[new]), inverse
 
 
 def split_int(kmer: int, k: int) -> tuple[int, ...]:

@@ -35,7 +35,6 @@ import numpy as np
 from ..dna.kmer import (
     as_planes,
     canonical_int,
-    group_planes,
     join_planes,
     key_width,
     kmer_mask,
@@ -328,6 +327,9 @@ def graph_from_pairs(k: int, vertex_ids: np.ndarray, slots: np.ndarray) -> DeBru
     shared aggregation kernel of the reference builder and of the
     sort-merge baselines: it sorts the keys, merges duplicates -- the
     "sort-merge" strategy of §II-B -- and bins the slots per vertex.
+    The grouping is plain ``np.unique``/``np.lexsort``, not Step 2's
+    :func:`repro.dna.kmer.group_planes`, so the reference graph shares
+    no sorting code with the build it checks.
     """
     planes = as_planes(vertex_ids, k)
     slots = np.asarray(slots).ravel().astype(np.int64)
@@ -335,6 +337,16 @@ def graph_from_pairs(k: int, vertex_ids: np.ndarray, slots: np.ndarray) -> DeBru
         raise ValueError("vertex_ids and slots must have equal length")
     if slots.size and (int(slots.min()) < 0 or int(slots.max()) >= N_SLOTS):
         raise ValueError("slot values must be in [0, 9)")
-    keys, inverse = group_planes(planes)
+    if planes.shape[0] == 1:
+        keys, inverse = np.unique(planes[0], return_inverse=True)
+        keys = keys[None]
+    else:
+        order = np.lexsort(planes[::-1])
+        ordered = planes[:, order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        inverse = np.empty(order.size, dtype=np.int64)
+        inverse[order] = np.cumsum(new) - 1
+        keys = ordered[:, new]
     counts = vertex_rows(inverse, keys.shape[1], slots)
     return DeBruijnGraph(k=k, vertices=keys, counts=counts)

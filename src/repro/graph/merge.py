@@ -35,11 +35,10 @@ def merge_disjoint(subgraphs: Sequence[DeBruijnGraph],
     if not subgraphs:
         return empty_graph(k)
     planes = np.concatenate([g.planes for g in subgraphs], axis=1)
-    counts = np.concatenate([g.counts for g in subgraphs], axis=0)
-    # Stable: the inputs are sorted runs, which a stable sort merges.
-    order = sort_order(planes, kind="stable")
+    order = sort_order(planes, k)
     planes = take_planes(planes, order)
-    counts = counts[order]
+    counts = np.concatenate([g.counts for g in subgraphs], axis=0)
+    counts = np.take(counts, order, axis=0)
     dup = (planes[:, 1:] == planes[:, :-1]).all(axis=0)
     if dup.any():
         i = int(np.flatnonzero(dup)[0])
@@ -63,7 +62,7 @@ def merge_adding(subgraphs: Sequence[DeBruijnGraph],
         return empty_graph(k)
     planes = np.concatenate([g.planes for g in subgraphs], axis=1)
     counts = np.concatenate([g.counts for g in subgraphs], axis=0)
-    unique, inverse = group_planes(planes)
+    unique, inverse = group_planes(planes, k)
     merged = np.zeros((unique.shape[1], N_SLOTS), dtype=np.uint64)
     np.add.at(merged, inverse, counts)
     return DeBruijnGraph(k=k, vertices=unique, counts=merged)

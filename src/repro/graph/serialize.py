@@ -118,7 +118,7 @@ def import_tsv(path: str | os.PathLike) -> DeBruijnGraph:
         counts.append([int(v) for v in edges] + [int(mult)])
     planes = np.array([split_int(v, k) for v in vertices],
                       dtype=np.uint64).reshape(-1, key_width(k)).T
-    order = sort_order(planes)
+    order = sort_order(planes, k)
     counts_arr = (
         np.array(counts, dtype=np.uint64)[order]
         if counts

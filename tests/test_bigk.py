@@ -240,7 +240,7 @@ class TestBigKPreaggregate:
         res = partition_reads(genomic_batch, 45, 15, 4)
         block = max(res.blocks, key=lambda b: b.n_superkmers)
         (hi, lo), slots = block_observations(block)
-        (ahi, alo), rows = preaggregate_observations((hi, lo), slots)
+        (ahi, alo), rows = preaggregate_observations((hi, lo), slots, 45)
         assert ahi.size == alo.size == rows.shape[0]
         assert rows.shape[1] == 9
         assert ahi.size < hi.size  # a covered genome repeats vertices
@@ -254,7 +254,7 @@ class TestBigKPreaggregate:
 
         e = np.zeros(0, dtype=np.uint64)
         (ahi, alo), rows = preaggregate_observations(
-            (e, e), np.zeros((3, 0), dtype=np.int8)
+            (e, e), np.zeros((3, 0), dtype=np.int8), 45
         )
         assert ahi.size == alo.size == 0 and rows.shape == (0, 9)
 
@@ -279,7 +279,7 @@ class TestBigKPreaggregate:
         plain = TwoWordHashTable(1 << 14, 45)
         plain.insert_batch(*observation_pairs(*observations))
         agg = TwoWordHashTable(1 << 14, 45)
-        agg.insert_batch(*preaggregate_observations(*observations))
+        agg.insert_batch(*preaggregate_observations(*observations, 45))
 
         assert agg.to_graph().equals(plain.to_graph())
         for field in ("ops", "inserts", "updates", "count_increments"):

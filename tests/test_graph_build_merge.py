@@ -66,20 +66,69 @@ class TestReferenceBuilders:
         assert int((s == MULT_SLOT).sum()) == n_kmers
 
 
+class TestOracleIndependence:
+    """The reference graph shares no sorting code with Step 2.
+
+    With ``sort_order`` and ``group_planes`` raising in every module
+    that imported them, the vectorized references still build.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _no_step2_sort(self, monkeypatch):
+        import sys
+
+        from repro.dna import kmer
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference graph used a Step-2 sort kernel")
+
+        for name in ("sort_order", "group_planes"):
+            kernel = getattr(kmer, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("repro") and \
+                        getattr(module, name, None) is kernel:
+                    monkeypatch.setattr(module, name, refuse)
+
+    def test_one_word_reference(self, genomic_batch):
+        assert_graphs_equal(build_reference_graph(genomic_batch, 27),
+                            build_reference_graph_slow(genomic_batch, 27), "k=27")
+
+    def test_two_word_reference(self, genomic_batch):
+        from repro.bigk.store import build_reference_bigk_slow
+        from repro.core.subgraph import build_subgraph_sortmerge
+        from repro.msp.partitioner import partition_reads
+
+        # build_reference_graph packs one word; at k = 45 the vectorized
+        # reference is graph_from_pairs over one partition's observations.
+        (block,) = partition_reads(genomic_batch, 45, 15, 1).blocks
+        assert build_subgraph_sortmerge(block).equals(
+            build_reference_bigk_slow(genomic_batch, 45))
+
+
 class TestMergeDisjoint:
     def split_graph(self, g, parts=3):
         bounds = np.linspace(0, g.n_vertices, parts + 1).astype(int)
         from repro.graph.dbg import DeBruijnGraph
 
         return [
-            DeBruijnGraph(k=g.k, vertices=g.vertices[a:b], counts=g.counts[a:b])
+            DeBruijnGraph(k=g.k, planes=g.planes[:, a:b], counts=g.counts[a:b])
             for a, b in zip(bounds, bounds[1:])
         ]
+
+    @pytest.fixture
+    def graph_k45(self, genomic_batch):
+        from repro.bigk.store import build_reference_bigk_slow
+
+        return build_reference_bigk_slow(genomic_batch, 45)
 
     def test_roundtrip(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)
         parts = self.split_graph(g, 4)
         assert_graphs_equal(merge_disjoint(parts), g, "merge-roundtrip")
+
+    def test_roundtrip_two_word(self, graph_k45):
+        parts = self.split_graph(graph_k45, 4)
+        assert merge_disjoint(parts[::-1]).equals(graph_k45)
 
     def test_order_invariance(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)
@@ -90,6 +139,17 @@ class TestMergeDisjoint:
         g = build_reference_graph(genomic_batch, 15)
         with pytest.raises(OverlapError):
             merge_disjoint([g, g])
+
+    def test_overlap_detected_two_word(self, graph_k45):
+        with pytest.raises(OverlapError):
+            merge_disjoint([graph_k45, graph_k45])
+        # One shared vertex among otherwise disjoint parts.
+        parts = self.split_graph(graph_k45, 3)
+        middle = graph_k45.n_vertices // 2
+        one = DeBruijnGraph(k=45, planes=graph_k45.planes[:, middle:middle + 1],
+                            counts=graph_k45.counts[middle:middle + 1])
+        with pytest.raises(OverlapError):
+            merge_disjoint([parts[2], one, parts[0], parts[1]])
 
     def test_empty_inputs_skipped(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)

@@ -167,7 +167,7 @@ def test_preaggregate_observations_counts(rng):
     s = np.array([[8, 8, 8, 8],
                   [0, -1, 0, 5],
                   [-1, 4, 2, -1]], dtype=np.int8)
-    keys, rows = preaggregate_observations(v, s)
+    keys, rows = preaggregate_observations(v, s, 21)
     assert keys.tolist() == [3, 7]
     assert rows.shape == (2, 9)
     assert rows[0].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 1]
@@ -178,7 +178,7 @@ def test_preaggregate_observations_counts(rng):
 def test_preaggregate_observations_empty():
     empty_v = np.zeros(0, dtype=np.uint64)
     empty_s = np.zeros((3, 0), dtype=np.int8)
-    keys, rows = preaggregate_observations(empty_v, empty_s)
+    keys, rows = preaggregate_observations(empty_v, empty_s, 21)
     assert keys.size == 0 and rows.shape == (0, 9)
 
 
@@ -223,7 +223,7 @@ def test_preaggregation_shrinks_table_touches(genomic_batch):
     parts = partition_reads(genomic_batch, CFG.k, CFG.p, CFG.n_partitions)
     block = max(parts.blocks, key=lambda b: b.total_kmers())
     v, s = block_observations(block)
-    keys, rows = preaggregate_observations(v, s)
+    keys, rows = preaggregate_observations(v, s, block.k)
     assert keys.size < v.size  # genomic coverage implies duplicates
     assert int(rows.sum()) == int((s >= 0).sum())
 

@@ -96,6 +96,77 @@ class TestBigKConstructionProperties:
         assert table.to_graph().equals(graph_from_pairs(k, (hi, lo), slots))
 
 
+# -- Sort kernel on ties past the leading 64 bits ---------------------------------
+#
+# sort_order/group_planes argsort the key's leading 64 bits, then
+# ``dense rank << b | next b bits`` until every bit is used or no tie
+# is left.  Keys drawn from a few 64-bit prefixes and a few tails make
+# every pass matter; up to 8 prefixes need a 3-bit rank, which at
+# k = 63 leaves 61 of the 62 tail bits and forces a third pass.
+
+tie_ks = st.sampled_from([33, 45, 62, 63, 65, 80, 95])
+
+
+@st.composite
+def tie_heavy_keys(draw):
+    from repro.dna.kmer import lead_bases
+
+    k = draw(tie_ks)
+    tail_bits = 2 * k - 64
+    prefix = st.integers(0, (1 << 64) - 1)
+    if draw(st.booleans()):  # plane 0 all zero
+        prefix = st.integers(0, (1 << (64 - 2 * lead_bases(k))) - 1)
+    prefixes = draw(st.lists(prefix, min_size=1, max_size=8))
+    tails = draw(st.lists(st.integers(0, (1 << tail_bits) - 1),
+                          min_size=1, max_size=6))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(prefixes),
+                                    st.sampled_from(tails)), max_size=60))
+    return k, [(p << tail_bits) | t for p, t in pairs]
+
+
+def _check_sort_kernels(k, kmers):
+    from repro.dna.kmer import group_planes, sort_order
+
+    planes = _planes(kmers, k)
+    order = sort_order(planes, k).tolist()
+    assert [kmers[i] for i in order] == sorted(kmers)
+    keys, inverse = group_planes(planes, k)
+    distinct = sorted(set(kmers))
+    assert [join_planes(*col) for col in keys.T.tolist()] == distinct
+    assert [distinct[i] for i in inverse.tolist()] == kmers
+
+
+class TestSortKernelTies:
+    @given(tie_heavy_keys())
+    def test_sort_and_group_match_ints(self, case):
+        _check_sort_kernels(*case)
+
+    @pytest.mark.parametrize("k, passes", [(45, 2), (63, 3), (95, 4)])
+    def test_passes(self, monkeypatch, k, passes):
+        # Six 64-bit prefixes, each with tails that differ in the last
+        # bit only: the rank takes 3 bits.
+        tail_bits = 2 * k - 64
+        kmers = [((p * 0x9E3779B97F4A7C15 % (1 << 64)) << tail_bits) | t
+                 for p in range(6) for t in (0, 1)]
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda a, *args, **kw: calls.append(a.size)
+                            or argsort(a, *args, **kw))
+        _check_sort_kernels(k, kmers)
+        assert calls == [len(kmers)] * passes * 2  # sort_order, group_planes
+
+    def test_no_tie_is_one_pass(self, monkeypatch):
+        kmers = [(p << 26) | 5 for p in range(10)]
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda a, *args, **kw: calls.append(a.size)
+                            or argsort(a, *args, **kw))
+        _check_sort_kernels(45, kmers)
+        assert len(calls) == 2
+
+
 # -- W = 3: k > 63 needs no code change in the codec ------------------------------
 #
 # Only the codec knows how bases map onto planes, so running it at three
@@ -176,9 +247,9 @@ class TestThreePlaneCodec:
         assert less_planes(a, b).tolist() == [
             x < y for x, y in zip(kmers[:4], kmers[4:])
         ]
-        order = sort_order(planes).tolist()
+        order = sort_order(planes, k).tolist()
         assert [kmers[i] for i in order] == sorted(kmers)
-        keys, inverse = group_planes(planes)
+        keys, inverse = group_planes(planes, k)
         distinct = sorted(set(kmers))
         assert [join_planes(*col) for col in keys.T.tolist()] == distinct
         assert [distinct[i] for i in inverse.tolist()] == kmers

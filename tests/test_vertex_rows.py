@@ -112,7 +112,7 @@ def filled_table(block, policy, rows):
     capacity, as :func:`build_subgraph_table` does.
     """
     observations = block_observations(block)
-    arrays = (preaggregate_observations(*observations) if rows
+    arrays = (preaggregate_observations(*observations, block.k) if rows
               else observation_pairs(*observations))
     capacity = policy.capacity_for(max(1, block.total_kmers()))
     while True:
