@@ -5,8 +5,8 @@ partitions; ``n_consumers`` claimers fetch-increment ``cns`` to reserve
 and consume them — the discipline of
 :class:`repro.concurrentsub.workqueue.ProcessWorkQueue`, the one queue
 every parallel build claims from: the threads backend's
-``run_coprocessed``, the processes backend's Step-1 chunks and Step-2
-ready queue, and the job service's lanes.  The paper's output side
+``run_coprocessed`` and the processes backend's Step-1 chunks and
+Step-2 ready queue.  The paper's output side
 (``prd``/``wrt``) is not modelled here: :mod:`repro.hetsim.pipeline`
 models it, and the processes backend streams results through its
 worker event channel.  With ``crash=True`` the model also includes the failure transitions the

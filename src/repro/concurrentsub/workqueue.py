@@ -102,9 +102,8 @@ class ProcessWorkQueue:
 
     **Weighted claims** generalize §III-E's CPU/GPU dispatch: a
     consumer standing in for a throughput-``w`` device reserves up to
-    ``w`` items per visit with one ``cns`` fetch-add (the job
-    service's per-tenant ``claim_weight``).  Weight 1 is plain work
-    stealing.
+    ``w`` items per visit with one ``cns`` fetch-add.  Weight 1 is
+    plain work stealing.
 
     Protocol:
 
@@ -197,59 +196,6 @@ class ProcessWorkQueue:
         """Items published so far."""
         with self._lock:
             return int(self._srv.value)
-
-    def try_claim(self, weight: int = 1) -> list:
-        """Non-blocking claim: up to ``weight`` items, ``[]`` when empty.
-
-        The service pool's visit primitive: a worker touring many job
-        lanes must never park on one empty lane while another has work,
-        so this variant returns immediately instead of polling.  The
-        reservation itself is the same weighted ``cns`` fetch-add as
-        :meth:`claim`; an empty, closed, or aborted queue all yield
-        ``[]`` (callers that must distinguish check :meth:`published`).
-        """
-        if weight < 1:
-            raise ValueError("weight must be >= 1")
-        with self._lock:
-            if int(self._state.value) == _WQ_ABORTED:
-                return []
-            avail = int(self._srv.value) - int(self._cns.value)
-            take = min(weight, avail)
-            if take <= 0:
-                return []
-            self._cns.value += take
-        out = []
-        for _ in range(take):
-            try:
-                out.append(
-                    self._items.get(timeout=max(1.0, self.claim_timeout))
-                )
-            except queue_mod.Empty:
-                raise QueueClosed(
-                    "reserved item never arrived (queue torn down?)"
-                ) from None
-        return out
-
-    def reset(self) -> None:
-        """Return a fully drained queue to its initial open state.
-
-        Lane reuse for the job service: one queue outlives many jobs.
-        Only legal once every published item has been claimed
-        (``srv == cns`` — the producer drains leftovers with
-        :meth:`try_claim` first); otherwise raises ``RuntimeError``.
-        Safe against concurrent claimers because the drained check and
-        the rewind happen under the same lock every claim reserves
-        under.
-        """
-        with self._lock:
-            if int(self._srv.value) != int(self._cns.value):
-                raise RuntimeError(
-                    "reset on a queue with unclaimed items; drain via "
-                    "try_claim first"
-                )
-            self._srv.value = 0
-            self._cns.value = 0
-            self._state.value = _WQ_OPEN
 
     def claim(self, weight: int = 1, timeout: float | None = None) -> list:
         """Reserve and return up to ``weight`` items (``[]`` = no more).

@@ -38,41 +38,54 @@ class GraphFormatError(ValueError):
 
 
 def save_graph(path: str | os.PathLike, graph: DeBruijnGraph) -> int:
-    """Write a graph as a binary ``.phdbg`` file; returns bytes written."""
+    """Write a graph as a binary ``.phdbg`` file; returns bytes written.
+
+    Each array is written from its own buffer: no copy of the graph is
+    made on a little-endian host.
+    """
     magic = MAGICS[graph.planes.shape[0]]
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, FORMAT_VERSION, graph.k, 0, graph.n_vertices))
-        fh.write(np.ascontiguousarray(graph.planes, dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(graph.counts, dtype="<u8").tobytes())
+        for array in (graph.planes, graph.counts):
+            fh.write(np.ascontiguousarray(array, dtype="<u8").data)
     return os.path.getsize(path)
 
 
 def load_graph(path: str | os.PathLike) -> DeBruijnGraph:
-    """Read a binary graph file back (either magic)."""
+    """Read a binary graph file back (either magic).
+
+    The body is read into one buffer; the planes and the counters are
+    views of it.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise GraphFormatError(f"{path}: truncated header")
-    magic, version, k, _reserved, n = _HEADER.unpack_from(raw, 0)
-    widths = {m: w for w, m in MAGICS.items()}
-    if magic not in widths:
-        raise GraphFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise GraphFormatError(f"{path}: unsupported version {version}")
-    width = widths[magic]
-    try:
-        if key_width(k) != width:
-            raise ValueError(f"a {magic!r} file holds {width}-word keys")
-    except ValueError as exc:
-        raise GraphFormatError(f"{path}: k={k} does not fit: {exc}") from exc
-    need = _HEADER.size + n * 8 * (width + N_SLOTS)
-    if len(raw) != need:
-        raise GraphFormatError(
-            f"{path}: expected {need} bytes for {n} vertices, got {len(raw)}"
-        )
-    body = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size)
-    planes = body[: width * n].reshape(width, n).astype(np.uint64)
-    counts = body[width * n :].reshape(n, N_SLOTS).astype(np.uint64)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise GraphFormatError(f"{path}: truncated header")
+        magic, version, k, _reserved, n = _HEADER.unpack(head)
+        widths = {m: w for w, m in MAGICS.items()}
+        if magic not in widths:
+            raise GraphFormatError(f"{path}: bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise GraphFormatError(f"{path}: unsupported version {version}")
+        width = widths[magic]
+        try:
+            if key_width(k) != width:
+                raise ValueError(f"a {magic!r} file holds {width}-word keys")
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}: k={k} does not fit: {exc}") from exc
+        need = _HEADER.size + n * 8 * (width + N_SLOTS)
+        size = os.fstat(fh.fileno()).st_size
+        if size != need:
+            raise GraphFormatError(
+                f"{path}: expected {need} bytes for {n} vertices, got {size}"
+            )
+        body = np.empty(n * (width + N_SLOTS), dtype="<u8")
+        got = fh.readinto(body)
+        if got != body.nbytes:
+            raise GraphFormatError(f"{path}: short read ({got} bytes)")
+    body = body.astype(np.uint64, copy=False)
+    planes = body[: width * n].reshape(width, n)
+    counts = body[width * n :].reshape(n, N_SLOTS)
     return DeBruijnGraph(k=k, vertices=planes, counts=counts)
 
 

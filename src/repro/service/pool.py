@@ -1,58 +1,52 @@
 """One shared process pool, many concurrent jobs: the service's engine.
 
-Multiprocessing primitives cannot be sent to a worker after it has
-started, so dynamic multi-tenancy is built from a *fixed* set of
-**lanes** created before the workers spawn: each lane is one
-:class:`~repro.concurrentsub.workqueue.ProcessWorkQueue` plus a slot in
-two small shared arrays (claim weight, generation).  A job occupies a
-free lane for the duration of its run and returns it; lanes are reused
-via the queue's ``reset()``.
+The parent decides who runs what, as §III-E's queue does: it keeps
+every open session's pending tasks, and whenever a worker is idle it
+sends that worker up to ``claim_weight`` tasks from the next session
+with a backlog, visiting sessions round-robin.  So when two jobs
+compete for the same workers, a weight-2 job is handed two tasks per
+worker visit against a weight-1 neighbor's one — observable in the
+claim batches the parent records and the status API reports.
+``n_lanes`` caps how many sessions are open at once; a session's
+``lane`` is the slot it holds.
 
-Every worker process tours **all** lanes forever::
-
-    for each lane:  read weight w  ->  try_claim(w)  ->  run tasks
-
-so the per-job ``claim_weight`` is the fairness/QoS knob from the
-weighted ticket protocol (§III-E generalized): when two jobs compete
-for the same workers, a weight-2 job's lane hands out two tasks per
-worker visit against a weight-1 neighbor's one — proportional service
-from one atomic fetch-add, observable in the claim batch sizes the
-status API reports.
+Each worker owns one pipe, made when it is spawned: it blocks on the
+pipe for its next batch and sends one report per task back on it.  A
+pipe write is synchronous (no feeder thread), so a result sent before
+a crash is in the parent's buffer when the crash is seen.
 
 Crash containment is per *job*, not per pool:
 
 * a task that **raises** is reported as that task's failure — the
-  worker survives and keeps serving other lanes;
-* a worker that **dies** (segfault, OOM kill) is detected by the
-  parent's pump thread; only the tasks that worker held — recorded in a
-  shared *holds* array the worker writes synchronously before running a
-  batch, because a dying process can't be trusted to flush its event
-  queue — fail on their jobs, and a replacement worker is spawned.
-  Neighbor jobs never see it.
-* a parent that is **SIGKILLed** cannot tell anyone; workers notice the
-  orphaning (``getppid`` flips) and exit on their own, so a dead
-  service never leaves spinning processes behind.
+  worker survives and serves the next batch;
+* a worker that **dies** (segfault, OOM kill) shows as end-of-file on
+  its pipe once the reports it sent are read.  The parent fails the
+  tasks it sent that worker and has not heard back about, on their own
+  session, and spawns a replacement.  Neighbor jobs never see it.
+* a parent that is **SIGKILLed** cannot tell anyone; workers notice
+  the orphaning (``getppid`` flips) while they wait for work and exit
+  on their own, so a dead service never leaves processes behind.
 
-Generations make lane reuse safe: every task carries its lane's
-generation, the pump drops events from past generations, and a worker
-skips a claimed task whose generation is stale — a cancelled job's
-leftovers can neither consume CPU nor be mistaken for the next
-tenant's results.
+A cancelled or released session's backlog never leaves the parent;
+tasks already sent to a worker finish and their reports are ignored.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import signal
 import threading
 import time
 import traceback
+from collections import deque
+from multiprocessing.connection import wait as wait_ready
 
-from ..concurrentsub.workqueue import ProcessWorkQueue, QueueClosed
 from ..parallel.pool import default_context
 from .tasks import run_task
+
+#: Seconds an idle worker waits on its pipe between orphan checks.
+_ORPHAN_CHECK_SECONDS = 1.0
 
 
 class TasksFailed(RuntimeError):
@@ -75,13 +69,11 @@ class LaneStalled(RuntimeError):
     """No task activity within the stall timeout — work was lost."""
 
 
-def _service_worker(worker_id: int, lanes, weights, gens, holds, out,
-                    parent_pid: int, poll_seconds: float) -> None:
-    """Body of one pool worker: tour lanes, claim by weight, run tasks.
+def _service_worker(conn, parent_pid: int) -> None:
+    """Body of one pool worker: receive a batch, run it, report each task.
 
-    Lives until the pool terminates it or the parent vanishes.  All
-    arguments are multiprocessing primitives handed over at spawn; no
-    shared memory is involved (tasks are file-based by design).
+    Lives until the pool terminates it or the parent vanishes.  Tasks
+    are file-based by design, so no shared memory is involved.
     """
     try:
         # Die promptly on the pool's terminate(); see parallel.pool.
@@ -89,73 +81,40 @@ def _service_worker(worker_id: int, lanes, weights, gens, holds, out,
     except (ValueError, OSError):  # pragma: no cover - exotic host
         pass
     while True:
-        if os.getppid() != parent_pid:
-            return  # orphaned: the service was SIGKILLed
-        claimed_any = False
-        for lane_id, lane in enumerate(lanes):
-            with weights.get_lock():
-                weight = int(weights[lane_id])
-            if weight <= 0:
-                continue
+        if not conn.poll(_ORPHAN_CHECK_SECONDS):
+            if os.getppid() != parent_pid:
+                return  # orphaned: the service was SIGKILLed
+            continue
+        try:
+            batch = conn.recv()
+        except EOFError:
+            return  # the parent closed its end
+        for task in batch:
             try:
-                tasks = lane.try_claim(weight)
-            except QueueClosed:  # pragma: no cover - torn-down lane
-                continue
-            if not tasks:
-                continue
-            claimed_any = True
-            batch_ids = [t.get("task_id") for t in tasks]
-            batch_gen = int(tasks[0].get("gen", 0))
-            # Record the held batch *synchronously* before running it:
-            # if this process dies mid-task, the out-queue's feeder
-            # thread dies with it, so events alone cannot attribute the
-            # loss.  Claims are contiguous seq ranges, hence 4 slots.
-            base = worker_id * 4
-            with holds.get_lock():
-                holds[base] = lane_id
-                holds[base + 1] = batch_gen
-                holds[base + 2] = int(tasks[0].get("seq", 0))
-                holds[base + 3] = len(tasks)
-            out.put(("claimed", worker_id, lane_id, batch_gen, None,
-                     batch_ids))
-            for task in tasks:
-                gen = int(task.get("gen", 0))
-                with gens.get_lock():
-                    current = int(gens[lane_id])
-                if gen != current:
-                    continue  # cancelled tenant's leftover; skip silently
-                task_id = task.get("task_id")
-                try:
-                    result = run_task(task)
-                except Exception:
-                    out.put(("task_error", worker_id, lane_id, gen,
-                             task_id, traceback.format_exc()))
-                else:
-                    out.put(("done", worker_id, lane_id, gen, task_id,
-                             result))
-            with holds.get_lock():
-                holds[base + 3] = 0  # batch settled; nothing held
-        if not claimed_any:
-            time.sleep(poll_seconds)
+                report = ("done", run_task(task))
+            except Exception:
+                report = ("task_error", traceback.format_exc())
+            conn.send(report)
 
 
 class LaneSession:
     """One job's tenancy of one lane: submit tasks, wait, observe.
 
     Parent-side only.  All mutable state is guarded by ``_cond`` (the
-    pump thread delivers into it; the runner thread waits on it).
+    pool's pump thread delivers into it; the runner thread waits on
+    it).  The pool takes ``_cond`` while holding its own lock, never
+    the other way round.
     """
 
-    def __init__(self, pool: "ServicePool", lane_id: int, gen: int,
-                 queue: ProcessWorkQueue, claim_weight: int) -> None:
+    def __init__(self, pool: "ServicePool", lane_id: int,
+                 claim_weight: int) -> None:
         self.pool = pool
         self.lane_id = lane_id
-        self.gen = gen
         self.claim_weight = claim_weight
-        self._queue = queue
         self._cond = threading.Condition()
         self._seq = 0
-        self._pending: dict[str, dict] = {}
+        self._backlog: deque[tuple[str, dict]] = deque()
+        self._pending: set[str] = set()
         self._done: dict[str, dict] = {}
         self._delivered: set[str] = set()
         self._errors: dict[str, str] = {}
@@ -166,7 +125,7 @@ class LaneSession:
     # -- submission --------------------------------------------------------------
 
     def submit(self, tasks: list[dict]) -> list[str]:
-        """Tag, register, and publish tasks to this session's lane."""
+        """Name and queue tasks, then hand them to idle workers."""
         task_ids = []
         with self._cond:
             if self._cancelled:
@@ -174,50 +133,34 @@ class LaneSession:
             if self.released:
                 raise RuntimeError("submit on a released session")
             for task in tasks:
-                seq = self._seq
+                task_id = f"L{self.lane_id}t{self._seq:04d}"
                 self._seq += 1
-                task_id = f"L{self.lane_id}g{self.gen}t{seq:04d}"
-                task = dict(task)
-                task["task_id"] = task_id
-                task["gen"] = self.gen
-                task["seq"] = seq
-                self._pending[task_id] = task
+                self._pending.add(task_id)
+                self._backlog.append((task_id, task))
                 task_ids.append(task_id)
-                self._queue.publish(task)
+        self.pool._dispatch()
         return task_ids
 
-    def task_id_for_seq(self, seq: int) -> str:
-        return f"L{self.lane_id}g{self.gen}t{seq:04d}"
+    def _take_batch(self, worker_id: int) -> list[tuple[str, dict]]:
+        """Pop up to ``claim_weight`` queued tasks for one worker."""
+        with self._cond:
+            n = min(self.claim_weight, len(self._backlog))
+            if n:
+                self._claim_batches.append(
+                    {"worker": worker_id, "n_tasks": n}
+                )
+            return [self._backlog.popleft() for _ in range(n)]
 
     # -- event delivery (called by the pool's pump thread) -----------------------
 
-    def _deliver(self, kind: str, worker_id: int, task_id: str | None,
-                 payload) -> None:
+    def _deliver(self, kind: str, task_id: str, payload) -> None:
         with self._cond:
-            if kind == "claimed":
-                self._claim_batches.append(
-                    {"worker": worker_id, "n_tasks": len(payload)}
-                )
-            elif kind == "done":
-                if task_id in self._pending:
-                    del self._pending[task_id]
+            if task_id in self._pending:
+                self._pending.discard(task_id)
+                if kind == "done":
                     self._done[task_id] = payload
-            elif kind == "task_error":
-                if task_id in self._pending:
-                    del self._pending[task_id]
+                else:
                     self._errors[task_id] = payload
-            self._cond.notify_all()
-
-    def _fail_tasks(self, task_ids, reason: str) -> None:
-        """A worker died holding these; they will never settle."""
-        with self._cond:
-            failed_any = False
-            for task_id in task_ids:
-                if task_id in self._pending:
-                    del self._pending[task_id]
-                    self._errors[task_id] = reason
-                    failed_any = True
-            if failed_any:
                 self._cond.notify_all()
 
     # -- waiting -----------------------------------------------------------------
@@ -232,8 +175,7 @@ class LaneSession:
         makes mid-stage kills resumable.
 
         ``stall_timeout`` bounds *inactivity*, not total runtime: it
-        resets on every settlement, and backstops the rare loss where a
-        worker died between claiming and announcing the claim.
+        resets on every settlement, and backstops a task that hangs.
         """
         deadline = time.monotonic() + stall_timeout
         while True:
@@ -270,9 +212,9 @@ class LaneSession:
 
     def cancel(self) -> None:
         """Stop serving this session; pending tasks will never settle."""
-        self.pool._cancel_session(self)
         with self._cond:
             self._cancelled = True
+            self._backlog.clear()
             self._pending.clear()
             self._cond.notify_all()
 
@@ -280,8 +222,8 @@ class LaneSession:
         """Retune this job's QoS weight while it runs."""
         if claim_weight < 1:
             raise ValueError("claim_weight must be >= 1")
-        self.claim_weight = claim_weight
-        self.pool._set_lane_weight(self.lane_id, claim_weight)
+        with self._cond:
+            self.claim_weight = claim_weight
 
     def describe(self) -> dict:
         """Fairness observability: weights and claim batches."""
@@ -300,31 +242,24 @@ class ServicePool:
     """The shared worker pool all jobs of one service instance use."""
 
     def __init__(self, n_workers: int = 2, n_lanes: int = 4,
-                 lane_capacity: int = 4096,
-                 ctx: mp.context.BaseContext | None = None,
-                 poll_seconds: float = 0.02) -> None:
+                 ctx: mp.context.BaseContext | None = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if n_lanes < 1:
             raise ValueError("n_lanes must be >= 1")
         self.n_workers = n_workers
         self.n_lanes = n_lanes
-        self.poll_seconds = poll_seconds
         self._ctx = ctx or default_context()
-        self._lanes = [
-            ProcessWorkQueue(lane_capacity, ctx=self._ctx)
-            for _ in range(n_lanes)
-        ]
-        self._weights = self._ctx.Array("q", n_lanes)
-        self._gens = self._ctx.Array("q", n_lanes)
-        self._holds = self._ctx.Array("q", n_workers * 4)
-        self._events = self._ctx.Queue()
         self._lock = threading.Lock()
         self._free_cond = threading.Condition(self._lock)
         self._free = list(range(n_lanes))
         self._sessions: dict[int, LaneSession] = {}
-        self._lane_gen = [0] * n_lanes
+        self._turn = 0  # the lane the next round-robin visit starts at
         self._procs: list = []
+        self._conns: list = []
+        # Per worker: the (session, task id) pairs sent to it and not
+        # yet reported, in the order it runs them.  Empty means idle.
+        self._held: list[deque] = [deque() for _ in range(n_workers)]
         self._pump_thread: threading.Thread | None = None
         self._closing = False
         self._started = False
@@ -336,7 +271,10 @@ class ServicePool:
         if self._started:
             return self
         self._started = True
-        self._procs = [self._spawn_worker(w) for w in range(self.n_workers)]
+        for worker_id in range(self.n_workers):
+            proc, conn = self._spawn_worker(worker_id)
+            self._procs.append(proc)
+            self._conns.append(conn)
         self._pump_thread = threading.Thread(
             target=self._pump, name="service-pool-pump", daemon=True
         )
@@ -344,28 +282,25 @@ class ServicePool:
         return self
 
     def _spawn_worker(self, worker_id: int):
+        conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_service_worker,
-            args=(worker_id, self._lanes, self._weights, self._gens,
-                  self._holds, self._events, os.getpid(),
-                  self.poll_seconds),
+            target=_service_worker, args=(child_conn, os.getpid()),
             name=f"repro-service-{worker_id}", daemon=True,
         )
         proc.start()
-        return proc
+        # The worker's end now lives in the worker alone, so its exit
+        # reads as end-of-file here.
+        child_conn.close()
+        return proc, conn
 
     def close(self) -> None:
         with self._lock:
             if self._closing:
                 return
             self._closing = True
-        for lane in self._lanes:
-            lane.abort()
         # Stop the pump before terminating workers: the pump respawns
         # dead workers, and a respawn landing in ``_procs`` after the
-        # terminate loop below would leave an untracked live process
-        # (which, under fork, keeps touring lane counters whose shared
-        # heap blocks the next pool may reuse).
+        # terminate loop below would leave an untracked live process.
         if self._pump_thread is not None:
             self._pump_thread.join(timeout=10.0)
         for proc in self._procs:
@@ -373,7 +308,8 @@ class ServicePool:
                 proc.terminate()
         for proc in self._procs:
             proc.join(timeout=10.0)
-        self._events.close()
+        for conn in self._conns:
+            conn.close()
 
     def __enter__(self) -> "ServicePool":
         return self.start()
@@ -400,103 +336,96 @@ class ServicePool:
                     )
                 self._free_cond.wait(remaining)
             lane_id = self._free.pop(0)
-            self._lane_gen[lane_id] += 1
-            gen = self._lane_gen[lane_id]
-            session = LaneSession(self, lane_id, gen,
-                                  self._lanes[lane_id], claim_weight)
+            session = LaneSession(self, lane_id, claim_weight)
             self._sessions[lane_id] = session
-        with self._gens.get_lock():
-            self._gens[lane_id] = gen
-        with self._weights.get_lock():
-            self._weights[lane_id] = claim_weight
         return session
 
     def release(self, session: LaneSession) -> None:
-        """Return a session's lane to the free list, drained and reset."""
+        """Return a session's lane to the free list; drop its backlog."""
         if session.released:
             return
         session.released = True
-        self._quiesce_lane(session.lane_id)
         with self._free_cond:
             if self._sessions.get(session.lane_id) is session:
                 del self._sessions[session.lane_id]
             self._free.append(session.lane_id)
             self._free_cond.notify_all()
 
-    def _cancel_session(self, session: LaneSession) -> None:
-        self._quiesce_lane(session.lane_id)
+    # -- dispatch: the parent hands out the tasks --------------------------------
 
-    def _quiesce_lane(self, lane_id: int) -> None:
-        """Weight to 0, drain unclaimed leftovers, rewind the queue."""
-        with self._weights.get_lock():
-            self._weights[lane_id] = 0
-        lane = self._lanes[lane_id]
-        while True:
-            try:
-                leftovers = lane.try_claim(64)
-            except QueueClosed:  # pragma: no cover - aborted at close
-                break
-            if not leftovers:
-                break
-        try:
-            lane.reset()
-        except RuntimeError:  # pragma: no cover - claim race; next tenant
-            pass              # inherits a drained-but-unrewound queue
+    def _dispatch(self) -> None:
+        """Send every idle worker a batch from the next backlogged session."""
+        with self._lock:
+            if self._closing:
+                return
+            for worker_id, held in enumerate(self._held):
+                if held:
+                    continue
+                session, batch = self._next_batch(worker_id)
+                if not batch:
+                    return
+                held.extend((session, task_id) for task_id, _ in batch)
+                try:
+                    self._conns[worker_id].send([task for _, task in batch])
+                except OSError:
+                    pass  # the worker is dead; the pump fails its batch
 
-    def _set_lane_weight(self, lane_id: int, claim_weight: int) -> None:
-        with self._weights.get_lock():
-            self._weights[lane_id] = claim_weight
+    def _next_batch(self, worker_id: int):
+        """Round-robin over lanes: the first session with a backlog
+        gives up to its claim weight.  Caller holds ``_lock``."""
+        for step in range(self.n_lanes):
+            lane_id = (self._turn + step) % self.n_lanes
+            session = self._sessions.get(lane_id)
+            batch = session._take_batch(worker_id) if session else []
+            if batch:
+                self._turn = lane_id + 1
+                return session, batch
+        return None, []
 
-    # -- pump: event delivery + worker liveness ----------------------------------
+    # -- pump: worker reports + worker liveness ----------------------------------
 
     def _pump(self) -> None:
         while True:
             with self._lock:
                 if self._closing:
                     return
-            try:
-                event = self._events.get(timeout=0.2)
-            except (queue_mod.Empty, OSError, EOFError):
-                self._check_workers()
-                continue
-            kind, worker_id, lane_id, gen, task_id, payload = event
-            with self._lock:
-                session = self._sessions.get(lane_id)
-            if session is None or session.gen != gen:
-                continue  # past tenant's leftover event
-            session._deliver(kind, worker_id, task_id, payload)
+                conns = list(self._conns)
+            for conn in wait_ready(conns, timeout=0.2):
+                worker_id = conns.index(conn)
+                try:
+                    kind, payload = conn.recv()
+                except (EOFError, OSError):
+                    self._replace_worker(worker_id)
+                    continue
+                with self._lock:
+                    session, task_id = self._held[worker_id].popleft()
+                session._deliver(kind, task_id, payload)
+                self._dispatch()
 
-    def _check_workers(self) -> None:
-        """Contain worker deaths: fail their held tasks, respawn."""
-        for idx, proc in enumerate(self._procs):
-            if proc.is_alive():
-                continue
-            base = idx * 4
-            with self._holds.get_lock():
-                lane_id = int(self._holds[base])
-                gen = int(self._holds[base + 1])
-                first_seq = int(self._holds[base + 2])
-                n_held = int(self._holds[base + 3])
-                self._holds[base + 3] = 0
-            with self._lock:
-                if self._closing:
-                    return
-                session = self._sessions.get(lane_id)
-                self.n_worker_restarts += 1
-                # Respawn under the same ``_closing`` check: done
-                # outside the lock, close() could terminate the old
-                # proc list and miss a replacement stored just after.
-                self._procs[idx] = self._spawn_worker(idx)
-            if n_held > 0 and session is not None and session.gen == gen:
-                reason = (
-                    f"worker {idx} died (exit code {proc.exitcode}) "
-                    f"while holding this task"
-                )
-                held_ids = [
-                    session.task_id_for_seq(seq)
-                    for seq in range(first_seq, first_seq + n_held)
-                ]
-                session._fail_tasks(held_ids, reason)
+    def _replace_worker(self, worker_id: int) -> None:
+        """Contain a worker death: fail what it held, respawn it."""
+        proc = self._procs[worker_id]
+        proc.join(timeout=5.0)
+        with self._lock:
+            if self._closing:
+                return
+            held = list(self._held[worker_id])
+            self._held[worker_id].clear()
+            self._conns[worker_id].close()
+            self.n_worker_restarts += 1
+            # Respawn under the ``_closing`` check: done outside the
+            # lock, close() could terminate the old proc list and miss
+            # a replacement stored just after.
+            self._procs[worker_id], self._conns[worker_id] = (
+                self._spawn_worker(worker_id)
+            )
+        reason = (
+            f"worker {worker_id} died (exit code {proc.exitcode}) "
+            f"while holding this task"
+        )
+        for session, task_id in held:
+            session._deliver("task_error", task_id, reason)
+        self._dispatch()
 
     # -- observability -----------------------------------------------------------
 

@@ -7,8 +7,12 @@ monkeypatch-through-fork idiom the backend crash tests use.
 
 import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,18 @@ needs_fork = pytest.mark.skipif(
 )
 
 pytestmark = needs_fork
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Opens a pool, prints its worker pids, then waits to be killed.
+_POOL_CHILD = """\
+import multiprocessing as mp
+import time
+from repro.service.pool import ServicePool
+pool = ServicePool(n_workers=2, n_lanes=1).start()
+print(" ".join(str(p.pid) for p in mp.active_children()), flush=True)
+time.sleep(600)
+"""
 
 
 def _fake_run_task(task: dict) -> dict:
@@ -258,3 +274,80 @@ class TestPoolLifecycle:
             ServicePool(n_lanes=0)
         with pytest.raises(RuntimeError):
             ServicePool(n_workers=1, n_lanes=1).open_session()
+
+
+def _has_exited(pid: int) -> bool:
+    """Gone, or a zombie: a container's init may never reap it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+class TestParentDispatch:
+    def test_backlog_has_no_capacity_limit(self, fake_tasks):
+        """More tasks than a fixed-size queue would hold all complete."""
+        with ServicePool(n_workers=2, n_lanes=1) as pool:
+            session = pool.open_session(claim_weight=3)
+            try:
+                session.submit([{"kind": "echo", "value": i}
+                                for i in range(5000)])
+                results = session.wait(stall_timeout=60.0)
+                batches = session.describe()["claim_batches"]
+            finally:
+                pool.release(session)
+        assert sorted(r["value"] for r in results.values()) == list(
+            range(5000))
+        assert sum(b["n_tasks"] for b in batches) == 5000
+        assert max(b["n_tasks"] for b in batches) == 3
+
+    def test_result_sent_before_a_crash_is_kept(self, fake_tasks):
+        """A worker dies mid-batch: only the task it died on fails."""
+        seen = []
+        with ServicePool(n_workers=1, n_lanes=1) as pool:
+            session = pool.open_session(claim_weight=2)
+            try:
+                echo_id, die_id = session.submit(
+                    [{"kind": "echo", "value": 7}, {"kind": "die"}])
+                with pytest.raises(TasksFailed) as exc_info:
+                    session.wait(stall_timeout=30.0,
+                                 on_done=lambda tid, r: seen.append((tid, r)))
+                batches = session.describe()["claim_batches"]
+            finally:
+                pool.release(session)
+            assert pool.n_worker_restarts == 1
+        assert batches == [{"worker": 0, "n_tasks": 2}]
+        assert seen == [(echo_id, {"value": 7})]
+        assert list(exc_info.value.errors) == [die_id]
+        assert "died" in exc_info.value.errors[die_id]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads worker states from /proc")
+    def test_workers_exit_when_the_parent_is_killed(self):
+        child = subprocess.Popen(
+            [sys.executable, "-c", _POOL_CHILD],
+            env=dict(os.environ, PYTHONPATH=_SRC),
+            stdout=subprocess.PIPE, text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 2
+            child.kill()
+            child.wait(timeout=30.0)
+            deadline = time.monotonic() + 10.0
+            while (not all(map(_has_exited, pids))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert all(map(_has_exited, pids))
+        finally:
+            child.kill()
+            child.wait(timeout=30.0)
+            child.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

@@ -196,76 +196,6 @@ class TestProcessWorkQueue:
         assert sorted(x for claimed in results for x in claimed) == list(range(6))
 
 
-class TestProcessWorkQueueTryClaim:
-    def test_empty_returns_immediately(self):
-        q = ProcessWorkQueue(4)
-        t0 = time.perf_counter()
-        assert q.try_claim(3) == []
-        assert time.perf_counter() - t0 < 1.0
-
-    def test_takes_up_to_weight(self):
-        q = ProcessWorkQueue(8)
-        for i in range(5):
-            q.publish(i)
-        assert q.try_claim(2) == [0, 1]
-        assert q.try_claim(1) == [2]
-        assert q.try_claim(10) == [3, 4]  # weight caps at availability
-        assert q.try_claim(1) == []
-
-    def test_weight_below_one_rejected(self):
-        q = ProcessWorkQueue(1)
-        with pytest.raises(ValueError):
-            q.try_claim(0)
-
-    def test_aborted_queue_yields_nothing(self):
-        q = ProcessWorkQueue(2)
-        q.publish("x")
-        q.abort()
-        assert q.try_claim(1) == []
-
-    def test_closed_queue_still_drains(self):
-        q = ProcessWorkQueue(2)
-        q.publish("x")
-        q.close()
-        assert q.try_claim(1) == ["x"]
-        assert q.try_claim(1) == []
-
-
-class TestProcessWorkQueueReset:
-    def test_reset_reopens_a_spent_queue(self):
-        q = ProcessWorkQueue(2)
-        q.publish("a")
-        q.close()
-        assert q.try_claim(1) == ["a"]
-        q.reset()
-        assert q.publish("b") == 0  # indices rewound too
-        assert q.try_claim(1) == ["b"]
-
-    def test_reset_after_abort(self):
-        q = ProcessWorkQueue(2)
-        q.abort()
-        q.reset()
-        q.publish("fresh")
-        assert q.try_claim(1) == ["fresh"]
-
-    def test_reset_with_unclaimed_items_rejected(self):
-        q = ProcessWorkQueue(2)
-        q.publish("stranded")
-        with pytest.raises(RuntimeError, match="unclaimed"):
-            q.reset()
-        assert q.try_claim(1) == ["stranded"]  # still claimable
-        q.reset()
-
-    def test_many_tenancies_on_one_queue(self):
-        q = ProcessWorkQueue(4)
-        for tenancy in range(5):
-            for i in range(3):
-                q.publish((tenancy, i))
-            got = q.try_claim(4)
-            assert got == [(tenancy, i) for i in range(3)]
-            q.reset()
-
-
 def _claim_pair(q: ProcessWorkQueue) -> tuple[list, list[str]]:
     """Two threads claim once each, held together at ``claim_rmw``.
 
@@ -330,7 +260,7 @@ class TestProcessWorkQueueSeededBugs:
             # but the transport does not hold it yet.
             seen["published"] = q.published()
             try:
-                seen["claimed"] = q.try_claim()
+                seen["claimed"] = q.claim()
             except QueueClosed as exc:
                 seen["stranded"] = str(exc)
 
