@@ -19,9 +19,14 @@ this equality bit-for-bit.
 
 A partition has exactly one owner on every build path, so
 :func:`build_subgraph` groups its observations by vertex and takes the
-sorted rows as the subgraph; :func:`build_subgraph_table` keeps the
-paper's shared concurrent hash table for the experiments that measure
-it.
+sorted rows as the subgraph.  Its input repeats: at high coverage most
+superkmers of a partition are exact copies, and copies with equal
+extensions make equal observations.  So it expands one copy of each
+distinct superkmer (:func:`superkmer_groups`, :func:`block_observations`)
+and weights that copy's observations by the copy count.
+:func:`build_subgraph_table` keeps the paper's shared concurrent hash
+table, fed every instance's observations in block order
+(:func:`instance_observations`), for the experiments that measure it.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ import numpy as np
 from ..dna.kmer import (
     canonical_planes_with_flip,
     group_planes,
+    group_words,
+    pack_spans,
     planes_to_ints,
     take_planes,
 )
@@ -49,8 +56,24 @@ from .estimator import SizingPolicy, next_power_of_two
 from .hashtable import ConcurrentHashTable, HashStats, TableFullError
 
 
+def _edge_slot_table(slot_for) -> np.ndarray:
+    """``slot_for(flipped, base)`` at entry ``5 * flipped + base + 1``.
+
+    ``base`` runs over -1..3; a -1 neighbour (a read boundary) has slot
+    -1.
+    """
+    bases = np.arange(-1, 4)
+    slots = slot_for(np.array([[False], [True]]), bases)
+    return np.where(bases < 0, -1, slots).astype(np.int8).ravel()
+
+
+_SUCCESSOR_SLOTS = _edge_slot_table(slot_for_successor)
+_PREDECESSOR_SLOTS = _edge_slot_table(slot_for_predecessor)
+
+
 def instance_slots(block: SuperkmerBlock, positions: np.ndarray,
-                   flip: np.ndarray) -> np.ndarray:
+                   flip: np.ndarray,
+                   superkmers: np.ndarray | None = None) -> np.ndarray:
     """The ``(3, n)`` counter slots each kmer instance of a block observes.
 
     Row 0 is the multiplicity slot, row 1 the successor edge and row 2
@@ -58,46 +81,95 @@ def instance_slots(block: SuperkmerBlock, positions: np.ndarray,
     superkmer, or the partition's extension base at a superkmer end.
     An edge slot is -1 where the instance touches a read boundary.
     ``positions`` and ``flip`` are the instances' flat base positions
-    and canonical-flip flags, in block order.
+    and canonical-flip flags, grouped by superkmer in the order of
+    ``superkmers`` (an index; every superkmer by default).
     """
     k = block.k
     bases = block.bases
     t = bases.size
-    per_sk = block.kmers_per_superkmer
+    chosen = slice(None) if superkmers is None else superkmers
+    per_sk = block.kmers_per_superkmer[chosen]
     last = np.cumsum(per_sk) - 1
     first = last - per_sk + 1
     next_base = bases[np.minimum(positions + k, t - 1)].astype(np.int8)
-    next_base[last] = block.right_ext
+    next_base[last] = block.right_ext[chosen]
     prev_base = bases[np.maximum(positions - 1, 0)].astype(np.int8)
-    prev_base[first] = block.left_ext
+    prev_base[first] = block.left_ext[chosen]
+    offset = flip * np.int8(5) + np.int8(1)
     slots = np.empty((3, positions.size), dtype=np.int8)
     slots[0] = MULT_SLOT
-    slots[1] = np.where(next_base < 0, -1, slot_for_successor(flip, next_base))
-    slots[2] = np.where(prev_base < 0, -1, slot_for_predecessor(flip, prev_base))
+    np.take(_SUCCESSOR_SLOTS, next_base + offset, out=slots[1], mode="clip")
+    np.take(_PREDECESSOR_SLOTS, prev_base + offset, out=slots[2], mode="clip")
     return slots
 
 
-def block_observations(block: SuperkmerBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Every kmer instance of a block with the observations it makes.
+def instance_observations(
+    block: SuperkmerBlock, superkmers: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every kmer instance of some superkmers with the observations it makes.
 
-    Returns ``(keys, slots)``: the instances' canonical keys as a
-    ``(W, n)`` plane array (block order, any k) and their ``(3, n)``
-    counter slots from :func:`instance_slots`.  Each non-negative slot
-    is one ``(vertex, slot)`` observation;
-    :func:`preaggregate_observations` groups them into vertex rows and
+    ``superkmers`` indexes the block's superkmers (every one, in block
+    order, by default).  Returns ``(keys, slots)``: the instances'
+    canonical keys as a ``(W, n)`` plane array (any k) and their
+    ``(3, n)`` counter slots from :func:`instance_slots`.  Each
+    non-negative slot is one ``(vertex, slot)`` observation;
     :func:`observation_pairs` flattens them into the per-observation
     stream.
     """
-    planes, positions = block.kmer_planes()
+    planes, positions = block.kmer_planes(superkmers)
     keys, flip = canonical_planes_with_flip(planes, block.k)
-    return keys, instance_slots(block, positions, flip)
+    return keys, instance_slots(block, positions, flip, superkmers)
+
+
+def superkmer_groups(block: SuperkmerBlock) -> tuple[np.ndarray, np.ndarray]:
+    """The block's identical superkmers grouped: ``(first, copies)``.
+
+    Two superkmers with equal bases and equal extensions make equal
+    observations.  A superkmer shorter than ``2k`` is keyed by its bases
+    (:func:`repro.dna.kmer.pack_spans`, masked to its length), its length
+    and both extensions; one of ``2k`` or more bases gets a key of its
+    own.  Returns one superkmer index per group and the group's size,
+    from :func:`repro.dna.kmer.group_words`: a hash collision there can
+    split a group, never merge two, so the copies stay exact.
+    """
+    k = block.k
+    lengths = block.lengths
+    words = pack_spans(block.bases, block.offsets[:-1], lengths, 2 * k - 1)
+    tag = lengths.astype(np.uint64)
+    tag |= (block.left_ext + 1).astype(np.uint64) << np.uint64(16)
+    tag |= (block.right_ext + 1).astype(np.uint64) << np.uint64(20)
+    # A short superkmer's tag stays below 2**24 (length < 2k < 2**16,
+    # extensions 0..4), so no long one's index tag can equal it.
+    long = np.flatnonzero(lengths >= 2 * k)
+    tag[long] = (long + 1).astype(np.uint64) << np.uint64(24)
+    return group_words(np.vstack([words, tag]))
+
+
+def block_observations(
+    block: SuperkmerBlock,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One copy of each distinct superkmer's instances, with its copy count.
+
+    At high coverage most superkmers of a partition are exact copies:
+    an error-free stretch of the genome gets the same minimizer
+    boundaries in every read that covers it.  So only one superkmer of
+    each :func:`superkmer_groups` group is expanded
+    (:func:`instance_observations`).  Returns ``(keys, slots, copies)``:
+    the expanded instances' keys and slots, and how many superkmers of
+    the block each instance stands for.
+    :func:`preaggregate_observations` weights every observation by it,
+    which gives the rows of expanding every copy.
+    """
+    first, copies = superkmer_groups(block)
+    keys, slots = instance_observations(block, first)
+    return keys, slots, np.repeat(copies, block.kmers_per_superkmer[first])
 
 
 def observation_pairs(keys: np.ndarray,
                       slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flatten per-instance observations into parallel observation arrays.
 
-    Takes what :func:`block_observations` returns and returns the keys
+    Takes what :func:`instance_observations` returns and returns the keys
     (same form: ``(W, m)`` planes, or a 1-D array for 1-D input) and
     the int64 slot of every single observation: all multiplicity
     observations first, then the successor edges, then the predecessor
@@ -113,7 +185,7 @@ def observation_pairs(keys: np.ndarray,
 
 
 def preaggregate_observations(
-    keys: np.ndarray, slots: np.ndarray, k: int
+    keys: np.ndarray, slots: np.ndarray, k: int, copies: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Group a block's observations into one counter row per vertex.
 
@@ -121,8 +193,9 @@ def preaggregate_observations(
     and its inputs carry a ~4-6x kmer duplication ratio (§III-C); one
     row per distinct vertex is exactly that entry.
 
-    Takes :func:`block_observations` output and the block's ``k``;
-    returns ``(keys, rows)``:
+    Takes instance keys and slots, the block's ``k`` and optionally
+    each instance's copy count (what :func:`block_observations`
+    returns; one copy each by default); returns ``(keys, rows)``:
     the distinct vertices in ascending order (same form as the input
     keys: ``(W, u)`` planes, or 1-D for 1-D input) and their ``(u, 9)``
     uint64 counter rows -- the subgraph itself.  Inserting the rows
@@ -132,7 +205,7 @@ def preaggregate_observations(
     """
     keys = np.asarray(keys)
     distinct, inverse = group_planes(np.atleast_2d(keys), k)
-    rows = vertex_rows(inverse, distinct.shape[1], slots)
+    rows = vertex_rows(inverse, distinct.shape[1], slots, copies)
     return (distinct[0] if keys.ndim == 1 else distinct), rows
 
 
@@ -173,14 +246,17 @@ def build_subgraph(block: SuperkmerBlock) -> SubgraphResult:
     """Construct one partition's subgraph as its single owner.
 
     Every build path gives a partition to exactly one worker, so there
-    is nothing to share a table with: the block's instances grouped by
-    canonical vertex (:func:`preaggregate_observations`) already are
-    the sorted vertices and ``(u, 9)`` counter rows of the subgraph, at
-    any k.  The graph is identical to the one
-    :func:`build_subgraph_table` reads out of its table, and the stats
-    are metered by :func:`row_stats`.
+    is nothing to share a table with: the instances of the block's
+    distinct superkmers, weighted by their copies
+    (:func:`block_observations`) and grouped by canonical vertex
+    (:func:`preaggregate_observations`), already are the sorted
+    vertices and ``(u, 9)`` counter rows of the subgraph, at any k.
+    The graph is identical to the one :func:`build_subgraph_table`
+    reads out of its table, and the stats are metered by
+    :func:`row_stats`.
     """
-    keys, rows = preaggregate_observations(*block_observations(block), block.k)
+    keys, slots, copies = block_observations(block)
+    keys, rows = preaggregate_observations(keys, slots, block.k, copies)
     return SubgraphResult(graph=DeBruijnGraph(k=block.k, vertices=keys, counts=rows),
                           stats=row_stats(rows), n_kmers=block.total_kmers())
 
@@ -209,7 +285,7 @@ def build_subgraph_table(
     :class:`repro.core.hashtable.TableFullError` instead.
     """
     policy = policy or SizingPolicy()
-    keys, slots = observation_pairs(*block_observations(block))
+    keys, slots = observation_pairs(*instance_observations(block))
     n_kmers = block.total_kmers()
     capacity = policy.capacity_for(max(1, n_kmers))
     # Hard upper bound: there cannot be more distinct vertices than
@@ -244,4 +320,4 @@ def build_subgraph_sortmerge(block: SuperkmerBlock) -> DeBruijnGraph:
 
     Used by baselines and as an independent oracle for the hash path.
     """
-    return graph_from_pairs(block.k, *observation_pairs(*block_observations(block)))
+    return graph_from_pairs(block.k, *observation_pairs(*instance_observations(block)))

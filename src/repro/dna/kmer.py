@@ -259,57 +259,122 @@ def take_planes(planes: np.ndarray, index: np.ndarray) -> np.ndarray:
         index = np.flatnonzero(index)
     out = np.empty((planes.shape[0], index.size), dtype=np.uint64)
     for plane, row in zip(planes, out):
-        np.take(plane, index, out=row)
+        # Indices are in range; mode="clip" writes ``out`` unbuffered.
+        np.take(plane, index, out=row, mode="clip")
     return out
 
 
-def pack_windows(bases: np.ndarray, k: int) -> np.ndarray:
-    """Every ``k``-base window of ``bases``, packed 2 bits per base.
+#: One ``uint32`` multiply packs four 2-bit codes held one per byte of
+#: a little-endian word: code ``i`` lands at bits ``30 - 2 i``, so the
+#: top byte reads ``c0 c1 c2 c3``.  No partial product reaches bit 24.
+_PACK4 = np.uint32(1 + (1 << 10) + (1 << 20) + (1 << 30))
 
-    ``out[i]`` packs ``bases[i : i + k]`` with the first base in the
-    high bits, for ``1 <= k <= 32``.  Built by doubling: windows of 1,
-    2, 4, 8, 16 and 32 bases, each two copies of the previous size side
-    by side, with the sizes that make up ``k``'s set bits OR-ed into
-    place -- about ``2 log2 k`` vector passes instead of ``k``.
+#: Starts gathered per pass of :func:`_pack_words` (bounds its scratch
+#: at ``32 W`` bytes per start).
+_PACK_CHUNK = 1 << 16
+
+
+def _pack_words(bases: np.ndarray, starts: np.ndarray, n_words: int) -> np.ndarray:
+    """``(n_words, n)`` words of 32 bases each, read from every start.
+
+    Word ``j`` of start ``s`` packs ``bases[s + 32 j : s + 32 (j + 1)]``
+    2 bits per base, first base in the high bits, with zeros past the
+    end of ``bases``.  Each start's ``32 n_words`` bases are gathered as
+    one row of a zero-padded sliding window, packed 4 per byte by one
+    multiply, and the bytes read back as big-endian words.
     """
-    if not 1 <= k <= 32:
-        raise ValueError(f"pack_windows needs 1 <= k <= 32, got {k}")
-    n = bases.size - k + 1
-    out = np.zeros(max(n, 0), dtype=np.uint64)
-    if n <= 0:
-        return out
-    window = bases.astype(np.uint64)
-    size, start = 1, 0
-    while True:
-        if k & size:
-            out |= window[start : start + n] << np.uint64(2 * (k - start - size))
-            start += size
-        if 2 * size > k:
-            return out
-        window = (window[:-size] << np.uint64(2 * size)) | window[size:]
-        size *= 2
+    span = PLANE_BASES * n_words
+    padded = np.zeros(bases.size + span, dtype=np.uint8)
+    padded[: bases.size] = bases
+    # One opaque ``span``-byte item per base: gathering items copies
+    # each row whole, faster than a 2-D sliding-window index.
+    rows = np.ndarray((bases.size + 1,), dtype=np.dtype((np.void, span)),
+                      buffer=padded, strides=(1,))
+    out = np.empty((n_words, starts.size), dtype=np.uint64)
+    for lo in range(0, starts.size, _PACK_CHUNK):
+        hi = min(lo + _PACK_CHUNK, starts.size)
+        x = rows[starts[lo:hi]].view(np.uint8).reshape(hi - lo, span)
+        quads = x.view("<u4")
+        quads *= _PACK4
+        out[:, lo:hi] = np.ascontiguousarray(x[:, 3::4]).view(">u8").T
+    return out
 
 
 def pack_planes(bases: np.ndarray, k: int,
                 starts: np.ndarray | None = None) -> np.ndarray:
     """The ``k``-base windows of a flat base array as ``(W, n)`` planes.
 
-    Every window by default, or the windows beginning at ``starts``.
-    Each plane is one :func:`pack_windows` pass over its slice of the
-    bases.
+    Every window by default, or only the windows beginning at
+    ``starts``.  The ``W`` words read from each start
+    (:func:`_pack_words`) hold its ``32 W >= k`` leading bases; plane 0
+    is word 0's leading ``lead_bases(k)`` bases and plane ``j`` the
+    tail of word ``j - 1`` joined to the head of word ``j``.
     """
     bases = np.asarray(bases, dtype=np.uint8)
-    n = max(bases.size - k + 1, 0) if starts is None else starts.size
-    planes = np.empty((key_width(k), n), dtype=np.uint64)
-    first, size = 0, lead_bases(k)
-    for row in planes:
-        windows = pack_windows(bases[first:], size)
-        if starts is None:
-            row[:] = windows[:n]
-        else:
-            np.take(windows, starts, out=row)
-        first, size = first + size, PLANE_BASES
+    if starts is None:
+        starts = np.arange(max(bases.size - k + 1, 0))
+    words = _pack_words(bases, np.asarray(starts, dtype=np.intp), key_width(k))
+    tail = np.uint64(2 * (PLANE_BASES - lead_bases(k)))
+    head = np.uint64(64) - tail
+    planes = np.empty_like(words)
+    np.right_shift(words[0], tail, out=planes[0])
+    for j in range(1, len(words)):
+        np.left_shift(words[j - 1], head, out=planes[j])
+        planes[j] |= words[j] >> tail
     return planes
+
+
+def pack_spans(bases: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               max_bases: int) -> np.ndarray:
+    """Spans of a flat base array packed 32 bases per word, zero past each end.
+
+    Span ``i`` is ``bases[starts[i] : starts[i] + lengths[i]]``; the
+    result is ``(ceil(max_bases / 32), n)`` words, and a span longer
+    than ``max_bases`` keeps only as many bases as the words hold.  Two
+    spans of at most ``max_bases`` bases get equal words exactly when
+    their bases are equal and their lengths are equal.
+    """
+    words = _pack_words(np.asarray(bases, dtype=np.uint8),
+                        np.asarray(starts, dtype=np.intp),
+                        -(-max_bases // PLANE_BASES))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    for j, word in enumerate(words):
+        held = np.clip(lengths - PLANE_BASES * j, 0, PLANE_BASES)
+        shift = (2 * (PLANE_BASES - np.maximum(held, 1))).astype(np.uint64)
+        word &= np.where(held > 0, np.uint64(_WORD_MASK) << shift, np.uint64(0))
+    return words
+
+
+def mix_words(words: np.ndarray) -> np.ndarray:
+    """A 64-bit multiply-mix hash of each column of ``(m, n)`` uint64 words."""
+    h = np.full(words.shape[1], 0x243F6A8885A308D3, dtype=np.uint64)
+    for word in words:
+        h ^= word
+        h *= np.uint64(0x9E3779B97F4A7C15)
+        h ^= h >> np.uint64(29)
+    return h
+
+
+def group_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of equal columns of ``(m, n)`` uint64 words.
+
+    Returns ``(first, size)``: one column index per group and the
+    number of columns in it.  The columns are ordered by one argsort of
+    :func:`mix_words`, and a group starts wherever any word differs
+    from the column before it in that order.  A hash collision can only
+    split equal columns into more than one group, never merge different
+    ones.
+    """
+    n = words.shape[1]
+    order = np.argsort(mix_words(words))
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    ordered = np.empty(n, dtype=np.uint64)
+    for word in words:
+        np.take(word, order, out=ordered, mode="clip")
+        new[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    return order[starts], np.diff(starts, append=n)
 
 
 def kmer_planes_from_reads(codes: np.ndarray, k: int) -> np.ndarray:

@@ -304,19 +304,24 @@ def empty_graph(k: int) -> DeBruijnGraph:
     )
 
 
-def vertex_rows(inverse: np.ndarray, n_vertices: int,
-                slots: np.ndarray) -> np.ndarray:
+def vertex_rows(inverse: np.ndarray, n_vertices: int, slots: np.ndarray,
+                copies: np.ndarray | None = None) -> np.ndarray:
     """``(n_vertices, 9)`` counter rows of grouped observations.
 
-    Entry ``i`` belongs to vertex ``inverse[i]`` and adds one count to
-    each of its non-negative ``slots[..., i]`` (one slot per entry, or a
-    ``(3, n)`` block of them); a single ``bincount`` over
-    ``vertex * 9 + slot`` builds every row at once.
+    Entry ``i`` belongs to vertex ``inverse[i]`` and adds ``copies[i]``
+    (one by default) to each of its non-negative ``slots[..., i]`` (one
+    slot per entry, or a ``(3, n)`` block of them).  One unbuffered
+    ``np.add.at`` per slot row over ``vertex * 9 + slot`` builds every
+    row, in exact int64 arithmetic.
     """
     spill = n_vertices * N_SLOTS  # bin for the -1 slots, dropped below
     bins = np.where(slots < 0, spill, inverse * N_SLOTS + slots)
-    counts = np.bincount(bins.ravel(), minlength=spill + 1)[:-1]
-    return counts.reshape(n_vertices, N_SLOTS).view(np.uint64)
+    counts = np.zeros(spill + 1, dtype=np.int64)
+    # One row at a time: numpy 2.4's add.at mis-adds values broadcast
+    # against a 2-D index.
+    for row in np.atleast_2d(bins):
+        np.add.at(counts, row, 1 if copies is None else copies)
+    return counts[:-1].reshape(n_vertices, N_SLOTS).view(np.uint64)
 
 
 def graph_from_pairs(k: int, vertex_ids: np.ndarray, slots: np.ndarray) -> DeBruijnGraph:
@@ -327,9 +332,11 @@ def graph_from_pairs(k: int, vertex_ids: np.ndarray, slots: np.ndarray) -> DeBru
     shared aggregation kernel of the reference builder and of the
     sort-merge baselines: it sorts the keys, merges duplicates -- the
     "sort-merge" strategy of §II-B -- and bins the slots per vertex.
-    The grouping is plain ``np.unique``/``np.lexsort``, not Step 2's
-    :func:`repro.dna.kmer.group_planes`, so the reference graph shares
-    no sorting code with the build it checks.
+    The grouping is plain ``np.unique``/``np.lexsort`` and the binning
+    its own ``bincount``, not Step 2's
+    :func:`repro.dna.kmer.group_planes` and :func:`vertex_rows`, so the
+    reference graph shares no grouping or binning code with the build
+    it checks.
     """
     planes = as_planes(vertex_ids, k)
     slots = np.asarray(slots).ravel().astype(np.int64)
@@ -348,5 +355,6 @@ def graph_from_pairs(k: int, vertex_ids: np.ndarray, slots: np.ndarray) -> DeBru
         inverse = np.empty(order.size, dtype=np.int64)
         inverse[order] = np.cumsum(new) - 1
         keys = ordered[:, new]
-    counts = vertex_rows(inverse, keys.shape[1], slots)
-    return DeBruijnGraph(k=k, vertices=keys, counts=counts)
+    n = keys.shape[1]
+    counts = np.bincount(inverse * N_SLOTS + slots, minlength=n * N_SLOTS)
+    return DeBruijnGraph(k=k, vertices=keys, counts=counts.reshape(n, N_SLOTS))

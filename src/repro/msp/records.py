@@ -126,29 +126,33 @@ class SuperkmerBlock:
 
     # -- kmer generation --------------------------------------------------------
 
-    def kmer_positions(self) -> np.ndarray:
+    def kmer_positions(self, superkmers: np.ndarray | None = None) -> np.ndarray:
         """Flat base position of every kmer start, grouped by superkmer.
 
         Kmers never span superkmer boundaries: superkmer ``i`` starts
         ``kmers_per_superkmer[i]`` kmers at ``offsets[i]``, one base
-        apart.
+        apart.  ``superkmers`` (an index) picks which superkmers, in
+        which order; every one in block order by default.
         """
-        per_sk = self.kmers_per_superkmer
+        chosen = slice(None) if superkmers is None else superkmers
+        per_sk = self.kmers_per_superkmer[chosen]
         firsts = np.cumsum(per_sk) - per_sk  # instance index of each first kmer
         return np.arange(int(per_sk.sum()), dtype=np.int64) + np.repeat(
-            self.offsets[:-1] - firsts, per_sk
+            self.offsets[:-1][chosen] - firsts, per_sk
         )
 
-    def kmer_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """All kmers of the block as key planes, with their flat positions.
+    def kmer_planes(
+        self, superkmers: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The kmers of the block as key planes, with their flat positions.
 
-        Returns ``(planes, positions)``: ``planes[:, i]`` is the
-        ``(W,)`` key of the kmer starting at ``bases[positions[i]]``
-        (:func:`repro.dna.kmer.pack_planes`, one vectorized doubling
-        pass per plane over the flat base array).  Kmers never span
-        superkmer boundaries.
+        Returns ``(planes, positions)`` for the kmers of
+        :meth:`kmer_positions` (every superkmer by default):
+        ``planes[:, i]`` is the ``(W,)`` key of the kmer starting at
+        ``bases[positions[i]]``, packed at only those starts by
+        :func:`repro.dna.kmer.pack_planes`.
         """
-        positions = self.kmer_positions()
+        positions = self.kmer_positions(superkmers)
         return pack_planes(self.bases, self.k, positions), positions
 
     def flat_kmers(self) -> tuple[np.ndarray, np.ndarray]:

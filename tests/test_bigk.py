@@ -8,7 +8,7 @@ from repro.bigk.store import build_reference_bigk_slow
 from repro.bigk.table import TwoWordHashTable
 from repro.concurrentsub.hashfunc import hash_planes, hash_planes_int
 from repro.core.parahash import build_debruijn_graph
-from repro.core.subgraph import block_observations, build_subgraph_sortmerge
+from repro.core.subgraph import build_subgraph_sortmerge, instance_observations
 from repro.dna.kmer import (
     canonical_int,
     canonical_planes_with_flip,
@@ -220,7 +220,7 @@ class TestBigKConstruction:
     def test_observation_counts(self, small_batch):
         k = 33
         res = partition_reads(small_batch, k, 11, 1)
-        (hi, lo), slots = block_observations(res.blocks[0])
+        (hi, lo), slots = instance_observations(res.blocks[0])
         n_kmers = small_batch.n_kmers(k)
         pairs = small_batch.n_reads * (small_batch.read_length - k)
         assert hi.size == lo.size == n_kmers  # one entry per kmer instance
@@ -239,7 +239,7 @@ class TestBigKPreaggregate:
 
         res = partition_reads(genomic_batch, 45, 15, 4)
         block = max(res.blocks, key=lambda b: b.n_superkmers)
-        (hi, lo), slots = block_observations(block)
+        (hi, lo), slots = instance_observations(block)
         (ahi, alo), rows = preaggregate_observations((hi, lo), slots, 45)
         assert ahi.size == alo.size == rows.shape[0]
         assert rows.shape[1] == 9
@@ -274,7 +274,7 @@ class TestBigKPreaggregate:
         from repro.core.subgraph import preaggregate_observations
 
         res = partition_reads(genomic_batch, 45, 15, 1)
-        observations = block_observations(res.blocks[0])
+        observations = instance_observations(res.blocks[0])
 
         plain = TwoWordHashTable(1 << 14, 45)
         plain.insert_batch(*observation_pairs(*observations))
@@ -345,8 +345,8 @@ class TestBigKPartitionCodec:
         loaded = read_partition(path)
         assert loaded.k == k
         assert loaded.n_superkmers == block.n_superkmers
-        (hi_a, lo_a), slots_a = block_observations(block)
-        (hi_b, lo_b), slots_b = block_observations(loaded)
+        (hi_a, lo_a), slots_a = instance_observations(block)
+        (hi_b, lo_b), slots_b = instance_observations(loaded)
         assert np.array_equal(hi_a, hi_b)
         assert np.array_equal(lo_a, lo_b)
         assert np.array_equal(slots_a, slots_b)

@@ -67,42 +67,80 @@ class TestReferenceBuilders:
 
 
 class TestOracleIndependence:
-    """The reference graph shares no sorting code with Step 2.
+    """The reference graphs share no Step-2 kernel with the build they check.
 
-    With ``sort_order`` and ``group_planes`` raising in every module
-    that imported them, the vectorized references still build.
+    With Step 2's sort, grouping, packing and binning kernels raising in
+    every module that imported them, the k = 27 and k = 45 references
+    still build, and equal the Step-2 graphs built beforehand.
     """
 
-    @pytest.fixture(autouse=True)
-    def _no_step2_sort(self, monkeypatch):
+    KERNELS = {
+        "repro.dna.kmer": ("sort_order", "group_planes", "group_words",
+                           "pack_planes", "pack_spans"),
+        "repro.graph.dbg": ("vertex_rows",),
+        "repro.core.subgraph": ("superkmer_groups",),
+    }
+
+    @pytest.fixture
+    def refuse_step2_kernels(self, monkeypatch):
+        import importlib
         import sys
 
-        from repro.dna import kmer
-
         def refuse(*args, **kwargs):
-            raise AssertionError("the reference graph used a Step-2 sort kernel")
+            raise AssertionError("the reference graph used a Step-2 kernel")
 
-        for name in ("sort_order", "group_planes"):
-            kernel = getattr(kmer, name)
-            for module_name, module in list(sys.modules.items()):
-                if module_name.startswith("repro") and \
-                        getattr(module, name, None) is kernel:
-                    monkeypatch.setattr(module, name, refuse)
+        def install():
+            for owner, names in self.KERNELS.items():
+                defining = importlib.import_module(owner)
+                for name in names:
+                    kernel = getattr(defining, name)
+                    for module_name, module in list(sys.modules.items()):
+                        if module_name.startswith("repro") and \
+                                getattr(module, name, None) is kernel:
+                            monkeypatch.setattr(module, name, refuse)
 
-    def test_one_word_reference(self, genomic_batch):
-        assert_graphs_equal(build_reference_graph(genomic_batch, 27),
-                            build_reference_graph_slow(genomic_batch, 27), "k=27")
+        return install
 
-    def test_two_word_reference(self, genomic_batch):
+    def test_one_word_reference(self, genomic_batch, refuse_step2_kernels):
+        from repro.core.subgraph import build_subgraph
+        from repro.graph.merge import merge_disjoint
+        from repro.msp.partitioner import partition_reads
+
+        blocks = partition_reads(genomic_batch, 27, 11, 4).blocks
+        built = merge_disjoint([build_subgraph(b).graph for b in blocks])
+        refuse_step2_kernels()
+        reference = build_reference_graph(genomic_batch, 27)
+        assert_graphs_equal(reference, build_reference_graph_slow(genomic_batch, 27),
+                            "k=27")
+        assert_graphs_equal(reference, built, "k=27 Step 2")
+
+    def test_two_word_reference(self, genomic_batch, refuse_step2_kernels):
         from repro.bigk.store import build_reference_bigk_slow
-        from repro.core.subgraph import build_subgraph_sortmerge
+        from repro.core.subgraph import (
+            build_subgraph,
+            instance_observations,
+            observation_pairs,
+        )
         from repro.msp.partitioner import partition_reads
 
         # build_reference_graph packs one word; at k = 45 the vectorized
         # reference is graph_from_pairs over one partition's observations.
         (block,) = partition_reads(genomic_batch, 45, 15, 1).blocks
-        assert build_subgraph_sortmerge(block).equals(
-            build_reference_bigk_slow(genomic_batch, 45))
+        built = build_subgraph(block).graph
+        pairs = observation_pairs(*instance_observations(block))
+        refuse_step2_kernels()
+        reference = build_reference_bigk_slow(genomic_batch, 45)
+        assert graph_from_pairs(45, *pairs).equals(reference)
+        assert built.equals(reference)
+
+    def test_refused_kernels_are_step2s(self, genomic_batch, refuse_step2_kernels):
+        from repro.core.subgraph import build_subgraph
+        from repro.msp.partitioner import partition_reads
+
+        (block,) = partition_reads(genomic_batch, 45, 15, 1).blocks
+        refuse_step2_kernels()
+        with pytest.raises(AssertionError, match="Step-2 kernel"):
+            build_subgraph(block)
 
 
 class TestMergeDisjoint:

@@ -1,15 +1,26 @@
-"""Doubling kmer packers against per-record scalar extraction.
+"""The kmer packer against per-record scalar extraction.
 
 ``SuperkmerBlock.flat_kmers`` (one word) and ``kmer_planes`` (two
-words) build their kmers from 1-, 2-, 4-, ... 32-base windows; every
-width and boundary case here is checked against ``iter_kmers`` run on
-each superkmer on its own.
+words) pack only the kmers that start at the block's kmer positions
+(``pack_planes`` with ``starts``); every width and boundary case here
+is checked against ``iter_kmers`` run on each superkmer on its own,
+and ``pack_planes`` itself at one, two and three planes, at arbitrary
+starts and at starts within ``32 W`` bases of the array's end.
 """
 
 import numpy as np
 import pytest
 
-from repro.dna.kmer import iter_kmers, join_planes, lead_bases, pack_windows
+from repro.dna.kmer import (
+    iter_kmers,
+    join_planes,
+    key_width,
+    kmer_from_codes,
+    lead_bases,
+    pack_planes,
+    pack_spans,
+    planes_to_ints,
+)
 from repro.msp.records import SuperkmerRecord, block_from_records, empty_block
 
 ONE_WORD_KS = [1, 2, 16, 31]
@@ -86,15 +97,46 @@ def test_empty_block(k):
         assert kmers.size == positions.size == 0
 
 
-def test_pack_windows_every_width(rng):
-    bases = rng.integers(0, 4, size=80, dtype=np.uint8)
-    for k in range(1, 33):
-        expected = list(iter_kmers(bases, k))
-        assert pack_windows(bases, k).tolist() == expected, k
+#: One k per plane count, plus each width's extremes.
+PACK_KS = [1, 27, 31, 33, 45, 63, 65, 80, 95]
 
 
-def test_pack_windows_rejects_wide_k():
-    with pytest.raises(ValueError):
-        pack_windows(np.zeros(70, dtype=np.uint8), 33)
-    with pytest.raises(ValueError):
-        pack_windows(np.zeros(70, dtype=np.uint8), 0)
+@pytest.mark.parametrize("k", PACK_KS)
+def test_pack_planes_every_window(rng, k):
+    bases = rng.integers(0, 4, size=3 * k + 40, dtype=np.uint8)
+    assert planes_to_ints(pack_planes(bases, k)) == list(iter_kmers(bases, k))
+
+
+@pytest.mark.parametrize("k", PACK_KS)
+def test_pack_planes_at_starts(rng, k):
+    # Any order, repeats, and every start whose 32 W-base read runs
+    # past the end of the array into the zero padding.
+    size = 3 * k + 40
+    bases = rng.integers(0, 4, size=size, dtype=np.uint8)
+    edge = np.arange(max(0, size - 32 * key_width(k)), size - k + 1)
+    starts = np.concatenate([rng.integers(0, size - k + 1, size=60), edge, edge[:3]])
+    expected = [kmer_from_codes(bases[s:s + k]) for s in starts]
+    assert planes_to_ints(pack_planes(bases, k, starts)) == expected
+
+
+@pytest.mark.parametrize("k", [1, 31, 45, 95])
+def test_pack_planes_no_starts(k):
+    planes = pack_planes(np.zeros(k - 1, dtype=np.uint8), k)
+    assert planes.shape == (key_width(k), 0)
+    planes = pack_planes(np.ones(k + 5, dtype=np.uint8), k, np.zeros(0, dtype=np.int64))
+    assert planes.shape == (key_width(k), 0)
+
+
+@pytest.mark.parametrize("max_bases", [1, 32, 53, 64, 89])
+def test_pack_spans_masks_each_span_to_its_length(rng, max_bases):
+    size = 200
+    bases = rng.integers(0, 4, size=size, dtype=np.uint8)
+    starts = rng.integers(0, size, size=80)
+    lengths = np.minimum(rng.integers(1, max_bases + 1, size=80), size - starts)
+    words = pack_spans(bases, starts, lengths, max_bases)
+    held = 32 * words.shape[0]
+    assert held >= max_bases > held - 32
+    for i, (start, length) in enumerate(zip(starts, lengths)):
+        value = join_planes(*words[:, i].tolist())
+        span = kmer_from_codes(bases[start:start + length])
+        assert value == span << (2 * (held - int(length)))

@@ -20,9 +20,9 @@ import pytest
 from repro.core.config import ParaHashConfig
 from repro.core.parahash import ParaHash
 from repro.core.subgraph import (
-    block_observations,
     build_subgraph,
     build_subgraph_table,
+    instance_observations,
     preaggregate_observations,
 )
 from repro.core.hashtable import ConcurrentHashTable
@@ -222,7 +222,7 @@ def test_preaggregation_shrinks_table_touches(genomic_batch):
     """The point of the kernel: duplicated inputs touch the table less."""
     parts = partition_reads(genomic_batch, CFG.k, CFG.p, CFG.n_partitions)
     block = max(parts.blocks, key=lambda b: b.total_kmers())
-    v, s = block_observations(block)
+    v, s = instance_observations(block)
     keys, rows = preaggregate_observations(v, s, block.k)
     assert keys.size < v.size  # genomic coverage implies duplicates
     assert int(rows.sum()) == int((s >= 0).sum())

@@ -7,8 +7,9 @@ from repro.core.estimator import SizingPolicy
 from repro.core.subgraph import (
     block_observations,
     build_subgraph,
-    build_subgraph_table,
     build_subgraph_sortmerge,
+    build_subgraph_table,
+    instance_observations,
     observation_pairs,
 )
 from repro.graph.build import build_reference_graph
@@ -33,7 +34,7 @@ class TestBlockObservations:
         k = 11
         res = partition_reads(small_batch, k=k, p=5, n_partitions=1)
         block = res.blocks[0]
-        v, s = block_observations(block)
+        v, s = instance_observations(block)
         n_kmers = small_batch.n_kmers(k)
         pairs = small_batch.n_reads * (small_batch.read_length - k)
         assert v.size == n_kmers  # one entry per kmer instance
@@ -43,8 +44,20 @@ class TestBlockObservations:
         assert flat_v.size == flat_s.size == n_kmers + 2 * pairs
 
     def test_empty_block(self):
-        v, s = block_observations(empty_block(11))
+        v, s = instance_observations(empty_block(11))
         assert v.size == 0 and s.size == 0
+        v, s, copies = block_observations(empty_block(11))
+        assert v.size == s.size == copies.size == 0
+
+    def test_distinct_superkmers_stand_for_every_instance(self, genomic_batch):
+        # At 13x coverage superkmers repeat: one copy of each is
+        # expanded, and the copy counts still add up to every instance.
+        k = 21
+        for block in partition_reads(genomic_batch, k, 9, 4).blocks:
+            v, s, copies = block_observations(block)
+            assert v.shape[1] == s.shape[1] == copies.size
+            assert int(copies.sum()) == block.total_kmers()
+            assert v.shape[1] < block.total_kmers()
 
     def test_extensions_generate_cut_edges(self, genomic_batch):
         # Without extension bases, edges crossing superkmer boundaries
