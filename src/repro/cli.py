@@ -183,8 +183,7 @@ def cmd_build(args: argparse.Namespace) -> int:
           f"({result.graph.n_duplicate_vertices():,} duplicates merged) "
           f"-> {args.output} ({n_bytes:,} bytes)")
     print(f"stages: MSP {result.timings.msp_seconds:.2f}s, "
-          f"hashing {result.timings.hashing_seconds:.2f}s, "
-          f"IO {result.timings.io_seconds:.2f}s; "
+          f"hashing {result.timings.hashing_seconds:.2f}s; "
           f"lock reduction {100 * result.hash_stats.lock_reduction:.0f}%")
     if args.tsv:
         rows = export_tsv(args.tsv, graph)

@@ -93,12 +93,13 @@ class ProcessWorkQueue:
     Picklable items travel through a ``multiprocessing`` queue; the
     ``srv``/``cns`` counters and the open/closed state live in shared
     memory.  The parent may **publish** work items while consumer
-    processes are already claiming — the handoff that makes the
-    Step-1→Step-2 pipeline of :mod:`repro.parallel.backend` stream
-    instead of barrier.  A work list fully known up front (Step 1's
-    read chunks, :func:`run_coprocessed`'s item indices) is the
-    degenerate case: publish every item, then :meth:`close` before any
-    consumer starts.
+    processes are already claiming — the handoff that lets the
+    workers of :mod:`repro.parallel.backend` wait, warm, across the
+    Step-1 barrier for the Step-2 partitions the parent publishes once
+    every Step-1 report is in.  A work list fully known up front
+    (Step 1's read chunks, :func:`run_coprocessed`'s item indices) is
+    the degenerate case: publish every item, then :meth:`close` before
+    any consumer starts.
 
     **Weighted claims** generalize §III-E's CPU/GPU dispatch: a
     consumer standing in for a throughput-``w`` device reserves up to

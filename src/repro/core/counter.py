@@ -99,21 +99,3 @@ def count_kmers_partitioned(
     order = np.argsort(kmers)
     return KmerCountTable(k=k, kmers=kmers[order], counts=counts[order])
 
-
-def abundance_filter_reads(table: KmerCountTable, reads: ReadBatch,
-                           min_count: int) -> np.ndarray:
-    """Mark reads all of whose kmers pass the abundance threshold.
-
-    A simple quality filter built on the count table: returns a boolean
-    mask of "solid" reads (no kmer below ``min_count``).
-    """
-    k = table.k
-    kmers = kmers_from_reads(reads.codes, k)
-    canon = canonical_u64(kmers, k)
-    idx = np.searchsorted(table.kmers, canon)
-    idx = np.minimum(idx, max(0, table.kmers.size - 1))
-    if table.kmers.size == 0:
-        return np.zeros(reads.n_reads, dtype=bool)
-    found = table.kmers[idx] == canon
-    counts = np.where(found, table.counts[idx], 0)
-    return (counts >= min_count).all(axis=1)

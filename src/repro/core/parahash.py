@@ -23,16 +23,20 @@ from ..concurrentsub.workqueue import WorkerRecord, run_coprocessed
 from ..dna.reads import ReadBatch
 from ..graph.dbg import DeBruijnGraph
 from ..graph.merge import merge_disjoint
-from ..msp.partitioner import load_partitions, partition_reads, partition_to_files
+from ..msp.partitioner import partition_reads, partition_to_files
 from ..msp.records import SuperkmerBlock, join_blocks
 from .config import ParaHashConfig
 from .hashtable import HashStats
-from .subgraph import SubgraphResult, build_subgraph
+from .subgraph import SubgraphResult, build_partition, build_subgraph
 
 
 @dataclass
 class StageTimings:
-    """Wall-clock seconds per workflow stage."""
+    """Wall-clock seconds per workflow stage.
+
+    Partition reads happen inside Step 2 on every backend, so
+    ``io_seconds`` reads 0; the field stays for callers that read it.
+    """
 
     msp_seconds: float = 0.0
     hashing_seconds: float = 0.0
@@ -66,7 +70,6 @@ class ParaHashResult:
             "partition_bytes": self.partition_bytes,
             "msp_seconds": round(self.timings.msp_seconds, 4),
             "hashing_seconds": round(self.timings.hashing_seconds, 4),
-            "io_seconds": round(self.timings.io_seconds, 4),
             "lock_reduction": round(self.hash_stats.lock_reduction, 4),
         }
 
@@ -77,10 +80,16 @@ class ParaHash:
     def __init__(self, config: ParaHashConfig | None = None) -> None:
         self.config = config or ParaHashConfig()
 
-    def _threads(self) -> int:
-        """Co-processing threads: ``workers()`` on ``threads``, else one."""
+    def _coprocess(self, fn, items: list, size_of):
+        """``[fn(item) for item in items]`` and the worker records; on
+        ``threads`` the items are co-processed through the §III-E queue
+        over ``config.workers()`` threads, results still in item order."""
         cfg = self.config
-        return cfg.workers() if cfg.backend == "threads" else 1
+        threads = cfg.workers() if cfg.backend == "threads" else 1
+        if threads == 1 or len(items) <= 1:
+            return [fn(item) for item in items], {}
+        workers = {f"cpu{t}": fn for t in range(threads)}
+        return run_coprocessed(items, workers, size_of=size_of)
 
     # -- Step 1 -----------------------------------------------------------------
 
@@ -93,23 +102,11 @@ class ParaHash:
         outcome is identical to the sequential run.
         """
         cfg = self.config
-        pieces = reads.split(cfg.step1_pieces())
-        threads = self._threads()
-        if threads > 1 and len(pieces) > 1:
-            workers = {
-                f"cpu{t}": (
-                    lambda piece: partition_reads(piece, cfg.k, cfg.p,
-                                                  cfg.n_partitions)
-                )
-                for t in range(threads)
-            }
-            results, _ = run_coprocessed(pieces, workers,
-                                         size_of=lambda piece: piece.n_reads)
-        else:
-            results = [
-                partition_reads(piece, cfg.k, cfg.p, cfg.n_partitions)
-                for piece in pieces
-            ]
+        results, _ = self._coprocess(
+            lambda piece: partition_reads(piece, cfg.k, cfg.p, cfg.n_partitions),
+            reads.split(cfg.step1_pieces()),
+            size_of=lambda piece: piece.n_reads,
+        )
         return [
             join_blocks(pieces, cfg.k)
             for pieces in zip(*(result.blocks for result in results))
@@ -125,15 +122,10 @@ class ParaHash:
         Each partition is claimed whole by one worker, which builds it
         alone (:func:`repro.core.subgraph.build_subgraph`).
         """
-        nonempty = [b for b in blocks if b.n_superkmers]
-        threads = self._threads()
-        if threads == 1 or len(nonempty) <= 1:
-            return [build_subgraph(b) for b in nonempty], {}
-        workers = {f"cpu{t}": build_subgraph for t in range(threads)}
-        results, records = run_coprocessed(
-            nonempty, workers, size_of=lambda b: b.total_kmers()
+        return self._coprocess(
+            build_subgraph, [b for b in blocks if b.n_superkmers],
+            size_of=lambda b: b.total_kmers(),
         )
-        return results, records
 
     # -- end to end ---------------------------------------------------------------
 
@@ -145,9 +137,9 @@ class ParaHash:
         """Run both steps and merge the subgraphs into the full graph.
 
         With ``workdir`` set, Step 1 streams encoded partition files to
-        disk and Step 2 reads them back (the paper's measured
-        configuration, including the write-out/read-in of superkmer
-        partitions); otherwise everything stays in memory.
+        disk and Step 2 reads them back one partition at a time (the
+        paper's measured configuration, including the write-out/read-in
+        of superkmer partitions); otherwise everything stays in memory.
 
         ``config.backend`` selects the execution backend.  ``serial``
         runs everything in this thread; ``threads`` co-processes both
@@ -162,31 +154,32 @@ class ParaHash:
 
             return build_graph_processes(reads, cfg, workdir=workdir)
         t0 = time.perf_counter()
-        io_seconds = 0.0
         if workdir is None:
             blocks = self.partition(reads)
             n_superkmers = sum(b.n_superkmers for b in blocks)
             n_kmers = sum(b.total_kmers() for b in blocks)
             partition_bytes = sum(b.byte_size_encoded() for b in blocks)
+            t1 = time.perf_counter()
+            results, records = self.construct_subgraphs(blocks)
         else:
             report = partition_to_files(
                 reads, cfg.k, cfg.p, cfg.n_partitions, workdir,
                 n_input_pieces=cfg.step1_pieces(),
             )
-            t_io = time.perf_counter()
-            blocks = load_partitions(report.paths)
-            io_seconds += time.perf_counter() - t_io
+            t1 = time.perf_counter()
+            # One partition file in memory per Step-2 item.
+            results, records = self._coprocess(
+                lambda part: build_partition([report.paths[part]], cfg.k),
+                list(report.paths),
+                size_of=lambda part: int(report.kmers_per_partition[part]),
+            )
             n_superkmers = report.n_superkmers
             n_kmers = report.n_kmers
             partition_bytes = report.bytes_written
-        t1 = time.perf_counter()
-
-        results, records = self.construct_subgraphs(blocks)
         t2 = time.perf_counter()
         return finish_build(
             cfg, results,
-            StageTimings(msp_seconds=(t1 - t0) - io_seconds,
-                         hashing_seconds=t2 - t1, io_seconds=io_seconds),
+            StageTimings(msp_seconds=t1 - t0, hashing_seconds=t2 - t1),
             n_superkmers=n_superkmers, n_kmers=n_kmers,
             partition_bytes=partition_bytes, worker_records=records,
         )

@@ -31,6 +31,8 @@ table, fed every instance's observations in block order
 
 from __future__ import annotations
 
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,7 @@ from ..graph.dbg import (
     slot_for_successor,
     vertex_rows,
 )
+from ..msp.partitioner import load_partition_group
 from ..msp.records import SuperkmerBlock
 from .estimator import SizingPolicy, next_power_of_two
 from .hashtable import ConcurrentHashTable, HashStats, TableFullError
@@ -259,6 +262,15 @@ def build_subgraph(block: SuperkmerBlock) -> SubgraphResult:
     keys, rows = preaggregate_observations(keys, slots, block.k, copies)
     return SubgraphResult(graph=DeBruijnGraph(k=block.k, vertices=keys, counts=rows),
                           stats=row_stats(rows), n_kmers=block.total_kmers())
+
+
+def build_partition(paths: Sequence[str | os.PathLike], k: int) -> SubgraphResult:
+    """Step 2 on disk: build one partition's subgraph from its files.
+
+    ``paths`` are the partition's files from all its writers.  Every
+    disk-backed engine builds through here, one partition at a time.
+    """
+    return build_subgraph(load_partition_group(paths, k))
 
 
 def build_subgraph_table(

@@ -23,7 +23,6 @@ import itertools
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -362,29 +361,3 @@ def save_read_batch(path: str | os.PathLike, batch: ReadBatch, fmt: str = "fastq
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'fasta' or 'fastq'")
 
-
-def split_input_file(path: str | os.PathLike, n_parts: int, out_dir: str | os.PathLike) -> list[Path]:
-    """Split an input FASTA/FASTQ into ``n_parts`` near-equal files.
-
-    This mirrors ParaHash Step 1 partitioning the input file to equal
-    sizes before extracting reads.  Returns the written file paths.
-    """
-    records = read_sequences(path)
-    if not records:
-        raise FormatError(f"{path}: no records to split")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_parts = min(n_parts, len(records))
-    bounds = [round(i * len(records) / n_parts) for i in range(n_parts + 1)]
-    is_fastq = records[0].quality is not None
-    paths = []
-    suffix = "fastq" if is_fastq else "fasta"
-    for i in range(n_parts):
-        part = records[bounds[i] : bounds[i + 1]]
-        out_path = out_dir / f"part_{i:04d}.{suffix}"
-        if is_fastq:
-            write_fastq(out_path, part)
-        else:
-            write_fasta(out_path, part)
-        paths.append(out_path)
-    return paths

@@ -103,14 +103,3 @@ class ReadBatch:
         bounds = np.linspace(0, self.n_reads, n_batches + 1).astype(int)
         return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_batches)]
 
-
-def concat_batches(batches: list[ReadBatch]) -> ReadBatch:
-    """Concatenate batches of identical read length into one."""
-    nonempty = [b for b in batches if b.n_reads]
-    if not nonempty:
-        return batches[0] if batches else ReadBatch(codes=np.zeros((0, 0), dtype=np.uint8))
-    length = nonempty[0].read_length
-    for b in nonempty:
-        if b.read_length != length:
-            raise ValueError("cannot concatenate batches with different read lengths")
-    return ReadBatch(codes=np.concatenate([b.codes for b in nonempty], axis=0))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pipeline import StepSimulation, Work
+from .pipeline import StepSimulation
 
 
 @dataclass(frozen=True)
@@ -82,18 +82,3 @@ def render_gantt(sim: StepSimulation, width: int = 72) -> str:
     lines.append(f"{'writer':>8} |{''.join(writer)}")
     return "\n".join(lines)
 
-
-def summarize_schedule(sim: StepSimulation, works: list[Work]) -> dict:
-    """Aggregate schedule health metrics (for tests and reports)."""
-    del works  # shape kept for future per-work metrics
-    makespan = sim.elapsed_seconds
-    busy = {name: usage.busy_seconds for name, usage in sim.usage.items()}
-    utilization = {
-        name: (b / makespan if makespan else 0.0) for name, b in busy.items()
-    }
-    return {
-        "makespan": makespan,
-        "busy_seconds": busy,
-        "utilization": utilization,
-        "n_partitions": len(sim.finish_times),
-    }

@@ -32,13 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..dna.encoding import pack_codes, packed_size, unpack_codes
-from .records import (
-    NO_EXT,
-    SuperkmerBlock,
-    SuperkmerRecord,
-    block_from_records,
-    empty_block,
-)
+from .records import NO_EXT, SuperkmerBlock, empty_block
 
 MAGIC = b"PHSK"
 FORMAT_VERSION = 2
@@ -69,12 +63,6 @@ class PartitionWriter:
         self._count = 0
         self._fh: io.BufferedWriter | None = open(self.path, "wb")
         self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, k, 0, 0))
-
-    def write_record(self, bases: np.ndarray, left_ext: int, right_ext: int) -> None:
-        """Append one superkmer (codes + extensions) as its own frame."""
-        self.write_block(
-            block_from_records(self.k, [SuperkmerRecord(bases, left_ext, right_ext)])
-        )
 
     def write_block(self, block: SuperkmerBlock) -> None:
         """Append every record of a block as one frame."""

@@ -6,21 +6,23 @@ adjacency extension bases.  Identical kmers share their minimizer, so
 all duplicates of a vertex land in the same partition — the partitions
 are vertex-disjoint subgraph descriptions (§III-B).
 
-The in-memory kernel is fully vectorized (no per-read Python loop); the
-disk-backed driver accumulates partition files over input pieces the
-way the paper's Step 1 accumulates superkmer partitions as the input is
-processed.
+The in-memory kernel is fully vectorized (no per-read Python loop);
+:func:`spill_reads`, the one disk-backed Step 1 of every engine,
+accumulates partition files over input pieces the way the paper's
+Step 1 accumulates superkmer partitions as the input is processed.
 
 On disk, partition ``p`` of a run is every file of the run's directory
 named ``partition_{p:04d}_w{w:03d}.phsk``, one per writer ``w``
-(:func:`partition_path`).  Nothing concatenates them: Step 2 reads a
-partition's files together (:func:`load_partition_group`).
+(:func:`partition_path`) that gave it a superkmer.  Nothing
+concatenates them: Step 2 reads a partition's files together
+(:func:`load_partition_group`).
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -139,15 +141,68 @@ def partition_reads(
 
 @dataclass(frozen=True)
 class MspRunReport:
-    """Disk-backed MSP run summary."""
+    """One writer's disk-backed Step-1 run (:func:`spill_reads`).
 
-    paths: list[Path]
+    ``paths`` maps each partition the writer touched to its file, and
+    ``kmers_per_partition`` counts k-mers over all partitions.
+    """
+
+    paths: dict[int, Path]
+    n_reads: int
     n_superkmers: int
-    n_kmers: int
+    kmers_per_partition: np.ndarray
     bytes_written: int
-    k: int
-    p: int
-    n_partitions: int
+
+    @property
+    def n_kmers(self) -> int:
+        return int(self.kmers_per_partition.sum())
+
+
+def spill_reads(
+    pieces: Iterable[ReadBatch],
+    spill_dir: str | os.PathLike,
+    writer: int,
+    k: int,
+    p: int,
+    n_partitions: int,
+) -> MspRunReport:
+    """Step 1 on disk: partition each read piece into writer ``writer``'s files.
+
+    Every engine's Step 1 runs this.  Each piece's superkmer blocks are
+    appended to :func:`partition_path` files of ``spill_dir``, one frame
+    per piece and partition.  A file is created when its partition first
+    gets a superkmer, so a partition the pieces never touch has no file
+    from this writer.  Pieces are taken one at a time, so a lazy
+    ``pieces`` iterator keeps one piece in memory.
+    """
+    files: dict[int, PartitionWriter] = {}
+    n_reads = 0
+    n_superkmers = 0
+    kmers_per_partition = np.zeros(n_partitions, dtype=np.int64)
+    try:
+        for piece in pieces:
+            result = partition_reads(piece, k, p, n_partitions)
+            for partition, block in enumerate(result.blocks):
+                if not block.n_superkmers:
+                    continue
+                if partition not in files:
+                    files[partition] = PartitionWriter(
+                        partition_path(spill_dir, partition, writer), k)
+                files[partition].write_block(block)
+            n_reads += piece.n_reads
+            n_superkmers += len(result.superkmers)
+            kmers_per_partition += result.kmers_per_partition()
+    finally:
+        for out in files.values():
+            out.close()
+    paths = {part: files[part].path for part in sorted(files)}
+    return MspRunReport(
+        paths=paths,
+        n_reads=n_reads,
+        n_superkmers=n_superkmers,
+        kmers_per_partition=kmers_per_partition,
+        bytes_written=sum(os.path.getsize(path) for path in paths.values()),
+    )
 
 
 def partition_to_files(
@@ -158,44 +213,16 @@ def partition_to_files(
     out_dir: str | os.PathLike,
     n_input_pieces: int = 1,
 ) -> MspRunReport:
-    """Full Step 1: split input, partition each piece, stream to disk.
-
-    The input batch is split into ``n_input_pieces`` equal pieces (the
-    paper partitions the input file to equal size); each piece's
-    superkmers are appended to the ``n_partitions`` open partition
-    files, so partitions accumulate as the input is consumed.  The one
-    writer is writer 0, and every partition gets its file, empty or not.
-    """
+    """Step 1 of a one-writer run: clear ``out_dir``, then spill the
+    reads' ``n_input_pieces`` equal pieces as writer 0."""
     _check_params(k, p, n_partitions, reads.read_length)
     clear_partition_files(out_dir)
-    paths = [partition_path(out_dir, i, 0) for i in range(n_partitions)]
-    writers = [PartitionWriter(path, k) for path in paths]
-    n_superkmers = 0
-    n_kmers = 0
-    try:
-        for piece in reads.split(n_input_pieces):
-            result = partition_reads(piece, k, p, n_partitions)
-            for writer, block in zip(writers, result.blocks):
-                writer.write_block(block)
-            n_superkmers += len(result.superkmers)
-            n_kmers += result.total_kmers()
-    finally:
-        for writer in writers:
-            writer.close()
-    bytes_written = sum(os.path.getsize(path) for path in paths)
-    return MspRunReport(
-        paths=paths,
-        n_superkmers=n_superkmers,
-        n_kmers=n_kmers,
-        bytes_written=bytes_written,
-        k=k,
-        p=p,
-        n_partitions=n_partitions,
-    )
+    return spill_reads(reads.split(n_input_pieces), out_dir, 0, k, p,
+                       n_partitions)
 
 
-def load_partitions(paths: list[Path] | list[str]) -> list[SuperkmerBlock]:
-    """Read partition files back into blocks (Step 2's input stage)."""
+def load_partitions(paths: Iterable[Path] | Iterable[str]) -> list[SuperkmerBlock]:
+    """Read partition files back into blocks, one per file."""
     return [read_partition(path) for path in paths]
 
 
@@ -225,48 +252,6 @@ def clear_partition_files(directory: str | os.PathLike) -> None:
             path.unlink()
 
 
-class SpillWriterSet:
-    """One worker's spill files — a private partition-file set.
-
-    Step 1's process fan-out gives every worker its *own* output files
-    (no cross-process file locking): the worker appends each processed
-    read chunk's superkmer blocks here, as writer ``worker_id`` of each
-    partition.  Files are created lazily, so partitions a worker never
-    touched leave no file behind.
-    """
-
-    def __init__(self, spill_dir: str | os.PathLike, worker_id: int, k: int,
-                 n_partitions: int) -> None:
-        self.spill_dir = Path(spill_dir)
-        self.worker_id = worker_id
-        self.k = k
-        self.n_partitions = n_partitions
-        self._writers: dict[int, PartitionWriter] = {}
-
-    def write_result(self, result: MspResult) -> None:
-        """Append one chunk's blocks to this worker's spill files."""
-        for partition, block in enumerate(result.blocks):
-            if not block.n_superkmers:
-                continue
-            writer = self._writers.get(partition)
-            if writer is None:
-                writer = PartitionWriter(
-                    partition_path(self.spill_dir, partition, self.worker_id),
-                    self.k,
-                )
-                self._writers[partition] = writer
-            writer.write_block(block)
-
-    def close(self) -> dict[int, Path]:
-        """Close all files; returns ``{partition: path}`` actually written."""
-        paths = {}
-        for partition, writer in sorted(self._writers.items()):
-            writer.close()
-            paths[partition] = writer.path
-        self._writers = {}
-        return paths
-
-
 def spill_groups(
     spill_paths: list[dict[int, Path]] | list[dict[int, str]],
     n_partitions: int,
@@ -285,6 +270,7 @@ def spill_groups(
     return groups
 
 
-def load_partition_group(paths: list[Path], k: int) -> SuperkmerBlock:
+def load_partition_group(paths: Sequence[str | os.PathLike],
+                         k: int) -> SuperkmerBlock:
     """Read one partition's files (all its writers') as a single block."""
     return join_blocks([read_partition(path) for path in paths], k)

@@ -1,35 +1,34 @@
 """The process-parallel execution backend (``backend="processes"``).
 
 Runs both ParaHash steps across worker *processes* so the pipeline
-scales with cores instead of being serialized by the GIL, as the
-§III-E streaming pipeline in ONE worker pool:
+scales with cores instead of being serialized by the GIL, in ONE worker
+pool that stays warm across the Step-1 barrier:
 
 * **Step 1** — the read matrix is copied once into shared memory and
   split into chunks; the parent publishes every chunk's bounds on a
   :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue` and closes
   it before the pool starts, so workers claim chunks one at a time
-  (the paper's ``cns`` work stealing) and append each chunk's
-  superkmer blocks to their own spill files (worker ``w`` is writer
-  ``w`` of :func:`repro.msp.partitioner.partition_path`), in the work
-  directory when there is one.  Grouping the spill files by
-  partition id — the minimizer-hash class — is the merge.  Each
-  worker announces its spill manifest to the parent through the
-  pool's event channel when its share is done, even when it claimed
-  no chunk.
-* **Step 2** — once every manifest has landed, the parent's merger
-  publishes the partitions (heaviest first) on a second
-  :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue`, so workers
-  that finished Step 1 early start while slower peers still spill.  A
-  worker claims a whole partition, reads its spill group, builds the
-  subgraph alone (:func:`repro.core.subgraph.build_subgraph`) and ships
-  it back through the event channel as soon as it is built.  No table
-  and no shared segment is involved: a partition's owner is its only
-  writer.
+  (the paper's ``cns`` work stealing) and spill them with
+  :func:`repro.msp.partitioner.spill_reads` as writer ``w`` of
+  :func:`repro.msp.partitioner.partition_path`, in the work directory
+  when there is one.  Grouping the spill files by partition id — the
+  minimizer-hash class — is the merge.  Each worker announces its
+  :class:`~repro.msp.partitioner.MspRunReport` to the parent through
+  the pool's event channel when its share is done, even when it
+  claimed no chunk.
+* **Step 2** — once every report has landed (a barrier: a partition's
+  input is complete only when every chunk is spilled), the parent's
+  merger publishes the partitions (heaviest first) on a second
+  :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue`, and the
+  same workers claim them.  A worker claims a whole partition, builds
+  its subgraph alone from its files
+  (:func:`repro.core.subgraph.build_partition`) and ships it back
+  through the event channel as soon as it is built.  No table and no
+  shared segment is involved: a partition's owner is its only writer.
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -38,14 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from ..concurrentsub.workqueue import ProcessWorkQueue, WorkerRecord
-from ..core.subgraph import SubgraphResult, build_subgraph
+from ..core.subgraph import SubgraphResult, build_partition
 from ..dna.reads import ReadBatch
 from ..msp.partitioner import (
-    SpillWriterSet,
+    MspRunReport,
     clear_partition_files,
-    load_partition_group,
-    partition_reads,
     spill_groups,
+    spill_reads,
 )
 from .pool import default_context, run_workers
 from .shm import SegmentSpec, attach_read_batch, share_read_batch
@@ -65,50 +63,29 @@ class _Step2Job:
 
 def _step1_worker(worker_id: int, batch_spec: SegmentSpec,
                   chunks: ProcessWorkQueue, k: int, p: int,
-                  n_partitions: int, spill_dir: str) -> dict:
-    """Claim read chunks, partition them, spill per-worker files."""
+                  n_partitions: int, spill_dir: str) -> MspRunReport:
+    """Claim read chunks and spill them as writer ``worker_id``."""
 
-    def consume(batch: ReadBatch, spills: SpillWriterSet) -> dict:
-        # Inner frame: every view over the shared codes matrix dies
-        # when this returns, so the segment can close cleanly.
-        n_superkmers = 0
-        n_reads = 0
-        kmers_per_partition = np.zeros(n_partitions, dtype=np.int64)
-        while True:
-            claimed = chunks.claim()
-            if not claimed:
-                break
-            for lo, hi in claimed:
-                piece = ReadBatch(codes=batch.codes[lo:hi])
-                result = partition_reads(piece, k, p, n_partitions)
-                spills.write_result(result)
-                n_superkmers += len(result.superkmers)
-                n_reads += piece.n_reads
-                kmers_per_partition += result.kmers_per_partition()
-        return {
-            "n_superkmers": n_superkmers,
-            "n_reads": n_reads,
-            "kmers_per_partition": kmers_per_partition.tolist(),
-        }
+    def claimed(codes: np.ndarray):
+        # Every view over the shared codes matrix lives in this
+        # generator's frame, which ends with the last claim, so the
+        # segment can close cleanly.
+        while items := chunks.claim():
+            for lo, hi in items:
+                yield ReadBatch(codes=codes[lo:hi])
 
     batch, seg = attach_read_batch(batch_spec)
-    spills = SpillWriterSet(spill_dir, worker_id, k, n_partitions)
     try:
-        report = consume(batch, spills)
+        return spill_reads(claimed(batch.codes), spill_dir, worker_id, k, p,
+                           n_partitions)
     finally:
-        paths = spills.close()
         del batch
         seg.close()
-    report["spills"] = {
-        partition: str(path) for partition, path in paths.items()
-    }
-    return report
 
 
 def _process_step2_job(job: _Step2Job) -> SubgraphResult:
     """Build one partition's subgraph from its files (either key width)."""
-    block = load_partition_group([Path(s) for s in job.group], job.k)
-    return build_subgraph(block)
+    return build_partition(job.group, job.k)
 
 
 def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
@@ -118,13 +95,13 @@ def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
     """Both steps in one process: partition, announce, then build.
 
     The worker drains Step-1 chunks with :func:`_step1_worker`, emits
-    its spill manifest through the pool's event channel (the parent's
-    merger is listening), and immediately starts claiming ready
-    partitions — which the merger publishes as soon as *every*
-    worker's manifest has landed, i.e. while this worker's slower peers
-    may still be spilling.  Each subgraph is emitted the moment it is
-    built, so a worker never holds more than one.  Returns the
-    ``(partition, n_kmers)`` of every partition it built.
+    its report through the pool's event channel (the parent's merger
+    is listening), and then claims ready partitions — which the merger
+    publishes once *every* worker's report has landed, so this worker
+    waits out its slower peers' Step 1 warm instead of exiting.  Each
+    subgraph is emitted the moment it is built, so a worker never
+    holds more than one.  Returns the ``(partition, n_kmers)`` of
+    every partition it built.
     """
     report = _step1_worker(worker_id, batch_spec, chunks, k, p,
                            n_partitions, spill_dir)
@@ -147,10 +124,10 @@ def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
 class _PipelineMerger:
     """Parent-side Step-1→Step-2 handoff and subgraph collection.
 
-    Collects every worker's spill manifest (delivered through the
+    Collects every worker's Step-1 report (delivered through the
     pool's event channel, so this runs inline with the parent's result
     poll — single-threaded, no locks needed despite feeding a
-    cross-process queue).  Once the last manifest lands, each live
+    cross-process queue).  Once the last report lands, each live
     partition's spill group is published as one work order, heaviest
     first.  The ready queue is closed after the last publication; a
     merger failure propagates out of ``run_workers`` and tears the pool
@@ -163,12 +140,10 @@ class _PipelineMerger:
         self.cfg = cfg
         self.n_workers = n_workers
         self.ready = ready
-        self.reports: dict[int, dict] = {}
+        self.reports: dict[int, MspRunReport] = {}
         self.results: dict[int, SubgraphResult] = {}
         self.kmers_per_partition = np.zeros(cfg.n_partitions, dtype=np.int64)
         self.live: list[int] = []
-        self.n_superkmers = 0
-        self.partition_bytes = 0
         self.spills_done_at: float | None = None
 
     def on_event(self, worker_id: int, payload) -> None:
@@ -187,16 +162,8 @@ class _PipelineMerger:
         cfg = self.cfg
         self.spills_done_at = time.perf_counter()
         reports = [self.reports[w] for w in range(self.n_workers)]
-        self.n_superkmers = sum(r["n_superkmers"] for r in reports)
-        for r in reports:
-            self.kmers_per_partition += np.asarray(  # checks: allow[R2] merger state touched only by the parent's event thread
-                r["kmers_per_partition"], dtype=np.int64
-            )
-        groups = spill_groups([r["spills"] for r in reports],
-                              cfg.n_partitions)
-        self.partition_bytes = sum(
-            os.path.getsize(path) for group in groups for path in group
-        )
+        self.kmers_per_partition = sum(r.kmers_per_partition for r in reports)
+        groups = spill_groups([r.paths for r in reports], cfg.n_partitions)
         self.live = [
             part for part in range(cfg.n_partitions)
             if self.kmers_per_partition[part] > 0
@@ -286,10 +253,11 @@ def build_graph_processes(
             tmp.cleanup()
 
     spills_done = merger.spills_done_at or t2
+    reports = [merger.reports[w] for w in range(n_workers)]
     records: dict[str, WorkerRecord] = {}
-    for w in range(n_workers):
+    for w, report in enumerate(reports):
         record = WorkerRecord(name=f"proc{w}",
-                              items_processed=merger.reports[w]["n_reads"])
+                              items_processed=report.n_reads)
         for partition, n_kmers in built[w]:
             record.partitions.append(partition)
             record.items_processed += n_kmers
@@ -298,8 +266,8 @@ def build_graph_processes(
         cfg, [merger.results[part] for part in merger.live],
         StageTimings(msp_seconds=spills_done - t0,
                      hashing_seconds=t2 - spills_done),
-        n_superkmers=merger.n_superkmers,
+        n_superkmers=sum(r.n_superkmers for r in reports),
         n_kmers=int(merger.kmers_per_partition.sum()),
-        partition_bytes=merger.partition_bytes,
+        partition_bytes=sum(r.bytes_written for r in reports),
         worker_records=records,
     )

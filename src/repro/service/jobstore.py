@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import secrets
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..core.config import check_k_p
@@ -95,9 +95,6 @@ class JobSpec:
             return cls(**d)
         except TypeError as exc:
             raise JobError(f"bad job spec: {exc}") from exc
-
-    def with_weight(self, claim_weight: int) -> "JobSpec":
-        return replace(self, claim_weight=claim_weight)
 
 
 def new_job_id() -> str:

@@ -218,13 +218,6 @@ class LaneSession:
             self._pending.clear()
             self._cond.notify_all()
 
-    def set_weight(self, claim_weight: int) -> None:
-        """Retune this job's QoS weight while it runs."""
-        if claim_weight < 1:
-            raise ValueError("claim_weight must be >= 1")
-        with self._cond:
-            self.claim_weight = claim_weight
-
     def describe(self) -> dict:
         """Fairness observability: weights and claim batches."""
         with self._cond:

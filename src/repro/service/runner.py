@@ -96,16 +96,23 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
 
         # -- Step 1: input pieces -> per-piece spill files ------------------------
         step1_manifests: dict[int, StageManifest] = {}
-        pending: list[dict] = []
-        for piece in range(spec.n_step1_tasks):
-            stage = f"step1_t{piece:04d}"
-            params = {
+
+        def step1_params(piece: int) -> dict:
+            # "split" names how a task picks its reads (its share of
+            # each scanner batch), so a Step 1 run under an older split
+            # re-runs instead of mixing with this one.
+            return {
                 "k": spec.k, "p": spec.p,
                 "n_partitions": spec.n_partitions,
                 "n_pieces": spec.n_step1_tasks, "piece": piece,
+                "split": "batch_rows",
             }
-            inputs = {"reads": input_digest}
-            manifest, reason = _stage_is_valid(record, stage, params, inputs)
+
+        pending: list[dict] = []
+        for piece in range(spec.n_step1_tasks):
+            stage = f"step1_t{piece:04d}"
+            manifest, _ = _stage_is_valid(
+                record, stage, step1_params(piece), {"reads": input_digest})
             if manifest is not None:
                 step1_manifests[piece] = manifest
                 continue
@@ -119,17 +126,12 @@ def run_job(record: JobRecord, session: LaneSession | None = None,
         def step1_done(_task_id, result) -> None:
             piece = int(result["piece"])
             stage = f"step1_t{piece:04d}"
-            params = {
-                "k": spec.k, "p": spec.p,
-                "n_partitions": spec.n_partitions,
-                "n_pieces": spec.n_step1_tasks, "piece": piece,
-            }
             outputs = tuple(
                 Artifact.of(path, record.job_dir)
                 for _, path in sorted(result["spills"].items())
             )
             manifest = fresh_manifest(
-                stage, params, {"reads": input_digest}, outputs,
+                stage, step1_params(piece), {"reads": input_digest}, outputs,
                 stats={
                     "n_reads": result["n_reads"],
                     "n_superkmers": result["n_superkmers"],

@@ -13,16 +13,19 @@ Task kinds
 ----------
 
 ``step1``  one input piece -> per-partition superkmer spill files.
-           The worker loads the reads file, takes its contiguous piece
-           (``ReadBatch.split``), runs the MSP kernel, and spills with
-           the piece id as the writer id, so file names are
-           deterministic and a re-run overwrites a dead attempt's
-           partial spills.
+           The worker streams the reads file one scanner batch at a
+           time and keeps, from each batch, the rows
+           ``split_bounds(n_pieces)[piece]``, so it never holds more
+           than one batch of reads.  It spills them with
+           :func:`repro.msp.partitioner.spill_reads`, the piece id as
+           the writer id, so file names are deterministic and a re-run
+           overwrites a dead attempt's partial spills.
 
 ``step2``  one partition's spill files -> one subgraph ``.phdbg`` file.
-           Builds the partition's subgraph (one- or two-word by k) as
-           its single owner and saves it atomically.  ``delay`` sleeps first —
-           the fault-injection window tests SIGKILL into.
+           Builds the partition's subgraph as its single owner
+           (:func:`repro.core.subgraph.build_partition`) and saves it
+           atomically.  ``delay`` sleeps first — the fault-injection
+           window tests SIGKILL into.
 
 The final subgraph union runs in the *parent* (a cheap, sequential file
 fold); see :mod:`repro.service.runner`.
@@ -34,10 +37,11 @@ import os
 import time
 from pathlib import Path
 
-from ..core.subgraph import build_subgraph
-from ..dna.io import load_read_batch
+from ..core.subgraph import build_partition
+from ..dna.io import iter_read_batches
+from ..dna.reads import ReadBatch
 from ..graph.serialize import save_graph
-from ..msp.partitioner import SpillWriterSet, load_partition_group, partition_reads
+from ..msp.partitioner import spill_reads
 
 
 class TaskFailed(RuntimeError):
@@ -60,27 +64,22 @@ def run_task(task: dict) -> dict:
 
 
 def _run_step1(task: dict) -> dict:
-    reads = load_read_batch(task["input"])
-    pieces = reads.split(int(task["n_pieces"]))
-    piece_id = int(task["piece"])
-    k, p = int(task["k"]), int(task["p"])
-    n_partitions = int(task["n_partitions"])
-    writer = SpillWriterSet(task["spill_dir"], piece_id, k, n_partitions)
-    if piece_id < len(pieces):  # split() may return fewer pieces than asked
-        result = partition_reads(pieces[piece_id], k, p, n_partitions)
-        writer.write_result(result)
-        n_reads = pieces[piece_id].n_reads
-        n_superkmers = sum(b.n_superkmers for b in result.blocks)
-    else:
-        n_reads = 0
-        n_superkmers = 0
-    spills = writer.close()
+    piece, n_pieces = int(task["piece"]), int(task["n_pieces"])
+    # split_bounds() returns fewer ranges than asked for a small batch,
+    # so a piece may get no rows of it.
+    rows = (
+        ReadBatch(codes=batch.codes[lo:hi])
+        for batch in iter_read_batches(task["input"])
+        for lo, hi in batch.split_bounds(n_pieces)[piece:piece + 1]
+    )
+    report = spill_reads(rows, task["spill_dir"], piece, int(task["k"]),
+                         int(task["p"]), int(task["n_partitions"]))
     return {
         "kind": "step1",
-        "piece": piece_id,
-        "n_reads": int(n_reads),
-        "n_superkmers": int(n_superkmers),
-        "spills": {int(part): str(path) for part, path in spills.items()},
+        "piece": piece,
+        "n_reads": report.n_reads,
+        "n_superkmers": report.n_superkmers,
+        "spills": {part: str(path) for part, path in report.paths.items()},
     }
 
 
@@ -91,10 +90,8 @@ def _run_step2(task: dict) -> dict:
         # partition unfinished (no manifest, no subgraph file) and a
         # resume re-runs exactly this partition.
         time.sleep(delay)
-    k = int(task["k"])
     partition = int(task["partition"])
-    block = load_partition_group(task["partition_files"], k)
-    built = build_subgraph(block)
+    built = build_partition(task["partition_files"], int(task["k"]))
     out_path = Path(task["out_path"])
     tmp = out_path.with_name(out_path.name + ".tmp")
     n_bytes = save_graph(tmp, built.graph)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -40,27 +40,6 @@ def measure(track_memory: bool = True):
             result.peak_bytes = peak
             if not was_tracing:
                 tracemalloc.stop()
-
-
-@dataclass
-class StageTimer:
-    """Accumulates named stage durations (for breakdown reports)."""
-
-    stages: dict[str, float] = field(default_factory=dict)
-
-    @contextmanager
-    def stage(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.stages[name] = self.stages.get(name, 0.0) + (
-                time.perf_counter() - start
-            )
-
-    @property
-    def total(self) -> float:
-        return sum(self.stages.values())
 
 
 def fit_loglog_slope(xs, ys) -> tuple[float, float]:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.counter import (
     KmerCountTable,
-    abundance_filter_reads,
     count_kmers,
     count_kmers_partitioned,
 )
@@ -66,23 +65,3 @@ class TestCountKmers:
         with pytest.raises(ValueError):
             KmerCountTable(k=5, kmers=np.zeros(2, dtype=np.uint64),
                            counts=np.zeros(3, dtype=np.uint64))
-
-
-class TestAbundanceFilter:
-    def test_clean_reads_pass(self, clean_batch):
-        table = count_kmers(clean_batch, 15)
-        mask = abundance_filter_reads(table, clean_batch, min_count=1)
-        assert mask.all()  # every kmer of every read is in the table
-
-    def test_error_reads_fail_strict_threshold(self, tiny_profile):
-        genome, reads = tiny_profile.generate()
-        table = count_kmers(reads, 15)
-        mask = abundance_filter_reads(table, reads, min_count=2)
-        # Reads containing a unique (error) kmer are rejected.
-        assert 0 < mask.sum() < reads.n_reads
-
-    def test_empty_table(self, clean_batch):
-        empty = KmerCountTable(k=15, kmers=np.zeros(0, dtype=np.uint64),
-                               counts=np.zeros(0, dtype=np.uint64))
-        mask = abundance_filter_reads(empty, clean_batch, min_count=1)
-        assert not mask.any()

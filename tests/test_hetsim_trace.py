@@ -2,7 +2,7 @@
 
 from repro.hetsim.device import HashWork, default_cpu, default_gpu
 from repro.hetsim.pipeline import simulate_step
-from repro.hetsim.trace import render_gantt, schedule_events, summarize_schedule
+from repro.hetsim.trace import render_gantt, schedule_events
 from repro.hetsim.transfer import memory_cached_disk, spinning_disk
 
 
@@ -58,15 +58,3 @@ class TestGantt:
         chart = render_gantt(sim, width=40)
         for line in chart.splitlines()[1:]:
             assert len(line) <= 40 + 12  # label + separator margin
-
-
-class TestSummary:
-    def test_metrics(self):
-        ws = works(10)
-        sim = simulate_step(ws, [default_cpu(), default_gpu()],
-                            memory_cached_disk())
-        summary = summarize_schedule(sim, ws)
-        assert summary["n_partitions"] == 10
-        assert summary["makespan"] == sim.elapsed_seconds
-        for name, u in summary["utilization"].items():
-            assert 0 <= u <= 1.0 + 1e-9, name

@@ -46,7 +46,8 @@ class TestMeasureStep1:
             n_input_pieces=cfg.n_input_pieces,
         )
         header = partition_file_size(empty_block(cfg.k))
-        body = sum(path.stat().st_size - header for path in report.paths)
+        body = sum(path.stat().st_size - header
+                   for path in report.paths.values())
         assert sum(w.out_bytes for w in wl.works) == body
 
 

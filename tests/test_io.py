@@ -12,7 +12,6 @@ from repro.dna.io import (
     read_fastq,
     read_sequences,
     save_read_batch,
-    split_input_file,
     write_fasta,
     write_fastq,
 )
@@ -206,20 +205,3 @@ class TestBatchIO:
         batch = ReadBatch.from_strs(["ACGT"])
         with pytest.raises(ValueError):
             save_read_batch(tmp_path / "b", batch, fmt="bam")
-
-
-class TestSplitInput:
-    def test_split_counts(self, tmp_path):
-        batch = ReadBatch.from_strs(["ACGT"] * 10)
-        src = tmp_path / "all.fastq"
-        save_read_batch(src, batch)
-        paths = split_input_file(src, 3, tmp_path / "parts")
-        assert len(paths) == 3
-        total = sum(len(read_sequences(p)) for p in paths)
-        assert total == 10
-
-    def test_split_empty_raises(self, tmp_path):
-        src = tmp_path / "empty.fasta"
-        src.write_text("")
-        with pytest.raises(FormatError):
-            split_input_file(src, 2, tmp_path / "parts")

@@ -26,6 +26,12 @@ HEADER = struct.Struct("<4sBBHQ")
 FRAME = struct.Struct("<IQ")
 
 
+def record_block(k, bases, left_ext, right_ext):
+    """A one-superkmer block."""
+    return block_from_records(
+        k, [SuperkmerRecord(al.encode(bases), left_ext, right_ext)])
+
+
 def sample_block(k=5, n=20, seed=0):
     rng = np.random.default_rng(seed)
     records = []
@@ -92,8 +98,8 @@ class TestRoundtrip:
     def test_streaming_writer_counts(self, tmp_path):
         path = tmp_path / "p.phsk"
         writer = PartitionWriter(path, 5)
-        writer.write_record(al.encode("ACGTA"), -1, -1)
-        writer.write_record(al.encode("ACGTACG"), 2, -1)
+        writer.write_block(record_block(5, "ACGTA", -1, -1))
+        writer.write_block(record_block(5, "ACGTACG", 2, -1))
         assert writer.close() == 2
         assert read_partition_header(path)[1] == 2
 
@@ -102,14 +108,14 @@ class TestWriterValidation:
     def test_short_record_rejected(self, tmp_path):
         writer = PartitionWriter(tmp_path / "p.phsk", 9)
         with pytest.raises(ValueError):
-            writer.write_record(al.encode("ACGT"), -1, -1)
+            writer.write_block(record_block(9, "ACGT", -1, -1))
         writer.close()
 
     def test_write_after_close(self, tmp_path):
         writer = PartitionWriter(tmp_path / "p.phsk", 5)
         writer.close()
         with pytest.raises(ValueError):
-            writer.write_record(al.encode("ACGTA"), -1, -1)
+            writer.write_block(record_block(5, "ACGTA", -1, -1))
 
     def test_mismatched_block_k(self, tmp_path):
         writer = PartitionWriter(tmp_path / "p.phsk", 5)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dna.reads import ReadBatch
 from repro.msp.inspect import (
     deep_scan_partition,
     inspect_partition_dir,
@@ -34,7 +35,17 @@ class TestInspect:
     def test_list_sorted(self, partition_dir):
         directory, report = partition_dir
         files = list_partition_files(directory)
-        assert files == sorted(report.paths)
+        assert files == sorted(report.paths.values())
+
+    def test_untouched_partitions_have_no_file(self, genomic_batch, tmp_path):
+        few = ReadBatch(codes=genomic_batch.codes[:2])
+        report = partition_to_files(few, k=15, p=7, n_partitions=64,
+                                    out_dir=tmp_path)
+        assert 0 < len(report.paths) < 64
+        summary = inspect_partition_dir(tmp_path)
+        assert [p.partition for p in summary.partitions] == sorted(report.paths)
+        assert summary.total_superkmers == report.n_superkmers
+        assert list_partition_files(tmp_path) == sorted(report.paths.values())
 
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -97,8 +97,12 @@ class TestPartitionToFiles:
             genomic_batch, k=15, p=7, n_partitions=6, out_dir=tmp_path,
             n_input_pieces=3,
         )
-        assert len(report.paths) == 6
-        blocks = load_partitions(report.paths)
+        assert sorted(report.paths) == [
+            part for part, block in enumerate(
+                partition_reads(genomic_batch, 15, 7, 6).blocks)
+            if block.n_superkmers
+        ]
+        blocks = load_partitions(report.paths.values())
         assert sum(b.total_kmers() for b in blocks) == genomic_batch.n_kmers(15)
         assert report.n_kmers == genomic_batch.n_kmers(15)
 
@@ -108,9 +112,13 @@ class TestPartitionToFiles:
             genomic_batch, k=15, p=7, n_partitions=4, out_dir=tmp_path,
             n_input_pieces=4,
         )
-        disk_blocks = load_partitions(report.paths)
         mem = partition_reads(genomic_batch, k=15, p=7, n_partitions=4)
-        for db, mb in zip(disk_blocks, mem.blocks):
+        assert sorted(report.paths) == [
+            part for part, block in enumerate(mem.blocks) if block.n_superkmers
+        ]
+        disk_blocks = load_partitions(report.paths.values())
+        for db, mb in zip(disk_blocks,
+                          [mem.blocks[part] for part in report.paths]):
             assert db.n_superkmers == mb.n_superkmers
             assert np.array_equal(np.sort(db.lengths), np.sort(mb.lengths))
             kd, _ = db.flat_kmers()
@@ -123,4 +131,5 @@ class TestPartitionToFiles:
         report = partition_to_files(
             genomic_batch, k=15, p=7, n_partitions=4, out_dir=tmp_path,
         )
-        assert report.bytes_written == sum(os.path.getsize(p) for p in report.paths)
+        assert report.bytes_written == sum(os.path.getsize(p)
+                                           for p in report.paths.values())

@@ -75,7 +75,7 @@ def test_service_step2_task_uses_no_table(genomic_batch, no_tables, tmp_path,
 
     p = 9 if k <= 31 else 15
     report = partition_to_files(genomic_batch, k, p, 4, tmp_path / "parts")
-    for part, path in enumerate(report.paths):
+    for part, path in report.paths.items():
         out = tmp_path / f"subgraph_{part}.phdbg"
         result = run_task({"kind": "step2", "partition": part,
                            "partition_files": [str(path)],

@@ -70,35 +70,51 @@ def test_pipelined_matches_across_worker_counts(clean_batch):
 
 
 def test_pipelined_disk_artifacts_match_serial(clean_batch, tmp_path):
-    """Same graph, and each partition on disk holds the same superkmers:
-    one file per partition from the serial run, one per worker that
-    touched it from the pipelined run."""
+    """Every engine's Step 1 is ``spill_reads``: the same graph, and its
+    work or spill directory holds the same partitions with the same
+    superkmers.  Serial and threads runs write one file per partition
+    (writer 0); the processes backend one per worker that touched it; a
+    service job one per Step-1 task that touched it."""
+    from repro.dna.io import save_read_batch
+    from repro.graph.serialize import load_graph
     from repro.msp.inspect import inspect_partition_dir
     from repro.msp.partitioner import load_partition_group
+    from repro.service.jobstore import JobSpec, JobStore
+    from repro.service.runner import run_job
 
-    outs = {}
+    graphs, dirs = {}, {}
     for label, cfg in (
         ("serial", CFG),
+        ("threads", CFG.with_(backend="threads", n_workers=2)),
         ("pipelined", CFG.with_(backend="processes", n_workers=2)),
     ):
-        work = tmp_path / label / "work"
-        outs[label] = (ParaHash(cfg).build_graph(clean_batch, workdir=work),
-                       inspect_partition_dir(work))
-    serial_result, serial_parts = outs["serial"]
-    pipe_result, pipe_parts = outs["pipelined"]
-    assert_graphs_identical(serial_result.graph, pipe_result.graph)
-    assert ([p.partition for p in serial_parts.partitions]
-            == [p.partition for p in pipe_parts.partitions])
-    assert serial_parts.partitions
-    for serial_part, pipe_part in zip(serial_parts.partitions,
-                                      pipe_parts.partitions):
-        assert len(serial_part.paths) == 1
-        records = [
-            sorted((r.to_str(), r.left_ext, r.right_ext) for r in
-                   load_partition_group(part.paths, CFG.k).iter_records())
-            for part in (serial_part, pipe_part)
-        ]
-        assert records[0] == records[1]
+        dirs[label] = tmp_path / label / "work"
+        graphs[label] = ParaHash(cfg).build_graph(
+            clean_batch, workdir=dirs[label]).graph
+    reads = tmp_path / "reads.fastq"
+    save_read_batch(reads, clean_batch)
+    record = JobStore(tmp_path / "jobs").create(JobSpec(
+        input=str(reads), k=CFG.k, p=CFG.p, n_partitions=CFG.n_partitions,
+        n_step1_tasks=3))
+    graphs["service"] = load_graph(run_job(record))
+    dirs["service"] = record.spill_dir
+
+    def records(part):
+        return sorted(
+            (r.to_str(), r.left_ext, r.right_ext)
+            for r in load_partition_group(part.paths, CFG.k).iter_records())
+
+    expected = inspect_partition_dir(dirs["serial"]).partitions
+    assert expected
+    assert all(len(part.paths) == 1 for part in expected)
+    for label, directory in dirs.items():
+        assert_graphs_identical(graphs["serial"], graphs[label])
+        parts = inspect_partition_dir(directory).partitions
+        assert [p.partition for p in parts] == [p.partition for p in expected]
+        if label == "threads":
+            assert all(len(part.paths) == 1 for part in parts)
+        for part, serial_part in zip(parts, expected):
+            assert records(part) == records(serial_part), (label, part)
 
 
 def test_pipelined_worker_records_cover_both_steps(genomic_batch):
@@ -150,9 +166,9 @@ def test_worker_without_step1_chunk_announces_empty_manifest(
         CFG.with_(backend="processes", n_workers=3)
     ).build_graph(one_read)
     assert sorted(manifests) == [0, 1, 2]
-    assert sorted(m["n_reads"] for m in manifests.values()) == [0, 0, 1]
-    idle = [m for m in manifests.values() if m["n_reads"] == 0]
-    assert all(m["spills"] == {} for m in idle)
+    assert sorted(m.n_reads for m in manifests.values()) == [0, 0, 1]
+    idle = [m for m in manifests.values() if m.n_reads == 0]
+    assert all(m.paths == {} for m in idle)
     assert set(result.worker_records) == {"proc0", "proc1", "proc2"}
     assert result.n_kmers == one_read.n_kmers(CFG.k)
 

@@ -2,6 +2,8 @@
 
 Partition ``p`` on disk is every file named ``partition_{p:04d}_w{w:03d}.phsk``
 (writer ``w``) in the run's work directory; nothing concatenates them.
+A writer creates its file of a partition when it first gives that
+partition a superkmer, so an untouched partition has no file.
 """
 
 import pytest
@@ -9,7 +11,12 @@ import pytest
 from repro.cli import main
 from repro.core.config import ParaHashConfig
 from repro.core.parahash import ParaHash
-from repro.msp.partitioner import parse_partition_path, partition_path
+from repro.dna.reads import ReadBatch
+from repro.msp.partitioner import (
+    parse_partition_path,
+    partition_path,
+    partition_reads,
+)
 
 CFG = ParaHashConfig(k=21, p=9, n_partitions=8, n_input_pieces=4)
 
@@ -40,6 +47,49 @@ def test_workdir_holds_only_partition_files(genomic_batch, tmp_path,
     assert sum(p.stat().st_size for p in entries) == result.partition_bytes
 
 
+def touched_partitions(batch, cfg) -> list[int]:
+    """The partitions that get at least one superkmer of ``batch``."""
+    blocks = partition_reads(batch, cfg.k, cfg.p, cfg.n_partitions).blocks
+    return [part for part, block in enumerate(blocks) if block.n_superkmers]
+
+
+@pytest.mark.parametrize("backend,workers", [
+    ("serial", 1), ("threads", 2), ("processes", 2),
+])
+def test_untouched_partitions_have_no_file(clean_batch, tmp_path, backend,
+                                           workers):
+    cfg = CFG.with_(n_partitions=64, backend=backend, n_workers=workers)
+    few = ReadBatch(codes=clean_batch.codes[:3])
+    touched = touched_partitions(few, cfg)
+    assert 0 < len(touched) < cfg.n_partitions
+    work = tmp_path / "work"
+    ParaHash(cfg).build_graph(few, workdir=work)
+    assert sorted({parse_partition_path(p)[0] for p in work.iterdir()}) \
+        == touched
+
+
+@pytest.mark.parametrize("backend,workers", [("serial", 1), ("threads", 2)])
+def test_workdir_build_reads_one_partition_at_a_time(genomic_batch, tmp_path,
+                                                     monkeypatch, backend,
+                                                     workers):
+    """Step 2 of a ``--workdir`` build reads each partition as its own
+    item; nothing loads every partition file up front."""
+    import repro.core.parahash as parahash_mod
+    import repro.msp.partitioner as partitioner_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a build loaded every partition at once")
+
+    cfg = CFG.with_(backend=backend, n_workers=workers)
+    in_memory = ParaHash(cfg).build_graph(genomic_batch).graph
+    monkeypatch.setattr(partitioner_mod, "load_partitions", refuse)
+    monkeypatch.setattr(parahash_mod, "load_partitions", refuse,
+                        raising=False)
+    result = ParaHash(cfg).build_graph(genomic_batch,
+                                       workdir=tmp_path / "work")
+    assert result.graph.equals(in_memory)
+
+
 def test_rerun_replaces_the_previous_runs_files(genomic_batch, tmp_path):
     work = tmp_path / "work"
     ParaHash(CFG.with_(backend="processes", n_workers=2)).build_graph(
@@ -48,7 +98,7 @@ def test_rerun_replaces_the_previous_runs_files(genomic_batch, tmp_path):
     result = ParaHash(CFG).build_graph(genomic_batch, workdir=work)
     names = sorted(p.name for p in work.iterdir())
     assert names == [partition_path(work, part, 0).name
-                     for part in range(CFG.n_partitions)]
+                     for part in touched_partitions(genomic_batch, CFG)]
     assert sum(p.stat().st_size for p in work.iterdir()) == \
         result.partition_bytes
 

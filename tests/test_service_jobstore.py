@@ -57,9 +57,6 @@ class TestJobSpec:
         with pytest.raises(JobError):
             JobSpec.from_dict(["not", "a", "dict"])
 
-    def test_with_weight(self):
-        assert spec().with_weight(4).claim_weight == 4
-
 
 class TestJobStore:
     def test_create_layout(self, tmp_path):

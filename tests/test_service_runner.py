@@ -140,6 +140,73 @@ class TestOldLayoutResume:
         assert record.graph_path.read_bytes() == built.read_bytes()
 
 
+class TestStep1Share:
+    """A Step-1 task streams the input and keeps its share of each batch."""
+
+    @pytest.mark.parametrize("k,p", [(21, 9), (45, 15)])
+    def test_task_holds_one_batch(self, store, genomic_batch, tmp_path,
+                                  monkeypatch, k, p):
+        import repro.dna.io as dio
+        import repro.msp.partitioner as partitioner_mod
+        import repro.service.tasks as tasks_mod
+        from repro.cli import main
+
+        reads = tmp_path / "reads.fastq"
+        save_read_batch(reads, genomic_batch)
+        built = tmp_path / "built.phdbg"
+        assert main(["build", "--input", str(reads), "--k", str(k),
+                     "--p", str(p), "--partitions", "6",
+                     "--output", str(built)]) == 0
+
+        # Small scanner chunks make the input many batches.
+        monkeypatch.setattr(dio, "CHUNK_BYTES", 4096)
+        batch_rows = [b.n_reads for b in dio.iter_read_batches(reads)]
+        assert len(batch_rows) > 3
+        assert sum(batch_rows) == genomic_batch.n_reads
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Step-1 task loaded the whole input")
+
+        monkeypatch.setattr(dio, "load_read_batch", refuse)
+        monkeypatch.setattr(tasks_mod, "load_read_batch", refuse,
+                            raising=False)
+        rows = []
+        real_partition_reads = partitioner_mod.partition_reads
+
+        def counting(piece, *args):
+            rows.append(piece.n_reads)
+            return real_partition_reads(piece, *args)
+
+        monkeypatch.setattr(partitioner_mod, "partition_reads", counting)
+        record = store.create(make_spec(reads, k=k, p=p, n_step1_tasks=3))
+        run_job(record)
+        assert rows and max(rows) <= max(batch_rows)
+        assert sum(rows) == genomic_batch.n_reads
+        assert record.graph_path.read_bytes() == built.read_bytes()
+
+    def test_older_split_reruns_step1(self, store, reads_file):
+        """Step-1 manifests without the split field (written when each
+        task took one piece of the whole input) re-run Step 1."""
+        record = store.create(make_spec(reads_file))
+        run_job(record)
+        graph = record.graph_path.read_bytes()
+        before = stamps(record)
+        for path in record.manifest_dir.glob("step1_t*.json"):
+            manifest = StageManifest.load(path)
+            params = {key: value for key, value in manifest.params.items()
+                      if key != "split"}
+            assert params != manifest.params
+            fresh_manifest(manifest.stage, params, manifest.inputs,
+                           manifest.outputs, stats=manifest.stats).save(path)
+            before[path.stem] = stamps(record)[path.stem]
+        run_job(record)
+        after = stamps(record)
+        assert after["step1_t0000"] != before["step1_t0000"]
+        assert after["step1_t0001"] != before["step1_t0001"]
+        assert record.status == "done"
+        assert record.graph_path.read_bytes() == graph
+
+
 class TestInvalidation:
     def test_changed_input_reruns_step1(self, store, reads_file,
                                         clean_batch):

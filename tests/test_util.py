@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.util.tables import format_cell, render_table
-from repro.util.timing import StageTimer, fit_loglog_slope, measure
+from repro.util.timing import fit_loglog_slope, measure
 
 
 class TestFormatCell:
@@ -61,19 +61,6 @@ class TestMeasure:
             big = np.zeros(4_000_000, dtype=np.uint8)
             del big
         assert m.peak_bytes >= 4_000_000
-
-
-class TestStageTimer:
-    def test_accumulates(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            time.sleep(0.01)
-        with timer.stage("a"):
-            pass
-        with timer.stage("b"):
-            pass
-        assert timer.stages["a"] >= 0.01
-        assert timer.total == pytest.approx(sum(timer.stages.values()))
 
 
 class TestLogLogFit:
