@@ -602,10 +602,9 @@ class ConcurrentHashTable:
         """Extract the subgraph: occupied entries sorted by vertex."""
         occ = self._state_view() == OCCUPIED
         keys = take_planes(self.keys, occ)
-        counts = self.counts[occ].astype(np.uint64)
         order = sort_order(keys, self.k)
         return DeBruijnGraph(k=self.k, vertices=take_planes(keys, order),
-                             counts=counts[order])
+                             counts=self.counts[occ][order])
 
     def multiplicity_histogram(self, max_mult: int = 16) -> np.ndarray:
         """Histogram of vertex multiplicities (error-filtering diagnostics)."""

@@ -201,7 +201,8 @@ def preaggregate_observations(
     returns; one copy each by default); returns ``(keys, rows)``:
     the distinct vertices in ascending order (same form as the input
     keys: ``(W, u)`` planes, or 1-D for 1-D input) and their ``(u, 9)``
-    uint64 counter rows -- the subgraph itself.  Inserting the rows
+    uint32 counter rows -- the subgraph itself (a counter past the
+    uint32 maximum raises :class:`OverflowError`).  Inserting the rows
     into :class:`ConcurrentHashTable` instead produces a table
     byte-identical to the per-observation insert, with ``HashStats``
     metered from the row sums for the individual observations.

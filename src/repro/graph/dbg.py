@@ -22,8 +22,11 @@ slot   meaning (relative to the canonical-forward orientation)
 
 The store is a ``(W, n)`` uint64 key-plane array (one plane for
 ``k`` in 1..31, two for 33..63; see :func:`repro.dna.kmer.key_width`)
-and a parallel counter matrix, sorted by vertex, which makes graphs
-directly comparable, mergeable and binary-searchable at every k.
+and a parallel ``uint32`` counter matrix, sorted by vertex, which makes
+graphs directly comparable, mergeable and binary-searchable at every k.
+The counters have one dtype from Step 2's rows to the graph file, the
+same as the hash table's: a count that does not fit raises
+:class:`OverflowError` instead of wrapping.
 """
 
 from __future__ import annotations
@@ -50,6 +53,33 @@ N_SLOTS = 9
 OUT_BASE = 0
 IN_BASE = 4
 MULT_SLOT = 8
+#: The one counter dtype of tables, subgraphs, graphs and graph files.
+COUNT_DTYPE = np.dtype(np.uint32)
+COUNT_MAX = int(np.iinfo(COUNT_DTYPE).max)
+
+
+def as_counts(values: np.ndarray) -> np.ndarray:
+    """``values`` as :data:`COUNT_DTYPE` counters, checked before the cast.
+
+    Returns a counter array as it is; any other integer array is
+    converted once.  Raises :class:`OverflowError` when a value lies
+    outside ``[0, COUNT_MAX]``, so a count never wraps.
+    """
+    values = np.asarray(values)
+    if values.dtype == COUNT_DTYPE or not values.size:
+        return values.astype(COUNT_DTYPE, copy=False)
+    if values.dtype.kind == "i":
+        # A negative value reads as a huge unsigned one: one pass
+        # checks both ends of the range.
+        bad = values.view(f"u{values.itemsize}").max() > COUNT_MAX
+    else:
+        bad = values.max() > COUNT_MAX or (values.dtype.kind != "u"
+                                           and values.min() < 0)
+    if bad:
+        raise OverflowError(
+            f"a counter does not fit the {COUNT_DTYPE} range [0, {COUNT_MAX}]"
+        )
+    return values.astype(COUNT_DTYPE)
 
 
 def slot_for_successor(flipped: np.ndarray, next_base: np.ndarray) -> np.ndarray:
@@ -87,7 +117,9 @@ class DeBruijnGraph:
         ``vertices_lo`` its two at W = 2; each is absent at the other
         width.
     counts:
-        ``(n_vertices, 9)`` uint64 counter matrix (see module docstring).
+        ``(n_vertices, 9)`` uint32 counter matrix (see module docstring).
+        Counts given in another integer dtype are converted once; one
+        past the uint32 maximum raises :class:`OverflowError`.
 
     The keys are passed as ``vertices`` (a 1-D array of one-word keys
     or the ``(W, n)`` plane array) or, as ``dataclasses.replace`` does,
@@ -106,7 +138,7 @@ class DeBruijnGraph:
                             "vertices or planes")
         self.k = k
         self.planes = as_planes(planes if vertices is None else vertices, k)
-        self.counts = np.asarray(counts, dtype=np.uint64)
+        self.counts = as_counts(counts)
         n = self.planes.shape[1]
         if self.counts.shape != (n, N_SLOTS):
             raise ValueError(
@@ -204,7 +236,7 @@ class DeBruijnGraph:
         """The 8 edge counters of a vertex (zeros when absent)."""
         i = self.index_of(kmer)
         if i < 0:
-            return np.zeros(8, dtype=np.uint64)
+            return np.zeros(8, dtype=self.counts.dtype)
         return self.counts[i, OUT_BASE:MULT_SLOT].copy()
 
     def successors(self, kmer: int) -> list[tuple[int, int]]:
@@ -300,7 +332,7 @@ def empty_graph(k: int) -> DeBruijnGraph:
     return DeBruijnGraph(
         k=k,
         vertices=np.zeros((key_width(k), 0), dtype=np.uint64),
-        counts=np.zeros((0, N_SLOTS), dtype=np.uint64),
+        counts=np.zeros((0, N_SLOTS), dtype=COUNT_DTYPE),
     )
 
 
@@ -312,7 +344,9 @@ def vertex_rows(inverse: np.ndarray, n_vertices: int, slots: np.ndarray,
     (one by default) to each of its non-negative ``slots[..., i]`` (one
     slot per entry, or a ``(3, n)`` block of them).  One unbuffered
     ``np.add.at`` per slot row over ``vertex * 9 + slot`` builds every
-    row, in exact int64 arithmetic.
+    row, in exact int64 arithmetic; the rows are then checked and cast
+    to uint32 once (:func:`as_counts`), so a counter past the uint32
+    maximum raises :class:`OverflowError`.
     """
     spill = n_vertices * N_SLOTS  # bin for the -1 slots, dropped below
     bins = np.where(slots < 0, spill, inverse * N_SLOTS + slots)
@@ -321,7 +355,7 @@ def vertex_rows(inverse: np.ndarray, n_vertices: int, slots: np.ndarray,
     # against a 2-D index.
     for row in np.atleast_2d(bins):
         np.add.at(counts, row, 1 if copies is None else copies)
-    return counts[:-1].reshape(n_vertices, N_SLOTS).view(np.uint64)
+    return as_counts(counts[:-1].reshape(n_vertices, N_SLOTS))
 
 
 def graph_from_pairs(k: int, vertex_ids: np.ndarray, slots: np.ndarray) -> DeBruijnGraph:

@@ -6,9 +6,12 @@ Bumblebee output is ~20 GB).  ``repro build`` writes the merged graph,
 and a service job one file per partition before the merge.  Two
 formats:
 
-* **binary** (``.phdbg``): header + the raw key-plane/counter arrays,
-  magic ``PHDB`` for one-word keys and ``PHB2`` for two-word keys.
-  Compact, exact, fast; the format graph outputs use.
+* **binary** (``.phdbg``): a 16-byte header (magic, version, k, vertex
+  count), then the raw ``(W, n)`` key planes as little-endian uint64
+  and the ``(n, 9)`` counter matrix as little-endian uint32 -- ``16 +
+  n (8 W + 36)`` bytes.  Magic ``PHDB`` for one-word keys and ``PHB2``
+  for two-word keys.  Compact, exact, fast; the format graph outputs
+  use.  Version 1 files (uint64 counters) are still read.
 * **TSV text**: one vertex per line with its spelled kmer, multiplicity
   and the 8 edge counters — for interoperability and eyeballing.
 """
@@ -23,13 +26,16 @@ import numpy as np
 from ..dna.alphabet import encode
 from ..dna.encoding import codes_to_int
 from ..dna.kmer import key_width, sort_order, split_int, take_planes
-from .dbg import N_SLOTS, DeBruijnGraph
+from .dbg import N_SLOTS, DeBruijnGraph, as_counts
 
 #: File magic per key width: one-word graphs are ``PHDB`` files and
-#: two-word ones ``PHB2``; the body is the ``(W, n)`` key planes (plane
-#: 0 first), then the counter matrix, all little-endian uint64.
+#: two-word ones ``PHB2``.  The body is the ``(W, n)`` key planes (plane
+#: 0 first) as ``<u8``, then the counter matrix as ``<u4`` (version 2)
+#: or ``<u8`` (version 1, read only).
 MAGICS = {1: b"PHDB", 2: b"PHB2"}
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: Counter dtype on disk per readable format version.
+COUNT_FORMATS = {1: np.dtype("<u8"), 2: np.dtype("<u4")}
 _HEADER = struct.Struct("<4sBBHQ")
 
 
@@ -46,16 +52,19 @@ def save_graph(path: str | os.PathLike, graph: DeBruijnGraph) -> int:
     magic = MAGICS[graph.planes.shape[0]]
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, FORMAT_VERSION, graph.k, 0, graph.n_vertices))
-        for array in (graph.planes, graph.counts):
-            fh.write(np.ascontiguousarray(array, dtype="<u8").data)
+        fh.write(np.ascontiguousarray(graph.planes, dtype="<u8").data)
+        fh.write(np.ascontiguousarray(graph.counts,
+                                      dtype=COUNT_FORMATS[FORMAT_VERSION]).data)
     return os.path.getsize(path)
 
 
 def load_graph(path: str | os.PathLike) -> DeBruijnGraph:
-    """Read a binary graph file back (either magic).
+    """Read a binary graph file back (either magic, version 1 or 2).
 
-    The body is read into one buffer; the planes and the counters are
-    views of it.
+    The body is read into one buffer; the planes and, in a version 2
+    file, the counters are views of it.  A version 1 file's uint64
+    counters are checked and converted once; one that does not fit
+    uint32 raises :class:`GraphFormatError`.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -65,7 +74,7 @@ def load_graph(path: str | os.PathLike) -> DeBruijnGraph:
         widths = {m: w for w, m in MAGICS.items()}
         if magic not in widths:
             raise GraphFormatError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
+        if version not in COUNT_FORMATS:
             raise GraphFormatError(f"{path}: unsupported version {version}")
         width = widths[magic]
         try:
@@ -73,20 +82,26 @@ def load_graph(path: str | os.PathLike) -> DeBruijnGraph:
                 raise ValueError(f"a {magic!r} file holds {width}-word keys")
         except ValueError as exc:
             raise GraphFormatError(f"{path}: k={k} does not fit: {exc}") from exc
-        need = _HEADER.size + n * 8 * (width + N_SLOTS)
+        count_dtype = COUNT_FORMATS[version]
+        key_bytes = n * 8 * width
+        need = _HEADER.size + key_bytes + n * N_SLOTS * count_dtype.itemsize
         size = os.fstat(fh.fileno()).st_size
         if size != need:
             raise GraphFormatError(
                 f"{path}: expected {need} bytes for {n} vertices, got {size}"
             )
-        body = np.empty(n * (width + N_SLOTS), dtype="<u8")
+        body = np.empty(need - _HEADER.size, dtype=np.uint8)
         got = fh.readinto(body)
         if got != body.nbytes:
             raise GraphFormatError(f"{path}: short read ({got} bytes)")
-    body = body.astype(np.uint64, copy=False)
-    planes = body[: width * n].reshape(width, n)
-    counts = body[width * n :].reshape(n, N_SLOTS)
-    return DeBruijnGraph(k=k, vertices=planes, counts=counts)
+    planes = body[:key_bytes].view("<u8").reshape(width, n)
+    counts = body[key_bytes:].view(count_dtype).reshape(n, N_SLOTS)
+    try:
+        counts = as_counts(counts)
+    except OverflowError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+    return DeBruijnGraph(k=k, vertices=planes.astype(np.uint64, copy=False),
+                         counts=counts)
 
 
 TSV_HEADER = "kmer\tmultiplicity\toutA\toutC\toutG\toutT\tinA\tinC\tinG\tinT"
@@ -132,9 +147,8 @@ def import_tsv(path: str | os.PathLike) -> DeBruijnGraph:
     planes = np.array([split_int(v, k) for v in vertices],
                       dtype=np.uint64).reshape(-1, key_width(k)).T
     order = sort_order(planes, k)
-    counts_arr = (
-        np.array(counts, dtype=np.uint64)[order]
-        if counts
-        else np.zeros((0, N_SLOTS), dtype=np.uint64)
-    )
+    try:
+        counts_arr = as_counts(np.array(counts).reshape(-1, N_SLOTS)[order])
+    except OverflowError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
     return DeBruijnGraph(k=k, vertices=take_planes(planes, order), counts=counts_arr)

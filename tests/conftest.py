@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -74,6 +75,24 @@ def reads_file(tmp_path, genomic_batch):
     path = tmp_path / "reads.fasta"
     save_read_batch(path, genomic_batch, fmt="fasta")
     return path
+
+
+def _write_v1_graph(path, k: int, planes, counts) -> None:
+    """Write a version-1 graph file by hand: ``<u8`` planes and counters."""
+    planes = np.atleast_2d(np.asarray(planes))
+    magic = b"PHDB" if planes.shape[0] == 1 else b"PHB2"
+    n = planes.shape[1]
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sBBHQ", magic, 1, k, 0, n))
+        fh.write(np.asarray(planes, dtype="<u8").tobytes())
+        fh.write(np.asarray(counts, dtype="<u8").reshape(n, 9).tobytes())
+
+
+@pytest.fixture(scope="session")
+def write_v1_graph():
+    """``write_v1_graph(path, k, planes, counts)``: the graph file layout
+    before uint32 counters, which ``load_graph`` still reads."""
+    return _write_v1_graph
 
 
 @pytest.fixture

@@ -189,6 +189,31 @@ class TestMergeDisjoint:
         with pytest.raises(OverlapError):
             merge_disjoint([parts[2], one, parts[0], parts[1]])
 
+    @pytest.mark.parametrize("k", [15, 45])
+    def test_rows_written_in_place_equal_gather(self, genomic_batch,
+                                                graph_k45, k):
+        # Vertices dealt to parts at random, so every part's rows land
+        # scattered through the output; the parts come in shuffled order.
+        g = graph_k45 if k == 45 else build_reference_graph(genomic_batch, k)
+        rng = np.random.default_rng(k)
+        owner = rng.integers(0, 7, size=g.n_vertices)
+        parts = [DeBruijnGraph(k=k, planes=g.planes[:, owner == i],
+                               counts=g.counts[owner == i]) for i in range(7)]
+        rng.shuffle(parts)
+        # Reference: concatenate both planes and counters, then gather.
+        planes = np.concatenate([p.planes for p in parts], axis=1)
+        counts = np.concatenate([p.counts for p in parts], axis=0)
+        order = np.lexsort(planes[::-1])
+        merged = merge_disjoint(parts)
+        assert merged.counts.dtype == np.uint32
+        assert np.array_equal(merged.planes, planes[:, order])
+        assert np.array_equal(merged.counts, counts[order])
+        assert merged.equals(g)
+        shared = DeBruijnGraph(k=k, planes=parts[3].planes[:, :1],
+                               counts=parts[3].counts[:1])
+        with pytest.raises(OverlapError):
+            merge_disjoint(parts[:3] + [shared] + parts[3:])
+
     def test_empty_inputs_skipped(self, genomic_batch):
         g = build_reference_graph(genomic_batch, 15)
         merged = merge_disjoint([g, empty_graph(15)])
@@ -241,6 +266,18 @@ class TestMergeAdding:
 
     def test_empty(self):
         assert merge_adding([]).n_vertices == 0
+
+    def test_sum_past_uint32_raises(self):
+        def one(mult):
+            counts = np.zeros((1, 9), dtype=np.uint64)
+            counts[0, MULT_SLOT] = mult
+            return DeBruijnGraph(k=5, vertices=np.array([7], dtype=np.uint64),
+                                 counts=counts)
+
+        top = 2**32 - 1
+        assert merge_adding([one(top - 1), one(1)]).multiplicity(7) == top
+        with pytest.raises(OverflowError):
+            merge_adding([one(top), one(1)])
 
 
 class TestGraphFromPairsConsistency:

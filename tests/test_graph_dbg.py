@@ -115,7 +115,9 @@ class TestGraphQueries:
         g = self.graph()
         assert g.multiplicity(10**15) == 0
         assert g.successors(10**15) == []
-        assert np.array_equal(g.edge_counts(10**15), np.zeros(8, dtype=np.uint64))
+        missing = g.edge_counts(10**15)
+        assert np.array_equal(missing, np.zeros(8))
+        assert missing.dtype == g.counts.dtype == np.uint32
 
     def test_describe(self):
         g = self.graph()
@@ -163,6 +165,19 @@ class TestValidationOfStore:
                 vertices=np.array([3], dtype=np.uint64),
                 counts=np.zeros((2, 9), dtype=np.uint64),
             )
+
+    def test_counts_are_uint32_and_refuse_larger_values(self):
+        top = np.full((1, 9), 2**32 - 1, dtype=np.uint64)
+        g = DeBruijnGraph(k=3, vertices=np.array([3], dtype=np.uint64),
+                          counts=top)
+        assert g.counts.dtype == np.uint32
+        assert g.multiplicity(3) == 2**32 - 1
+        for bad in (2**32, -1):
+            counts = np.zeros((1, 9), dtype=np.int64 if bad < 0 else np.uint64)
+            counts[0, 4] = bad
+            with pytest.raises(OverflowError):
+                DeBruijnGraph(k=3, vertices=np.array([3], dtype=np.uint64),
+                              counts=counts)
 
     def test_empty_graph(self):
         g = empty_graph(7)

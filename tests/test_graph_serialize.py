@@ -1,5 +1,6 @@
 """Tests for repro.graph.serialize (binary and TSV graph files)."""
 
+import numpy as np
 import pytest
 
 from repro.graph.build import build_reference_graph
@@ -64,6 +65,42 @@ class TestBinaryFormat:
             load_graph(path)
 
 
+class TestVersionOneFiles:
+    """Version 1 files (uint64 counters) are user output: still read."""
+
+    @pytest.mark.parametrize("k", [15, 45])
+    def test_v1_loads_equal_to_v2(self, genomic_batch, tmp_path,
+                                  write_v1_graph, k):
+        from repro.core.config import ParaHashConfig
+        from repro.core.parahash import ParaHash
+
+        cfg = ParaHashConfig(k=k, p=9, n_partitions=4)
+        g = ParaHash(cfg).build_graph(genomic_batch).graph
+        v1, v2 = tmp_path / "v1.phdbg", tmp_path / "v2.phdbg"
+        write_v1_graph(v1, k, g.planes, g.counts)
+        save_graph(v2, g)
+        assert v1.read_bytes()[:4] == v2.read_bytes()[:4]
+        assert v2.read_bytes()[4] == 2
+        a, b = load_graph(v1), load_graph(v2)
+        assert a.counts.dtype == b.counts.dtype == np.uint32
+        assert_graphs_equal(a, b, "v1-vs-v2")
+        assert_graphs_equal(a, g, "v1-vs-built")
+
+    @pytest.mark.parametrize("k", [15, 45])
+    def test_v1_counter_past_uint32_is_a_format_error(self, tmp_path,
+                                                      write_v1_graph, k):
+        width = 1 if k < 32 else 2
+        counts = np.zeros((1, 9), dtype=np.uint64)
+        counts[0, 8] = 2**32
+        path = tmp_path / "big.phdbg"
+        write_v1_graph(path, k, np.ones((width, 1), dtype=np.uint64), counts)
+        with pytest.raises(GraphFormatError, match="big.phdbg"):
+            load_graph(path)
+        counts[0, 8] = 2**32 - 1
+        write_v1_graph(path, k, np.ones((width, 1), dtype=np.uint64), counts)
+        assert int(load_graph(path).counts[0, 8]) == 2**32 - 1
+
+
 class TestTsvFormat:
     def test_roundtrip(self, clean_batch, tmp_path):
         g = build_reference_graph(clean_batch, 15)
@@ -93,6 +130,16 @@ class TestTsvFormat:
             + row + "\n"
         )
         with pytest.raises(GraphFormatError):
+            import_tsv(path)
+
+    @pytest.mark.parametrize("value", [2**32, 2**64, -1])
+    def test_counter_outside_uint32_is_a_format_error(self, tmp_path, value):
+        path = tmp_path / "g.tsv"
+        path.write_text(
+            "# k=3\nkmer\tmultiplicity\toutA\toutC\toutG\toutT\tinA\tinC\tinG\tinT\n"
+            f"ACG\t1\t{value}" + "\t0" * 7 + "\n"
+        )
+        with pytest.raises(GraphFormatError, match="g.tsv"):
             import_tsv(path)
 
     def test_human_readable(self, tmp_path):
@@ -127,5 +174,7 @@ class TestSubgraphFiles:
         g = build_reference_graph(genomic_batch, 15)
         path = tmp_path / "g.phdbg"
         save_graph(path, g)
-        # 16-byte header + 8 bytes/vertex + 72 bytes of counters/vertex.
-        assert path.stat().st_size == 16 + g.n_vertices * 80
+        # 16-byte header + 8 bytes of key per word + 36 bytes of uint32
+        # counters per vertex.
+        width = g.planes.shape[0]
+        assert path.stat().st_size == 16 + g.n_vertices * (8 * width + 36)

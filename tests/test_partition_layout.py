@@ -94,6 +94,11 @@ def test_rerun_replaces_the_previous_runs_files(genomic_batch, tmp_path):
     work = tmp_path / "work"
     ParaHash(CFG.with_(backend="processes", n_workers=2)).build_graph(
         genomic_batch, workdir=work)
+    # Which worker claims which Step-1 chunk depends on timing, so the
+    # first build may or may not leave a writer-1 file: plant one.
+    first = min(work.iterdir())
+    part, _writer = parse_partition_path(first)
+    partition_path(work, part, 1).write_bytes(first.read_bytes())
     assert any(parse_partition_path(p)[1] == 1 for p in work.iterdir())
     result = ParaHash(CFG).build_graph(genomic_batch, workdir=work)
     names = sorted(p.name for p in work.iterdir())

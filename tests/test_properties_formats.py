@@ -4,8 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dna.kmer import key_width, split_int
 from repro.dna.reads import ReadBatch
 from repro.graph.build import build_reference_graph
+from repro.graph.dbg import COUNT_MAX, DeBruijnGraph
 from repro.graph.serialize import export_tsv, import_tsv, load_graph, save_graph
 from repro.graph.validate import assert_graphs_equal
 from repro.msp.binio import (
@@ -85,6 +87,21 @@ def read_batches(draw):
     return ReadBatch(codes=codes)
 
 
+@st.composite
+def limit_graphs(draw):
+    """Graphs at every k in 1..63 but 32 (which has no key width) whose
+    counters crowd the uint32 maximum."""
+    k = draw(st.integers(1, 63).filter(lambda k: k != 32))
+    kmers = sorted(draw(st.sets(st.integers(0, 4**k - 1), max_size=8)))
+    planes = np.array([split_int(v, k) for v in kmers],
+                      dtype=np.uint64).reshape(-1, key_width(k)).T
+    near_top = st.integers(COUNT_MAX - 2, COUNT_MAX)
+    counts = draw(st.lists(near_top | st.integers(0, COUNT_MAX),
+                           min_size=9 * len(kmers), max_size=9 * len(kmers)))
+    return DeBruijnGraph(k=k, vertices=planes,
+                         counts=np.array(counts, dtype=np.uint64).reshape(-1, 9))
+
+
 class TestPartitionFileProperties:
     @given(block=superkmer_blocks())
     @settings(max_examples=_examples(25), deadline=None)
@@ -141,6 +158,28 @@ class TestGraphFileProperties:
         path = tmp_path_factory.mktemp("tsv") / "g.tsv"
         export_tsv(path, graph)
         assert_graphs_equal(import_tsv(path), graph)
+
+
+    @given(graph=limit_graphs())
+    @settings(max_examples=_examples(25), deadline=None)
+    def test_uint32_limit_roundtrip(self, tmp_path_factory, graph):
+        out = tmp_path_factory.mktemp("limit")
+        save_graph(out / "g.phdbg", graph)
+        back = load_graph(out / "g.phdbg")
+        assert back.counts.dtype == np.uint32
+        assert_graphs_equal(back, graph)
+        export_tsv(out / "g.tsv", graph)
+        assert_graphs_equal(import_tsv(out / "g.tsv"), graph)
+
+    @given(graph=limit_graphs())
+    @settings(max_examples=_examples(25), deadline=None)
+    def test_v1_loads_equal_to_v2(self, tmp_path_factory, write_v1_graph,
+                                  graph):
+        out = tmp_path_factory.mktemp("v1")
+        write_v1_graph(out / "v1.phdbg", graph.k, graph.planes, graph.counts)
+        save_graph(out / "v2.phdbg", graph)
+        assert_graphs_equal(load_graph(out / "v1.phdbg"),
+                            load_graph(out / "v2.phdbg"))
 
 
 class TestPartitioningProperties:

@@ -140,6 +140,43 @@ class TestOldLayoutResume:
         assert record.graph_path.read_bytes() == built.read_bytes()
 
 
+class TestVersionOneSubgraphResume:
+    """A job directory whose Step-2 subgraph files have uint64 counters."""
+
+    def test_resume_reads_v1_subgraphs_and_matches_build(
+            self, store, reads_file, tmp_path, write_v1_graph):
+        from repro.cli import main
+
+        record = store.create(make_spec(reads_file))
+        run_job(record)
+        rewritten = []
+        for path in sorted(record.manifest_dir.glob("step2_p*.json")):
+            manifest = StageManifest.load(path)
+            subgraph = record.job_dir / manifest.outputs[0].path
+            graph = load_graph(subgraph)
+            write_v1_graph(subgraph, graph.k, graph.planes, graph.counts)
+            rewritten.append((subgraph, subgraph.read_bytes()))
+            fresh_manifest(
+                manifest.stage, manifest.params, manifest.inputs,
+                (Artifact.of(subgraph, record.job_dir),), stats=manifest.stats,
+            ).save(path)
+        assert rewritten and all(data[4] == 1 for _, data in rewritten)
+        before = {stage: stamp for stage, stamp in stamps(record).items()
+                  if stage.startswith("step2")}
+
+        run_job(record)
+
+        after = stamps(record)
+        assert {stage: after[stage] for stage in before} == before
+        assert all(path.read_bytes() == data for path, data in rewritten)
+        built = tmp_path / "built.phdbg"
+        assert main(["build", "--input", str(reads_file), "--k", "15",
+                     "--p", "4", "--partitions", "6",
+                     "--output", str(built)]) == 0
+        assert record.graph_path.read_bytes()[4] == 2
+        assert record.graph_path.read_bytes() == built.read_bytes()
+
+
 class TestStep1Share:
     """A Step-1 task streams the input and keeps its share of each batch."""
 

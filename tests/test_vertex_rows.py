@@ -42,6 +42,7 @@ from repro.core.subgraph import (
 )
 from repro.dna import kmer as kmer_codec
 from repro.dna.kmer import join_planes, kmer_from_codes, revcomp_int
+from repro.graph.dbg import vertex_rows
 from repro.msp.records import SuperkmerRecord, block_from_records, empty_block
 
 #: ``HashStats`` fields fixed by the observations alone, whatever order
@@ -297,3 +298,14 @@ def test_superkmer_groups_count_copies(k):
 def test_dedup_empty_block():
     check_dedup(empty_block(27))
     assert build_subgraph(empty_block(45)).graph.n_vertices == 0
+
+
+def test_rows_past_the_uint32_maximum_raise():
+    top = 2**32 - 1
+    inverse = np.array([0, 0, 1])
+    slots = np.array([[8, 8, 8], [2, -1, 5], [-1, 4, 6]])
+    rows = vertex_rows(inverse, 2, slots, np.array([top - 1, 1, 7]))
+    assert rows.dtype == np.uint32
+    assert rows[0].tolist() == [0, 0, top - 1, 0, 1, 0, 0, 0, top]
+    with pytest.raises(OverflowError):
+        vertex_rows(inverse, 2, slots, np.array([top, 1, 7]))
