@@ -259,8 +259,12 @@ class ConcurrentHashTable:
         *keys, values = args
         planes = as_planes(keys[0] if len(keys) == 1 else keys, self.k)
         values = np.asarray(values)
-        values = values.astype(np.int64 if values.ndim == 1 else np.uint64,
-                               copy=False)
+        if values.ndim == 1:
+            values = values.astype(np.int64, copy=False)
+        elif values.dtype.kind != "u":
+            # Rows go in as they are; a negative signed row becomes a
+            # huge unsigned one, which the headroom check refuses.
+            values = values.astype(np.uint64)
         n = planes.shape[1]
         if values.shape[:1] != (n,) or values.shape[1:] not in ((), (N_SLOTS,)):
             raise ValueError(
@@ -292,7 +296,7 @@ class ConcurrentHashTable:
                 f"an insert would carry a counter past the "
                 f"{self.counts.dtype} maximum {top}"
             )
-        self.counts[rows, cols] += adds.astype(self.counts.dtype)
+        self.counts[rows, cols] += adds.astype(self.counts.dtype, copy=False)
 
     def _insert_chunk(self, keys: np.ndarray, values: np.ndarray) -> None:
         """One chunk of :meth:`insert_batch`: synchronous probe rounds."""

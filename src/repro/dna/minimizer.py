@@ -15,10 +15,17 @@ algorithm that ParaHash builds on.
 
 Minimizer values are packed 2-bit integers; since the code order is
 lexicographic, integer comparison implements Definition 1's string
-comparison.  The vectorized path computes each read's p-mer values with
-a rolling update and each kmer's minimizer with a doubling
-sliding-window minimum, giving O(L log K) work per read instead of the
-naive O(LKP).
+comparison.  The vectorized path scans a batch of reads as one
+row-major base sequence and builds every p-mer at once by doubling
+widths: 2-base values from adjacent 1-base values, 4-base from adjacent
+2-base, and so on, with the binary remainder of P appended from the
+power-of-two pieces.  The reverse-complement p-mers come the same way
+from the complemented bases, packed last base first.  Each join writes
+the narrowest unsigned dtype that holds its width, so the p-mers are
+``uint32`` for 9 <= P <= 16 and ``uint64`` for larger P (``uint8`` /
+``uint16`` below).  Each kmer's minimizer is a doubling sliding-window
+minimum over them in that dtype, giving O(L log P + L log K) work per
+read instead of the naive O(LKP); superkmers start where it changes.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kmer import canonical_int, canonical_u64, kmer_from_codes, kmers_from_reads
+from .kmer import MAX_U64_K, canonical_int, kmer_from_codes
 
 
 def sliding_min(values: np.ndarray, window: int) -> np.ndarray:
@@ -61,6 +68,66 @@ def sliding_min(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+def _pmers(bases: np.ndarray, p: int, reverse: bool = False) -> np.ndarray:
+    """Packed p-mer at every start of the uint8 ``bases``, by doubling widths.
+
+    ``piece`` holds the packed values of every ``width``-base window;
+    each round joins two adjacent windows into one twice as wide.  The
+    widths that make up ``p`` in binary are appended to ``out`` as they
+    appear.  Every join writes the narrowest unsigned dtype that holds
+    its width (:func:`pmer_dtype`).  With ``reverse`` a window's bases
+    are packed last base first, so complemented ``bases`` give reverse
+    complements.  Returns ``bases.size - p + 1`` values.
+    """
+
+    def join(left: np.ndarray, right: np.ndarray, left_width: int,
+             right_width: int) -> np.ndarray:
+        high, low, shift = ((right, left, left_width) if reverse
+                            else (left, right, right_width))
+        # A multiply, not a shift: numpy has no vector 8-bit shift.
+        joined = np.multiply(high, 4**shift,
+                             dtype=pmer_dtype(left_width + right_width))
+        joined |= low
+        return joined
+
+    piece = bases
+    out, out_width, width = None, 0, 1
+    while True:
+        if p & width:
+            out = (piece if out is None else
+                   join(out[: out.size - width], piece[out_width:],
+                        out_width, width))
+            out_width += width
+        if 2 * width > p:
+            return out
+        piece = join(piece[:-width], piece[width:], width, width)
+        width *= 2
+
+
+def pmer_dtype(p: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds a packed ``p``-mer."""
+    return np.min_scalar_type(4**p - 1)
+
+
+def _flat_minimizers(codes: np.ndarray, k: int, p: int,
+                     canonical: bool) -> np.ndarray:
+    """Minimizer of the kmer at every flat index of ``codes``.
+
+    The reads are scanned as one row-major sequence, so every pass is
+    over one contiguous array; entry ``i * L + j`` is kmer ``j`` of read
+    ``i`` for ``j <= L - k``, and the entries of kmers that cross into
+    the next read are meaningless.  Returns ``n * L - k + 1`` values of
+    :func:`pmer_dtype` (none for no reads).
+    """
+    if not codes.size:
+        return np.zeros(0, dtype=pmer_dtype(p))
+    bases = codes.ravel()
+    pmers = _pmers(bases, p)
+    if canonical:
+        pmers = np.minimum(pmers, _pmers(bases ^ 3, p, reverse=True))
+    return sliding_min(pmers, k - p + 1)
+
+
 def minimizers_for_reads(
     codes: np.ndarray, k: int, p: int, canonical: bool = True
 ) -> np.ndarray:
@@ -71,7 +138,8 @@ def minimizers_for_reads(
     codes:
         ``(n_reads, L)`` uint8 matrix of base codes.
     k, p:
-        Kmer length and minimizer length, ``1 <= p <= k``.
+        Kmer length and minimizer length, ``1 <= p <= k`` and
+        ``p <= 31``.
     canonical:
         When ``True`` (the default), each length-P substring is taken in
         its canonical form (minimum of itself and its reverse
@@ -86,21 +154,38 @@ def minimizers_for_reads(
     Returns
     -------
     numpy.ndarray
-        ``(n_reads, L - k + 1)`` uint64 matrix of packed minimizer
-        values; ``[i, j]`` is the P-minimum-substring of kmer ``j`` of
-        read ``i``.
+        ``(n_reads, L - k + 1)`` matrix of packed minimizer values;
+        ``[i, j]`` is the P-minimum-substring of kmer ``j`` of read
+        ``i``.  The p-mers are built by doubling widths (module
+        docstring) and the window minimum runs in their dtype,
+        :func:`pmer_dtype`: ``uint32`` for 9 <= P <= 16, ``uint64``
+        above, ``uint16`` and ``uint8`` below.
     """
+    codes = _check_reads(codes, k, p)
+    n, length = codes.shape
+    flat = _flat_minimizers(codes, k, p, canonical)
+    step = flat.itemsize
+    return np.lib.stride_tricks.as_strided(
+        flat, (n, length - k + 1), (length * step, step),
+        writeable=False).copy()
+
+
+def _check_reads(codes: np.ndarray, k: int, p: int) -> np.ndarray:
+    """``codes`` as a uint8 read matrix whose reads hold a kmer."""
     _check_kp(k, p)
-    pmers = kmers_from_reads(codes, p)  # (n, L - p + 1)
-    if canonical:
-        pmers = canonical_u64(pmers, p)
-    window = k - p + 1  # p-mers per kmer
-    return sliding_min(pmers, window)
+    codes = np.asarray(codes, dtype=np.uint8)
+    if codes.ndim != 2:
+        raise ValueError("codes must be a 2-D (n_reads, L) matrix")
+    if codes.shape[1] < k:
+        raise ValueError(f"read length {codes.shape[1]} shorter than k={k}")
+    return codes
 
 
 def _check_kp(k: int, p: int) -> None:
     if not 1 <= p <= k:
         raise ValueError(f"minimizer length p must satisfy 1 <= p <= k, got p={p}, k={k}")
+    if p > MAX_U64_K:
+        raise ValueError(f"minimizer length p must be <= {MAX_U64_K}, got p={p}")
 
 
 @dataclass(frozen=True)
@@ -155,29 +240,29 @@ def superkmers_for_reads(
     The output order is row-major (all superkmers of read 0 first, in
     left-to-right order), which downstream code relies on.
     """
-    codes = np.asarray(codes, dtype=np.uint8)
-    minis = minimizers_for_reads(codes, k, p, canonical=canonical)  # (n, nk)
-    n, n_kmers = minis.shape
-    change = np.ones(minis.shape, dtype=bool)
-    change[:, 1:] = minis[:, 1:] != minis[:, :-1]
-    read_idx, starts = np.nonzero(change)
-    # The end of each superkmer is the start of the next one in the same
-    # read, or n_kmers for the last superkmer of a read.  np.nonzero is
-    # row-major so boundaries line up with shifted arrays.
-    ends = np.empty_like(starts)
-    if starts.size:
-        same_read = np.empty(starts.size, dtype=bool)
-        same_read[:-1] = read_idx[:-1] == read_idx[1:]
-        same_read[-1] = False
-        ends[:-1] = np.where(same_read[:-1], starts[1:], n_kmers)
-        ends[-1] = n_kmers
+    codes = _check_reads(codes, k, p)
+    n, length = codes.shape
+    n_kmers = length - k + 1
+    minis = _flat_minimizers(codes, k, p, canonical)
+    # One flag per base: a superkmer starts at every read start and at
+    # every minimizer change; kmers that cross into the next read start
+    # none.
+    change = np.empty(codes.size, dtype=bool)
+    np.not_equal(minis[1:], minis[:-1], out=change[1 : minis.size])
+    rows = change.reshape(n, length)
+    rows[:, 0] = True
+    rows[:, n_kmers:] = False
+    first = np.flatnonzero(change)
+    read_idx, starts = np.divmod(first, length)
+    # A superkmer ends at the next start, or at its read's last kmer.
+    kmers = np.minimum(np.diff(first, append=codes.size), n_kmers - starts)
     return SuperkmerSet(
-        read_idx=read_idx.astype(np.int64),
+        read_idx=read_idx,
         start=starts.astype(np.int32),
-        n_kmers=(ends - starts).astype(np.int32),
-        minimizer=minis[read_idx, starts],
+        n_kmers=kmers.astype(np.int32),
+        minimizer=minis[first].astype(np.uint64),
         k=k,
-        read_length=codes.shape[1],
+        read_length=length,
     )
 
 

@@ -39,6 +39,14 @@ COUNT_FORMATS = {1: np.dtype("<u8"), 2: np.dtype("<u4")}
 _HEADER = struct.Struct("<4sBBHQ")
 
 
+def graph_file_bytes(n_vertices: int, width: int,
+                     version: int = FORMAT_VERSION) -> int:
+    """Bytes of a binary graph file of ``n_vertices`` ``width``-word
+    keys: ``16 + n (8 W + 36)`` at version 2."""
+    count_bytes = N_SLOTS * COUNT_FORMATS[version].itemsize
+    return _HEADER.size + n_vertices * (8 * width + count_bytes)
+
+
 class GraphFormatError(ValueError):
     """Raised on a malformed graph file."""
 
@@ -84,7 +92,7 @@ def load_graph(path: str | os.PathLike) -> DeBruijnGraph:
             raise GraphFormatError(f"{path}: k={k} does not fit: {exc}") from exc
         count_dtype = COUNT_FORMATS[version]
         key_bytes = n * 8 * width
-        need = _HEADER.size + key_bytes + n * N_SLOTS * count_dtype.itemsize
+        need = graph_file_bytes(n, width, version)
         size = os.fstat(fh.fileno()).st_size
         if size != need:
             raise GraphFormatError(

@@ -17,6 +17,7 @@ from ..core.subgraph import SubgraphResult, build_subgraph_table
 from ..dna.reads import ReadBatch
 from ..graph.dbg import DeBruijnGraph
 from ..graph.merge import merge_disjoint
+from ..graph.serialize import graph_file_bytes
 from ..msp.partitioner import partition_reads
 from ..msp.records import SuperkmerBlock, join_blocks
 from .device import CpuDevice, Device, HashWork, MspWork, default_cpu, default_gpu
@@ -25,8 +26,6 @@ from .transfer import DiskModel, memory_cached_disk
 
 #: Approximate fastq bytes per read: header + sequence + '+' + quality.
 FASTQ_OVERHEAD_PER_READ = 14
-#: Output bytes per distinct vertex in the final graph file.
-GRAPH_BYTES_PER_VERTEX = 16
 
 
 def fastq_bytes(n_reads: int, read_length: int) -> int:
@@ -86,7 +85,9 @@ def measure_step2(blocks: list[SuperkmerBlock], config: ParaHashConfig) -> Step2
                 n_kmers=result.n_kmers,
                 table_bytes=result.table_bytes,
                 in_bytes=block.byte_size_encoded(),
-                out_bytes=result.graph.n_vertices * GRAPH_BYTES_PER_VERTEX,
+                # The subgraph's binary graph file at the run's key width.
+                out_bytes=graph_file_bytes(result.graph.n_vertices,
+                                           result.graph.planes.shape[0]),
             )
         )
     return Step2Workload(works=works, results=results)

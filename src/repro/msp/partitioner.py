@@ -32,7 +32,7 @@ from ..concurrentsub.hashfunc import partition_ids
 from ..dna.minimizer import SuperkmerSet, superkmers_for_reads
 from ..dna.reads import ReadBatch
 from .binio import PartitionWriter, read_partition
-from .records import NO_EXT, SuperkmerBlock, join_blocks
+from .records import NO_EXT, SuperkmerBlock, empty_block, join_blocks
 
 
 @dataclass(frozen=True)
@@ -84,57 +84,53 @@ def partition_reads(
     irregular gather the paper leaves on the CPU.
     """
     _check_params(k, p, n_partitions, reads.read_length)
-    codes = reads.codes
     length = reads.read_length
-    sk = superkmers_for_reads(codes, k, p)
+    flat_codes = reads.codes.ravel()
+    sk = superkmers_for_reads(reads.codes, k, p)
     pids = partition_ids(sk.minimizer, n_partitions)
 
-    base_lengths = (sk.n_kmers.astype(np.int64) + (k - 1))
-    start = sk.start.astype(np.int64)
-    read_idx = sk.read_idx
+    # Group superkmers by partition id (stable keeps read order within
+    # a partition, matching the sequential writer); on 16-bit keys the
+    # stable sort is a radix sort.
+    keys = pids.astype(np.uint16) if n_partitions <= 1 << 16 else pids
+    order = np.argsort(keys, kind="stable")
+    sizes = np.bincount(pids, minlength=n_partitions)
+    bounds = np.zeros(n_partitions + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+
+    # Every superkmer array, permuted once into partition order, so a
+    # partition is one contiguous slice of each.
+    start = sk.start[order]
+    lengths = sk.n_kmers[order].astype(np.int64) + (k - 1)
+    first = sk.read_idx[order] * length + start  # flat index of base 0
+    offsets = np.zeros(len(sk) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
 
     # Adjacency extensions: the read base just before / after the span.
-    left_ext = np.where(
-        start > 0,
-        codes[read_idx, np.maximum(start - 1, 0)].astype(np.int8),
-        np.int8(NO_EXT),
-    )
-    end = start + base_lengths  # one past the last base
+    left_ext = np.where(start > 0, flat_codes[first - 1].astype(np.int8),
+                        np.int8(NO_EXT))
     right_ext = np.where(
-        end < length,
-        codes[read_idx, np.minimum(end, length - 1)].astype(np.int8),
+        start + lengths < length,
+        flat_codes[np.minimum(first + lengths, flat_codes.size - 1)].astype(np.int8),
         np.int8(NO_EXT),
     )
 
-    # Group superkmers by partition id (stable keeps read order within
-    # a partition, matching the sequential writer).
-    order = np.argsort(pids, kind="stable")
-    bounds = np.searchsorted(pids[order], np.arange(n_partitions + 1))
-
-    flat_codes = codes.ravel()
-    base_start_flat = read_idx * length + start
-
-    blocks: list[SuperkmerBlock] = []
-    for part in range(n_partitions):
-        sel = order[bounds[part] : bounds[part + 1]]
-        lens = base_lengths[sel]
-        total = int(lens.sum())
-        offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-        if total:
-            gather = np.repeat(base_start_flat[sel], lens) + (
-                np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], lens)
-            )
-            bases = flat_codes[gather]
-        else:
-            bases = np.zeros(0, dtype=np.uint8)
-        blocks.append(
-            SuperkmerBlock(
-                k=k,
-                bases=bases,
-                offsets=offsets,
-                left_ext=left_ext[sel],
-                right_ext=right_ext[sel],
-            )
+    # Base i of the partitions' concatenation is flat_codes[shift + i],
+    # with ``shift`` its superkmer's first base minus its offset.  Each
+    # partition gathers its own slice, so one partition's index exists
+    # at a time.  Partitions without superkmers share one empty block.
+    shift = first - offsets[:-1]
+    blocks = [empty_block(k)] * n_partitions
+    for part in np.flatnonzero(sizes):
+        lo, hi = bounds[part], bounds[part + 1]
+        gather = np.repeat(shift[lo:hi], lengths[lo:hi])
+        gather += np.arange(offsets[lo], offsets[hi])
+        blocks[part] = SuperkmerBlock(
+            k=k,
+            bases=flat_codes[gather],
+            offsets=offsets[lo : hi + 1] - offsets[lo],
+            left_ext=left_ext[lo:hi],
+            right_ext=right_ext[lo:hi],
         )
     return MspResult(blocks=blocks, superkmers=sk, k=k, p=p, n_partitions=n_partitions)
 

@@ -10,7 +10,7 @@ from repro.core.hashtable import (
     HashStats,
     TableFullError,
 )
-from repro.graph.dbg import MULT_SLOT
+from repro.graph.dbg import COUNT_MAX, MULT_SLOT
 
 
 def random_observations(rng, n_distinct=200, n_obs=2000, k=15):
@@ -89,6 +89,30 @@ class TestInsertBatch:
         with pytest.raises(OverflowError):
             table.insert_batch(np.array([7], dtype=np.uint64), row)
         assert int(table.lookup(7)[MULT_SLOT]) == 2**32 - 1
+
+    def test_uint32_rows_fill_to_the_maximum(self):
+        # The uint32 rows of preaggregate_observations go in uncast: a
+        # counter reaches COUNT_MAX exactly, and one more refuses
+        # without touching the table.
+        table = ConcurrentHashTable(16, k=15)
+        key = np.array([7], dtype=np.uint64)
+        row = np.zeros((1, 9), dtype=np.uint32)
+        row[0, MULT_SLOT] = COUNT_MAX - 1
+        table.insert_batch(key, row)
+        row[0, MULT_SLOT] = 1
+        row[0, 2] = COUNT_MAX
+        table.insert_batch(key, row)
+        assert int(table.lookup(7)[MULT_SLOT]) == COUNT_MAX
+        assert int(table.lookup(7)[2]) == COUNT_MAX
+        before = (table.counts.copy(), table.state.copy(),
+                  [plane.copy() for plane in table.keys], table.n_occupied)
+        row[0, 2] = 0
+        with pytest.raises(OverflowError, match="uint32"):
+            table.insert_batch(key, row)
+        assert np.array_equal(table.counts, before[0])
+        assert np.array_equal(table.state, before[1])
+        assert all(np.array_equal(a, b) for a, b in zip(table.keys, before[2]))
+        assert table.n_occupied == before[3]
 
     @pytest.mark.parametrize("k, key", [(15, (7,)), (41, (1, 7))])
     def test_slot_counter_overflow_raises(self, k, key):

@@ -70,6 +70,21 @@ class TestMeasureStep2:
             assert work.table_bytes == result.table_bytes
 
 
+    @pytest.mark.parametrize("k, p", [(27, 11), (45, 15)])
+    def test_out_bytes_are_graph_file_sizes(self, genomic_batch, k, p,
+                                            tmp_path):
+        # Step 2's output is each subgraph's binary graph file, at the
+        # run's key width: T_out prices the bytes save_graph writes.
+        from repro.graph.serialize import save_graph
+
+        cfg = ParaHashConfig(k=k, p=p, n_partitions=4, n_input_pieces=2)
+        wl2 = measure_step2(measure_step1(genomic_batch, cfg).blocks, cfg)
+        assert wl2.works
+        for i, (work, result) in enumerate(zip(wl2.works, wl2.results)):
+            assert work.out_bytes == save_graph(tmp_path / f"{i}.phdbg",
+                                                result.graph)
+
+
 class TestSimulateParaHash:
     def test_graph_is_exact(self, genomic_batch, cfg):
         report = simulate_parahash(genomic_batch, cfg, use_cpu=True, n_gpus=1)

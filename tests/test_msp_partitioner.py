@@ -1,11 +1,17 @@
 """Tests for repro.msp.partitioner (the MSP step)."""
 
+import importlib
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.concurrentsub.hashfunc import mix64_int
 from repro.dna.kmer import canonical_u64
-from repro.dna.minimizer import superkmers_for_reads
+from repro.dna.minimizer import superkmers_for_reads, superkmers_of_read_ref
+from repro.dna.reads import ReadBatch
 from repro.msp.partitioner import (
     load_partitions,
     partition_reads,
@@ -133,3 +139,134 @@ class TestPartitionToFiles:
         )
         assert report.bytes_written == sum(os.path.getsize(p)
                                            for p in report.paths.values())
+
+
+# -- Step 1 against the per-read reference ---------------------------------------
+
+
+def _examples(pinned: int) -> int:
+    """``pinned`` examples, or the loaded profile's count when it asks for
+    more than hypothesis's default (the nightly ``deep`` profile)."""
+    loaded = settings().max_examples
+    return loaded if loaded > settings.get_profile("default").max_examples else pinned
+
+
+@st.composite
+def _step1_read(draw, length: int) -> np.ndarray:
+    """One read: random, a homopolymer, a short tandem repeat, or a
+    reverse-complement palindrome (exact at even lengths)."""
+    kind = draw(st.sampled_from(["random", "homopolymer", "repeat",
+                                 "palindrome"]))
+    if kind == "random":
+        return np.array(draw(st.lists(st.integers(0, 3), min_size=length,
+                                      max_size=length)), dtype=np.uint8)
+    if kind == "homopolymer":
+        return np.full(length, draw(st.integers(0, 3)), dtype=np.uint8)
+    if kind == "repeat":
+        unit = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))
+        return np.resize(np.array(unit, dtype=np.uint8), length)
+    half = np.array(draw(st.lists(st.integers(0, 3), min_size=(length + 1) // 2,
+                                  max_size=(length + 1) // 2)), dtype=np.uint8)
+    return np.concatenate([half, 3 - half[::-1]])[:length]
+
+
+@st.composite
+def step1_cases(draw):
+    """``(codes, k, p)``: k up to 63; p on either side of the uint32 /
+    uint64 p-mer boundary (p <= 16, 17 <= p <= 31) or equal to k; reads
+    of length exactly k or longer."""
+    side = draw(st.sampled_from(["narrow", "wide", "p == k"]))
+    if side == "p == k":
+        k = p = draw(st.integers(1, 31))
+    elif side == "wide":
+        k = draw(st.integers(17, 63))
+        p = draw(st.integers(17, min(k, 31)))
+    else:
+        k = draw(st.integers(1, 63))
+        p = draw(st.integers(1, min(k, 16)))
+    length = k + draw(st.integers(0, 30))
+    n_reads = draw(st.integers(1, 4))
+    codes = np.stack([draw(_step1_read(length)) for _ in range(n_reads)])
+    return codes, k, p
+
+
+class TestStep1Differential:
+    """The vectorized Step 1 against the per-read Definition 2 reference."""
+
+    @given(case=step1_cases(), canonical=st.booleans())
+    @settings(max_examples=_examples(60), deadline=None)
+    def test_superkmers_match_reference(self, case, canonical):
+        codes, k, p = case
+        sk = superkmers_for_reads(codes, k, p, canonical=canonical)
+        assert (sk.read_idx.dtype, sk.start.dtype, sk.n_kmers.dtype,
+                sk.minimizer.dtype) == (np.int64, np.int32, np.int32, np.uint64)
+        got = list(zip(sk.read_idx.tolist(), sk.start.tolist(),
+                       sk.n_kmers.tolist(), sk.minimizer.tolist()))
+        want = [(i, start, n, m) for i, row in enumerate(codes)
+                for start, n, m in superkmers_of_read_ref(
+                    row, k, p, canonical=canonical)]
+        assert got == want
+
+    @given(case=step1_cases(), n_partitions=st.sampled_from([1, 32, 70_000]))
+    @settings(max_examples=_examples(40), deadline=None)
+    def test_blocks_are_slices_of_the_reads(self, case, n_partitions):
+        # 70 000 partitions takes the order of a non-uint16 sort.
+        codes, k, p = case
+        length = codes.shape[1]
+        res = partition_reads(ReadBatch(codes), k, p, n_partitions)
+        want: dict[int, list[tuple[int, int, int]]] = {}
+        for i, row in enumerate(codes):
+            for start, n, m in superkmers_of_read_ref(row, k, p):
+                want.setdefault(mix64_int(m) % n_partitions, []).append(
+                    (i, start, n + k - 1))
+        assert len(res.blocks) == n_partitions
+        assert sum(b.n_superkmers for b in res.blocks) == sum(map(len, want.values()))
+        for part, spans in want.items():
+            block = res.blocks[part]
+            assert block.offsets.tolist() == [0, *np.cumsum(
+                [span for _, _, span in spans]).tolist()]
+            for j, (i, start, span) in enumerate(spans):
+                lo = int(block.offsets[j])
+                assert np.array_equal(block.bases[lo : lo + span],
+                                      codes[i, start : start + span])
+                end = start + span
+                assert int(block.left_ext[j]) == (
+                    codes[i, start - 1] if start else NO_EXT)
+                assert int(block.right_ext[j]) == (
+                    codes[i, end] if end < length else NO_EXT)
+
+
+class TestStep1Independence:
+    """Step 1 computes its p-mers without the oracle's k-mer kernels.
+
+    With ``kmers_from_reads`` and ``revcomp_u64`` raising in every module
+    that bound them, Step 1 still runs and gives the blocks it gave
+    before, on both sides of the uint32 / uint64 p-mer boundary.
+    """
+
+    KERNELS = ("kmers_from_reads", "revcomp_u64")
+
+    def test_partition_reads_without_oracle_kernels(self, genomic_batch,
+                                                    monkeypatch):
+        params = [(27, 11, 4), (45, 15, 4), (41, 21, 3)]
+        before = [partition_reads(genomic_batch, *args) for args in params]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Step 1 used an oracle k-mer kernel")
+
+        defining = importlib.import_module("repro.dna.kmer")
+        for name in self.KERNELS:
+            kernel = getattr(defining, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("repro") and \
+                        getattr(module, name, None) is kernel:
+                    monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(AssertionError, match="oracle"):
+            defining.canonical_u64(np.zeros(1, dtype=np.uint64), 11)
+        for args, old in zip(params, before):
+            new = partition_reads(genomic_batch, *args)
+            for a, b in zip(new.blocks, old.blocks):
+                assert np.array_equal(a.bases, b.bases)
+                assert np.array_equal(a.offsets, b.offsets)
+                assert np.array_equal(a.left_ext, b.left_ext)
+                assert np.array_equal(a.right_ext, b.right_ext)
