@@ -17,7 +17,7 @@ import time
 
 from conftest import emit_report, run_once
 
-from repro.core.subgraph import build_subgraph_table
+from repro.core.hashtable import build_subgraph_table
 from repro.msp.partitioner import partition_reads
 
 

@@ -4,9 +4,8 @@ One producer (the parent merger) publishes ``n_items`` addressable
 partitions; ``n_consumers`` claimers fetch-increment ``cns`` to reserve
 and consume them — the discipline of
 :class:`repro.concurrentsub.workqueue.ProcessWorkQueue`, the one queue
-every parallel build claims from: the threads backend's
-``run_coprocessed`` and the processes backend's Step-1 chunks and
-Step-2 ready queue.  The paper's output side
+every parallel build claims from: the processes backend's Step-1
+chunks and Step-2 ready queue.  The paper's output side
 (``prd``/``wrt``) is not modelled here: :mod:`repro.hetsim.pipeline`
 models it, and the processes backend streams results through its
 worker event channel.  With ``crash=True`` the model also includes the failure transitions the

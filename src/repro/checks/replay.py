@@ -87,8 +87,8 @@ def replay_tas_claim(trace: list[Step], timeout: float = 10.0) -> ReplayResult:
     manifestation is double accounting: ``n_occupied`` exceeds the
     number of occupied slots.
     """
-    from ..core.hashtable import OCCUPIED, ConcurrentHashTable, HashStats, \
-        seed_bugs
+    from ..core.hashtable import OCCUPIED, ConcurrentHashTable, seed_bugs
+    from ..core.subgraph import HashStats
     from .instrument import monitor_session
 
     k = len(set(_procs(trace, "tas_load")))
@@ -190,7 +190,8 @@ def replay_numpy_publish(trace: list[Step],
     then looks it up through the mirror-trusting read path: the
     committed update is invisible.
     """
-    from ..core.hashtable import ConcurrentHashTable, HashStats, seed_bugs
+    from ..core.hashtable import ConcurrentHashTable, seed_bugs
+    from ..core.subgraph import HashStats
     from .instrument import monitor_session
 
     writers = _procs(trace, "publish_atomic")

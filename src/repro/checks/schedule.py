@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.hashtable import ConcurrentHashTable, HashStats
+from ..core.hashtable import ConcurrentHashTable
+from ..core.subgraph import HashStats
 from .lockset import Monitor
 
 

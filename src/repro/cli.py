@@ -24,7 +24,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core.config import ParaHashConfig
+from .core.config import BACKENDS, ParaHashConfig
 from .core.parahash import ParaHash
 from .dna.io import load_read_batch, save_read_batch, write_fasta
 from .dna.io import SequenceRecord
@@ -59,11 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=27)
     p.add_argument("--p", type=int, default=11, help="minimizer length")
     p.add_argument("--partitions", type=int, default=32)
-    p.add_argument("--backend", choices=["serial", "threads", "processes"],
-                   default="serial",
+    p.add_argument("--backend", choices=BACKENDS, default="serial",
                    help="execution backend for the pipeline (any k <= 63)")
     p.add_argument("--workers", type=int, default=0,
-                   help="worker count for --backend threads/processes "
+                   help="worker count for --backend processes "
                         "(0 = all cores)")
     p.add_argument("--workdir",
                    help="directory for encoded partition files (disk-backed run)")

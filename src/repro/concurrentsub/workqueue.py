@@ -8,12 +8,10 @@ ParaHash hands partitions to processors through two shared counters:
   fetch-incrementing ``cns`` and may consume partition ``id`` once
   ``srv >= id + 1`` (the paper's ``srv >= cns`` availability test).
 
-:class:`ProcessWorkQueue` is that protocol, shared by threads and by
-worker processes alike.  :func:`run_coprocessed` drives one thread per
-worker callable over a work list through it, recording which processor
-consumed which partition — the measurement behind the paper's Fig 11
-workload distribution study.  The paper's output side (``prd``/``wrt``,
-a writer draining finished partitions) is modelled in
+:class:`ProcessWorkQueue` is that protocol; the processes backend
+(:mod:`repro.parallel.backend`) hands Step 1's read chunks and Step 2's
+partitions to its workers through it.  The paper's output side
+(``prd``/``wrt``, a writer draining finished partitions) is modelled in
 :mod:`repro.hetsim.pipeline`; the processes backend streams finished
 partitions to its parent through the worker event channel instead.
 """
@@ -22,11 +20,8 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import queue as queue_mod
-import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable
 
 from . import atomics
 
@@ -88,7 +83,7 @@ _WQ_ABORTED = 2
 
 class ProcessWorkQueue:
     """Bounded publish/claim queue — the srv/cns protocol with a *live
-    producer*, for consumer threads and processes alike.
+    producer*, for consumer processes and threads alike.
 
     Picklable items travel through a ``multiprocessing`` queue; the
     ``srv``/``cns`` counters and the open/closed state live in shared
@@ -97,9 +92,8 @@ class ProcessWorkQueue:
     workers of :mod:`repro.parallel.backend` wait, warm, across the
     Step-1 barrier for the Step-2 partitions the parent publishes once
     every Step-1 report is in.  A work list fully known up front
-    (Step 1's read chunks, :func:`run_coprocessed`'s item indices) is
-    the degenerate case: publish every item, then :meth:`close` before
-    any consumer starts.
+    (Step 1's read chunks) is the degenerate case: publish every item,
+    then :meth:`close` before any consumer starts.
 
     **Weighted claims** generalize §III-E's CPU/GPU dispatch: a
     consumer standing in for a throughput-``w`` device reserves up to
@@ -249,78 +243,3 @@ class ProcessWorkQueue:
                     "reserved item never arrived (queue torn down?)"
                 ) from None
         return out
-
-
-@dataclass
-class WorkerRecord:
-    """What one processor did during a co-processed run."""
-
-    name: str
-    partitions: list[int] = field(default_factory=list)
-    items_processed: int = 0
-
-
-def run_coprocessed(
-    items: list[Any],
-    workers: dict[str, Callable[[Any], Any]],
-    size_of: Callable[[Any], int] | None = None,
-) -> tuple[list[Any], dict[str, WorkerRecord]]:
-    """Process ``items`` with one thread per worker, work-stealing style.
-
-    The item indices are published on a :class:`ProcessWorkQueue` and
-    the queue is closed; every worker then loops: claim the next index
-    (the ``cns`` fetch-add), process the item, store its result.
-    Faster workers naturally claim more partitions, which is the
-    paper's dynamic workload distribution.  A worker's first error
-    aborts the queue, so the others stop at their next claim, and is
-    raised once every thread has joined.
-
-    Parameters
-    ----------
-    items:
-        The input partitions.
-    workers:
-        Mapping of processor name to its processing callable.
-    size_of:
-        Optional item-size measure accumulated per worker (e.g. number
-        of reads or kmers), for workload-share reporting.
-
-    Returns
-    -------
-    (results, records):
-        ``results[i]`` is the output for ``items[i]``; ``records`` maps
-        worker name to its :class:`WorkerRecord`.
-    """
-    if not workers:
-        raise ValueError("at least one worker is required")
-    queue = ProcessWorkQueue(len(items))
-    for index in range(len(items)):
-        queue.publish(index)
-    queue.close()
-    results: list[Any] = [None] * len(items)
-    records = {name: WorkerRecord(name=name) for name in workers}
-    errors: list[BaseException] = []
-
-    def consume(record: WorkerRecord, fn: Callable[[Any], Any]) -> None:
-        while claimed := queue.claim():
-            index = claimed[0]
-            try:
-                results[index] = fn(items[index])
-            except BaseException as exc:  # raised after the join
-                errors.append(exc)
-                queue.abort()
-                return
-            record.partitions.append(index)
-            record.items_processed += size_of(items[index]) if size_of else 1
-
-    threads = [
-        threading.Thread(target=consume, args=(records[name], fn), name=name)
-        for name, fn in workers.items()
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results, records

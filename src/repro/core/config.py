@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from .estimator import SizingPolicy
 
 #: Execution backends of :meth:`repro.core.parahash.ParaHash.build_graph`.
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 
 def check_k_p(k: int, p: int) -> None:
@@ -60,23 +60,22 @@ class ParaHashConfig:
         512 for gigabyte-scale inputs, 960 for 100 GB+.
     n_input_pieces:
         How many equal pieces Step 1 splits the input into (pipeline
-        granularity); the parallel backends raise it to two per worker
+        granularity); the processes backend raises it to two per worker
         (:meth:`step1_pieces`).
     sizing:
         Hash-table sizing policy (Property 1 parameters λ and α) of the
-        paper's shared table (:func:`repro.core.subgraph.build_subgraph_table`),
+        paper's shared table (:func:`repro.core.hashtable.build_subgraph_table`),
         which the measured :mod:`repro.hetsim` workloads run.  The build
         paths give each partition a single owner and need no table.
     backend:
         Execution backend for the end-to-end driver: ``"serial"`` (one
-        process, vectorized kernels), ``"threads"`` (the §III-E
-        work-stealing queue across ``n_workers`` threads), or
-        ``"processes"`` (worker processes over shared memory — see
-        :mod:`repro.parallel.backend`).
+        process, vectorized kernels) or ``"processes"`` (worker
+        processes claiming partitions through the §III-E work-stealing
+        queue — see :mod:`repro.parallel.backend`).
     n_workers:
-        Worker count for the ``threads``/``processes`` backends;
-        0 means auto (the machine's CPU count).  The ``serial`` backend
-        always runs one thread.
+        Worker count for the ``processes`` backend; 0 means auto (the
+        machine's CPU count).  The ``serial`` backend always runs one
+        thread.
     """
 
     k: int = 27
@@ -101,7 +100,7 @@ class ParaHashConfig:
             raise ValueError("n_workers must be >= 0 (0 = auto)")
 
     def workers(self) -> int:
-        """Resolved worker count for the parallel backends (>= 1)."""
+        """Resolved worker count for the processes backend (>= 1)."""
         if self.n_workers > 0:
             return self.n_workers
         return max(1, os.cpu_count() or 1)
@@ -109,7 +108,7 @@ class ParaHashConfig:
     def step1_pieces(self) -> int:
         """How many read chunks Step 1 splits the input into.
 
-        ``n_input_pieces`` on the serial backend; on the parallel ones
+        ``n_input_pieces`` on the serial backend; on the processes one
         at least two per worker, so each worker has a chunk to start on
         and one to steal.
         """

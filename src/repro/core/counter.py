@@ -4,9 +4,8 @@ The paper distinguishes De Bruijn graph *construction* from kmer
 *counting*: "kmer counters [2], [5], [14] do not generate the complete
 De Bruijn graph in the output" (§V-A) — they only merge duplicates and
 record multiplicities.  Counting is still useful on its own (abundance
-filtering, spectra), and ParaHash's machinery does it with the edge
-slots simply unused.  This module exposes that mode with a compact
-result type.
+filtering, spectra); this module counts over the whole input in one
+sort and returns a compact result type.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import numpy as np
 
 from ..dna.kmer import canonical_int, canonical_u64, kmers_from_reads
 from ..dna.reads import ReadBatch
-from ..graph.dbg import MULT_SLOT
-from ..msp.partitioner import partition_reads
-
 
 
 @dataclass
@@ -71,31 +67,3 @@ def count_kmers(reads: ReadBatch, k: int) -> KmerCountTable:
     canon = canonical_u64(kmers, k).ravel()
     distinct, counts = np.unique(canon, return_counts=True)
     return KmerCountTable(k=k, kmers=distinct, counts=counts.astype(np.uint64))
-
-
-def count_kmers_partitioned(
-    reads: ReadBatch, k: int, p: int = 11, n_partitions: int = 16,
-) -> KmerCountTable:
-    """MSP + per-partition counting (the ParaHash way, memory-bounded).
-
-    Identical results to :func:`count_kmers`, but the working set is one
-    partition at a time — the counting analogue of the paper's
-    construction pipeline (what MSP [2] was originally built for).
-    """
-    from .subgraph import build_subgraph
-
-    result = partition_reads(reads, k, p, n_partitions)
-    pieces = []
-    for block in result.blocks:
-        if block.n_superkmers == 0:
-            continue
-        sub = build_subgraph(block)
-        pieces.append((sub.graph.vertices, sub.graph.counts[:, MULT_SLOT]))
-    if not pieces:
-        return KmerCountTable(k=k, kmers=np.zeros(0, dtype=np.uint64),
-                              counts=np.zeros(0, dtype=np.uint64))
-    kmers = np.concatenate([p_[0] for p_ in pieces])
-    counts = np.concatenate([p_[1] for p_ in pieces])
-    order = np.argsort(kmers)
-    return KmerCountTable(k=k, kmers=kmers[order], counts=counts[order])
-

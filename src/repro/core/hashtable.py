@@ -52,16 +52,29 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..concurrentsub import atomics
 from ..concurrentsub.atomics import AtomicInt64Array, TracedLock
 from ..concurrentsub.hashfunc import hash_planes, hash_planes_int
-from ..dna.kmer import as_planes, key_width, sort_order, split_int, take_planes
+from ..dna.kmer import (
+    as_planes,
+    key_width,
+    planes_to_ints,
+    sort_order,
+    split_int,
+    take_planes,
+)
 from ..graph.dbg import MULT_SLOT, N_SLOTS, DeBruijnGraph
-from .estimator import next_power_of_two
+from ..msp.records import SuperkmerBlock
+from .estimator import SizingPolicy, next_power_of_two
+from .subgraph import (
+    HashStats,
+    SubgraphResult,
+    instance_observations,
+    observation_pairs,
+)
 
 EMPTY = 0
 LOCKED = 1
@@ -140,50 +153,6 @@ class TableFullError(RuntimeError):
     ParaHash avoids this by sizing tables from Property 1; hitting it
     means the sizing policy under-estimated the distinct-vertex count.
     """
-
-
-@dataclass
-class HashStats:
-    """Metered events of a table's lifetime.
-
-    ``key_locks`` counts multi-word key critical sections (one per
-    insertion under state transfer); ``naive_locks`` counts what a
-    whole-entry-locking design would pay (one lock per operation) — the
-    ratio of the two is the §III-C3 contention-reduction claim.
-    """
-
-    ops: int = 0  # observations applied
-    inserts: int = 0  # new distinct vertices
-    updates: int = 0  # counter increments on existing vertices
-    probes: int = 0  # slot visits beyond the first
-    key_locks: int = 0  # state EMPTY -> LOCKED -> OCCUPIED transitions
-    blocked_reads: int = 0  # times a thread saw LOCKED and had to wait
-    cas_failures: int = 0  # lost CAS races on the state flag
-    count_increments: int = 0  # atomic adds on the counter array
-
-    @property
-    def naive_locks(self) -> int:
-        """Locks a design without state transfer would take (1 per op)."""
-        return self.ops
-
-    @property
-    def lock_reduction(self) -> float:
-        """Fraction of entry locks saved by state transfer (≈0.8 in paper)."""
-        if self.ops == 0:
-            return 0.0
-        return 1.0 - self.key_locks / self.ops
-
-    def merged_with(self, other: "HashStats") -> "HashStats":
-        return HashStats(
-            ops=self.ops + other.ops,
-            inserts=self.inserts + other.inserts,
-            updates=self.updates + other.updates,
-            probes=self.probes + other.probes,
-            key_locks=self.key_locks + other.key_locks,
-            blocked_reads=self.blocked_reads + other.blocked_reads,
-            cas_failures=self.cas_failures + other.cas_failures,
-            count_increments=self.count_increments + other.count_increments,
-        )
 
 
 class ConcurrentHashTable:
@@ -617,3 +586,58 @@ class ConcurrentHashTable:
         return np.bincount(
             np.minimum(mult, max_mult).astype(np.int64), minlength=max_mult + 1
         )
+
+
+def build_subgraph_table(
+    block: SuperkmerBlock,
+    policy: SizingPolicy | None = None,
+    n_threads: int = 1,
+    allow_regrow: bool = True,
+) -> SubgraphResult:
+    """Construct one subgraph with the paper's concurrent hash table.
+
+    Every ``(vertex, slot)`` observation is inserted on its own, as in
+    §III-C2: ``n_threads == 1`` runs the vectorized batch insert; more
+    threads run the real per-operation state machine concurrently (slow;
+    meant for the protocol's claims, not throughput).  This
+    is the table that the hashing figures, Table II and the simulator's
+    measured workloads meter; the build paths use
+    :func:`repro.core.subgraph.build_subgraph`.
+
+    The table is sized once from Property 1 and, on genomic data, never
+    resizes -- that is the paper's design.  Inputs that violate the
+    estimate (e.g. coverage < 1, where nearly every kmer is distinct)
+    would overflow the fixed table; with ``allow_regrow`` the build
+    retries with doubled capacity and reports ``n_regrows > 0``.  With
+    ``allow_regrow=False`` the overflow raises
+    :class:`TableFullError` instead.
+    """
+    policy = policy or SizingPolicy()
+    keys, slots = observation_pairs(*instance_observations(block))
+    n_kmers = block.total_kmers()
+    capacity = policy.capacity_for(max(1, n_kmers))
+    # Hard upper bound: there cannot be more distinct vertices than
+    # kmer instances, so capacity n_kmers/alpha always fits.
+    bound = next_power_of_two(max(2, int(n_kmers / policy.alpha) + 1))
+    n_regrows = 0
+    while True:
+        table = ConcurrentHashTable(capacity, block.k)
+        try:
+            if n_threads == 1:
+                table.insert_batch(keys, slots)
+            else:
+                table.insert_threaded(planes_to_ints(keys), slots, n_threads)
+            break
+        except TableFullError:
+            if not allow_regrow or capacity >= bound:
+                raise
+            capacity *= 2
+            n_regrows += 1
+    return SubgraphResult(
+        graph=table.to_graph(),
+        stats=table.stats,
+        n_kmers=n_kmers,
+        capacity=table.capacity,
+        table_bytes=table.memory_bytes(),
+        n_regrows=n_regrows,
+    )

@@ -3,9 +3,10 @@
 Runs the two-step workflow of Fig 3: **MSP** (graph partitioning into
 superkmer partitions) then **Hashing** (one subgraph per partition,
 built by the partition's single owner), either fully in memory or
-through encoded partition files on disk.  Partitions can be processed
-by one worker or co-processed by several workers through the §III-E
-work-stealing queue.
+through encoded partition files on disk.  In this process the
+partitions are built one after another; ``backend="processes"`` hands
+the run to worker processes that claim partitions through the §III-E
+work-stealing queue (:mod:`repro.parallel.backend`).
 
 The driver reports wall-clock stage timings plus the merged hashing
 telemetry, which the benchmark harness feeds to the performance model.
@@ -19,15 +20,22 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..concurrentsub.workqueue import WorkerRecord, run_coprocessed
 from ..dna.reads import ReadBatch
 from ..graph.dbg import DeBruijnGraph
 from ..graph.merge import merge_disjoint
 from ..msp.partitioner import partition_reads, partition_to_files
 from ..msp.records import SuperkmerBlock, join_blocks
 from .config import ParaHashConfig
-from .hashtable import HashStats
-from .subgraph import SubgraphResult, build_partition, build_subgraph
+from .subgraph import HashStats, SubgraphResult, build_partition, build_subgraph
+
+
+@dataclass
+class WorkerRecord:
+    """What one worker process did during a ``processes`` build."""
+
+    name: str
+    partitions: list[int] = field(default_factory=list)
+    items_processed: int = 0
 
 
 @dataclass
@@ -80,33 +88,19 @@ class ParaHash:
     def __init__(self, config: ParaHashConfig | None = None) -> None:
         self.config = config or ParaHashConfig()
 
-    def _coprocess(self, fn, items: list, size_of):
-        """``[fn(item) for item in items]`` and the worker records; on
-        ``threads`` the items are co-processed through the §III-E queue
-        over ``config.workers()`` threads, results still in item order."""
-        cfg = self.config
-        threads = cfg.workers() if cfg.backend == "threads" else 1
-        if threads == 1 or len(items) <= 1:
-            return [fn(item) for item in items], {}
-        workers = {f"cpu{t}": fn for t in range(threads)}
-        return run_coprocessed(items, workers, size_of=size_of)
-
     # -- Step 1 -----------------------------------------------------------------
 
     def partition(self, reads: ReadBatch) -> list[SuperkmerBlock]:
         """In-memory Step 1: superkmer blocks, one per partition.
 
-        On the ``threads`` backend the input pieces are co-processed
-        through the work-stealing queue, mirroring Step 1's pipeline;
-        piece results accumulate in input order either way, so the
-        outcome is identical to the sequential run.
+        The input pieces are partitioned in input order and each
+        partition's pieces are joined into one block.
         """
         cfg = self.config
-        results, _ = self._coprocess(
-            lambda piece: partition_reads(piece, cfg.k, cfg.p, cfg.n_partitions),
-            reads.split(cfg.step1_pieces()),
-            size_of=lambda piece: piece.n_reads,
-        )
+        results = [
+            partition_reads(piece, cfg.k, cfg.p, cfg.n_partitions)
+            for piece in reads.split(cfg.step1_pieces())
+        ]
         return [
             join_blocks(pieces, cfg.k)
             for pieces in zip(*(result.blocks for result in results))
@@ -116,16 +110,13 @@ class ParaHash:
 
     def construct_subgraphs(
         self, blocks: list[SuperkmerBlock]
-    ) -> tuple[list[SubgraphResult], dict[str, WorkerRecord]]:
-        """Build one subgraph per partition, optionally co-processed.
+    ) -> list[SubgraphResult]:
+        """Build one subgraph per non-empty partition, in partition order.
 
-        Each partition is claimed whole by one worker, which builds it
-        alone (:func:`repro.core.subgraph.build_subgraph`).
+        Each partition is built whole by its single owner
+        (:func:`repro.core.subgraph.build_subgraph`).
         """
-        return self._coprocess(
-            build_subgraph, [b for b in blocks if b.n_superkmers],
-            size_of=lambda b: b.total_kmers(),
-        )
+        return [build_subgraph(b) for b in blocks if b.n_superkmers]
 
     # -- end to end ---------------------------------------------------------------
 
@@ -142,11 +133,10 @@ class ParaHash:
         of superkmer partitions); otherwise everything stays in memory.
 
         ``config.backend`` selects the execution backend.  ``serial``
-        runs everything in this thread; ``threads`` co-processes both
-        steps over ``config.workers()`` threads through the §III-E
-        queue; ``processes`` hands the run to the shared-memory process
-        backend (:func:`repro.parallel.backend.build_graph_processes`).
-        All three produce the identical graph.
+        runs everything in this thread; ``processes`` hands the run to
+        the shared-memory process backend
+        (:func:`repro.parallel.backend.build_graph_processes`).  Both
+        produce the identical graph.
         """
         cfg = self.config
         if cfg.backend == "processes":
@@ -160,19 +150,16 @@ class ParaHash:
             n_kmers = sum(b.total_kmers() for b in blocks)
             partition_bytes = sum(b.byte_size_encoded() for b in blocks)
             t1 = time.perf_counter()
-            results, records = self.construct_subgraphs(blocks)
+            results = self.construct_subgraphs(blocks)
         else:
             report = partition_to_files(
                 reads, cfg.k, cfg.p, cfg.n_partitions, workdir,
                 n_input_pieces=cfg.step1_pieces(),
             )
             t1 = time.perf_counter()
-            # One partition file in memory per Step-2 item.
-            results, records = self._coprocess(
-                lambda part: build_partition([report.paths[part]], cfg.k),
-                list(report.paths),
-                size_of=lambda part: int(report.kmers_per_partition[part]),
-            )
+            # One partition file in memory at a time.
+            results = [build_partition([path], cfg.k)
+                       for path in report.paths.values()]
             n_superkmers = report.n_superkmers
             n_kmers = report.n_kmers
             partition_bytes = report.bytes_written
@@ -181,7 +168,7 @@ class ParaHash:
             cfg, results,
             StageTimings(msp_seconds=t1 - t0, hashing_seconds=t2 - t1),
             n_superkmers=n_superkmers, n_kmers=n_kmers,
-            partition_bytes=partition_bytes, worker_records=records,
+            partition_bytes=partition_bytes, worker_records={},
         )
 
 

@@ -24,9 +24,10 @@ superkmers of a partition are exact copies, and copies with equal
 extensions make equal observations.  So it expands one copy of each
 distinct superkmer (:func:`superkmer_groups`, :func:`block_observations`)
 and weights that copy's observations by the copy count.
-:func:`build_subgraph_table` keeps the paper's shared concurrent hash
-table, fed every instance's observations in block order
-(:func:`instance_observations`), for the experiments that measure it.
+:func:`repro.core.hashtable.build_subgraph_table` keeps the paper's
+shared concurrent hash table, fed every instance's observations in
+block order (:func:`instance_observations`), for the experiments that
+measure it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from ..dna.kmer import (
     group_planes,
     group_words,
     pack_spans,
-    planes_to_ints,
     take_planes,
 )
 from ..graph.dbg import (
@@ -55,8 +55,6 @@ from ..graph.dbg import (
 )
 from ..msp.partitioner import load_partition_group
 from ..msp.records import SuperkmerBlock
-from .estimator import SizingPolicy, next_power_of_two
-from .hashtable import ConcurrentHashTable, HashStats, TableFullError
 
 
 def _edge_slot_table(slot_for) -> np.ndarray:
@@ -203,14 +201,62 @@ def preaggregate_observations(
     keys: ``(W, u)`` planes, or 1-D for 1-D input) and their ``(u, 9)``
     uint32 counter rows -- the subgraph itself (a counter past the
     uint32 maximum raises :class:`OverflowError`).  Inserting the rows
-    into :class:`ConcurrentHashTable` instead produces a table
-    byte-identical to the per-observation insert, with ``HashStats``
-    metered from the row sums for the individual observations.
+    into :class:`repro.core.hashtable.ConcurrentHashTable` instead
+    produces a table byte-identical to the per-observation insert, with
+    :class:`HashStats` metered from the row sums for the individual
+    observations.
     """
     keys = np.asarray(keys)
     distinct, inverse = group_planes(np.atleast_2d(keys), k)
     rows = vertex_rows(inverse, distinct.shape[1], slots, copies)
     return (distinct[0] if keys.ndim == 1 else distinct), rows
+
+
+@dataclass
+class HashStats:
+    """Metered events of a hash table's lifetime.
+
+    The paper's table (:class:`repro.core.hashtable.ConcurrentHashTable`)
+    meters every event; the build paths fill the fields the
+    observations fix alone (:func:`row_stats`).  ``key_locks`` counts
+    multi-word key critical sections (one per insertion under state
+    transfer); ``naive_locks`` counts what a whole-entry-locking design
+    would pay (one lock per operation) — the ratio of the two is the
+    §III-C3 contention-reduction claim.
+    """
+
+    ops: int = 0  # observations applied
+    inserts: int = 0  # new distinct vertices
+    updates: int = 0  # counter increments on existing vertices
+    probes: int = 0  # slot visits beyond the first
+    key_locks: int = 0  # state EMPTY -> LOCKED -> OCCUPIED transitions
+    blocked_reads: int = 0  # times a thread saw LOCKED and had to wait
+    cas_failures: int = 0  # lost CAS races on the state flag
+    count_increments: int = 0  # atomic adds on the counter array
+
+    @property
+    def naive_locks(self) -> int:
+        """Locks a design without state transfer would take (1 per op)."""
+        return self.ops
+
+    @property
+    def lock_reduction(self) -> float:
+        """Fraction of entry locks saved by state transfer (≈0.8 in paper)."""
+        if self.ops == 0:
+            return 0.0
+        return 1.0 - self.key_locks / self.ops
+
+    def merged_with(self, other: "HashStats") -> "HashStats":
+        return HashStats(
+            ops=self.ops + other.ops,
+            inserts=self.inserts + other.inserts,
+            updates=self.updates + other.updates,
+            probes=self.probes + other.probes,
+            key_locks=self.key_locks + other.key_locks,
+            blocked_reads=self.blocked_reads + other.blocked_reads,
+            cas_failures=self.cas_failures + other.cas_failures,
+            count_increments=self.count_increments + other.count_increments,
+        )
 
 
 def row_stats(rows: np.ndarray) -> HashStats:
@@ -234,8 +280,8 @@ class SubgraphResult:
     """One constructed subgraph plus its construction telemetry.
 
     ``capacity``, ``table_bytes`` and ``n_regrows`` describe the hash
-    table of :func:`build_subgraph_table`; :func:`build_subgraph` uses
-    none and leaves them 0.
+    table of :func:`repro.core.hashtable.build_subgraph_table`;
+    :func:`build_subgraph` uses none and leaves them 0.
     """
 
     graph: DeBruijnGraph
@@ -255,9 +301,9 @@ def build_subgraph(block: SuperkmerBlock) -> SubgraphResult:
     (:func:`block_observations`) and grouped by canonical vertex
     (:func:`preaggregate_observations`), already are the sorted
     vertices and ``(u, 9)`` counter rows of the subgraph, at any k.
-    The graph is identical to the one :func:`build_subgraph_table`
-    reads out of its table, and the stats are metered by
-    :func:`row_stats`.
+    The graph is identical to the one
+    :func:`repro.core.hashtable.build_subgraph_table` reads out of its
+    table, and the stats are metered by :func:`row_stats`.
     """
     keys, slots, copies = block_observations(block)
     keys, rows = preaggregate_observations(keys, slots, block.k, copies)
@@ -272,60 +318,6 @@ def build_partition(paths: Sequence[str | os.PathLike], k: int) -> SubgraphResul
     disk-backed engine builds through here, one partition at a time.
     """
     return build_subgraph(load_partition_group(paths, k))
-
-
-def build_subgraph_table(
-    block: SuperkmerBlock,
-    policy: SizingPolicy | None = None,
-    n_threads: int = 1,
-    allow_regrow: bool = True,
-) -> SubgraphResult:
-    """Construct one subgraph with the paper's concurrent hash table.
-
-    Every ``(vertex, slot)`` observation is inserted on its own, as in
-    §III-C2: ``n_threads == 1`` runs the vectorized batch insert; more
-    threads run the real per-operation state machine concurrently (slow;
-    meant for the protocol's claims, not throughput).  This
-    is the table that the hashing figures, Table II and the simulator's
-    measured workloads meter; the build paths use :func:`build_subgraph`.
-
-    The table is sized once from Property 1 and, on genomic data, never
-    resizes -- that is the paper's design.  Inputs that violate the
-    estimate (e.g. coverage < 1, where nearly every kmer is distinct)
-    would overflow the fixed table; with ``allow_regrow`` the build
-    retries with doubled capacity and reports ``n_regrows > 0``.  With
-    ``allow_regrow=False`` the overflow raises
-    :class:`repro.core.hashtable.TableFullError` instead.
-    """
-    policy = policy or SizingPolicy()
-    keys, slots = observation_pairs(*instance_observations(block))
-    n_kmers = block.total_kmers()
-    capacity = policy.capacity_for(max(1, n_kmers))
-    # Hard upper bound: there cannot be more distinct vertices than
-    # kmer instances, so capacity n_kmers/alpha always fits.
-    bound = next_power_of_two(max(2, int(n_kmers / policy.alpha) + 1))
-    n_regrows = 0
-    while True:
-        table = ConcurrentHashTable(capacity, block.k)
-        try:
-            if n_threads == 1:
-                table.insert_batch(keys, slots)
-            else:
-                table.insert_threaded(planes_to_ints(keys), slots, n_threads)
-            break
-        except TableFullError:
-            if not allow_regrow or capacity >= bound:
-                raise
-            capacity *= 2
-            n_regrows += 1
-    return SubgraphResult(
-        graph=table.to_graph(),
-        stats=table.stats,
-        n_kmers=n_kmers,
-        capacity=table.capacity,
-        table_bytes=table.memory_bytes(),
-        n_regrows=n_regrows,
-    )
 
 
 def build_subgraph_sortmerge(block: SuperkmerBlock) -> DeBruijnGraph:

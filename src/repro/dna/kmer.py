@@ -377,19 +377,6 @@ def group_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], np.diff(starts, append=n)
 
 
-def kmer_planes_from_reads(codes: np.ndarray, k: int) -> np.ndarray:
-    """All kmers of equal-length reads as ``(W, n_reads, L - k + 1)`` planes."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.ndim != 2:
-        raise ValueError("codes must be a 2-D (n_reads, L) matrix")
-    n, length = codes.shape
-    if length < k:
-        raise ValueError(f"read length {length} shorter than k={k}")
-    n_kmers = length - k + 1
-    starts = (np.arange(n)[:, None] * length + np.arange(n_kmers)).ravel()
-    return pack_planes(codes.ravel(), k, starts).reshape(-1, n, n_kmers)
-
-
 def revcomp_planes(planes: np.ndarray, k: int) -> np.ndarray:
     """Reverse complement of plane-array keys, vectorized.
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kmer import MAX_U64_K, canonical_int, kmer_from_codes
+from .kmer import MAX_U64_K
 
 
 def sliding_min(values: np.ndarray, window: int) -> np.ndarray:
@@ -128,48 +128,6 @@ def _flat_minimizers(codes: np.ndarray, k: int, p: int,
     return sliding_min(pmers, k - p + 1)
 
 
-def minimizers_for_reads(
-    codes: np.ndarray, k: int, p: int, canonical: bool = True
-) -> np.ndarray:
-    """Minimizer of every kmer in a batch of equal-length reads.
-
-    Parameters
-    ----------
-    codes:
-        ``(n_reads, L)`` uint8 matrix of base codes.
-    k, p:
-        Kmer length and minimizer length, ``1 <= p <= k`` and
-        ``p <= 31``.
-    canonical:
-        When ``True`` (the default), each length-P substring is taken in
-        its canonical form (minimum of itself and its reverse
-        complement) before the window minimum.  This makes the
-        minimizer **strand-invariant**: a kmer and its reverse
-        complement get the same minimizer, so both orientations of a
-        graph vertex are routed to the same partition.  Vertex-disjoint
-        partitioning — the MSP guarantee the paper relies on for
-        bi-directed graphs — requires it.  ``False`` gives the literal
-        Definition 1 (plain lexicographic minimum substring).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n_reads, L - k + 1)`` matrix of packed minimizer values;
-        ``[i, j]`` is the P-minimum-substring of kmer ``j`` of read
-        ``i``.  The p-mers are built by doubling widths (module
-        docstring) and the window minimum runs in their dtype,
-        :func:`pmer_dtype`: ``uint32`` for 9 <= P <= 16, ``uint64``
-        above, ``uint16`` and ``uint8`` below.
-    """
-    codes = _check_reads(codes, k, p)
-    n, length = codes.shape
-    flat = _flat_minimizers(codes, k, p, canonical)
-    step = flat.itemsize
-    return np.lib.stride_tricks.as_strided(
-        flat, (n, length - k + 1), (length * step, step),
-        writeable=False).copy()
-
-
 def _check_reads(codes: np.ndarray, k: int, p: int) -> np.ndarray:
     """``codes`` as a uint8 read matrix whose reads hold a kmer."""
     _check_kp(k, p)
@@ -239,6 +197,17 @@ def superkmers_for_reads(
     superkmer starts at every read start and at every minimizer change.
     The output order is row-major (all superkmers of read 0 first, in
     left-to-right order), which downstream code relies on.
+
+    With ``canonical`` (the default) each length-P substring is taken in
+    its canonical form (minimum of itself and its reverse complement)
+    before the window minimum.  This makes the minimizer
+    **strand-invariant**: a kmer and its reverse complement get the same
+    minimizer, so both orientations of a graph vertex are routed to the
+    same partition, the vertex-disjoint MSP guarantee the paper relies
+    on for bi-directed graphs.  ``False`` gives the literal Definition 1
+    (plain lexicographic minimum substring).  The minimizer values are
+    :func:`pmer_dtype` p-mers (``uint32`` for 9 <= P <= 16), widened to
+    ``uint64`` in the result.
     """
     codes = _check_reads(codes, k, p)
     n, length = codes.shape
@@ -264,48 +233,3 @@ def superkmers_for_reads(
         k=k,
         read_length=length,
     )
-
-
-# ---------------------------------------------------------------------------
-# Reference implementations (slow, obviously correct; used in tests)
-# ---------------------------------------------------------------------------
-
-def minimizer_of_kmer_ref(codes: np.ndarray, p: int, canonical: bool = True) -> int:
-    """Reference P-minimum-substring of a single kmer (Definition 1).
-
-    With ``canonical`` the substrings are canonicalized first (the
-    strand-invariant variant the partitioner uses).
-    """
-    codes = np.asarray(codes, dtype=np.uint8)
-    k = len(codes)
-    _check_kp(k, p)
-    values = (kmer_from_codes(codes[i : i + p]) for i in range(k - p + 1))
-    if canonical:
-        return min(canonical_int(v, p) for v in values)
-    return min(values)
-
-
-def superkmers_of_read_ref(
-    codes: np.ndarray, k: int, p: int, canonical: bool = True
-) -> list[tuple[int, int, int]]:
-    """Reference superkmer decomposition of one read (Definition 2).
-
-    Returns ``(start_kmer_index, n_kmers, minimizer)`` tuples in
-    left-to-right order.
-    """
-    codes = np.asarray(codes, dtype=np.uint8)
-    _check_kp(k, p)
-    n_kmers = len(codes) - k + 1
-    if n_kmers <= 0:
-        raise ValueError(f"read of length {len(codes)} has no kmers for k={k}")
-    minis = [
-        minimizer_of_kmer_ref(codes[i : i + k], p, canonical=canonical)
-        for i in range(n_kmers)
-    ]
-    groups: list[tuple[int, int, int]] = []
-    start = 0
-    for i in range(1, n_kmers + 1):
-        if i == n_kmers or minis[i] != minis[start]:
-            groups.append((start, i - start, minis[start]))
-            start = i
-    return groups

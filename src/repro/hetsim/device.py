@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.hashtable import HashStats
+from ..core.subgraph import HashStats
 
 #: Bytes per hash-table entry slot (state + key + 9 counters), used to
 #: reason about working-set size.

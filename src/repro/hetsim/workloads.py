@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.config import ParaHashConfig
-from ..core.subgraph import SubgraphResult, build_subgraph_table
+from ..core.hashtable import build_subgraph_table
+from ..core.subgraph import SubgraphResult
 from ..dna.reads import ReadBatch
 from ..graph.dbg import DeBruijnGraph
 from ..graph.merge import merge_disjoint

@@ -56,6 +56,9 @@ class SuperkmerBlock:
     left_ext / right_ext:
         int8 arrays of length ``n``: extension base codes or
         :data:`NO_EXT`.
+    lengths:
+        int64 array of length ``n``: each superkmer's base count,
+        ``np.diff(offsets)``.
     """
 
     def __init__(
@@ -78,10 +81,12 @@ class SuperkmerBlock:
             raise ValueError("offsets must start at 0")
         if int(self.offsets[-1]) != self.bases.size:
             raise ValueError("offsets must end at len(bases)")
-        lengths = np.diff(self.offsets)
-        if lengths.size and int(lengths.min()) < self.k:
+        # Base length of each superkmer; nothing writes ``offsets``
+        # after construction, so it is computed once here.
+        self.lengths = np.diff(self.offsets)
+        if self.lengths.size and int(self.lengths.min()) < self.k:
             raise ValueError(f"every superkmer must have >= k={self.k} bases")
-        n = lengths.size
+        n = self.lengths.size
         if self.left_ext.shape != (n,) or self.right_ext.shape != (n,):
             raise ValueError("extension arrays must have one entry per superkmer")
 
@@ -90,11 +95,6 @@ class SuperkmerBlock:
     @property
     def n_superkmers(self) -> int:
         return int(self.offsets.size - 1)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Base length of each superkmer."""
-        return np.diff(self.offsets)
 
     @property
     def kmers_per_superkmer(self) -> np.ndarray:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..concurrentsub.workqueue import ProcessWorkQueue, WorkerRecord
+from ..concurrentsub.workqueue import ProcessWorkQueue
 from ..core.subgraph import SubgraphResult, build_partition
 from ..dna.reads import ReadBatch
 from ..msp.partitioner import (
@@ -198,7 +198,7 @@ def build_graph_processes(
     the run's partition files and stay there; a partition a worker
     never touched has no file from it.
     """
-    from ..core.parahash import StageTimings, finish_build
+    from ..core.parahash import StageTimings, WorkerRecord, finish_build
 
     cfg = config
     n_workers = cfg.workers()

@@ -7,6 +7,7 @@ from repro.bigk.construct import build_subgraph_2w, merge_bigk_disjoint
 from repro.bigk.store import build_reference_bigk_slow
 from repro.bigk.table import TwoWordHashTable
 from repro.concurrentsub.hashfunc import hash_planes, hash_planes_int
+from repro.core.hashtable import build_subgraph_table
 from repro.core.parahash import build_debruijn_graph
 from repro.core.subgraph import build_subgraph_sortmerge, instance_observations
 from repro.dna.kmer import (
@@ -15,16 +16,17 @@ from repro.dna.kmer import (
     iter_kmers,
     join_planes,
     key_width,
-    kmer_planes_from_reads,
     lead_bases,
     less_planes,
     revcomp_int,
     revcomp_planes,
     split_int,
 )
+from repro.dna.minimizer import superkmers_for_reads
 from repro.graph.dbg import DeBruijnGraph, graph_from_pairs
 from repro.msp.partitioner import partition_reads
-from repro.core.subgraph import build_subgraph_table
+
+from .oracles import read_planes
 
 BIG_KS = [33, 41, 48, 63]
 
@@ -50,7 +52,7 @@ class TestKmer2w:
     @pytest.mark.parametrize("k", BIG_KS)
     def test_extraction_matches_scalar(self, rng, k):
         codes = rng.integers(0, 4, size=(6, k + 20), dtype=np.uint8)
-        hi, lo = kmer_planes_from_reads(codes, k)
+        hi, lo = read_planes(codes, k)
         for i in range(6):
             for j, ref in enumerate(iter_kmers(codes[i], k)):
                 assert join_planes(hi[i, j], lo[i, j]) == ref
@@ -58,7 +60,7 @@ class TestKmer2w:
     @pytest.mark.parametrize("k", BIG_KS)
     def test_revcomp_matches_scalar(self, rng, k):
         codes = rng.integers(0, 4, size=(4, k + 10), dtype=np.uint8)
-        hi, lo = kmer_planes_from_reads(codes, k)
+        hi, lo = read_planes(codes, k)
         rhi, rlo = revcomp_planes((hi, lo), k)
         kmers = [list(iter_kmers(codes[i], k)) for i in range(4)]
         for i in range(4):
@@ -70,7 +72,7 @@ class TestKmer2w:
     @pytest.mark.parametrize("k", BIG_KS)
     def test_revcomp_involution(self, rng, k):
         codes = rng.integers(0, 4, size=(3, k + 5), dtype=np.uint8)
-        hi, lo = kmer_planes_from_reads(codes, k)
+        hi, lo = read_planes(codes, k)
         rhi, rlo = revcomp_planes((hi, lo), k)
         bhi, blo = revcomp_planes((rhi, rlo), k)
         assert np.array_equal(bhi, hi) and np.array_equal(blo, lo)
@@ -78,7 +80,7 @@ class TestKmer2w:
     @pytest.mark.parametrize("k", BIG_KS)
     def test_canonical_matches_scalar(self, rng, k):
         codes = rng.integers(0, 4, size=(4, k + 8), dtype=np.uint8)
-        hi, lo = kmer_planes_from_reads(codes, k)
+        hi, lo = read_planes(codes, k)
         (chi, clo), flip = canonical_planes_with_flip((hi, lo), k)
         kmers = [list(iter_kmers(codes[i], k)) for i in range(4)]
         for i in range(4):
@@ -95,8 +97,9 @@ class TestKmer2w:
         assert less_planes((a, al), (b, bl)).tolist() == [True, True, False]
 
     def test_read_shorter_than_k(self):
-        with pytest.raises(ValueError):
-            kmer_planes_from_reads(np.zeros((2, 30), dtype=np.uint8), 33)
+        # Step 1's scanner is what extracts two-word kmers from reads.
+        with pytest.raises(ValueError, match="shorter than k=33"):
+            superkmers_for_reads(np.zeros((2, 30), dtype=np.uint8), 33, 15)
 
 
 class TestTwoWordTable:

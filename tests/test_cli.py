@@ -122,7 +122,8 @@ class TestBuild:
             main(["build", "--input", str(reads_file), "--k", "32",
                   "--output", str(tmp_path / "g.phdbg")])
 
-    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--calibrate"]])
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--calibrate"],
+                                      ["--backend", "threads"]])
     def test_removed_flags_exit_2(self, reads_file, tmp_path, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["build", "--input", str(reads_file),
@@ -322,22 +323,6 @@ class TestBigKCli:
             main(["build", "--input", str(reads_file), "--k", "32",
                   "--output", str(tmp_path / "g.phdbg")])
         assert not (tmp_path / "g.phdbg").exists()
-
-    def test_threads_backend_builds_large_k(self, reads_file, tmp_path):
-        from repro.bigk.serialize import load_big_graph
-
-        serial_out = tmp_path / "serial.phdbg"
-        threads_out = tmp_path / "threads.phdbg"
-        rc = main(["build", "--input", str(reads_file), "--k", "41",
-                   "--p", "15", "--partitions", "4",
-                   "--backend", "serial", "--output", str(serial_out)])
-        assert rc == 0
-        rc = main(["build", "--input", str(reads_file), "--k", "41",
-                   "--p", "15", "--partitions", "4",
-                   "--backend", "threads", "--workers", "2",
-                   "--output", str(threads_out)])
-        assert rc == 0
-        assert load_big_graph(threads_out).equals(load_big_graph(serial_out))
 
 
 class TestParser:

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.counter import (
-    KmerCountTable,
-    count_kmers,
-    count_kmers_partitioned,
-)
+from repro.core.counter import KmerCountTable, count_kmers
 from repro.dna.kmer import canonical_int, revcomp_int
 from repro.dna.reads import ReadBatch
 from repro.graph.build import build_reference_graph
@@ -42,12 +38,6 @@ class TestCountKmers:
             if canonical_int(v, 15) == v and table.count(v) == 0
         )
         assert absent not in table
-
-    def test_partitioned_equals_direct(self, genomic_batch):
-        direct = count_kmers(genomic_batch, 15)
-        part = count_kmers_partitioned(genomic_batch, 15, p=7, n_partitions=8)
-        assert np.array_equal(direct.kmers, part.kmers)
-        assert np.array_equal(direct.counts, part.counts)
 
     def test_filter_min_count(self, genomic_batch):
         table = count_kmers(genomic_batch, 15)

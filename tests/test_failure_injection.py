@@ -111,63 +111,6 @@ class TestStragglerDevice:
             len(sim.usage["straggler"].partitions) * per_claim + 0.2
         )
 
-    def test_worker_thread_crash_propagates(self):
-        from repro.concurrentsub.workqueue import run_coprocessed
-
-        calls = {"n": 0}
-
-        def flaky(x):
-            calls["n"] += 1
-            if x == 3:
-                raise OSError("disk on fire")
-            return x
-
-        with pytest.raises(OSError, match="disk on fire"):
-            run_coprocessed(list(range(6)), {"w": flaky})
-
-
-class TestThreadsBackendFailure:
-    def test_kernel_error_in_one_thread_fails_the_build(self, genomic_batch,
-                                                         monkeypatch):
-        import gc
-        import threading
-        import time
-
-        from repro.core import parahash
-
-        real = parahash.build_subgraph
-        calls = []
-        lock = threading.Lock()
-
-        def flaky(block):
-            with lock:
-                calls.append(threading.current_thread().name)
-                n = len(calls)
-            if n == 2:
-                raise OSError("disk on fire")
-            return real(block)
-
-        monkeypatch.setattr(parahash, "build_subgraph", flaky)
-        cfg = ParaHashConfig(k=15, p=7, n_partitions=12, backend="threads",
-                             n_workers=3)
-        before = set(threading.enumerate())
-        t0 = time.monotonic()
-        with pytest.raises(OSError, match="disk on fire"):
-            ParaHash(cfg).build_graph(genomic_batch)
-        # The abort stops the other threads at their next claim instead
-        # of leaving them on the queue's 120 s claim timeout.
-        assert time.monotonic() - t0 < 20.0
-        gc.collect()  # the queue's transport thread ends with the queue
-        deadline = time.monotonic() + 5.0
-        while True:
-            left = [t.name for t in threading.enumerate()
-                    if t not in before and t.is_alive()]
-            if not left or time.monotonic() > deadline:
-                break
-            time.sleep(0.05)
-        assert left == []
-
-
 class TestNumericEdges:
     def test_kmer_with_all_ts(self):
         # Highest possible kmer value; canonical flips to all-As.

@@ -7,9 +7,9 @@ from repro.core.hashtable import (
     EMPTY,
     OCCUPIED,
     ConcurrentHashTable,
-    HashStats,
     TableFullError,
 )
+from repro.core.subgraph import HashStats
 from repro.graph.dbg import COUNT_MAX, MULT_SLOT
 
 

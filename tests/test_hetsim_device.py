@@ -137,7 +137,7 @@ class TestGpuDevice:
 
 class TestHashWorkFromStats:
     def test_fields_copied(self):
-        from repro.core.hashtable import HashStats
+        from repro.core.subgraph import HashStats
 
         stats = HashStats(ops=100, inserts=20, updates=80, probes=7,
                           key_locks=20, blocked_reads=0, cas_failures=0,

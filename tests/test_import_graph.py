@@ -2,10 +2,12 @@
 
 A fresh interpreter imports what the benchmark child imports and runs
 builds, or parses a ``repro build`` command line, and then reports
-every loaded ``repro`` module.  The analysis toolkit, the simulator,
-the job service and the other off-path modules must not be among
-them: package ``__init__``s re-export nothing, and the CLI imports
-each subcommand's modules inside that subcommand.
+every loaded module.  The analysis toolkit, the simulator, the job
+service and the other off-path modules must not be among them:
+package ``__init__``s re-export nothing, and the CLI imports each
+subcommand's modules inside that subcommand.  A serial build loads
+neither ``multiprocessing`` nor the work queue, nor the paper's shared
+hash table and its atomics.
 """
 
 from __future__ import annotations
@@ -40,6 +42,26 @@ for backend in ("serial", "processes"):
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
 """
 
+SERIAL = """\
+import json, sys
+import numpy as np
+import repro.bigk.serialize
+import repro.dna.io
+import repro.graph.serialize
+from repro.core.config import ParaHashConfig
+from repro.core.parahash import ParaHash
+from repro.dna.reads import ReadBatch
+
+rng = np.random.default_rng(7)
+genome = rng.integers(0, 4, size=3_000, dtype=np.uint8)
+starts = rng.integers(0, genome.size - 100, size=300)
+reads = ReadBatch(codes=np.stack([genome[s:s + 100] for s in starts]))
+for k, p in ((27, 11), (45, 15)):
+    cfg = ParaHashConfig(k=k, p=p, n_partitions=8)
+    assert ParaHash(cfg).build_graph(reads).graph.n_vertices > 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
 CLI = """\
 import json, sys
 from repro.cli import build_parser
@@ -63,6 +85,14 @@ OFF_BUILD_PATH = (
     "repro.msp.inspect",
     "repro.msp.stats",
     "repro.core.counter",
+)
+
+#: What only the processes backend or the paper's shared table runs.
+OFF_SERIAL_BUILD = (
+    "multiprocessing",
+    "repro.core.hashtable",
+    "repro.concurrentsub.atomics",
+    "repro.concurrentsub.workqueue",
 )
 
 OFF_CLI_PARSE = (
@@ -94,6 +124,12 @@ def test_builds_load_no_off_path_module():
     modules = loaded_modules(LIBRARY)
     assert "repro.parallel.backend" in modules  # the processes build ran
     assert under(modules, OFF_BUILD_PATH) == []
+
+
+def test_serial_build_loads_no_process_or_table_module():
+    modules = loaded_modules(SERIAL)
+    assert "repro.core.subgraph" in modules  # the builds ran
+    assert under(modules, OFF_SERIAL_BUILD) == []
 
 
 def test_parsing_build_loads_no_subcommand_module():

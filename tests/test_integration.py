@@ -65,13 +65,6 @@ class TestAllPathsAgree:
         result = ParaHash(cfg).build_graph(reads, workdir=tmp_path)
         assert_graphs_equal(result.graph, reference, "parahash-disk")
 
-    def test_parahash_threaded(self, dataset, reference):
-        _, _, reads = dataset
-        cfg = ParaHashConfig(k=K, p=P, n_partitions=NP, backend="threads",
-                             n_workers=4)
-        result = ParaHash(cfg).build_graph(reads)
-        assert_graphs_equal(result.graph, reference, "parahash-threaded")
-
     def test_hetsim(self, dataset, reference):
         _, _, reads = dataset
         cfg = ParaHashConfig(k=K, p=P, n_partitions=NP)

@@ -6,6 +6,8 @@ import pytest
 from repro.dna import alphabet as al
 from repro.dna import minimizer as mz
 
+from .oracles import kmer_minimizers, minimizer_of_kmer_ref, superkmers_of_read_ref
+
 
 class TestSlidingMin:
     def test_window_one_is_identity(self, rng):
@@ -55,22 +57,24 @@ class TestSlidingMin:
 
 
 class TestMinimizers:
+    """Each kmer's minimizer as the Step-1 scanner finds it."""
+
     def test_matches_reference_noncanonical(self, rng):
         codes = rng.integers(0, 4, size=(10, 30), dtype=np.uint8)
         k, p = 11, 4
-        got = mz.minimizers_for_reads(codes, k, p, canonical=False)
+        got = kmer_minimizers(codes, k, p, canonical=False)
         for i in range(10):
             for j in range(30 - k + 1):
-                ref = mz.minimizer_of_kmer_ref(codes[i, j : j + k], p, canonical=False)
+                ref = minimizer_of_kmer_ref(codes[i, j : j + k], p, canonical=False)
                 assert int(got[i, j]) == ref
 
     def test_matches_reference_canonical(self, rng):
         codes = rng.integers(0, 4, size=(8, 26), dtype=np.uint8)
         k, p = 9, 5
-        got = mz.minimizers_for_reads(codes, k, p)
+        got = kmer_minimizers(codes, k, p)
         for i in range(8):
             for j in range(26 - k + 1):
-                ref = mz.minimizer_of_kmer_ref(codes[i, j : j + k], p)
+                ref = minimizer_of_kmer_ref(codes[i, j : j + k], p)
                 assert int(got[i, j]) == ref
 
     def test_p_equals_k(self, rng):
@@ -79,7 +83,7 @@ class TestMinimizers:
         from repro.dna.kmer import canonical_u64, kmers_from_reads
 
         k = 7
-        minis = mz.minimizers_for_reads(codes, k, k)
+        minis = kmer_minimizers(codes, k, k)
         kmers = kmers_from_reads(codes, k)
         assert np.array_equal(minis, canonical_u64(kmers, k))
 
@@ -88,16 +92,16 @@ class TestMinimizers:
         codes = rng.integers(0, 4, size=(1, 40), dtype=np.uint8)
         rc = (codes[:, ::-1] ^ 3).astype(np.uint8)
         k, p = 15, 7
-        fwd = mz.minimizers_for_reads(codes, k, p)
-        bwd = mz.minimizers_for_reads(rc, k, p)
+        fwd = kmer_minimizers(codes, k, p)
+        bwd = kmer_minimizers(rc, k, p)
         assert np.array_equal(fwd[0], bwd[0][::-1])
 
     def test_invalid_p(self):
         codes = np.zeros((1, 20), dtype=np.uint8)
         with pytest.raises(ValueError):
-            mz.minimizers_for_reads(codes, 5, 0)
+            kmer_minimizers(codes, 5, 0)
         with pytest.raises(ValueError):
-            mz.minimizers_for_reads(codes, 5, 6)
+            kmer_minimizers(codes, 5, 6)
 
 
 class TestSuperkmers:
@@ -106,7 +110,7 @@ class TestSuperkmers:
         k, p = 11, 5
         sk = mz.superkmers_for_reads(codes, k, p)
         for i in range(12):
-            ref = mz.superkmers_of_read_ref(codes[i], k, p)
+            ref = superkmers_of_read_ref(codes[i], k, p)
             got = [
                 (int(s), int(n), int(m))
                 for r, s, n, m in zip(sk.read_idx, sk.start, sk.n_kmers, sk.minimizer)
@@ -174,4 +178,4 @@ class TestSuperkmers:
 
     def test_ref_rejects_short_read(self):
         with pytest.raises(ValueError):
-            mz.superkmers_of_read_ref(np.zeros(3, dtype=np.uint8), 5, 2)
+            superkmers_of_read_ref(np.zeros(3, dtype=np.uint8), 5, 2)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.concurrentsub.hashfunc import mix64_int
 from repro.dna.kmer import canonical_u64
-from repro.dna.minimizer import superkmers_for_reads, superkmers_of_read_ref
+from repro.dna.minimizer import superkmers_for_reads
 from repro.dna.reads import ReadBatch
 from repro.msp.partitioner import (
     load_partitions,
@@ -18,6 +18,8 @@ from repro.msp.partitioner import (
     partition_to_files,
 )
 from repro.msp.records import NO_EXT
+
+from .oracles import superkmers_of_read_ref
 
 
 class TestPartitionReads:

@@ -1,9 +1,8 @@
 """Every single-writer build path runs without the concurrent hash table.
 
 Each partition has exactly one owner on every build path -- serial,
-threads, processes, ``count_kmers_partitioned`` and
-the service's ``step2`` task -- so the owner turns the partition's
-vertex rows straight into its subgraph.  These tests make the table
+processes and the service's ``step2`` task -- so the owner turns the
+partition's vertex rows straight into its subgraph.  These tests make the table
 constructors and the table segment refuse to run, and require every
 path to still build the reference graph.
 """
@@ -45,7 +44,7 @@ def assert_equal(graph, ref, k):
         assert_graphs_equal(graph, ref, "owner build")
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 @pytest.mark.parametrize("k", [21, 45])
 def test_build_paths_use_no_table(genomic_batch, no_tables, backend, k):
     cfg = ParaHashConfig(k=k, p=9 if k <= 31 else 15, n_partitions=8,
@@ -54,14 +53,6 @@ def test_build_paths_use_no_table(genomic_batch, no_tables, backend, k):
     assert_equal(result.graph, reference(genomic_batch, k), k)
     assert result.hash_stats.key_locks == result.graph.n_vertices
     assert result.hash_stats.probes == 0
-
-
-def test_partitioned_counting_uses_no_table(genomic_batch, no_tables):
-    from repro.core.counter import count_kmers, count_kmers_partitioned
-
-    got = count_kmers_partitioned(genomic_batch, 15, p=7, n_partitions=8)
-    want = count_kmers(genomic_batch, 15)
-    assert (got.kmers == want.kmers).all() and (got.counts == want.counts).all()
 
 
 @pytest.mark.parametrize("k", [21, 45])

@@ -16,13 +16,12 @@ class TestConfig:
         assert cfg.sizing.lam == 2.0
 
     def test_step1_pieces_two_per_parallel_worker(self):
-        # One chunk rule for both parallel backends; serial keeps
+        # Two chunks per worker on the processes backend; serial keeps
         # n_input_pieces (4 by default).
         assert ParaHashConfig(n_workers=8).step1_pieces() == 4
-        for backend in ("threads", "processes"):
-            cfg = ParaHashConfig(backend=backend, n_workers=8)
-            assert cfg.step1_pieces() == 16
-            assert cfg.with_(n_workers=1).step1_pieces() == 4
+        cfg = ParaHashConfig(backend="processes", n_workers=8)
+        assert cfg.step1_pieces() == 16
+        assert cfg.with_(n_workers=1).step1_pieces() == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -74,7 +73,7 @@ class TestEndToEnd:
         assert result.timings.io_seconds >= 0
 
     def test_coprocessed_equals_reference(self, genomic_batch):
-        cfg = ParaHashConfig(k=15, p=7, n_partitions=8, backend="threads",
+        cfg = ParaHashConfig(k=15, p=7, n_partitions=8, backend="processes",
                              n_workers=3)
         result = ParaHash(cfg).build_graph(genomic_batch)
         ref = build_reference_graph(genomic_batch, 15)

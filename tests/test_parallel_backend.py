@@ -32,14 +32,10 @@ def assert_graphs_identical(a, b):
 
 def test_all_backends_build_identical_graphs(genomic_batch):
     serial = ParaHash(CFG).build_graph(genomic_batch)
-    threaded = ParaHash(
-        CFG.with_(backend="threads", n_workers=2)
-    ).build_graph(genomic_batch)
     procs = ParaHash(
         CFG.with_(backend="processes", n_workers=2)
     ).build_graph(genomic_batch)
     assert serial.graph.n_vertices > 0
-    assert_graphs_identical(serial.graph, threaded.graph)
     assert_graphs_identical(serial.graph, procs.graph)
 
 
@@ -207,7 +203,7 @@ def test_bigk_processes_fallback_on_undersized_tables(clean_batch):
 #
 # In CI the `matrix` suite runs this module with REPRO_MATRIX_K and
 # REPRO_MATRIX_BACKEND set (k in {21, 45} x backend in {serial,
-# threads, processes}); locally the k=45 processes cell runs by default.
+# processes}); locally the k=45 processes cell runs by default.
 
 MATRIX_K = int(os.environ.get("REPRO_MATRIX_K", "45"))
 MATRIX_BACKEND = os.environ.get("REPRO_MATRIX_BACKEND", "processes")
@@ -249,14 +245,15 @@ def test_matrix_cell_cli_build_matches_serial(genomic_batch, tmp_path):
 
 
 def test_config_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        ParaHashConfig(k=21, p=9, backend="gpu")
+    for gone in ("gpu", "threads"):
+        with pytest.raises(ValueError):
+            ParaHashConfig(k=21, p=9, backend=gone)
     with pytest.raises(ValueError):
         ParaHashConfig(k=21, p=9, n_workers=-1)
 
 
 def test_config_worker_resolution():
-    assert "processes" in BACKENDS
+    assert BACKENDS == ("serial", "processes")
     assert ParaHashConfig(k=21, p=9, n_workers=6).workers() == 6
     auto = ParaHashConfig(k=21, p=9).workers()
     assert auto == max(1, os.cpu_count() or 1)

@@ -18,14 +18,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import ParaHashConfig
+from repro.core.hashtable import ConcurrentHashTable, build_subgraph_table
 from repro.core.parahash import ParaHash
 from repro.core.subgraph import (
     build_subgraph,
-    build_subgraph_table,
     instance_observations,
     preaggregate_observations,
 )
-from repro.core.hashtable import ConcurrentHashTable
 from repro.dna.reads import ReadBatch
 from repro.msp.partitioner import partition_reads
 from repro.parallel.pool import WorkerCrashed, WorkerFailed
@@ -72,9 +71,9 @@ def test_pipelined_matches_across_worker_counts(clean_batch):
 def test_pipelined_disk_artifacts_match_serial(clean_batch, tmp_path):
     """Every engine's Step 1 is ``spill_reads``: the same graph, and its
     work or spill directory holds the same partitions with the same
-    superkmers.  Serial and threads runs write one file per partition
-    (writer 0); the processes backend one per worker that touched it; a
-    service job one per Step-1 task that touched it."""
+    superkmers.  A serial run writes one file per partition (writer 0);
+    the processes backend one per worker that touched it; a service job
+    one per Step-1 task that touched it."""
     from repro.dna.io import save_read_batch
     from repro.graph.serialize import load_graph
     from repro.msp.inspect import inspect_partition_dir
@@ -85,7 +84,6 @@ def test_pipelined_disk_artifacts_match_serial(clean_batch, tmp_path):
     graphs, dirs = {}, {}
     for label, cfg in (
         ("serial", CFG),
-        ("threads", CFG.with_(backend="threads", n_workers=2)),
         ("pipelined", CFG.with_(backend="processes", n_workers=2)),
     ):
         dirs[label] = tmp_path / label / "work"
@@ -111,8 +109,6 @@ def test_pipelined_disk_artifacts_match_serial(clean_batch, tmp_path):
         assert_graphs_identical(graphs["serial"], graphs[label])
         parts = inspect_partition_dir(directory).partitions
         assert [p.partition for p in parts] == [p.partition for p in expected]
-        if label == "threads":
-            assert all(len(part.paths) == 1 for part in parts)
         for part, serial_part in zip(parts, expected):
             assert records(part) == records(serial_part), (label, part)
 
@@ -135,7 +131,7 @@ def test_pipelined_empty_input(tmp_path):
     assert result.graph.n_vertices == 0
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["processes"])
 def test_fewer_reads_than_workers(clean_batch, backend):
     one_read = ReadBatch(codes=clean_batch.codes[:1])
     serial = ParaHash(CFG).build_graph(one_read)

@@ -31,7 +31,7 @@ def test_partition_path_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("backend,workers", [
-    ("serial", 1), ("threads", 2), ("processes", 1), ("processes", 2),
+    ("serial", 1), ("processes", 1), ("processes", 2),
 ])
 def test_workdir_holds_only_partition_files(genomic_batch, tmp_path,
                                             backend, workers):
@@ -54,7 +54,7 @@ def touched_partitions(batch, cfg) -> list[int]:
 
 
 @pytest.mark.parametrize("backend,workers", [
-    ("serial", 1), ("threads", 2), ("processes", 2),
+    ("serial", 1), ("processes", 2),
 ])
 def test_untouched_partitions_have_no_file(clean_batch, tmp_path, backend,
                                            workers):
@@ -68,7 +68,7 @@ def test_untouched_partitions_have_no_file(clean_batch, tmp_path, backend,
         == touched
 
 
-@pytest.mark.parametrize("backend,workers", [("serial", 1), ("threads", 2)])
+@pytest.mark.parametrize("backend,workers", [("serial", 1), ("processes", 2)])
 def test_workdir_build_reads_one_partition_at_a_time(genomic_batch, tmp_path,
                                                      monkeypatch, backend,
                                                      workers):

@@ -17,15 +17,12 @@ from repro.dna.kmer import (
     revcomp_int,
     revcomp_u64,
 )
-from repro.dna.minimizer import (
-    minimizer_of_kmer_ref,
-    minimizers_for_reads,
-    sliding_min,
-    superkmers_of_read_ref,
-)
+from repro.dna.minimizer import sliding_min
 from repro.dna.reads import ReadBatch
 from repro.graph.build import build_reference_graph, build_reference_graph_slow
 from repro.graph.validate import assert_graphs_equal, validate_full_graph
+
+from .oracles import kmer_minimizers, minimizer_of_kmer_ref, superkmers_of_read_ref
 
 dna_strings = st.text(alphabet="ACGT", min_size=1, max_size=120)
 code_arrays = st.lists(st.integers(0, 3), min_size=1, max_size=200).map(
@@ -128,7 +125,7 @@ class TestSuperkmerProperties:
         k = int(rng.integers(4, 16))
         p = int(rng.integers(1, k + 1))
         codes = rng.integers(0, 4, size=(3, k + 20), dtype=np.uint8)
-        minis = minimizers_for_reads(codes, k, p)
+        minis = kmer_minimizers(codes, k, p)
         for i in range(3):
             for j in range(codes.shape[1] - k + 1):
                 assert int(minis[i, j]) == minimizer_of_kmer_ref(

@@ -12,13 +12,14 @@ from repro.dna.kmer import (
     canonical_int,
     canonical_planes_with_flip,
     join_planes,
-    kmer_planes_from_reads,
     revcomp_int,
     revcomp_planes,
     split_int,
 )
 from repro.dna.reads import ReadBatch
 from repro.graph.dbg import graph_from_pairs
+
+from .oracles import read_planes
 
 big_ks = st.integers(33, 63)
 
@@ -60,7 +61,7 @@ class TestPlaneProperties:
         k = int(rng.integers(33, 64))
         length = k + int(rng.integers(0, 20))
         codes = rng.integers(0, 4, size=(2, length), dtype=np.uint8)
-        hi, lo = kmer_planes_from_reads(codes, k)
+        hi, lo = read_planes(codes, k)
         for i in range(2):
             for j, ref in enumerate(iter_kmers(codes[i], k)):
                 assert join_planes(hi[i, j], lo[i, j]) == ref

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import SizingPolicy
+from repro.core.hashtable import build_subgraph_table
 from repro.core.subgraph import (
     block_observations,
     build_subgraph,
     build_subgraph_sortmerge,
-    build_subgraph_table,
     instance_observations,
     observation_pairs,
 )

@@ -10,57 +10,8 @@ from repro.checks.schedule import InterleavingScheduler
 from repro.concurrentsub.workqueue import (
     ProcessWorkQueue,
     QueueClosed,
-    run_coprocessed,
     seed_queue_bugs,
 )
-
-
-class TestRunCoprocessed:
-    def test_results_in_order(self):
-        items = list(range(20))
-        results, records = run_coprocessed(
-            items, {"w1": lambda x: x * 2, "w2": lambda x: x * 2}
-        )
-        assert results == [x * 2 for x in items]
-        assert sum(len(r.partitions) for r in records.values()) == 20
-
-    def test_single_worker(self):
-        results, records = run_coprocessed([1, 2, 3], {"only": lambda x: -x})
-        assert results == [-1, -2, -3]
-        assert records["only"].partitions == [0, 1, 2]
-
-    def test_faster_worker_claims_more(self):
-        def slow(x):
-            time.sleep(0.02)
-            return x
-
-        def fast(x):
-            return x
-
-        items = list(range(30))
-        _, records = run_coprocessed(items, {"slow": slow, "fast": fast})
-        assert records["fast"].items_processed > records["slow"].items_processed
-
-    def test_size_of_accumulates(self):
-        items = [10, 20, 30]
-        _, records = run_coprocessed(items, {"w": lambda x: x}, size_of=lambda x: x)
-        assert records["w"].items_processed == 60
-
-    def test_worker_exception_propagates(self):
-        def boom(x):
-            raise RuntimeError("kaput")
-
-        with pytest.raises(RuntimeError, match="kaput"):
-            run_coprocessed([1, 2], {"w": boom})
-
-    def test_no_workers_rejected(self):
-        with pytest.raises(ValueError):
-            run_coprocessed([1], {})
-
-    def test_empty_items(self):
-        results, records = run_coprocessed([], {"w": lambda x: x})
-        assert results == []
-        assert records["w"].items_processed == 0
 
 
 def _published_up_front(items) -> ProcessWorkQueue:
