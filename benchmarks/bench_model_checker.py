@@ -1,7 +1,7 @@
 """State-space growth of the protocol model checker.
 
-Times :func:`repro.checks.model.check_model` over the two fixed
-protocol models at increasing sizes and records states/transitions per
+Times :func:`repro.checks.model.check_model` over the fixed insert
+protocol model at increasing sizes and records states/transitions per
 point.  The report answers two operational questions:
 
 * which bound fits the PR-gating CI job (target: well under a minute),
@@ -36,10 +36,6 @@ from repro.checks.protocols.corpus import build_model
 SMOKE_INSERT = (2, 3)
 FULL_INSERT = (2, 3, 4, 5)
 
-#: (consumers, items) sweep for the work-queue model.
-SMOKE_QUEUE = ((2, 3), (3, 4))
-FULL_QUEUE = ((2, 3), (3, 4), (4, 5))
-
 
 def _point(protocol: str, **sizes) -> dict:
     model = build_model(protocol, **sizes)
@@ -59,10 +55,7 @@ def _point(protocol: str, **sizes) -> dict:
 
 def measure(smoke: bool = True) -> dict:
     insert_sweep = SMOKE_INSERT if smoke else FULL_INSERT
-    queue_sweep = SMOKE_QUEUE if smoke else FULL_QUEUE
     points = [_point("insert", writers=w) for w in insert_sweep]
-    points += [_point("workqueue", consumers=c, items=i)
-               for c, i in queue_sweep]
     return {
         "benchmark": "model_checker",
         "mode": "smoke" if smoke else "full",
@@ -114,8 +107,8 @@ def test_model_checker_state_space(benchmark):
             for p in report["points"]
         ],
         notes="Every point must stay verified; growth is exponential "
-              "in consumers+items, so CI pins the 3c/4i bound and the "
-              "nightly deep run takes 4c/5i.",
+              "in writers, so CI pins 3 writers and the nightly deep "
+              "run takes 4.",
     )
     assert report["all_verified"]
 

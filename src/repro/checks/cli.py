@@ -6,8 +6,8 @@
   load and the adversarial scheduler scenarios; exit 1 when a candidate
   race is reported.  ``--seed-bug`` re-introduces a fixed bug to
   demonstrate detection (the exit code then *expects* the race).
-* ``model`` — explore the abstract protocol models (CAS insert,
-  srv/cns work queue) exhaustively up to a bound; exit 1 on any
+* ``model`` — explore the abstract CAS-insert protocol model
+  exhaustively up to a bound; exit 1 on any
   invariant violation, deadlock, or bound truncation.  ``--corpus``
   additionally requires every seeded-bug variant to be *refuted* with a
   counterexample trace that replays against the real implementation.
@@ -21,14 +21,12 @@ import sys
 from .lint import lint_paths
 from .report import print_report
 
-#: Model sizes used when *refuting* seeded-bug variants.  Small on
-#: purpose: two contenders over two items is the minimal arena in which
-#: every corpus bug manifests, the search finds the counterexample in
-#: milliseconds, and the resulting trace maps 1:1 onto the two-thread
-#: replay harnesses in :mod:`repro.checks.replay`.
+#: Model size used when *refuting* seeded-bug variants.  Small on
+#: purpose: two writers is the minimal arena in which every corpus bug
+#: manifests, the search finds the counterexample in milliseconds, and
+#: the resulting trace maps 1:1 onto the two-thread replay harnesses in
+#: :mod:`repro.checks.replay`.
 _REFUTE_WRITERS = 2
-_REFUTE_CONSUMERS = 2
-_REFUTE_ITEMS = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,17 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "model",
         help="explicit-state model checking of the protocol models")
-    p.add_argument("--protocol",
-                   choices=["insert", "workqueue", "all"],
-                   default="all")
     p.add_argument("--writers", type=int, default=3,
                    help="insert model: concurrent writers (CI bound: 3)")
-    p.add_argument("--consumers", type=int, default=3,
-                   help="workqueue model: concurrent consumers (CI bound: 3)")
-    p.add_argument("--items", type=int, default=4,
-                   help="workqueue model: published items (CI bound: 4)")
     p.add_argument("--deep", action="store_true",
-                   help="nightly bound: 4 writers, 4 consumers, 5 items")
+                   help="nightly bound: 4 writers")
     p.add_argument("--max-states", type=int, default=500_000)
     p.add_argument("--max-depth", type=int, default=5_000)
     p.add_argument("--corpus", action="store_true",
@@ -176,11 +167,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     from .model import check_model, render_trace
     from .protocols.corpus import CORPUS, build_model
 
-    writers, consumers, items = args.writers, args.consumers, args.items
-    if args.deep:
-        writers = max(writers, 4)
-        consumers = max(consumers, 4)
-        items = max(items, 5)
+    writers = max(args.writers, 4) if args.deep else args.writers
 
     failures: list[str] = []
 
@@ -195,9 +182,7 @@ def cmd_model(args: argparse.Namespace) -> int:
             return 2
         for protocol, variant in pairs:
             model = build_model(protocol, variant=variant,
-                                writers=_REFUTE_WRITERS,
-                                consumers=_REFUTE_CONSUMERS,
-                                items=_REFUTE_ITEMS)
+                                writers=_REFUTE_WRITERS)
             res = check_model(model, max_states=args.max_states,
                               max_depth=args.max_depth)
             label = f"{protocol}/{variant}"
@@ -221,22 +206,18 @@ def cmd_model(args: argparse.Namespace) -> int:
             failures, fmt=str, key=lambda f: f.split(":", 1)[0],
             tool="model (corpus)", noun="refutation failure")
 
-    # -- verification mode: the fixed protocols ----------------------------
-    protocols = (["insert", "workqueue"]
-                 if args.protocol == "all" else [args.protocol])
-    for protocol in protocols:
-        model = build_model(protocol, writers=writers,
-                            consumers=consumers, items=items)
-        res = check_model(model, max_states=args.max_states,
-                          max_depth=args.max_depth)
-        print(res.summary())
-        if res.violation is not None:
-            print(render_trace(res.violation.trace, title=model.name))
-            failures.append(f"{model.name}: {res.violation.kind}")
-        elif res.truncated:
-            # A truncated run proves nothing; CI must not go green on it.
-            failures.append(f"{model.name}: bounds hit before exhaustion "
-                            f"(raise --max-states/--max-depth)")
+    # -- verification mode: the fixed protocol -----------------------------
+    model = build_model("insert", writers=writers)
+    res = check_model(model, max_states=args.max_states,
+                      max_depth=args.max_depth)
+    print(res.summary())
+    if res.violation is not None:
+        print(render_trace(res.violation.trace, title=model.name))
+        failures.append(f"{model.name}: {res.violation.kind}")
+    elif res.truncated:
+        # A truncated run proves nothing; CI must not go green on it.
+        failures.append(f"{model.name}: bounds hit before exhaustion "
+                        f"(raise --max-states/--max-depth)")
     return print_report(
         failures, fmt=str, key=lambda f: f.split(":", 1)[0],
         tool="model", noun="violation")

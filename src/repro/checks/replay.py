@@ -5,16 +5,14 @@ of the abstract protocol models with a concrete interleaving trace.
 This module closes the loop: every trace is translated into
 :class:`~repro.checks.schedule.InterleavingScheduler` gate rules that
 force the *real* implementation — ``ConcurrentHashTable`` under
-:func:`repro.core.hashtable.seed_bugs`, ``ProcessWorkQueue`` under
-:func:`repro.concurrentsub.workqueue.seed_queue_bugs` — through the
-same interleaving, so the abstract violation reproduces as a concrete,
+:func:`repro.core.hashtable.seed_bugs` — through the same interleaving, so the abstract violation reproduces as a concrete,
 deterministic failure.
 
 The translation is parametric, not scripted: a replay reads the trace
 to learn *which* processes overlap at *which* control point (e.g. the
-two claimers whose ``claim_read`` steps interleave), then installs
+two writers whose ``stats_read`` steps interleave), then installs
 barrier/park rules at the matching instrumentation points (``tas_gap``,
-``stats_rmw``, ``numpy_publish``, ``claim_rmw``, ``early_srv``).  A
+``stats_rmw``, ``numpy_publish``).  A
 sequential step-by-step replayer would be wrong here: the ``tas_claim``
 window, for instance, requires *both* writers to arrive at the gap
 before either stores — a barrier, which only gate rules express.
@@ -24,7 +22,6 @@ Entry point: :func:`replay_counterexample`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .model import Step
@@ -248,234 +245,11 @@ def replay_numpy_publish(trace: list[Step],
     )
 
 
-# -- workqueue-protocol replays ---------------------------------------------------
-
-
-def replay_split_claim(trace: list[Step],
-                       timeout: float = 10.0) -> ReplayResult:
-    """Two claimers read the same ``cns`` ticket before either advances.
-
-    The trace names claimers whose ``claim_read`` steps overlap; the
-    replay holds both real claimer threads of a
-    :class:`ProcessWorkQueue` at the ``claim_rmw`` point until both
-    have read (the barrier), then releases them.  With one item
-    published, both hold ticket 0: one takes the item and the other is
-    stranded on a reservation the transport never fills — the concrete
-    double-consume.
-    """
-    from ..concurrentsub.workqueue import ProcessWorkQueue, QueueClosed, \
-        seed_queue_bugs
-    from .instrument import monitor_session
-
-    if _overlapping(trace, "claim_read", "claim_adv") is None:
-        return ReplayResult("workqueue", "split_claim", False,
-                            "trace has no overlapping claim reads")
-
-    sched = InterleavingScheduler(timeout=timeout)
-
-    def on_claim_rmw(s: InterleavingScheduler, point) -> None:
-        if s.is_released("claim"):
-            return
-        if s.bump("at_claim") >= 2:
-            s.release("claim")
-        else:
-            s.pause_at("claim")
-
-    sched.on("claim_rmw", on_claim_rmw)
-
-    q = ProcessWorkQueue(1, claim_timeout=1.0)
-    q.publish("part-0")
-    q.close()
-    got: list = []
-    stranded: list[str] = []
-    lock = threading.Lock()
-
-    def claimer() -> None:
-        try:
-            items = q.claim()
-        except QueueClosed as exc:  # the double-consume manifestation
-            with lock:
-                stranded.append(str(exc))
-            return
-        with lock:
-            got.extend(items)
-
-    with seed_queue_bugs("split_claim"), monitor_session(sched):
-        _run_threads([claimer, claimer], timeout)
-
-    tickets = [p.index for p in sched.events("claim_rmw")]
-    duplicated = len(tickets) != len(set(tickets))
-    reproduced = duplicated and bool(stranded)
-    return ReplayResult(
-        "workqueue", "split_claim", reproduced,
-        f"tickets {sorted(tickets)} claimed; "
-        + (f"second claimer stranded: {stranded[0]}" if stranded
-           else "no claimer stranded"),
-        notes={"tickets": tickets, "got": got, "stranded": stranded},
-    )
-
-
-def replay_early_srv(trace: list[Step], timeout: float = 10.0) -> ReplayResult:
-    """A claim reserves an item ``srv`` covers but the put has not made.
-
-    The trace shows the producer's ``publish_srv`` with a consumer
-    claim/fetch before the matching ``publish_write``.  The replay
-    parks the real :class:`ProcessWorkQueue` producer at the
-    ``early_srv`` point — ``srv`` already advanced, item not yet put —
-    while a consumer claims: the reservation succeeds, and the
-    consumer is stranded waiting for an item the transport never
-    receives in time.
-    """
-    from ..concurrentsub.workqueue import ProcessWorkQueue, QueueClosed, \
-        seed_queue_bugs
-    from .instrument import monitor_session
-
-    srv_steps = _procs(trace, "publish_srv")
-    if not srv_steps:
-        return ReplayResult("workqueue", "early_srv", False,
-                            "trace has no publish_srv step")
-    window = False
-    claimed_inside = False
-    for step in trace:
-        if step.action == "publish_srv":
-            window = True
-        elif step.action == "publish_write":
-            window = False
-        elif window and step.action in ("claim", "claim_read", "fetch"):
-            claimed_inside = True
-    if not claimed_inside:
-        return ReplayResult("workqueue", "early_srv", False,
-                            "no claim inside the srv/store gap")
-
-    sched = InterleavingScheduler(timeout=timeout)
-
-    def on_early_srv(s: InterleavingScheduler, point) -> None:
-        s.bump("srv_advanced")
-        s.pause_at("slot_store")
-
-    sched.on("early_srv", on_early_srv)
-
-    q = ProcessWorkQueue(1, claim_timeout=1.0)
-    outcome: dict = {}
-
-    def producer() -> None:
-        q.publish("part-0")
-
-    def consumer() -> None:
-        sched.wait_count("srv_advanced", 1)
-        try:
-            # srv already covers the item, so the claim reserves it —
-            # and then waits on a put the parked producer has not made.
-            outcome["items"] = q.claim()
-        except QueueClosed as exc:
-            outcome["stranded"] = str(exc)
-        finally:
-            sched.release("slot_store")
-
-    with seed_queue_bugs("early_srv"), monitor_session(sched):
-        _run_threads([producer, consumer], timeout)
-
-    reproduced = "stranded" in outcome
-    return ReplayResult(
-        "workqueue", "early_srv", reproduced,
-        f"claim released by srv was stranded: {outcome['stranded']}"
-        if reproduced else f"claim got the item: {outcome.get('items')!r}",
-        notes=outcome,
-    )
-
-
-def replay_no_close(trace: list[Step], timeout: float = 10.0) -> ReplayResult:
-    """The producer exits without ``close()``: drained claimers hang.
-
-    The abstract deadlock (claimers blocked forever on an OPEN, drained
-    queue) maps onto :class:`ProcessWorkQueue`'s bounded wait: with the
-    queue never closed, a claim on the drained queue times out with the
-    "producer gone?" error instead of returning ``[]``.  The contrast
-    run closes the queue and the same claim returns ``[]`` cleanly.
-    """
-    from ..concurrentsub.workqueue import ProcessWorkQueue, QueueClosed
-
-    if not _procs(trace, "finish_without_close"):
-        return ReplayResult("workqueue", "no_close", False,
-                            "trace has no finish_without_close step")
-
-    q = ProcessWorkQueue(capacity=2, claim_timeout=0.25)
-    q.publish("part-0")
-    assert q.claim() == ["part-0"]  # drains the only published item
-    stranded = False
-    try:
-        q.claim()  # producer "exited" without close(): nobody will fill
-    except QueueClosed as exc:
-        stranded = "producer gone" in str(exc)
-
-    # Contrast: the fixed protocol closes, and the claim exits cleanly.
-    q2 = ProcessWorkQueue(capacity=2, claim_timeout=5.0)
-    q2.publish("part-0")
-    q2.claim()
-    q2.close()
-    clean_exit = q2.claim() == []
-
-    return ReplayResult(
-        "workqueue", "no_close", stranded and clean_exit,
-        "claimer on the unclosed drained queue timed out stranded; "
-        "closed queue drained cleanly" if stranded and clean_exit
-        else "claimer was not stranded",
-        notes={"stranded": stranded, "clean_exit": clean_exit},
-    )
-
-
-def replay_no_abort(trace: list[Step], timeout: float = 10.0) -> ReplayResult:
-    """A death with no ``abort()`` strands the survivors; abort frees them.
-
-    The abstract counterexample ends with a crash (merger or claimer)
-    and no containment.  Concretely: a claimer on an open, drained
-    :class:`ProcessWorkQueue` whose producer died times out stranded —
-    and the contrast run shows ``abort()`` is the remedy the parent
-    must apply: after it, pending and future claims return ``[]``
-    immediately.
-    """
-    import time as _time
-
-    from ..concurrentsub.workqueue import ProcessWorkQueue, QueueClosed
-
-    if not (_procs(trace, "merger_fail") or _procs(trace, "crash_mid_claim")):
-        return ReplayResult("workqueue", "no_abort", False,
-                            "trace has no crash transition")
-
-    # The stranding: producer dead, queue open, no abort.
-    q = ProcessWorkQueue(capacity=2, claim_timeout=0.25)
-    stranded = False
-    try:
-        q.claim()
-    except QueueClosed as exc:
-        stranded = "producer gone" in str(exc)
-
-    # The containment the parent owes: abort() frees claimers at once.
-    q2 = ProcessWorkQueue(capacity=2, claim_timeout=5.0)
-    q2.publish("part-0")
-    q2.abort()
-    t0 = _time.monotonic()
-    freed = q2.claim() == []
-    fast = _time.monotonic() - t0 < 2.0
-
-    return ReplayResult(
-        "workqueue", "no_abort", stranded and freed and fast,
-        "claimer stranded without abort; abort() freed claims "
-        "immediately" if stranded and freed and fast
-        else "stranding/containment contrast did not reproduce",
-        notes={"stranded": stranded, "freed": freed, "fast": fast},
-    )
-
-
 #: Replay entry per (protocol, variant) of the seeded-bug corpus.
 REPLAYS = {
     ("insert", "tas_claim"): replay_tas_claim,
     ("insert", "shared_stats"): replay_shared_stats,
     ("insert", "numpy_publish"): replay_numpy_publish,
-    ("workqueue", "split_claim"): replay_split_claim,
-    ("workqueue", "early_srv"): replay_early_srv,
-    ("workqueue", "no_close"): replay_no_close,
-    ("workqueue", "no_abort"): replay_no_abort,
 }
 
 

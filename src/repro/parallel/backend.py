@@ -2,28 +2,27 @@
 
 Runs both ParaHash steps across worker *processes* so the pipeline
 scales with cores instead of being serialized by the GIL, in ONE worker
-pool that stays warm across the Step-1 barrier:
+pool that stays warm across the Step-1 barrier.  The parent hands out
+all the work (§III-E's queue): each worker asks for its next item over
+its pipe (:func:`repro.parallel.pool.run_workers`' ``request``) and the
+parent's :class:`_Dispatcher` answers from two cursors held as plain
+ints in one thread — §III-E's ``srv``/``cns`` with nothing shared.
 
 * **Step 1** — the read matrix is copied once into shared memory and
-  split into chunks; the parent publishes every chunk's bounds on a
-  :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue` and closes
-  it before the pool starts, so workers claim chunks one at a time
-  (the paper's ``cns`` work stealing) and spill them with
+  split into chunks.  A worker requests chunk bounds one at a time
+  until it gets ``None`` and spills each chunk with
   :func:`repro.msp.partitioner.spill_reads` as writer ``w`` of
   :func:`repro.msp.partitioner.partition_path`, in the work directory
   when there is one.  Grouping the spill files by partition id — the
-  minimizer-hash class — is the merge.  Each worker announces its
-  :class:`~repro.msp.partitioner.MspRunReport` to the parent through
-  the pool's event channel when its share is done, even when it
-  claimed no chunk.
-* **Step 2** — once every report has landed (a barrier: a partition's
-  input is complete only when every chunk is spilled), the parent's
-  merger publishes the partitions (heaviest first) on a second
-  :class:`~repro.concurrentsub.workqueue.ProcessWorkQueue`, and the
-  same workers claim them.  A worker claims a whole partition, builds
-  its subgraph alone from its files
-  (:func:`repro.core.subgraph.build_partition`) and ships it back
-  through the event channel as soon as it is built.  No table and no
+  minimizer-hash class — is the merge.  The worker's next request
+  carries its :class:`~repro.msp.partitioner.MspRunReport`, even when
+  it was given no chunk.
+* **Step 2** — the parent holds those requests until every report has
+  landed (a barrier: a partition's input is complete only when every
+  chunk is spilled), then answers each with a live partition's spill
+  group, heaviest first.  A worker builds the partition's subgraph
+  alone from its files (:func:`repro.core.subgraph.build_partition`),
+  and its next request carries the subgraph back.  No table and no
   shared segment is involved: a partition's owner is its only writer.
 """
 
@@ -36,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..concurrentsub.workqueue import ProcessWorkQueue
 from ..core.subgraph import SubgraphResult, build_partition
 from ..dna.reads import ReadBatch
 from ..msp.partitioner import (
@@ -45,7 +43,7 @@ from ..msp.partitioner import (
     spill_groups,
     spill_reads,
 )
-from .pool import default_context, run_workers
+from .pool import run_workers
 from .shm import SegmentSpec, attach_read_batch, share_read_batch
 
 
@@ -61,18 +59,18 @@ class _Step2Job:
 # -- worker entry points (top-level: picklable under spawn) ----------------------
 
 
-def _step1_worker(worker_id: int, batch_spec: SegmentSpec,
-                  chunks: ProcessWorkQueue, k: int, p: int,
-                  n_partitions: int, spill_dir: str) -> MspRunReport:
-    """Claim read chunks and spill them as writer ``worker_id``."""
+def _step1_worker(worker_id: int, batch_spec: SegmentSpec, request, k: int,
+                  p: int, n_partitions: int,
+                  spill_dir: str) -> MspRunReport:
+    """Request read chunks and spill them as writer ``worker_id``."""
 
     def claimed(codes: np.ndarray):
         # Every view over the shared codes matrix lives in this
-        # generator's frame, which ends with the last claim, so the
+        # generator's frame, which ends with the last chunk, so the
         # segment can close cleanly.
-        while items := chunks.claim():
-            for lo, hi in items:
-                yield ReadBatch(codes=codes[lo:hi])
+        while (bounds := request(("chunk",))) is not None:
+            lo, hi = bounds
+            yield ReadBatch(codes=codes[lo:hi])
 
     batch, seg = attach_read_batch(batch_spec)
     try:
@@ -88,77 +86,71 @@ def _process_step2_job(job: _Step2Job) -> SubgraphResult:
     return build_partition(job.group, job.k)
 
 
-def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec,
-                     chunks: ProcessWorkQueue, ready: ProcessWorkQueue,
-                     k: int, p: int, n_partitions: int, spill_dir: str,
-                     *, emit) -> list[tuple[int, int]]:
-    """Both steps in one process: partition, announce, then build.
+def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec, k: int, p: int,
+                     n_partitions: int, spill_dir: str, *, request) -> None:
+    """Both steps in one process: partition, report, then build.
 
-    The worker drains Step-1 chunks with :func:`_step1_worker`, emits
-    its report through the pool's event channel (the parent's merger
-    is listening), and then claims ready partitions — which the merger
-    publishes once *every* worker's report has landed, so this worker
-    waits out its slower peers' Step 1 warm instead of exiting.  Each
-    subgraph is emitted the moment it is built, so a worker never
-    holds more than one.  Returns the ``(partition, n_kmers)`` of
-    every partition it built.
+    The request carrying the Step-1 report is answered once *every*
+    worker's report has landed, so this worker waits out its slower
+    peers' Step 1 warm instead of exiting.  Each subgraph travels with
+    the request for the next partition, so a worker never holds more
+    than one.
     """
-    report = _step1_worker(worker_id, batch_spec, chunks, k, p,
+    report = _step1_worker(worker_id, batch_spec, request, k, p,
                            n_partitions, spill_dir)
-    emit(("spills", report))
-    built: list[tuple[int, int]] = []
-    while True:
-        jobs = ready.claim()
-        if not jobs:
-            break
-        for job in jobs:
-            result = _process_step2_job(job)
-            emit(("subgraph", job.partition, result))
-            built.append((job.partition, result.n_kmers))
-    return built
+    job = request(("spills", report))
+    while job is not None:
+        result = _process_step2_job(job)
+        job = request(("subgraph", job.partition, result))
 
 
 # -- the driver ------------------------------------------------------------------
 
 
-class _PipelineMerger:
-    """Parent-side Step-1→Step-2 handoff and subgraph collection.
+class _Dispatcher:
+    """The parent's side of §III-E: hands out chunks, then partitions.
 
-    Collects every worker's Step-1 report (delivered through the
-    pool's event channel, so this runs inline with the parent's result
-    poll — single-threaded, no locks needed despite feeding a
-    cross-process queue).  Once the last report lands, each live
-    partition's spill group is published as one work order, heaviest
-    first.  The ready queue is closed after the last publication; a
-    merger failure propagates out of ``run_workers`` and tears the pool
-    down, so workers can never hang on an unclosed queue.  Built
-    subgraphs arrive through the same channel and are kept by partition
-    id.
+    Runs inline with :func:`run_workers`' wait loop, so it is
+    single-threaded and needs no lock: its two cursors are plain
+    iterators, one over the Step-1 chunks and, once the barrier has
+    passed, one over the Step-2 work orders.  A Step-1 report's request
+    is held until the last report lands; then each live partition's
+    spill group becomes one work order, heaviest first, and every held
+    request is answered at once.  Built subgraphs arrive with the next
+    request and are kept by partition id.
     """
 
-    def __init__(self, cfg, n_workers: int, ready: ProcessWorkQueue) -> None:
+    def __init__(self, cfg, n_workers: int,
+                 chunk_bounds: list[tuple[int, int]]) -> None:
         self.cfg = cfg
         self.n_workers = n_workers
-        self.ready = ready
+        self.chunks = iter(chunk_bounds)
+        self.jobs = iter(())
         self.reports: dict[int, MspRunReport] = {}
         self.results: dict[int, SubgraphResult] = {}
+        self.built: list[list[int]] = [[] for _ in range(n_workers)]
         self.kmers_per_partition = np.zeros(cfg.n_partitions, dtype=np.int64)
         self.live: list[int] = []
         self.spills_done_at: float | None = None
 
-    def on_event(self, worker_id: int, payload) -> None:
+    def on_request(self, worker_id: int, payload) -> dict:
         kind = payload[0]
+        if kind == "chunk":
+            return {worker_id: next(self.chunks, None)}
         if kind == "subgraph":
             _, partition, result = payload
             self.results[partition] = result
-        elif kind == "spills":
+            self.built[worker_id].append(partition)
+            return {worker_id: next(self.jobs, None)}
+        if kind == "spills":
             self.reports[worker_id] = payload[1]
-            if len(self.reports) == self.n_workers:
-                self._finalize_all()
-        else:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"unexpected pipeline event {kind!r}")
+            if len(self.reports) < self.n_workers:
+                return {}  # held until the barrier passes
+            self._pass_barrier()
+            return {w: next(self.jobs, None) for w in range(self.n_workers)}
+        raise RuntimeError(f"unexpected pipeline request {kind!r}")
 
-    def _finalize_all(self) -> None:
+    def _pass_barrier(self) -> None:
         cfg = self.cfg
         self.spills_done_at = time.perf_counter()
         reports = [self.reports[w] for w in range(self.n_workers)]
@@ -174,14 +166,11 @@ class _PipelineMerger:
         order = sorted(
             self.live, key=lambda part: -int(self.kmers_per_partition[part])
         )
-        try:
-            for part in order:
-                self.ready.publish(_Step2Job(
-                    partition=part, k=cfg.k,
-                    group=tuple(str(p) for p in groups[part]),
-                ))
-        finally:
-            self.ready.close()
+        self.jobs = iter([
+            _Step2Job(partition=part, k=cfg.k,
+                      group=tuple(str(p) for p in groups[part]))
+            for part in order
+        ])
 
 
 def build_graph_processes(
@@ -215,59 +204,40 @@ def build_graph_processes(
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-parallel-")
         workdir = tmp.name
-    ctx = default_context()
     t0 = time.perf_counter()
     try:
-        # Publishing starts the item queue's feeder thread before the
-        # pool forks; a forked child only reads this queue, and
-        # multiprocessing re-initialises the queue's thread-side lock
-        # in the child.
-        chunks = ProcessWorkQueue(len(chunk_bounds), ctx=ctx)
-        for bounds in chunk_bounds:
-            chunks.publish(bounds)
-        chunks.close()
-        ready = ProcessWorkQueue(cfg.n_partitions, ctx=ctx, claim_timeout=600.0)
-        merger = _PipelineMerger(cfg, n_workers, ready)
+        dispatcher = _Dispatcher(cfg, n_workers, chunk_bounds)
         batch_seg = share_read_batch(reads)
         try:
-            built = run_workers(
-                _pipeline_worker, n_workers, ctx=ctx,
-                args=(batch_seg.spec, chunks, ready, cfg.k, cfg.p,
-                      cfg.n_partitions, str(workdir)),
-                on_event=merger.on_event,
+            run_workers(
+                _pipeline_worker, n_workers,
+                args=(batch_seg.spec, cfg.k, cfg.p, cfg.n_partitions,
+                      str(workdir)),
+                on_request=dispatcher.on_request,
             )
         finally:
             batch_seg.unlink()
-            # On an error path some workers may have been terminated
-            # between a reservation and its item pickup; aborting makes
-            # any racing claim return instead of wait out its timeout.
-            ready.abort()
-        missing = [p for p in merger.live if p not in merger.results]
-        if missing:  # pragma: no cover - queue drain guarantees coverage
-            raise RuntimeError(
-                f"partitions {missing} were published but never built"
-            )
         t2 = time.perf_counter()
     finally:
         if tmp is not None:
             tmp.cleanup()
 
-    spills_done = merger.spills_done_at or t2
-    reports = [merger.reports[w] for w in range(n_workers)]
+    spills_done = dispatcher.spills_done_at or t2
+    reports = [dispatcher.reports[w] for w in range(n_workers)]
     records: dict[str, WorkerRecord] = {}
     for w, report in enumerate(reports):
         record = WorkerRecord(name=f"proc{w}",
                               items_processed=report.n_reads)
-        for partition, n_kmers in built[w]:
+        for partition in dispatcher.built[w]:
             record.partitions.append(partition)
-            record.items_processed += n_kmers
+            record.items_processed += dispatcher.results[partition].n_kmers
         records[record.name] = record
     return finish_build(
-        cfg, [merger.results[part] for part in merger.live],
+        cfg, [dispatcher.results[part] for part in dispatcher.live],
         StageTimings(msp_seconds=spills_done - t0,
                      hashing_seconds=t2 - spills_done),
         n_superkmers=sum(r.n_superkmers for r in reports),
-        n_kmers=int(merger.kmers_per_partition.sum()),
+        n_kmers=int(dispatcher.kmers_per_partition.sum()),
         partition_bytes=sum(r.bytes_written for r in reports),
         worker_records=records,
     )

@@ -1,26 +1,28 @@
 """A small crash-safe process fan-out.
 
-``concurrent.futures`` is deliberately not used: the backend's workers
-claim their own work from a shared queue (work stealing), so
-the pool's only jobs are (1) start one process per worker, (2) collect
-one result message per worker, and (3) **never hang** — a worker that
-dies without reporting (segfault, ``os._exit``, OOM kill) must surface
-as a clean :class:`WorkerCrashed` error, with the remaining workers
-terminated, instead of a parent blocked on a queue forever.
+``concurrent.futures`` is deliberately not used: the parent hands out
+the work itself, so the pool's only jobs are (1) start one process per
+worker, each owning one duplex pipe, (2) answer the workers' requests
+and collect one result message per worker, and (3) **never hang** — a
+worker that dies without reporting (segfault, ``os._exit``, OOM kill)
+must surface as a clean :class:`WorkerCrashed` error, with the
+remaining workers terminated, instead of a parent blocked forever.
 
-Workers send ``("ok", worker_id, payload)`` or ``("error", worker_id,
-traceback_text)`` through a queue; the parent polls the queue with a
-short timeout and watches process liveness between polls.
+Workers send ``("request", payload)``, ``("ok", payload)`` or
+``("error", traceback_text)`` on their pipe.  A pipe write is
+synchronous, so whatever a worker sent before it died is read before
+its pipe reads end-of-file.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as queue_mod
 import signal
 import threading
 import time
 import traceback
+import weakref
+from multiprocessing.connection import wait as wait_ready
 from typing import Any, Callable
 
 
@@ -35,7 +37,7 @@ class WorkerFailed(RuntimeError):
 class PoolInterrupted(RuntimeError):
     """The parent received SIGTERM/SIGINT while workers were running.
 
-    Raised *synchronously* inside :func:`run_workers`' poll loop so the
+    Raised *synchronously* inside :func:`run_workers`' wait loop so the
     normal teardown runs: workers are terminated, and every enclosing
     ``try/finally`` in the caller — which is where shared-memory
     segments are owned — unlinks its segments before the process exits.
@@ -90,8 +92,44 @@ def default_context() -> mp.context.BaseContext:
         return mp.get_context()
 
 
-def _worker_shell(fn: Callable, args: tuple, out: mp.queues.Queue,
-                  worker_id: int, pass_emit: bool) -> None:
+#: The parent's end of every worker pipe this process has made.  A
+#: forked worker inherits copies of them all and closes those first
+#: (:func:`_child_main`): while a copy is open in a worker, a dead
+#: parent's end never reads as end-of-file there, and a write to it
+#: blocks for good once the socket buffer is full.
+_PARENT_ENDS: weakref.WeakSet = weakref.WeakSet()
+
+
+def spawn_worker(ctx: mp.context.BaseContext, target: Callable, args: tuple,
+                 name: str):
+    """Start ``target(conn, *args)`` in a new process that owns one end
+    of a fresh duplex pipe; returns ``(process, parent_end)``.
+
+    Once the parent has died, the worker's reads on ``conn`` raise
+    ``EOFError`` and its writes ``OSError``, so a worker never outlives
+    a SIGKILLed parent by more than the task it is running.
+    """
+    conn, child_conn = ctx.Pipe()
+    _PARENT_ENDS.add(conn)
+    proc = ctx.Process(target=_child_main, args=(target, child_conn, *args),
+                       name=name, daemon=True)
+    try:
+        proc.start()
+    finally:
+        # The worker's end now lives in the worker alone, so its exit
+        # reads as end-of-file here.
+        child_conn.close()
+    return proc, conn
+
+
+def _child_main(target: Callable, conn, *args) -> None:
+    for parent_end in list(_PARENT_ENDS):
+        parent_end.close()
+    target(conn, *args)
+
+
+def _worker_shell(conn, fn: Callable, args: tuple, worker_id: int,
+                  pass_request: bool) -> None:
     try:
         # The parent converts SIGTERM to PoolInterrupted for *its own*
         # cleanup; a forked worker inherits that handler, which would
@@ -101,112 +139,110 @@ def _worker_shell(fn: Callable, args: tuple, out: mp.queues.Queue,
     except (ValueError, OSError):  # pragma: no cover - exotic host
         pass
     try:
-        if pass_emit:
-            def emit(payload: Any) -> None:
-                out.put(("event", worker_id, payload))
+        if pass_request:
+            def request(payload: Any) -> Any:
+                conn.send(("request", payload))
+                return conn.recv()
 
-            payload = fn(worker_id, *args, emit=emit)
+            payload = fn(worker_id, *args, request=request)
         else:
             payload = fn(worker_id, *args)
-        out.put(("ok", worker_id, payload))
+        conn.send(("ok", payload))
     except BaseException:
-        out.put(("error", worker_id, traceback.format_exc()))
+        try:
+            conn.send(("error", traceback.format_exc()))
+        except OSError:
+            pass  # the parent died: nobody is left to report to
 
 
 def run_workers(
     fn: Callable,
     n_workers: int,
     args: tuple = (),
-    ctx: mp.context.BaseContext | None = None,
-    poll_seconds: float = 0.25,
     timeout: float | None = 600.0,
-    on_event: Callable[[int, Any], None] | None = None,
+    on_request: Callable[[int, Any], dict[int, Any]] | None = None,
 ) -> list[Any]:
     """Run ``fn(worker_id, *args)`` in ``n_workers`` processes.
 
     Returns the workers' payloads indexed by worker id.  Raises
-    :class:`WorkerFailed` when any worker raised (all others are joined
-    first so shared resources quiesce) and :class:`WorkerCrashed` when a
-    worker vanished without a result; in both cases surviving workers
-    are terminated before the error propagates, so the caller can
-    release shared segments safely.  ``timeout`` bounds the time since
-    the last message of any kind (result or event): a pool whose
-    workers all stay alive but silent that long raises
+    :class:`WorkerFailed` as soon as a worker raised and
+    :class:`WorkerCrashed` when a worker's pipe reads end-of-file (or
+    its process ends) before it reported; in both cases the other
+    workers are terminated before the error propagates, so the caller
+    can release shared segments safely.  ``timeout`` bounds the time
+    since the last message of any kind (result or request): a pool
+    whose workers all stay alive but silent that long raises
     :class:`WorkerCrashed`, while a run that keeps reporting may take
     as long as it needs.
 
-    With ``on_event`` set, workers are additionally handed an
-    ``emit(payload)`` keyword callable; every emitted payload is
-    delivered to ``on_event(worker_id, payload)`` *in the parent*,
-    inline with the result-poll loop.  This is the pipelined backend's
-    mid-run channel: workers announce spill completion while still
-    running, and the parent's merger reacts between liveness polls.  An
-    exception from ``on_event`` tears the pool down like any parent
+    With ``on_request`` set, workers are additionally handed a
+    ``request(payload)`` keyword callable that blocks until the parent
+    replies.  Every request is delivered to ``on_request(worker_id,
+    payload)`` *in the parent*, which returns the replies to send now
+    as ``{worker_id: reply}``: a request it cannot answer yet is held
+    (left out) and answered by a later call's return value.  An
+    exception from ``on_request`` tears the pool down like any parent
     failure (workers are terminated in the ``finally``), so a failing
-    merger can never strand workers.
+    dispatcher can never strand workers, and a worker waiting on its
+    pipe exits once this process has died (see :func:`spawn_worker`),
+    so a SIGKILLed parent strands none either.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    ctx = ctx or default_context()
+    ctx = default_context()
     # From here to the final restore, SIGTERM/SIGINT raise
-    # PoolInterrupted in this (main) thread: the poll loop below exits
+    # PoolInterrupted in this (main) thread: the wait loop below exits
     # through its finally (workers terminated) and the caller's own
     # finally blocks run (owned shm segments unlinked) before the
     # process dies — a clean drain-or-abort instead of an orphaned run.
     previous_handlers = _install_signal_handlers()
-    out: mp.queues.Queue = ctx.Queue()
-    procs = [
-        ctx.Process(target=_worker_shell,
-                    args=(fn, args, out, w, on_event is not None),
-                    name=f"repro-worker-{w}", daemon=True)
-        for w in range(n_workers)
-    ]
+    procs: list = []
+    conns: list = []
     results: list[Any] = [None] * n_workers
     reported = [False] * n_workers
-    failure: tuple[str, int, str] | None = None
     try:
-        for p in procs:
-            p.start()
+        for w in range(n_workers):
+            proc, conn = spawn_worker(
+                ctx, _worker_shell,
+                (fn, args, w, on_request is not None),
+                f"repro-worker-{w}")
+            procs.append(proc)
+            conns.append(conn)
         last_message = time.monotonic()
         while not all(reported):
-            try:
-                kind, worker_id, payload = out.get(timeout=poll_seconds)
-            except queue_mod.Empty:
-                silent = time.monotonic() - last_message
-                if timeout is not None and silent > timeout:
-                    raise WorkerCrashed(
-                        f"workers {_pending(reported)} sent no message "
-                        f"for {timeout:g}s"
+            pending = _pending(reported)
+            wait_s = None if timeout is None else max(
+                0.0, last_message + timeout - time.monotonic())
+            ready = wait_ready(
+                [conns[w] for w in pending]
+                + [procs[w].sentinel for w in pending], timeout=wait_s)
+            if not ready:
+                raise WorkerCrashed(
+                    f"workers {pending} sent no message for {timeout:g}s"
+                )
+            for w in pending:
+                if not conns[w].poll():
+                    if procs[w].sentinel in ready:
+                        raise _crashed(w, procs[w])
+                    continue
+                try:
+                    kind, payload = conns[w].recv()
+                except (EOFError, OSError):
+                    raise _crashed(w, procs[w]) from None
+                last_message = time.monotonic()
+                if kind == "request":
+                    for target, reply in on_request(w, payload).items():
+                        try:
+                            conns[target].send(reply)
+                        except OSError:
+                            pass  # a dead worker: its pipe reads EOF next
+                elif kind == "ok":
+                    reported[w] = True
+                    results[w] = payload
+                else:
+                    raise WorkerFailed(
+                        f"worker {w} raised:\n{payload.rstrip()}"
                     )
-                dead = [
-                    w for w, p in enumerate(procs)
-                    if not reported[w] and not p.is_alive()
-                ]
-                # A dead worker may still have a message in flight;
-                # drain once more before declaring the crash.
-                if dead and _queue_idle(out):
-                    codes = {w: procs[w].exitcode for w in dead}
-                    raise WorkerCrashed(
-                        f"worker(s) died without reporting a result "
-                        f"(exit codes {codes}); inputs may be partially "
-                        f"processed"
-                    )
-                continue
-            last_message = time.monotonic()
-            if kind == "event":
-                if on_event is not None:
-                    on_event(worker_id, payload)
-                continue
-            reported[worker_id] = True
-            if kind == "ok":
-                results[worker_id] = payload
-            elif failure is None:
-                failure = (kind, worker_id, payload)
-        if failure is not None:
-            _, worker_id, tb = failure
-            raise WorkerFailed(
-                f"worker {worker_id} raised:\n{tb.rstrip()}"
-            )
         return results
     finally:
         try:
@@ -215,24 +251,19 @@ def run_workers(
                     p.terminate()
             for p in procs:
                 p.join(timeout=10.0)
-            out.close()
+            for conn in conns:
+                conn.close()
         finally:
             _restore_signal_handlers(previous_handlers)
 
 
+def _crashed(worker_id: int, proc) -> WorkerCrashed:
+    proc.join(timeout=1.0)
+    return WorkerCrashed(
+        f"worker {worker_id} died without reporting a result (exit code "
+        f"{proc.exitcode}); inputs may be partially processed"
+    )
+
+
 def _pending(reported: list[bool]) -> list[int]:
     return [w for w, done in enumerate(reported) if not done]
-
-
-def _queue_idle(out: mp.queues.Queue) -> bool:
-    """True when one final grace poll finds the result queue empty."""
-    try:
-        # Peek is impossible on mp queues; a short blocking get that
-        # times out is the reliable emptiness test.  A message arriving
-        # here is pushed back via the internal buffer-free path by
-        # returning False and letting the main loop re-poll.
-        item = out.get(timeout=0.5)
-    except queue_mod.Empty:
-        return True
-    out.put(item)
-    return False

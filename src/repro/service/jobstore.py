@@ -48,7 +48,7 @@ class JobSpec:
     ``claim_weight`` is the multi-tenancy QoS knob: a pool worker
     visiting this job's lane claims up to this many tasks per visit, so
     relative weights set relative throughput when jobs compete for the
-    shared pool (the weighted-claim scheme of the process work queue).
+    shared pool.
 
     ``step2_delay`` stretches each Step-2 partition build by sleeping
     that many seconds first — a fault-injection knob so tests (and

@@ -23,9 +23,11 @@ Crash containment is per *job*, not per pool:
   its pipe once the reports it sent are read.  The parent fails the
   tasks it sent that worker and has not heard back about, on their own
   session, and spawns a replacement.  Neighbor jobs never see it.
-* a parent that is **SIGKILLed** cannot tell anyone; workers notice
-  the orphaning (``getppid`` flips) while they wait for work and exit
-  on their own, so a dead service never leaves processes behind.
+* a parent that is **SIGKILLed** cannot tell anyone; its workers'
+  pipes then read end-of-file (each forked worker closes its copies of
+  the parent's ends, see :func:`repro.parallel.pool.spawn_worker`), so
+  they exit on their own and a dead service never leaves processes
+  behind.
 
 A cancelled or released session's backlog never leaves the parent;
 tasks already sent to a worker finish and their reports are ignored.
@@ -34,7 +36,6 @@ tasks already sent to a worker finish and their reports are ignored.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import signal
 import threading
 import time
@@ -42,11 +43,8 @@ import traceback
 from collections import deque
 from multiprocessing.connection import wait as wait_ready
 
-from ..parallel.pool import default_context
+from ..parallel.pool import default_context, spawn_worker
 from .tasks import run_task
-
-#: Seconds an idle worker waits on its pipe between orphan checks.
-_ORPHAN_CHECK_SECONDS = 1.0
 
 
 class TasksFailed(RuntimeError):
@@ -69,7 +67,7 @@ class LaneStalled(RuntimeError):
     """No task activity within the stall timeout — work was lost."""
 
 
-def _service_worker(conn, parent_pid: int) -> None:
+def _service_worker(conn) -> None:
     """Body of one pool worker: receive a batch, run it, report each task.
 
     Lives until the pool terminates it or the parent vanishes.  Tasks
@@ -81,20 +79,19 @@ def _service_worker(conn, parent_pid: int) -> None:
     except (ValueError, OSError):  # pragma: no cover - exotic host
         pass
     while True:
-        if not conn.poll(_ORPHAN_CHECK_SECONDS):
-            if os.getppid() != parent_pid:
-                return  # orphaned: the service was SIGKILLed
-            continue
         try:
             batch = conn.recv()
         except EOFError:
-            return  # the parent closed its end
+            return  # the parent closed its end, or died
         for task in batch:
             try:
                 report = ("done", run_task(task))
             except Exception:
                 report = ("task_error", traceback.format_exc())
-            conn.send(report)
+            try:
+                conn.send(report)
+            except OSError:
+                return  # the parent died mid-batch
 
 
 class LaneSession:
@@ -275,16 +272,8 @@ class ServicePool:
         return self
 
     def _spawn_worker(self, worker_id: int):
-        conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_service_worker, args=(child_conn, os.getpid()),
-            name=f"repro-service-{worker_id}", daemon=True,
-        )
-        proc.start()
-        # The worker's end now lives in the worker alone, so its exit
-        # reads as end-of-file here.
-        child_conn.close()
-        return proc, conn
+        return spawn_worker(self._ctx, _service_worker, (),
+                            f"repro-service-{worker_id}")
 
     def close(self) -> None:
         with self._lock:

@@ -16,7 +16,6 @@ from repro.checks.model import (
 )
 from repro.checks.protocols.cas_insert import INSERT_VARIANTS
 from repro.checks.protocols.corpus import CORPUS, build_model
-from repro.checks.protocols.workqueue import QUEUE_VARIANTS
 
 
 # -- a tiny hand-rolled model to pin the search semantics -----------------------
@@ -119,15 +118,6 @@ class TestFixedProtocols:
         res = check_model(build_model("insert", writers=3))
         assert res.ok and not res.truncated, res.summary()
 
-    def test_workqueue_verifies_at_ci_bound(self):
-        res = check_model(build_model("workqueue", consumers=3, items=4))
-        assert res.ok and not res.truncated, res.summary()
-
-    def test_workqueue_without_crashes_also_verifies(self):
-        res = check_model(
-            build_model("workqueue", consumers=2, items=3, crash=False))
-        assert res.ok and not res.truncated, res.summary()
-
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             build_model("mutex")
@@ -135,14 +125,12 @@ class TestFixedProtocols:
 
 class TestSeededCorpus:
     def test_corpus_covers_all_protocols(self):
-        assert (set(INSERT_VARIANTS) | set(QUEUE_VARIANTS)) \
-            == {v for _, v in CORPUS}
-        assert len(CORPUS) == 7
+        assert set(INSERT_VARIANTS) == {v for _, v in CORPUS}
+        assert len(CORPUS) == 3
 
     @pytest.mark.parametrize("protocol,variant", CORPUS)
     def test_every_variant_is_refuted(self, protocol, variant):
-        model = build_model(protocol, variant=variant,
-                            writers=2, consumers=2, items=2)
+        model = build_model(protocol, variant=variant, writers=2)
         res = check_model(model)
         assert res.violation is not None, (
             f"{protocol}/{variant} was not refuted: {res.summary()}")
@@ -151,8 +139,7 @@ class TestSeededCorpus:
     @pytest.mark.parametrize("protocol,variant", CORPUS)
     def test_refutations_are_deterministic(self, protocol, variant):
         def run():
-            model = build_model(protocol, variant=variant,
-                                writers=2, consumers=2, items=2)
+            model = build_model(protocol, variant=variant, writers=2)
             return check_model(model).violation.trace
 
         assert run() == run(), "DFS order must be stable run to run"
@@ -181,10 +168,10 @@ class TestModelCli:
     def test_single_bug_with_trace(self, capsys):
         from repro.checks.cli import main
 
-        assert main(["model", "--bug", "early_srv", "--show-trace",
+        assert main(["model", "--bug", "numpy_publish", "--show-trace",
                      "--no-replay"]) == 0
         out = capsys.readouterr().out
-        assert "interleaving: workqueue/early_srv" in out
+        assert "interleaving: insert/numpy_publish" in out
 
     def test_unknown_bug_is_usage_error(self, capsys):
         from repro.checks.cli import main
@@ -195,8 +182,7 @@ class TestModelCli:
     def test_tiny_state_bound_fails_verification(self, capsys):
         from repro.checks.cli import main
 
-        assert main(["model", "--protocol", "workqueue",
-                     "--max-states", "10"]) == 1
+        assert main(["model", "--max-states", "10"]) == 1
         assert "bounds hit" in capsys.readouterr().out
 
 

@@ -16,13 +16,13 @@ from repro.checks.model import Step, check_model
 from repro.checks.protocols.corpus import CORPUS, build_model
 from repro.checks.replay import replay_counterexample
 
-#: Refutation sizing — matches the CLI's corpus mode (two contenders is
+#: Refutation sizing — matches the CLI's corpus mode (two writers is
 #: the minimal arena every corpus bug manifests in).
-SIZES = dict(writers=2, consumers=2, items=2)
+WRITERS = 2
 
 
 def trace_for(protocol: str, variant: str) -> list[Step]:
-    res = check_model(build_model(protocol, variant=variant, **SIZES))
+    res = check_model(build_model(protocol, variant=variant, writers=WRITERS))
     assert res.violation is not None, res.summary()
     return list(res.violation.trace)
 
@@ -36,12 +36,9 @@ def test_corpus_trace_reproduces(protocol, variant):
 
 
 @pytest.mark.parametrize("protocol,variant", [
-    # One per distinct replay harness shape: CAS window, RMW overlap,
-    # publication ordering, and the deadlock replays.
+    # One per barrier-shaped replay harness: CAS window, RMW overlap.
     ("insert", "tas_claim"),
     ("insert", "shared_stats"),
-    ("workqueue", "split_claim"),
-    ("workqueue", "no_abort"),
 ])
 def test_replay_is_deterministic(protocol, variant):
     trace = trace_for(protocol, variant)
@@ -64,8 +61,8 @@ class TestTraceValidation:
         assert result.detail
 
     def test_wrong_protocol_trace_is_rejected_cleanly(self):
-        # Feed the workqueue replay an insert trace: shape validation
-        # fails before any thread is started.
+        # Feed the shared-stats replay a CAS-window trace: shape
+        # validation fails before any thread is started.
         trace = trace_for("insert", "tas_claim")
-        result = replay_counterexample("workqueue", "split_claim", trace)
+        result = replay_counterexample("insert", "shared_stats", trace)
         assert not result.reproduced

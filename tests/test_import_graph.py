@@ -5,9 +5,9 @@ builds, or parses a ``repro build`` command line, and then reports
 every loaded module.  The analysis toolkit, the simulator, the job
 service and the other off-path modules must not be among them:
 package ``__init__``s re-export nothing, and the CLI imports each
-subcommand's modules inside that subcommand.  A serial build loads
-neither ``multiprocessing`` nor the work queue, nor the paper's shared
-hash table and its atomics.
+subcommand's modules inside that subcommand.  No build loads the
+paper's shared hash table or its atomics, and a serial build does not
+load ``multiprocessing`` either.
 """
 
 from __future__ import annotations
@@ -87,13 +87,11 @@ OFF_BUILD_PATH = (
     "repro.core.counter",
 )
 
+#: What no build runs: the paper's shared table and its atomics.
+OFF_EVERY_BUILD = ("repro.core.hashtable", "repro.concurrentsub.atomics")
+
 #: What only the processes backend or the paper's shared table runs.
-OFF_SERIAL_BUILD = (
-    "multiprocessing",
-    "repro.core.hashtable",
-    "repro.concurrentsub.atomics",
-    "repro.concurrentsub.workqueue",
-)
+OFF_SERIAL_BUILD = ("multiprocessing", *OFF_EVERY_BUILD)
 
 OFF_CLI_PARSE = (
     "repro.analysis",
@@ -124,6 +122,7 @@ def test_builds_load_no_off_path_module():
     modules = loaded_modules(LIBRARY)
     assert "repro.parallel.backend" in modules  # the processes build ran
     assert under(modules, OFF_BUILD_PATH) == []
+    assert under(modules, OFF_EVERY_BUILD) == []
 
 
 def test_serial_build_loads_no_process_or_table_module():

@@ -9,6 +9,9 @@ clean error instead of hanging the parent.
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -17,6 +20,8 @@ import pytest
 from repro.core.config import BACKENDS, ParaHashConfig
 from repro.core.parahash import ParaHash
 from repro.parallel.pool import WorkerCrashed, WorkerFailed, run_workers
+
+from .test_service_pool import _SRC, _has_exited
 
 CFG = ParaHashConfig(k=21, p=9, n_partitions=16, n_input_pieces=4)
 
@@ -120,12 +125,22 @@ def test_run_workers_rejects_bad_worker_count():
 
 
 def _reporting_worker(worker_id: int, n_events: int, gap: float,
-                      quiet_after: float, *, emit):
+                      quiet_after: float, *, request):
     for i in range(n_events):
         time.sleep(gap)
-        emit(i)
+        request(i)
     time.sleep(quiet_after)
     return worker_id
+
+
+def _recording(seen: list):
+    """A request handler that records each payload and answers it."""
+
+    def on_request(worker_id, payload):
+        seen.append(payload)
+        return {worker_id: None}
+
+    return on_request
 
 
 def test_steady_progress_outlives_timeout():
@@ -133,7 +148,7 @@ def test_steady_progress_outlives_timeout():
     seen = []
     results = run_workers(
         _reporting_worker, 1, args=(8, 0.4, 0.0), timeout=1.0,
-        on_event=lambda worker_id, payload: seen.append(payload),
+        on_request=_recording(seen),
     )
     assert results == [0]
     assert seen == list(range(8))
@@ -146,10 +161,63 @@ def test_silent_worker_past_timeout_raises():
     with pytest.raises(WorkerCrashed):
         run_workers(
             _reporting_worker, 1, args=(1, 0.0, 60.0), timeout=1.0,
-            on_event=lambda worker_id, payload: seen.append(payload),
+            on_request=_recording(seen),
         )
     assert seen == [0]
     assert time.perf_counter() - t0 < 20.0
+
+
+#: A parent stuck in its request handler, killed there: worker 0 waits
+#: for a reply (as a Step-1 report waits for the barrier) and worker 1
+#: is writing a message larger than the socket buffer (a subgraph).
+_STUCK_PARENT = """\
+import os
+import time
+from repro.parallel.pool import run_workers
+
+def worker(worker_id, *, request):
+    os.write(1, b"%d\\n" % os.getpid())  # one write: lines never interleave
+    if worker_id == 0:
+        request("report")
+    else:
+        time.sleep(0.5)
+        request(bytes(8 << 20))
+
+def on_request(worker_id, payload):
+    time.sleep(600)
+    return {}
+
+run_workers(worker, 2, on_request=on_request)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads the workers' states from /proc")
+def test_waiting_workers_exit_when_the_parent_is_killed():
+    child = subprocess.Popen(
+        [sys.executable, "-c", _STUCK_PARENT],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        stdout=subprocess.PIPE, text=True,
+    )
+    pids = []
+    try:
+        for _ in range(2):
+            pids.append(int(child.stdout.readline()))
+        time.sleep(1.0)  # worker 1 is now blocked in its write
+        child.kill()
+        child.wait(timeout=30.0)
+        deadline = time.monotonic() + 10.0
+        while (not all(map(_has_exited, pids))
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert all(map(_has_exited, pids))
+    finally:
+        child.kill()
+        child.wait(timeout=30.0)
+        child.stdout.close()
+        for pid in pids:
+            if not _has_exited(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # -- big-k (k > 31): two-word keys end-to-end ------------------------------------

@@ -1,17 +1,20 @@
 """Pipelined process-backend tests (Step-1→Step-2 streaming).
 
-The contract: the streaming driver — one pool, spill manifests and
-built subgraphs over the event channel, ready-queue partition claims —
+The contract: the streaming driver — one pool whose parent hands out
+Step-1 chunks and Step-2 partitions over each worker's pipe, with
+spill reports and built subgraphs riding on the workers' requests —
 must produce graphs byte-identical to the serial backend and the same
-partitions on disk, keep crash containment (a dying Step-2 worker surfaces as
-:class:`WorkerCrashed`, never a ready-queue hang), and building from
-vertex rows must leave ``HashStats.lock_reduction`` untouched.
+partitions on disk, give every partition to exactly one worker, keep
+crash containment (a dying worker surfaces as :class:`WorkerCrashed`,
+never a hang), and building from vertex rows must leave
+``HashStats.lock_reduction`` untouched.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import threading
 import time
 
 import numpy as np
@@ -42,6 +45,21 @@ def assert_graphs_identical(a, b):
     assert a.k == b.k
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.counts, b.counts)
+
+
+def spy_step1_reports(monkeypatch) -> dict:
+    """Record every worker's Step-1 report as the dispatcher gets it."""
+    reports = {}
+    real_on_request = backend_mod._Dispatcher.on_request
+
+    def spying_on_request(self, worker_id, payload):
+        if payload[0] == "spills":
+            reports[worker_id] = payload[1]
+        return real_on_request(self, worker_id, payload)
+
+    monkeypatch.setattr(backend_mod._Dispatcher, "on_request",
+                        spying_on_request)
+    return reports
 
 
 # -- equivalence ------------------------------------------------------------------
@@ -144,19 +162,10 @@ def test_fewer_reads_than_workers(clean_batch, backend):
 
 def test_worker_without_step1_chunk_announces_empty_manifest(
         clean_batch, monkeypatch):
-    """One chunk and three workers: the two that claim nothing still
-    report an empty spill manifest, or the merger would never publish
-    Step 2's partitions."""
-    manifests = {}
-    real_on_event = backend_mod._PipelineMerger.on_event
-
-    def spying_on_event(self, worker_id, payload):
-        if payload[0] == "spills":
-            manifests[worker_id] = payload[1]
-        real_on_event(self, worker_id, payload)
-
-    monkeypatch.setattr(backend_mod._PipelineMerger, "on_event",
-                        spying_on_event)
+    """One chunk and three workers: the two that get no chunk still
+    report an empty spill manifest, or the dispatcher would never hand
+    out Step 2's partitions."""
+    manifests = spy_step1_reports(monkeypatch)
     one_read = ReadBatch(codes=clean_batch.codes[:1])
     result = ParaHash(
         CFG.with_(backend="processes", n_workers=3)
@@ -167,6 +176,28 @@ def test_worker_without_step1_chunk_announces_empty_manifest(
     assert all(m.paths == {} for m in idle)
     assert set(result.worker_records) == {"proc0", "proc1", "proc2"}
     assert result.n_kmers == one_read.n_kmers(CFG.k)
+
+
+def test_every_partition_is_built_by_exactly_one_worker(genomic_batch,
+                                                        monkeypatch):
+    """The parent's cursors hand out each chunk and each partition once:
+    nothing is built twice and nothing is lost."""
+    serial_cfg = CFG.with_(n_partitions=64, n_input_pieces=12)
+    reports = spy_step1_reports(monkeypatch)
+    result = ParaHash(
+        serial_cfg.with_(backend="processes", n_workers=3)
+    ).build_graph(genomic_batch)
+    live = [part for part, block in
+            enumerate(ParaHash(serial_cfg).partition(genomic_batch))
+            if block.n_superkmers]
+    built = [part for record in result.worker_records.values()
+             for part in record.partitions]
+    assert len(live) > 3
+    assert sorted(built) == live
+    assert sorted(reports) == [0, 1, 2]
+    assert sum(r.n_reads for r in reports.values()) == genomic_batch.n_reads
+    assert_graphs_identical(
+        ParaHash(serial_cfg).build_graph(genomic_batch).graph, result.graph)
 
 
 # -- pre-aggregation --------------------------------------------------------------
@@ -273,13 +304,62 @@ def test_raising_step2_worker_surfaces_workerfailed(genomic_batch, monkeypatch):
     assert "step2 exploded" in str(excinfo.value)
 
 
+def _shm_segments() -> set[str]:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+def test_worker_dying_while_held_surfaces_workercrashed(genomic_batch,
+                                                        monkeypatch):
+    """Worker 0 dies while the parent holds its Step-2 request (worker 1
+    is still in Step 1): the pipe's end-of-file is the crash, the
+    build does not wait for the barrier, and no segment is left."""
+    real_worker = backend_mod._pipeline_worker
+    real_spill = backend_mod.spill_reads
+    barrier = []
+
+    def slow_spill(pieces, spill_dir, writer, *args):
+        if writer == 1:
+            time.sleep(10.0)  # still in Step 1 when worker 0 dies
+        return real_spill(pieces, spill_dir, writer, *args)
+
+    def dying_worker(worker_id, *args, request):
+        def dying_request(payload):
+            if worker_id == 0 and payload[0] == "spills":
+                threading.Timer(0.3, os._exit, args=(23,)).start()
+            return request(payload)
+
+        return real_worker(worker_id, *args, request=dying_request)
+
+    real_pass = backend_mod._Dispatcher._pass_barrier
+
+    def watched_pass(self):
+        barrier.append(True)
+        real_pass(self)
+
+    monkeypatch.setattr(backend_mod, "spill_reads", slow_spill)
+    monkeypatch.setattr(backend_mod, "_pipeline_worker", dying_worker)
+    monkeypatch.setattr(backend_mod._Dispatcher, "_pass_barrier",
+                        watched_pass)
+    before = _shm_segments()
+    t0 = time.perf_counter()
+    with pytest.raises(WorkerCrashed):
+        ParaHash(
+            CFG.with_(backend="processes", n_workers=2)
+        ).build_graph(genomic_batch)
+    assert time.perf_counter() - t0 < 20.0
+    assert barrier == []
+    assert _shm_segments() - before == set()
+
+
 def test_failing_merger_tears_down_pool(genomic_batch, monkeypatch):
     """An exception in the parent's merger must not strand workers."""
 
     def broken_finalize(self):
         raise RuntimeError("merger failed before publishing")
 
-    monkeypatch.setattr(backend_mod._PipelineMerger, "_finalize_all",
+    monkeypatch.setattr(backend_mod._Dispatcher, "_pass_barrier",
                         broken_finalize)
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="merger failed"):

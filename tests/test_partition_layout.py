@@ -74,7 +74,6 @@ def test_workdir_build_reads_one_partition_at_a_time(genomic_batch, tmp_path,
                                                      workers):
     """Step 2 of a ``--workdir`` build reads each partition as its own
     item; nothing loads every partition file up front."""
-    import repro.core.parahash as parahash_mod
     import repro.msp.partitioner as partitioner_mod
 
     def refuse(*args, **kwargs):
@@ -83,8 +82,6 @@ def test_workdir_build_reads_one_partition_at_a_time(genomic_batch, tmp_path,
     cfg = CFG.with_(backend=backend, n_workers=workers)
     in_memory = ParaHash(cfg).build_graph(genomic_batch).graph
     monkeypatch.setattr(partitioner_mod, "load_partitions", refuse)
-    monkeypatch.setattr(parahash_mod, "load_partitions", refuse,
-                        raising=False)
     result = ParaHash(cfg).build_graph(genomic_batch,
                                        workdir=tmp_path / "work")
     assert result.graph.equals(in_memory)
