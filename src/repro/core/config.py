@@ -70,8 +70,9 @@ class ParaHashConfig:
     backend:
         Execution backend for the end-to-end driver: ``"serial"`` (one
         process, vectorized kernels) or ``"processes"`` (worker
-        processes claiming partitions through the §III-E work-stealing
-        queue — see :mod:`repro.parallel.backend`).
+        processes, each handed its next read chunk and then its next
+        partition over its pipe by the parent's §III-E queue — see
+        :mod:`repro.parallel.backend`).
     n_workers:
         Worker count for the ``processes`` backend; 0 means auto (the
         machine's CPU count).  The ``serial`` backend always runs one
@@ -110,7 +111,7 @@ class ParaHashConfig:
 
         ``n_input_pieces`` on the serial backend; on the processes one
         at least two per worker, so each worker has a chunk to start on
-        and one to steal.
+        and one left for whichever worker finishes first.
         """
         if self.backend == "serial":
             return self.n_input_pieces

@@ -5,8 +5,9 @@ superkmer partitions) then **Hashing** (one subgraph per partition,
 built by the partition's single owner), either fully in memory or
 through encoded partition files on disk.  In this process the
 partitions are built one after another; ``backend="processes"`` hands
-the run to worker processes that claim partitions through the §III-E
-work-stealing queue (:mod:`repro.parallel.backend`).
+the run to worker processes, which the parent hands read chunks and
+then partitions over their pipes, as §III-E's queue does
+(:mod:`repro.parallel.backend`).
 
 The driver reports wall-clock stage timings plus the merged hashing
 telemetry, which the benchmark harness feeds to the performance model.
@@ -134,7 +135,7 @@ class ParaHash:
 
         ``config.backend`` selects the execution backend.  ``serial``
         runs everything in this thread; ``processes`` hands the run to
-        the shared-memory process backend
+        worker processes
         (:func:`repro.parallel.backend.build_graph_processes`).  Both
         produce the identical graph.
         """

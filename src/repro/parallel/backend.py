@@ -8,9 +8,9 @@ its pipe (:func:`repro.parallel.pool.run_workers`' ``request``) and the
 parent's :class:`_Dispatcher` answers from two cursors held as plain
 ints in one thread — §III-E's ``srv``/``cns`` with nothing shared.
 
-* **Step 1** — the read matrix is copied once into shared memory and
-  split into chunks.  A worker requests chunk bounds one at a time
-  until it gets ``None`` and spills each chunk with
+* **Step 1** — the read matrix is split into chunks.  A worker
+  requests chunks one at a time, each reply carrying the chunk's rows
+  (§IV's ``T_in``), until it gets ``None``, and spills each chunk with
   :func:`repro.msp.partitioner.spill_reads` as writer ``w`` of
   :func:`repro.msp.partitioner.partition_path`, in the work directory
   when there is one.  Grouping the spill files by partition id — the
@@ -23,7 +23,8 @@ ints in one thread — §III-E's ``srv``/``cns`` with nothing shared.
   group, heaviest first.  A worker builds the partition's subgraph
   alone from its files (:func:`repro.core.subgraph.build_partition`),
   and its next request carries the subgraph back.  No table and no
-  shared segment is involved: a partition's owner is its only writer.
+  shared-memory segment is involved: every byte travels over the pipes,
+  and a partition's owner is its only writer.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from ..msp.partitioner import (
     spill_reads,
 )
 from .pool import run_workers
-from .shm import SegmentSpec, attach_read_batch, share_read_batch
 
 
 @dataclass(frozen=True)
@@ -59,26 +59,15 @@ class _Step2Job:
 # -- worker entry points (top-level: picklable under spawn) ----------------------
 
 
-def _step1_worker(worker_id: int, batch_spec: SegmentSpec, request, k: int,
-                  p: int, n_partitions: int,
-                  spill_dir: str) -> MspRunReport:
+def _step1_worker(worker_id: int, request, k: int, p: int,
+                  n_partitions: int, spill_dir: str) -> MspRunReport:
     """Request read chunks and spill them as writer ``worker_id``."""
 
-    def claimed(codes: np.ndarray):
-        # Every view over the shared codes matrix lives in this
-        # generator's frame, which ends with the last chunk, so the
-        # segment can close cleanly.
-        while (bounds := request(("chunk",))) is not None:
-            lo, hi = bounds
-            yield ReadBatch(codes=codes[lo:hi])
+    def claimed():
+        while (codes := request(("chunk",))) is not None:
+            yield ReadBatch(codes=codes)
 
-    batch, seg = attach_read_batch(batch_spec)
-    try:
-        return spill_reads(claimed(batch.codes), spill_dir, worker_id, k, p,
-                           n_partitions)
-    finally:
-        del batch
-        seg.close()
+    return spill_reads(claimed(), spill_dir, worker_id, k, p, n_partitions)
 
 
 def _process_step2_job(job: _Step2Job) -> SubgraphResult:
@@ -86,8 +75,8 @@ def _process_step2_job(job: _Step2Job) -> SubgraphResult:
     return build_partition(job.group, job.k)
 
 
-def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec, k: int, p: int,
-                     n_partitions: int, spill_dir: str, *, request) -> None:
+def _pipeline_worker(worker_id: int, k: int, p: int, n_partitions: int,
+                     spill_dir: str, *, request) -> None:
     """Both steps in one process: partition, report, then build.
 
     The request carrying the Step-1 report is answered once *every*
@@ -96,8 +85,8 @@ def _pipeline_worker(worker_id: int, batch_spec: SegmentSpec, k: int, p: int,
     the request for the next partition, so a worker never holds more
     than one.
     """
-    report = _step1_worker(worker_id, batch_spec, request, k, p,
-                           n_partitions, spill_dir)
+    report = _step1_worker(worker_id, request, k, p, n_partitions,
+                           spill_dir)
     job = request(("spills", report))
     while job is not None:
         result = _process_step2_job(job)
@@ -112,19 +101,20 @@ class _Dispatcher:
 
     Runs inline with :func:`run_workers`' wait loop, so it is
     single-threaded and needs no lock: its two cursors are plain
-    iterators, one over the Step-1 chunks and, once the barrier has
-    passed, one over the Step-2 work orders.  A Step-1 report's request
+    iterators, one over the Step-1 chunks (each handed out as its rows,
+    ``reads.codes[lo:hi]``) and, once the barrier has passed, one over
+    the Step-2 work orders.  A Step-1 report's request
     is held until the last report lands; then each live partition's
     spill group becomes one work order, heaviest first, and every held
     request is answered at once.  Built subgraphs arrive with the next
     request and are kept by partition id.
     """
 
-    def __init__(self, cfg, n_workers: int,
+    def __init__(self, cfg, n_workers: int, reads: ReadBatch,
                  chunk_bounds: list[tuple[int, int]]) -> None:
         self.cfg = cfg
         self.n_workers = n_workers
-        self.chunks = iter(chunk_bounds)
+        self.chunks = (reads.codes[lo:hi] for lo, hi in chunk_bounds)
         self.jobs = iter(())
         self.reports: dict[int, MspRunReport] = {}
         self.results: dict[int, SubgraphResult] = {}
@@ -206,17 +196,12 @@ def build_graph_processes(
         workdir = tmp.name
     t0 = time.perf_counter()
     try:
-        dispatcher = _Dispatcher(cfg, n_workers, chunk_bounds)
-        batch_seg = share_read_batch(reads)
-        try:
-            run_workers(
-                _pipeline_worker, n_workers,
-                args=(batch_seg.spec, cfg.k, cfg.p, cfg.n_partitions,
-                      str(workdir)),
-                on_request=dispatcher.on_request,
-            )
-        finally:
-            batch_seg.unlink()
+        dispatcher = _Dispatcher(cfg, n_workers, reads, chunk_bounds)
+        run_workers(
+            _pipeline_worker, n_workers,
+            args=(cfg.k, cfg.p, cfg.n_partitions, str(workdir)),
+            on_request=dispatcher.on_request,
+        )
         t2 = time.perf_counter()
     finally:
         if tmp is not None:

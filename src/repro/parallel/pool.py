@@ -39,10 +39,10 @@ class PoolInterrupted(RuntimeError):
 
     Raised *synchronously* inside :func:`run_workers`' wait loop so the
     normal teardown runs: workers are terminated, and every enclosing
-    ``try/finally`` in the caller — which is where shared-memory
-    segments are owned — unlinks its segments before the process exits.
+    ``try/finally`` in the caller runs — the processes backend's removes
+    the build's temporary spill directory — before the process exits.
     Without this conversion a SIGTERM would kill the parent mid-run and
-    orphan every live segment in ``/dev/shm``.
+    leave a ``repro-parallel-*`` directory of spill files behind.
     """
 
 
@@ -56,7 +56,7 @@ def _install_signal_handlers() -> dict | None:
     def handler(signum: int, frame) -> None:
         raise PoolInterrupted(
             f"received signal {signum} while running workers; pool torn "
-            f"down and owned segments unlinked"
+            f"down"
         )
 
     previous: dict = {}
@@ -169,7 +169,7 @@ def run_workers(
     :class:`WorkerCrashed` when a worker's pipe reads end-of-file (or
     its process ends) before it reported; in both cases the other
     workers are terminated before the error propagates, so the caller
-    can release shared segments safely.  ``timeout`` bounds the time
+    can remove the files they wrote safely.  ``timeout`` bounds the time
     since the last message of any kind (result or request): a pool
     whose workers all stay alive but silent that long raises
     :class:`WorkerCrashed`, while a run that keeps reporting may take
@@ -193,8 +193,8 @@ def run_workers(
     # From here to the final restore, SIGTERM/SIGINT raise
     # PoolInterrupted in this (main) thread: the wait loop below exits
     # through its finally (workers terminated) and the caller's own
-    # finally blocks run (owned shm segments unlinked) before the
-    # process dies — a clean drain-or-abort instead of an orphaned run.
+    # finally blocks run (the temporary spill directory removed) before
+    # the process dies — a clean drain-or-abort instead of an orphaned run.
     previous_handlers = _install_signal_handlers()
     procs: list = []
     conns: list = []

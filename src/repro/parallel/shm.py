@@ -1,31 +1,17 @@
-"""Shared-memory segments for the process backend.
+"""Shared-memory segments, kept to measure what they would cost.
 
-The process backend (:mod:`repro.parallel.backend`) moves the read-code
-matrix of a ParaHash run into a :mod:`multiprocessing.shared_memory`
-segment, so every Step-1 worker reads the *same* physical memory (no
-pickling of a multi-megabyte array).  :func:`create_table_segment`
-lays out one hash table's arrays (``state``, the ``(W, capacity)``
-``keys`` planes, ``counts``) the same way, for measuring what a
-shared-memory table of a given size costs to set up.
+No build makes a segment: the process backend
+(:mod:`repro.parallel.backend`) hands each worker its read chunks over
+the worker's pipe.  :func:`share_read_batch` (the read-code matrix) and
+:func:`create_table_segment` (one hash table's ``state``, ``(W,
+capacity)`` ``keys`` planes and ``counts``) lay out the arrays a
+shared-memory design would hold, so the benchmark can time what such a
+set-up costs at a build's sizes.
 
-Lifetime rules
---------------
-
-Exactly one process *owns* each segment: the owner creates it, hands
-the picklable :class:`SegmentSpec` to workers, and calls
-:meth:`SharedSegment.unlink` once every attacher has exited (or no
-longer needs the data).  Attachers call :func:`attach_segment` and
-:meth:`SharedSegment.close` — never ``unlink``.  Both directions are
-context managers, and the backend keeps every create inside a
-``try/finally`` so segments cannot leak past a run even on error.
-
-CPython's ``resource_tracker`` registers *attached* segments too
-(bpo-38119).  The backend's workers inherit the parent's tracker
-process (fork and spawn both pass the tracker fd down), so the
-registration cache is shared and keyed by name: a worker's re-register
-is a no-op and the owner's ``unlink`` removes the single entry.  No
-unregister calls are needed — and none must be made from workers, as
-that would delete the *owner's* registration out from under it.
+Lifetime rule: the process that creates a segment owns it and calls
+:meth:`SharedSegment.unlink` on every exit path (a segment is a context
+manager, and :func:`share_read_batch` unlinks a half-filled one itself),
+so no segment outlives its owner in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -60,31 +46,20 @@ class ArrayField:
 
 @dataclass(frozen=True)
 class SegmentSpec:
-    """Picklable description of a shared-memory segment and its arrays.
-
-    This is the only thing that crosses the process boundary — workers
-    reconstruct zero-copy numpy views from it via :func:`attach_segment`.
-    """
+    """Description of a shared-memory segment and its arrays."""
 
     segment: str
     nbytes: int
     fields: tuple[ArrayField, ...]
 
-    def field(self, name: str) -> ArrayField:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(f"segment {self.segment} has no field {name!r}")
-
 
 class SharedSegment:
-    """A shared-memory segment plus numpy views over its arrays."""
+    """An owned shared-memory segment plus numpy views over its arrays."""
 
-    def __init__(self, spec: SegmentSpec, shm: shared_memory.SharedMemory,
-                 owner: bool) -> None:
+    def __init__(self, spec: SegmentSpec,
+                 shm: shared_memory.SharedMemory) -> None:
         self.spec = spec
         self._shm = shm
-        self._owner = owner
         self.arrays: dict[str, np.ndarray] = {
             f.name: np.frombuffer(
                 shm.buf, dtype=np.dtype(f.dtype),
@@ -107,12 +82,7 @@ class SharedSegment:
             pass
 
     def unlink(self) -> None:
-        """Destroy the segment (owner only); implies :meth:`close`."""
-        if not self._owner:
-            raise RuntimeError(
-                f"segment {self.spec.segment} is attached, not owned; "
-                "only the creating process may unlink it"
-            )
+        """Destroy the segment; implies :meth:`close`."""
         self.close()
         try:
             self._shm.unlink()
@@ -123,10 +93,7 @@ class SharedSegment:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._owner:
-            self.unlink()
-        else:
-            self.close()
+        self.unlink()
 
 
 def create_segment(fields: list[tuple[str, tuple[int, ...], str]]) -> SharedSegment:
@@ -145,18 +112,7 @@ def create_segment(fields: list[tuple[str, tuple[int, ...], str]]) -> SharedSegm
     total = max(1, offset)
     shm = shared_memory.SharedMemory(create=True, size=total)
     spec = SegmentSpec(segment=shm.name, nbytes=total, fields=tuple(laid_out))
-    return SharedSegment(spec, shm, owner=True)
-
-
-def attach_segment(spec: SegmentSpec) -> SharedSegment:
-    """Attach to an existing segment by spec (worker side).
-
-    The attacher must :meth:`SharedSegment.close` (never ``unlink``)
-    when done, after dropping every array view it took — see the
-    lifetime rules in the module docstring.
-    """
-    shm = shared_memory.SharedMemory(name=spec.segment)
-    return SharedSegment(spec, shm, owner=False)
+    return SharedSegment(spec, shm)
 
 
 # -- read batches ---------------------------------------------------------------
@@ -177,18 +133,6 @@ def share_read_batch(batch) -> SharedSegment:
         seg.unlink()
         raise
     return seg
-
-
-def attach_read_batch(spec: SegmentSpec):
-    """Zero-copy :class:`ReadBatch` over an attached segment.
-
-    Returns ``(batch, segment)``; the caller must keep ``segment`` alive
-    while the batch is in use and ``close()`` it afterwards.
-    """
-    from ..dna.reads import ReadBatch
-
-    seg = attach_segment(spec)
-    return ReadBatch(codes=seg["codes"]), seg
 
 
 # -- hash tables ----------------------------------------------------------------

@@ -35,7 +35,6 @@ tasks already sent to a worker finish and their reports are ignored.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import signal
 import threading
 import time
@@ -231,15 +230,13 @@ class LaneSession:
 class ServicePool:
     """The shared worker pool all jobs of one service instance use."""
 
-    def __init__(self, n_workers: int = 2, n_lanes: int = 4,
-                 ctx: mp.context.BaseContext | None = None) -> None:
+    def __init__(self, n_workers: int = 2, n_lanes: int = 4) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if n_lanes < 1:
             raise ValueError("n_lanes must be >= 1")
         self.n_workers = n_workers
         self.n_lanes = n_lanes
-        self._ctx = ctx or default_context()
         self._lock = threading.Lock()
         self._free_cond = threading.Condition(self._lock)
         self._free = list(range(n_lanes))
@@ -272,7 +269,7 @@ class ServicePool:
         return self
 
     def _spawn_worker(self, worker_id: int):
-        return spawn_worker(self._ctx, _service_worker, (),
+        return spawn_worker(default_context(), _service_worker, (),
                             f"repro-service-{worker_id}")
 
     def close(self) -> None:

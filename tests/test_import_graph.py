@@ -6,8 +6,9 @@ every loaded module.  The analysis toolkit, the simulator, the job
 service and the other off-path modules must not be among them:
 package ``__init__``s re-export nothing, and the CLI imports each
 subcommand's modules inside that subcommand.  No build loads the
-paper's shared hash table or its atomics, and a serial build does not
-load ``multiprocessing`` either.
+paper's shared hash table or its atomics, no build loads a
+shared-memory module (so none starts CPython's resource-tracker
+process), and a serial build does not load ``multiprocessing`` either.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ for backend in ("serial", "processes"):
         cfg = ParaHashConfig(k=k, p=p, n_partitions=8, backend=backend,
                              n_workers=2)
         assert ParaHash(cfg).build_graph(reads).graph.n_vertices > 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 SERIAL = """\
@@ -90,6 +91,14 @@ OFF_BUILD_PATH = (
 #: What no build runs: the paper's shared table and its atomics.
 OFF_EVERY_BUILD = ("repro.core.hashtable", "repro.concurrentsub.atomics")
 
+#: What no build runs: shared-memory segments, whose creation starts
+#: CPython's resource-tracker process.
+SHARED_MEMORY = (
+    "repro.parallel.shm",
+    "multiprocessing.shared_memory",
+    "multiprocessing.resource_tracker",
+)
+
 #: What only the processes backend or the paper's shared table runs.
 OFF_SERIAL_BUILD = ("multiprocessing", *OFF_EVERY_BUILD)
 
@@ -123,6 +132,7 @@ def test_builds_load_no_off_path_module():
     assert "repro.parallel.backend" in modules  # the processes build ran
     assert under(modules, OFF_BUILD_PATH) == []
     assert under(modules, OFF_EVERY_BUILD) == []
+    assert under(modules, SHARED_MEMORY) == []
 
 
 def test_serial_build_loads_no_process_or_table_module():

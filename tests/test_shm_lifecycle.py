@@ -1,14 +1,16 @@
-"""Shared-memory lifecycle regression tests.
+"""Shared-memory and spill-directory lifecycle regression tests.
 
-The ownership discipline (DESIGN.md): the process that *creates* a
-segment owns it and must ``unlink()`` on every exit path — including
-failure paths; attachers only ``close()``.  These tests assert the
-system-level consequence: after a run that fails at any stage, no
-named shared-memory segment survives in ``/dev/shm``.
+No processes build makes a segment: each worker is handed its reads
+over its pipe.  These tests assert the system-level consequence: after
+a run that succeeds, fails at any stage or is signalled, no named
+shared-memory segment survives in ``/dev/shm``.  A signalled run's
+parent tears the pool down and removes the temporary spill directory
+before it exits.
 
-The static side of the same discipline is lint rule R6
-(:mod:`repro.checks.lint`); these tests pin the dynamic behavior the
-rule is a proxy for.
+The ownership discipline (DESIGN.md) still holds for the segments the
+benchmark makes: the creator must ``unlink()`` on every exit path,
+including failure paths.  Its static side is lint rule R6
+(:mod:`repro.checks.lint`).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _exploding_step2(job):
 @needs_dev_shm
 @needs_fork
 def test_failed_pipelined_run_leaves_no_segments(genomic_batch, monkeypatch):
-    """Worker failure mid-pipeline: the read-batch segment is unlinked."""
+    """Worker failure mid-pipeline: no segment is left behind."""
     monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
     before = _segments()
     with pytest.raises(WorkerFailed):
@@ -97,8 +99,8 @@ BIGK_CFG = ParaHashConfig(k=45, p=15, n_partitions=16, n_input_pieces=4)
 @needs_fork
 def test_failed_bigk_pipelined_run_leaves_no_segments(
         genomic_batch, monkeypatch):
-    """Two-word (k > 31) runs obey the same ownership discipline: a
-    worker failure mid-pipeline unlinks the batch segment."""
+    """Two-word (k > 31) runs likewise leave no segment behind after a
+    worker failure mid-pipeline."""
     monkeypatch.setattr(backend_mod, "_process_step2_job", _exploding_step2)
     before = _segments()
     with pytest.raises(WorkerFailed):
@@ -144,11 +146,14 @@ ParaHash(cfg.with_(backend="processes", n_workers=2)).build_graph(reads)
 @needs_fork
 @pytest.mark.parametrize("signo", [signal.SIGTERM, signal.SIGINT])
 def test_signal_mid_run_leaves_no_segments(tmp_path, signo):
-    """SIGTERM/SIGINT while workers hold shm: the parent's signal path
-    must terminate the pool and unlink every owned segment before
-    exiting — no operator Ctrl-C or service shutdown may leak."""
+    """SIGTERM/SIGINT mid-run: the parent's signal path must terminate
+    the pool and remove the temporary spill directory before exiting,
+    and leave no segment — no operator Ctrl-C or service shutdown may
+    leak."""
     marker = tmp_path / "step2_started"
-    env = dict(os.environ,
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir),
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     before = _segments()
     proc = subprocess.Popen(
@@ -171,6 +176,7 @@ def test_signal_mid_run_leaves_no_segments(tmp_path, signo):
             proc.wait()
     assert proc.returncode != 0
     assert _segments() - before == set()
+    assert list(tmpdir.glob("repro-parallel-*")) == []
 
 
 @needs_dev_shm
